@@ -75,7 +75,7 @@ class Report:
                 out.append("verdict: " + b["verdict"])
             out.append("")
         if self.error is not None:
-            out.append("error: " + self.error)
+            out.extend(["error: " + self.error, ""])
         return "\n".join(out)
 
     def render_json(self) -> str:
@@ -542,8 +542,8 @@ class _Executor:
 
     def exec_verify_pushout(self, st):
         f = st.fields
-        if f.get("diagram"):
-            a, b, c = f["diagram"]
+        if "pinchinput" not in f:
+            a, b, c = f["a"], f["b"], f["c"]
             ga, ring_a = self._algebra(a)
             gb_, ring_b = self._algebra(b)
             gc, ring_c = self._algebra(c)
@@ -656,17 +656,25 @@ class _Executor:
     # -- driver -----------------------------------------------------------------
 
     def run(self, script) -> Report:
+        """Execute every statement.  A failing statement is recorded in the
+        report, which keeps the blocks of the statements before it, and
+        raised as a :class:`CliError`."""
         for st in script.statements:
             handler = getattr(self, "exec_" + st.kind.replace("-", "_"))
             try:
                 handler(st)
             except CliError as e:
-                raise CliError(f"line {st.line}: {e}", e.code) from e
+                self.fail(st, e, e.code)
             except BudgetExceededError as e:
-                raise CliError(f"line {st.line}: {e}", 3) from e
+                self.fail(st, e, 3)
             except (ParseError, ValueError) as e:
-                raise CliError(f"line {st.line}: {e}", 2) from e
+                self.fail(st, e, 2)
         return self.report
+
+    def fail(self, st, err: Exception, code: int):
+        self.report.error = f"line {st.line}: {err}"
+        self.report.status = code
+        raise CliError(self.report.error, code) from err
 
 
 class _Options:
@@ -729,20 +737,20 @@ def main(argv=None) -> int:
 
     options = _Options(max_degree=args.max_degree, primes=args.primes,
                        mode=args.mode, budget=args.budget)
-    code = 0
     try:
         script = parse_script(text)
-        report = run_script(script, options)
     except ScriptError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    ex = _Executor(options)
+    try:
+        ex.run(script)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    code = max(code, report.status)
+    report = ex.report
     out = report.render_json() if args.format_ == "json" else report.render_text()
     sys.stdout.write(out)
-    return code
+    return report.status
 
 
 if __name__ == "__main__":

@@ -62,14 +62,6 @@ def copy_names(names, copies: int) -> list[list[str]]:
     return [[f"{n}_c{i + 1}" for n in names] for i in range(copies)]
 
 
-def copied_ring(ambient: AmbientRing, copies: int, order=None) -> PolyRing:
-    """Polynomial ring on ``copies`` blocks of the ambient variables."""
-    pr = ambient.poly_ring(0)
-    blocks = copy_names(pr.names, copies)
-    flat = [n for block in blocks for n in block]
-    return PolyRing(pr.field, flat, order or GREVLEX)
-
-
 def to_copy(f: Polynomial, target: PolyRing, copy: int, nvars: int) -> Polynomial:
     """Rewrite an ambient polynomial in the ``copy``-th variable block."""
     off = copy * nvars

@@ -20,6 +20,7 @@ from .poly import (
     Monomial,
     PolyRing,
     Polynomial,
+    fresh_names,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -194,13 +195,6 @@ def ideal_equal(
 # ---------------------------------------------------------------------------
 
 
-def _fresh_name(base: str, taken: tuple[str, ...]) -> str:
-    name = base
-    while name in taken:
-        name = "_" + name
-    return name
-
-
 def eliminate(
     gens: list[Polynomial],
     drop: list[int],
@@ -238,7 +232,7 @@ def ideal_intersect(
     if not gens_i or not gens_j:
         return []
     ring = gens_i[0].ring
-    t_name = _fresh_name("t", ring.names)
+    (t_name,) = fresh_names(["t"], set(ring.names))
     work = PolyRing(ring.field, (t_name,) + ring.names, BlockOrder(1))
     t = work.var(0)
     lifted = [t * work.convert(g) for g in gens_i]
@@ -255,7 +249,7 @@ def radical_member(
     if f.is_zero():
         return True
     ring = f.ring
-    t_name = _fresh_name("t", ring.names)
+    (t_name,) = fresh_names(["t"], set(ring.names))
     work = PolyRing(ring.field, (t_name,) + ring.names, GREVLEX)
     t = work.var(0)
     lifted = [work.convert(g) for g in gens]
@@ -308,13 +302,8 @@ class MembershipSieve:
         self.ring = ring
         self.gens = list(gens)
         n = ring.nvars
-        taken = set(ring.names)
-        w_names = []
-        for j in range(len(gens)):
-            name = _fresh_name(f"w{j + 1}", tuple(taken))
-            taken.add(name)
-            w_names.append(name)
-        self.w_names = tuple(w_names)
+        self.w_names = tuple(fresh_names(
+            [f"w{j + 1}" for j in range(len(gens))], set(ring.names)))
         self.work = PolyRing(ring.field, tuple(ring.names) + self.w_names, BlockOrder(n))
         T = [self.work.convert(g) for g in extra_relations if not g.is_zero()]
         for j, g in enumerate(gens):

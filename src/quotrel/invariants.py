@@ -9,7 +9,7 @@ that exhibit any element as integral over the invariant ring.
 from __future__ import annotations
 
 from .linalg import nullspace
-from .poly import GREVLEX, PolyRing, Polynomial
+from .poly import GREVLEX, PolyRing, Polynomial, fresh_names
 from .ring import AmbientRing, RingMap
 
 
@@ -140,9 +140,7 @@ def orbit_symmetric_generators(
     """
     action.validate()
     pr = action.ring.poly_ring(0)
-    t_name = "T"
-    while t_name in pr.names:
-        t_name = "_" + t_name
+    (t_name,) = fresh_names(["T"], set(pr.names))
     W = PolyRing(pr.field, (t_name,) + tuple(pr.names), GREVLEX)
     T = W.var(0)
     product = W.one

@@ -128,6 +128,32 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def fresh_names(wanted: Iterable[str], taken: set[str]) -> list[str]:
+    """Each wanted name, prefixed with ``_`` until it is not in ``taken``;
+    the chosen names are added to ``taken``."""
+    out = []
+    for name in wanted:
+        while name in taken:
+            name = "_" + name
+        taken.add(name)
+        out.append(name)
+    return out
+
+
+def power(base, e: int):
+    """``base ** e`` by square-and-multiply, for polynomials and ring
+    elements alike (anything with ``ring.one`` and ``*``)."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = base.ring.one
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # rings and polynomials
 # ---------------------------------------------------------------------------
@@ -513,17 +539,7 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(self.leading_coeff()))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+    __pow__ = power
 
     def mul_monomial(self, m: Monomial, c) -> "Polynomial":
         field = self.ring.field

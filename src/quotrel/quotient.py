@@ -26,9 +26,9 @@ other map's image algebra where they do not).
 from __future__ import annotations
 
 from .eqrel import RelationPresentation, to_copy
-from .groebner import eliminate, groebner_basis, normal_form
+from .groebner import MembershipSieve, eliminate, normal_form
 from .linalg import RowSpace, nullspace, rank_map
-from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial
+from .poly import GREVLEX, PolyRing, Polynomial, fresh_names
 from .ring import AmbientRing, RingElement, RingMap
 
 
@@ -295,25 +295,15 @@ def _pair_component_rows(
             own, own_images, other_images = (
                 (s1, im1, im2) if a1 == c else (s2, im2, im1)
             )
-            taken = set(tpr.names)
-            w_names = []
-            for j in range(len(other_images)):
-                nm = f"w{j + 1}"
-                while nm in taken:
-                    nm = "_" + nm
-                taken.add(nm)
-                w_names.append(nm)
-            W = PolyRing(field, tuple(tpr.names) + tuple(w_names), BlockOrder(tpr.nvars))
-            T = [W.convert(q) for q in target.q_gens(t)]
-            for j, g in enumerate(other_images):
-                T.append(W.var(tpr.nvars + j) - W.convert(g))
-            gbT = groebner_basis(T, trunc.budget)
+            sieve = MembershipSieve(tpr, other_images,
+                                    extra_relations=target.q_gens(t),
+                                    budget=trunc.budget)
             cmap = own._coeff_map()
             zeros = (0,) * tpr.nvars
             side = 0 if own is s1 else 1
             for _, m in cand:
                 img = pr.monomial(m).substitute(tpr, own_images, cmap)
-                nf = normal_form(W.convert(img), gbT)
+                nf = sieve.reduce(img)
                 for mm, coeff in nf.terms.items():
                     if mm[: tpr.nvars] != zeros:
                         rows.setdefault(("mem", t, side, mm), {})[(c, m)] = coeff
@@ -422,17 +412,11 @@ def present_subalgebra(
         raise ValueError("generators must live in one ambient ring")
     model = ring.model()
     base = model.poly_ring
-    taken = set(base.names)
     if names is None:
         names = [f"w{j + 1}" for j in range(len(gens))]
     if len(names) != len(gens):
         raise ValueError("need exactly one name per generator")
-    w_names = []
-    for nm in names:
-        while nm in taken:
-            nm = "_" + nm
-        taken.add(nm)
-        w_names.append(nm)
+    w_names = fresh_names(names, set(base.names))
     work = PolyRing(ring.field, tuple(base.names) + tuple(w_names), GREVLEX)
     T = [work.convert(r) for r in model.relations]
     for j, g in enumerate(gens):

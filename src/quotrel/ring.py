@@ -18,17 +18,7 @@ from __future__ import annotations
 
 from .fields import Field
 from .groebner import groebner_basis, normal_form
-from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial
-
-
-def _fresh(names: list[str], taken: set[str]) -> list[str]:
-    out = []
-    for n in names:
-        while n in taken:
-            n = "_" + n
-        taken.add(n)
-        out.append(n)
-    return out
+from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial, fresh_names, power
 
 
 class AmbientRing:
@@ -217,17 +207,7 @@ class RingElement:
     def scale(self, c) -> "RingElement":
         return RingElement(self.ring, [p.scale(c) for p in self.parts])
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+    __pow__ = power
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -412,13 +392,13 @@ class FlatModel:
             self.var_offsets = [0]
             return
         taken: set[str] = set()
-        e_names = _fresh([f"e{c + 1}" for c in range(k)], taken)
+        e_names = fresh_names([f"e{c + 1}" for c in range(k)], taken)
         comp_names: list[str] = []
         self.var_offsets = []
         for c in range(k):
             self.var_offsets.append(k + len(comp_names))
             comp_names.extend(
-                _fresh([f"{n}_{c + 1}" for n in ring.poly_ring(c).names], taken)
+                fresh_names([f"{n}_{c + 1}" for n in ring.poly_ring(c).names], taken)
             )
         self.e_offset = 0
         self.poly_ring = PolyRing(field, e_names + comp_names, GREVLEX)

@@ -8,50 +8,16 @@ raw text in the AST and only interpreted during execution, inside the ring
 they refer to, so the expression grammar is exactly the library's polynomial
 parser (integers, rationals, ``+ - * ^``, parentheses).
 
-The concrete grammar is documented in the README; ``parse_script`` returns a
-:class:`Script` whose rendering reparses to an equal AST.
+The concrete grammar is the statement table :data:`GRAMMAR`, read by one
+generic parser and one generic renderer (``README.md`` lists every form);
+``parse_script`` returns a :class:`Script` whose rendering reparses to an
+equal AST.
 """
 
-__all__ = ["ScriptError", "Statement", "Script", "parse_script"]
+import re
 
-_PUNCT = ("->", "(", ")", "[", "]", "=", ",", ";", ":", "|")
-
-COMMAND_KINDS = (
-    "groebner",
-    "check",
-    "intersect",
-    "eliminate",
-    "present",
-    "verify-relation",
-    "kernel-basis",
-    "min-generators",
-    "probe",
-    "invariant-basis",
-    "reynolds",
-    "orbit-equation",
-    "check-cocycle",
-    "effectivity",
-    "pinch",
-    "verify-pushout",
-    "subalgebra-intersection",
-    "frobenius-exponent",
-    "twist",
-    "evaluate",
-    "derivative",
-    "monomials",
-)
-
-DECL_KINDS = (
-    "ring",
-    "poly",
-    "ideal",
-    "algebra",
-    "map",
-    "action",
-    "relation",
-    "cocycle",
-    "pinchinput",
-)
+__all__ = ["ScriptError", "Statement", "Script", "Form", "GRAMMAR",
+           "parse_script"]
 
 
 class ScriptError(ValueError):
@@ -130,6 +96,159 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _render_ring(components) -> str:
+    parts = []
+    for c in components:
+        head = "QQ" if c["field"] == "QQ" else f"FF({c['field'][1]})"
+        part = f"{head}[{', '.join(c['names'])}]"
+        if c["quotient"]:
+            part += f" / ({', '.join(c['quotient'])})"
+        parts.append(part)
+    return " * ".join(parts)
+
+
+# Slot types: type -> (parse(parser, field, stops), render(value)).
+_SLOTS = {
+    "name": (lambda p, key, stops: p.take_name(f"name for {{{key}}}"), str),
+    "int": (lambda p, key, stops: p.take_int(), str),
+    "expr": (lambda p, key, stops: p.take_expr(stops), str),
+    "list": (lambda p, key, stops: p.take_expr_list(),
+             lambda v: f"({', '.join(v)})"),
+    "names": (lambda p, key, stops: p.take_name_list(), ", ".join),
+    "ring": (lambda p, key, stops: p.take_ring(), _render_ring),
+    "tuples": (lambda p, key, stops: p.take_tuples(),
+               lambda v: f"({' | '.join(', '.join(t) for t in v)})"),
+    "source": (lambda p, key, stops: p.take_source(),
+               lambda v: v[1] if v[0] == "rel" else f"({v[1]}, {v[2]})"),
+}
+
+_PIECE = re.compile(r"\[[^\]]*\]|\S+")
+
+
+class Form:
+    """One way to write a statement kind.
+
+    The template is a sequence of space-separated pieces: a literal word or
+    punctuation, a slot ``{field}`` holding a name or ``{field:type}``
+    holding a value of another slot type (``int``, ``expr``, ``list`` of
+    expressions in parentheses, comma-separated ``names``, ``ring``
+    components, action ``tuples``, or a relation-or-``(map, map)``
+    ``source``), or an optional clause ``[...]`` that starts with a literal
+    word.  A field of an absent clause is ``[]`` for ``names`` and ``None``
+    otherwise.  Keyword arguments are constant fields the form sets; they
+    tell apart forms of one kind that have the same slots.
+    """
+
+    def __init__(self, template: str, **consts):
+        self.template = template
+        self.consts = consts
+        self.slots: list[tuple[str, str, bool]] = []  # (field, type, optional)
+        self.items = self._compile(_PIECE.findall(template), False)
+        self.keys = {key for key, _, _ in self.slots} | set(consts)
+
+    def _compile(self, pieces, optional):
+        items = []
+        for i, piece in enumerate(pieces):
+            if piece.startswith("["):
+                first = len(self.slots)
+                clause = self._compile(piece[1:-1].split(), True)
+                defaults = {key: [] if kind == "names" else None
+                            for key, kind, _ in self.slots[first:]}
+                items.append(("opt", clause, defaults))
+            elif piece.startswith("{"):
+                key, _, kind = piece[1:-1].partition(":")
+                kind = kind or "name"
+                self.slots.append((key, kind, optional))
+                # an expression runs up to the literal word that follows it
+                after = pieces[i + 1].lstrip("[").split()[0] if i + 1 < len(pieces) else ""
+                stops = (after,) if after[:1].isalpha() else ()
+                items.append(("slot", key, kind, stops))
+            else:
+                items.append(("word", piece))
+        return items
+
+    def matches(self, fields: dict) -> bool:
+        return fields.keys() == self.keys and all(
+            fields[k] == v for k, v in self.consts.items())
+
+    def parse(self, p: "_Parser", items=None, fields=None) -> dict:
+        fields = dict(self.consts) if fields is None else fields
+        for item in self.items if items is None else items:
+            if item[0] == "word":
+                p.expect(item[1])
+            elif item[0] == "slot":
+                _, key, kind, stops = item
+                fields[key] = _SLOTS[kind][0](p, key, stops)
+            elif p.at(item[1][0][1]):
+                self.parse(p, item[1], fields)
+            else:
+                fields.update(item[2])
+        return fields
+
+    def render(self, fields: dict, items=None) -> str:
+        out = []
+        for item in self.items if items is None else items:
+            if item[0] == "word":
+                out.append(item[1])
+            elif item[0] == "slot":
+                out.append(_SLOTS[item[2]][1](fields[item[1]]))
+            elif any(fields[k] != absent for k, absent in item[2].items()):
+                out.append(self.render(fields, item[1]))
+        return " ".join(out)
+
+
+# Every statement kind and its forms.  Declarations (the kinds that bind a
+# ``{name}``) come first; a command kind also needs a ``cli`` executor.
+GRAMMAR = {
+    "ring": [Form("ring {name} = {components:ring}")],
+    "poly": [Form("poly {name} = {expr:expr} [in {ring}]")],
+    "ideal": [Form("ideal {name} = {exprs:list} [in {ring}]")],
+    "algebra": [Form("algebra {name} = {exprs:list} [in {ring}]")],
+    "map": [Form("map {name} : {source} -> {target} = {exprs:list}")],
+    "action": [Form("action {name} on {ring} = {tuples:tuples}")],
+    "relation": [
+        Form("relation {name} on {ring} = from-map {exprs:list}", how="from-map"),
+        Form("relation {name} on {ring} = from-action {action}", how="from-action"),
+        Form("relation {name} on {ring} = {exprs:list}", how="explicit"),
+    ],
+    "cocycle": [Form("cocycle {name} on {ring} = maps {maps:list} poly {poly:expr}")],
+    "pinchinput": [Form("pinchinput {name} in {ring} = "
+                        "ideal {ideal:list} sub {sub:list} module {module:list}")],
+    "groebner": [Form("groebner {ideal}")],
+    "check": [
+        Form("check {target} member {expr:expr}", op="member"),
+        Form("check {target} radical-member {expr:expr}", op="radical-member"),
+        Form("check {target} subalgebra-member {expr:expr}", op="subalgebra-member"),
+    ],
+    "intersect": [Form("intersect {a} {b}")],
+    "eliminate": [Form("eliminate {ideal} drop {names:names}")],
+    "present": [Form("present {algebra} [names {names:names}]")],
+    "verify-relation": [Form("verify-relation {relation}")],
+    "kernel-basis": [Form("kernel-basis {source:source}")],
+    "min-generators": [Form("min-generators {source:source}")],
+    "probe": [Form("probe {source:source}")],
+    "invariant-basis": [Form("invariant-basis {action}")],
+    "reynolds": [Form("reynolds {action} {expr:expr}")],
+    "orbit-equation": [Form("orbit-equation {action} {expr:expr}")],
+    "check-cocycle": [Form("check-cocycle {cocycle}")],
+    "effectivity": [Form("effectivity {cocycle}")],
+    "pinch": [Form("pinch {pinchinput} [names {names:names}]")],
+    "verify-pushout": [
+        Form("verify-pushout diagram {a} {b} {c}"),
+        Form("verify-pushout {pinchinput}"),
+    ],
+    "subalgebra-intersection": [Form("subalgebra-intersection {a} {b}")],
+    "frobenius-exponent": [Form("frobenius-exponent {sub} {alg} [rmax = {rmax:int}]")],
+    "twist": [Form("twist {q:int} {expr:expr} in {ring}")],
+    "evaluate": [Form("evaluate {map} {expr:expr}")],
+    "derivative": [Form("derivative {expr:expr} wrt {var} in {ring}")],
+    "monomials": [Form("monomials {ring} degree {degree:int}")],
+}
+
+DECL_KINDS = tuple(k for k, forms in GRAMMAR.items() if "name" in forms[0].keys)
+COMMAND_KINDS = tuple(k for k in GRAMMAR if k not in DECL_KINDS)
+
+
 class Statement:
     """One parsed statement: a kind tag plus its fields."""
 
@@ -149,103 +268,10 @@ class Statement:
         return f"Statement({self.kind}, {self.fields})"
 
     def render(self) -> str:
-        f = self.fields
-        k = self.kind
-        if k == "ring":
-            comps = []
-            for c in f["components"]:
-                fld = c["field"]
-                head = "QQ" if fld == "QQ" else f"FF({fld[1]})"
-                part = f"{head}[{', '.join(c['names'])}]"
-                if c["quotient"]:
-                    part += f" / ({', '.join(c['quotient'])})"
-                comps.append(part)
-            return f"ring {f['name']} = " + " * ".join(comps)
-        if k == "poly":
-            tail = f" in {f['ring']}" if f["ring"] else ""
-            return f"poly {f['name']} = {f['expr']}{tail}"
-        if k in ("ideal", "algebra"):
-            tail = f" in {f['ring']}" if f["ring"] else ""
-            return f"{k} {f['name']} = ({', '.join(f['exprs'])}){tail}"
-        if k == "map":
-            return (
-                f"map {f['name']} : {f['source']} -> {f['target']} = "
-                f"({', '.join(f['exprs'])})"
-            )
-        if k == "action":
-            body = " | ".join(", ".join(t) for t in f["tuples"])
-            return f"action {f['name']} on {f['ring']} = ({body})"
-        if k == "relation":
-            if f["how"] == "explicit":
-                body = f"({', '.join(f['exprs'])})"
-            elif f["how"] == "from-map":
-                body = f"from-map ({', '.join(f['exprs'])})"
-            else:
-                body = f"from-action {f['action']}"
-            return f"relation {f['name']} on {f['ring']} = {body}"
-        if k == "cocycle":
-            return (
-                f"cocycle {f['name']} on {f['ring']} = "
-                f"maps ({', '.join(f['maps'])}) poly {f['poly']}"
-            )
-        if k == "pinchinput":
-            return (
-                f"pinchinput {f['name']} in {f['ring']} = "
-                f"ideal ({', '.join(f['ideal'])}) "
-                f"sub ({', '.join(f['sub'])}) "
-                f"module ({', '.join(f['module'])})"
-            )
-        if k == "groebner":
-            return f"groebner {f['ideal']}"
-        if k == "check":
-            return f"check {f['target']} {f['op']} {f['expr']}"
-        if k == "intersect":
-            return f"intersect {f['a']} {f['b']}"
-        if k == "eliminate":
-            return f"eliminate {f['ideal']} drop {', '.join(f['names'])}"
-        if k == "present":
-            out = f"present {f['algebra']}"
-            if f["names"]:
-                out += f" names {', '.join(f['names'])}"
-            return out
-        if k == "verify-relation":
-            return f"verify-relation {f['relation']}"
-        if k in ("kernel-basis", "min-generators", "probe"):
-            src = f["source"]
-            ref = src[1] if src[0] == "rel" else f"({src[1]}, {src[2]})"
-            return f"{k} {ref}"
-        if k == "invariant-basis":
-            return f"invariant-basis {f['action']}"
-        if k in ("reynolds", "orbit-equation"):
-            return f"{k} {f['action']} {f['expr']}"
-        if k in ("check-cocycle", "effectivity"):
-            return f"{k} {f['cocycle']}"
-        if k == "pinch":
-            out = f"pinch {f['pinchinput']}"
-            if f["names"]:
-                out += f" names {', '.join(f['names'])}"
-            return out
-        if k == "verify-pushout":
-            if f.get("diagram"):
-                a, b, c = f["diagram"]
-                return f"verify-pushout diagram {a} {b} {c}"
-            return f"verify-pushout {f['pinchinput']}"
-        if k == "subalgebra-intersection":
-            return f"subalgebra-intersection {f['a']} {f['b']}"
-        if k == "frobenius-exponent":
-            out = f"frobenius-exponent {f['sub']} {f['alg']}"
-            if f["rmax"] is not None:
-                out += f" rmax = {f['rmax']}"
-            return out
-        if k == "twist":
-            return f"twist {f['q']} {f['expr']} in {f['ring']}"
-        if k == "evaluate":
-            return f"evaluate {f['map']} {f['expr']}"
-        if k == "derivative":
-            return f"derivative {f['expr']} wrt {f['var']} in {f['ring']}"
-        if k == "monomials":
-            return f"monomials {f['ring']} degree {f['degree']}"
-        raise AssertionError(f"unrenderable statement kind {k}")
+        for form in GRAMMAR[self.kind]:
+            if form.matches(self.fields):
+                return form.render(self.fields)
+        raise AssertionError(f"no {self.kind} form has the fields {self.fields}")
 
 
 class Script:
@@ -265,6 +291,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.end_pos = end_pos
+        self.far, self.wanted = -1, []  # literal words expected at token far
 
     # -- primitives -----------------------------------------------------------
 
@@ -295,7 +322,11 @@ class _Parser:
         t = self.take()
         if t.text != text:
             self.pos -= 1
-            self.error(f"expected {text!r}, found {t.text!r}")
+            # the forms of a kind that fail at one token pool their words
+            if self.pos != self.far:
+                self.far, self.wanted = self.pos, []
+            self.wanted.append(repr(text))
+            self.error(f"expected {' or '.join(self.wanted)}, found {t.text!r}")
         return t
 
     def take_name(self, what="name"):
@@ -316,7 +347,7 @@ class _Parser:
         t = self.peek()
         return t is not None and t.text == text
 
-    # -- spans ----------------------------------------------------------------
+    # -- slot values ----------------------------------------------------------
 
     def _span_text(self, start_idx: int, stop_idx: int) -> str:
         if start_idx >= stop_idx:
@@ -346,7 +377,7 @@ class _Parser:
             self.pos += 1
         return self._span_text(start, self.pos)
 
-    def take_expr_list(self, stops=()) -> list[str]:
+    def take_expr_list(self) -> list[str]:
         """Parenthesized, comma-separated expressions (possibly empty)."""
         self.expect("(")
         out = []
@@ -354,7 +385,7 @@ class _Parser:
             self.take()
             return out
         while True:
-            out.append(self.take_expr(stops))
+            out.append(self.take_expr())
             t = self.take()
             if t.text == ")":
                 return out
@@ -369,32 +400,12 @@ class _Parser:
             names.append(self.take_name())
         return names
 
-    # -- statements -----------------------------------------------------------
-
-    def parse_statement(self) -> Statement:
-        head = self.peek()
-        kw = self.take_name("statement keyword")
-        if kw in DECL_KINDS:
-            fields = getattr(self, "decl_" + kw)()
-        elif kw in COMMAND_KINDS:
-            fields = getattr(self, "cmd_" + kw.replace("-", "_"))()
-        else:
-            self.pos -= 1
-            self.error(f"unknown statement keyword {kw!r}")
-        if not self.done():
-            self.error("unexpected trailing input in statement")
-        return Statement(kw, fields, head.line)
-
-    # declarations
-
-    def decl_ring(self):
-        name = self.take_name()
-        self.expect("=")
+    def take_ring(self) -> list[dict]:
         comps = [self._ring_component()]
         while self.at("*"):
             self.take()
             comps.append(self._ring_component())
-        return {"name": name, "components": comps}
+        return comps
 
     def _ring_component(self):
         fld = self.take_name("field")
@@ -417,133 +428,21 @@ class _Parser:
             quotient = self.take_expr_list()
         return {"field": field, "names": names, "quotient": quotient}
 
-    def _opt_ring(self):
-        """Trailing ``in <ring>`` clause; None means "the only ring in scope"."""
-        if self.at("in"):
-            self.take()
-            return self.take_name("ring name")
-        return None
-
-    def decl_poly(self):
-        name = self.take_name()
-        self.expect("=")
-        expr = self.take_expr(stops=("in",))
-        return {"name": name, "expr": expr, "ring": self._opt_ring()}
-
-    def decl_ideal(self):
-        name = self.take_name()
-        self.expect("=")
-        exprs = self.take_expr_list()
-        return {"name": name, "exprs": exprs, "ring": self._opt_ring()}
-
-    decl_algebra = decl_ideal
-
-    def decl_map(self):
-        name = self.take_name()
-        self.expect(":")
-        source = self.take_name("source ring")
-        self.expect("->")
-        target = self.take_name("target ring")
-        self.expect("=")
-        exprs = self.take_expr_list()
-        return {"name": name, "source": source, "target": target,
-                "exprs": exprs}
-
-    def decl_action(self):
-        name = self.take_name()
-        self.expect("on")
-        ring = self.take_name("ring name")
-        self.expect("=")
+    def take_tuples(self) -> list[list[str]]:
         self.expect("(")
         tuples = [[]]
         while True:
             tuples[-1].append(self.take_expr())
             t = self.take()
             if t.text == ")":
-                break
-            if t.text == ",":
-                continue
+                return tuples
             if t.text == "|":
                 tuples.append([])
-                continue
-            self.pos -= 1
-            self.error("expected ',', '|', or ')'")
-        return {"name": name, "ring": ring, "tuples": tuples}
+            elif t.text != ",":
+                self.pos -= 1
+                self.error("expected ',', '|', or ')'")
 
-    def decl_relation(self):
-        name = self.take_name()
-        self.expect("on")
-        ring = self.take_name("ring name")
-        self.expect("=")
-        if self.at("from-map"):
-            self.take()
-            return {"name": name, "ring": ring, "how": "from-map",
-                    "exprs": self.take_expr_list()}
-        if self.at("from-action"):
-            self.take()
-            return {"name": name, "ring": ring, "how": "from-action",
-                    "action": self.take_name("action name")}
-        return {"name": name, "ring": ring, "how": "explicit",
-                "exprs": self.take_expr_list()}
-
-    def decl_cocycle(self):
-        name = self.take_name()
-        self.expect("on")
-        ring = self.take_name("ring name")
-        self.expect("=")
-        self.expect("maps")
-        maps = self.take_expr_list()
-        self.expect("poly")
-        poly = self.take_expr()
-        return {"name": name, "ring": ring, "maps": maps, "poly": poly}
-
-    def decl_pinchinput(self):
-        name = self.take_name()
-        self.expect("in")
-        ring = self.take_name("ring name")
-        self.expect("=")
-        self.expect("ideal")
-        ideal = self.take_expr_list(stops=("sub",))
-        self.expect("sub")
-        sub = self.take_expr_list(stops=("module",))
-        self.expect("module")
-        module = self.take_expr_list()
-        return {"name": name, "ring": ring, "ideal": ideal, "sub": sub,
-                "module": module}
-
-    # commands
-
-    def cmd_groebner(self):
-        return {"ideal": self.take_name("ideal name")}
-
-    def cmd_check(self):
-        target = self.take_name("ideal or algebra name")
-        op = self.take_name("membership keyword")
-        if op not in ("member", "radical-member", "subalgebra-member"):
-            self.pos -= 1
-            self.error("expected member, radical-member or subalgebra-member")
-        return {"target": target, "op": op, "expr": self.take_expr()}
-
-    def cmd_intersect(self):
-        return {"a": self.take_name(), "b": self.take_name()}
-
-    def cmd_eliminate(self):
-        ideal = self.take_name("ideal name")
-        self.expect("drop")
-        return {"ideal": ideal, "names": self.take_name_list()}
-
-    def cmd_present(self):
-        alg = self.take_name("algebra name")
-        names = []
-        if self.at("names"):
-            self.take()
-            names = self.take_name_list()
-        return {"algebra": alg, "names": names}
-
-    def cmd_verify_relation(self):
-        return {"relation": self.take_name("relation name")}
-
-    def _source_ref(self):
+    def take_source(self):
         if self.at("("):
             self.take()
             a = self.take_name("map name")
@@ -553,77 +452,26 @@ class _Parser:
             return ("pair", a, b)
         return ("rel", self.take_name("relation name"))
 
-    def cmd_kernel_basis(self):
-        return {"source": self._source_ref()}
+    # -- statements -----------------------------------------------------------
 
-    cmd_min_generators = cmd_kernel_basis
-    cmd_probe = cmd_kernel_basis
-
-    def cmd_invariant_basis(self):
-        return {"action": self.take_name("action name")}
-
-    def cmd_reynolds(self):
-        return {"action": self.take_name("action name"),
-                "expr": self.take_expr()}
-
-    cmd_orbit_equation = cmd_reynolds
-
-    def cmd_check_cocycle(self):
-        return {"cocycle": self.take_name("cocycle name")}
-
-    cmd_effectivity = cmd_check_cocycle
-
-    def cmd_pinch(self):
-        pin = self.take_name("pinch input name")
-        names = []
-        if self.at("names"):
-            self.take()
-            names = self.take_name_list()
-        return {"pinchinput": pin, "names": names}
-
-    def cmd_verify_pushout(self):
-        if self.at("diagram"):
-            self.take()
-            a = self.take_name("algebra name")
-            b = self.take_name("algebra name")
-            c = self.take_name("algebra name")
-            return {"diagram": (a, b, c)}
-        return {"pinchinput": self.take_name("pinch input name"),
-                "diagram": None}
-
-    def cmd_subalgebra_intersection(self):
-        return {"a": self.take_name(), "b": self.take_name()}
-
-    def cmd_frobenius_exponent(self):
-        sub = self.take_name("subalgebra name")
-        alg = self.take_name("algebra name")
-        rmax = None
-        if self.at("rmax"):
-            self.take()
-            self.expect("=")
-            rmax = self.take_int()
-        return {"sub": sub, "alg": alg, "rmax": rmax}
-
-    def cmd_twist(self):
-        q = self.take_int()
-        expr = self.take_expr(stops=("in",))
-        self.expect("in")
-        return {"q": q, "expr": expr, "ring": self.take_name("ring name")}
-
-    def cmd_evaluate(self):
-        return {"map": self.take_name("map name"), "expr": self.take_expr()}
-
-    def cmd_derivative(self):
-        expr = self.take_expr(stops=("wrt",))
-        self.expect("wrt")
-        var = self.take_name("variable name")
-        self.expect("in")
-        return {"expr": expr, "var": var, "ring": self.take_name("ring name")}
-
-    def cmd_monomials(self):
-        ring = self.take_name("ring name")
-        self.expect("degree")
-        return {"ring": ring, "degree": self.take_int()}
+    def parse_statement(self) -> Statement:
+        head = self.peek()
+        forms = GRAMMAR.get(self.take_name("statement keyword"))
+        if forms is None:
+            self.pos -= 1
+            self.error(f"unknown statement keyword {head.text!r}")
+        furthest = None
+        for form in forms:
+            self.pos = 0
+            try:
+                fields = form.parse(self)
+                if not self.done():
+                    self.error("unexpected trailing input in statement")
+                return Statement(head.text, fields, head.line)
+            except ScriptError as e:
+                if furthest is None or (e.line, e.col) >= (furthest.line, furthest.col):
+                    furthest = e
+        raise furthest
 
 
 def parse_script(text: str) -> Script:

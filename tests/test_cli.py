@@ -175,6 +175,31 @@ def test_budget_flag_exits_three(tmp_path, capsys):
     assert "reduced basis:" in out
 
 
+def test_execution_error_keeps_finished_blocks(tmp_path, capsys):
+    script = SLOW_GROEBNER.replace(
+        "ideal I", "ideal J = (x - y);\ngroebner J;\nideal I"
+    )
+    finished = (
+        "$ groebner J\n"
+        "inputs: J (ideal in R)\n"
+        "reduced basis:\n"
+        "x - y\n"
+    )
+    code, out, err = run(tmp_path, capsys, script, "--budget", "3")
+    assert code == 3
+    assert err.startswith("error: line 6: ")
+    assert "exceeded budget" in err
+    assert out == finished + "\n" + err
+    code, out, err = run(tmp_path, capsys, script, "--budget", "3",
+                         "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == 3
+    assert doc["error"] == err.removeprefix("error: ").rstrip("\n")
+    assert [r["command"] for r in doc["results"]] == ["groebner J"]
+    assert doc["results"][0]["tables"] == {"reduced basis": ["x - y"]}
+
+
 def test_reads_script_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(SMOKE))
     code = main(["-"])

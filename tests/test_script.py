@@ -1,8 +1,13 @@
 """Parsing the declarative command language (no execution here)."""
 
-import pytest
+import re
+from pathlib import Path
 
-from quotrel.script import Script, ScriptError, Statement, parse_script
+import hypothesis.strategies as hs
+import pytest
+from hypothesis import given, settings
+
+from quotrel.script import GRAMMAR, Script, ScriptError, Statement, parse_script
 
 FULL_COVERAGE = """
 ring R = QQ[x, y];
@@ -164,3 +169,61 @@ def test_check_operator_validation():
 def test_comments_are_skipped():
     script = parse_script("# header\ngroebner I; # trailing\n# footer\n")
     assert len(script.statements) == 1
+
+
+FORMS = [(kind, form) for kind, forms in GRAMMAR.items() for form in forms]
+
+# Every literal word of the table; generated identifiers avoid them.
+WORDS = {word for _, form in FORMS
+         for word in re.findall(r"[a-z][\w-]*", re.sub(r"{.*?}", "", form.template))}
+
+IDENTS = hs.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
+    lambda s: s not in WORDS)
+EXPRS = hs.recursive(
+    hs.sampled_from(["x", "y", "t2", "x1"]) | hs.integers(0, 99).map(str),
+    lambda inner: hs.one_of(
+        hs.tuples(inner, hs.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+        hs.tuples(inner, hs.integers(1, 5)).map(lambda t: f"{t[0]}^{t[1]}"),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=6,
+)
+SLOT_VALUES = {
+    "name": IDENTS,
+    "int": hs.integers(0, 1000),
+    "expr": EXPRS,
+    "list": hs.lists(EXPRS, max_size=3),
+    "names": hs.lists(IDENTS, min_size=1, max_size=3),
+    "ring": hs.lists(hs.fixed_dictionaries({
+        "field": hs.just("QQ") | hs.integers(2, 101).map(lambda p: ("FF", p)),
+        "names": hs.lists(IDENTS, min_size=1, max_size=3),
+        "quotient": hs.lists(EXPRS, max_size=2),
+    }), min_size=1, max_size=3),
+    "tuples": hs.lists(hs.lists(EXPRS, min_size=1, max_size=3),
+                       min_size=1, max_size=3),
+    "source": IDENTS.map(lambda n: ("rel", n))
+    | hs.tuples(hs.just("pair"), IDENTS, IDENTS),
+}
+
+
+@pytest.mark.parametrize("kind, form", FORMS, ids=[f.template for _, f in FORMS])
+@settings(max_examples=25, deadline=None)
+@given(data=hs.data())
+def test_every_form_round_trips(kind, form, data):
+    fields = dict(form.consts)
+    for key, slot, optional in form.slots:
+        values = SLOT_VALUES[slot]
+        if optional:  # the clause absent or present
+            values = hs.just([] if slot == "names" else None) | values
+        fields[key] = data.draw(values, label=key)
+    st = Statement(kind, fields, 1)
+    text = st.render()
+    (again,) = parse_script(text + ";").statements
+    assert again == st
+    assert again.render() == text
+
+
+def test_readme_lists_every_form():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [f.template for _, f in FORMS if f"`{f.template}`" not in readme] == []
