@@ -22,11 +22,11 @@ would trivialize.
 
 from __future__ import annotations
 
-from .eqrel import copy_names, to_copy, move_copies
+from .eqrel import copy_difference, copy_names, copy_positions
 from .fields import Field
 from .groebner import finite_over_block, groebner_basis, ideal_member, normal_form
 from .linalg import RowSpace, nullspace, rank_map
-from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial
+from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial, embed
 from .ring import AmbientRing
 
 
@@ -60,11 +60,7 @@ class CocycleData:
         self.cocycle = cocycle
         self.degree = max(self.cocycle.total_degree(), 0)
         self.budget = budget if budget is not None else ambient.budget
-        self.j_gens = [
-            to_copy(p, self.doubled, 0, self.nvars)
-            - to_copy(p, self.doubled, 1, self.nvars)
-            for p in self.map_polys
-        ]
+        self.j_gens = [copy_difference(p, self.doubled) for p in self.map_polys]
         self._j_gb = None
         self._sum_gb = None
 
@@ -94,20 +90,22 @@ class CocycleData:
     def sum_basis(self):
         """Basis of J(x,y) + J(y,z) in the tripled ring."""
         if self._sum_gb is None:
-            n = self.nvars
-            gens = [move_copies(g, self.tripled, [0, 1], n) for g in self.j_gens]
-            gens += [move_copies(g, self.tripled, [1, 2], n) for g in self.j_gens]
+            gens = [self._to_tripled(g, 0, 1) for g in self.j_gens]
+            gens += [self._to_tripled(g, 1, 2) for g in self.j_gens]
             self._sum_gb = groebner_basis(gens, self.budget)
         return self._sum_gb
 
     def defect(self, h: Polynomial) -> Polynomial:
         """h(x,y) + h(y,z) - h(x,z) in the tripled ring."""
-        n = self.nvars
         return (
-            move_copies(h, self.tripled, [0, 1], n)
-            + move_copies(h, self.tripled, [1, 2], n)
-            - move_copies(h, self.tripled, [0, 2], n)
+            self._to_tripled(h, 0, 1)
+            + self._to_tripled(h, 1, 2)
+            - self._to_tripled(h, 0, 2)
         )
+
+    def _to_tripled(self, h: Polynomial, a: int, b: int) -> Polynomial:
+        """A doubled-ring polynomial h(x,y) as h on copies ``a`` and ``b``."""
+        return embed(h, self.tripled, copy_positions(self.nvars, a, b))
 
 
 def check_cocycle(data: CocycleData) -> bool:
@@ -168,7 +166,6 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     d = data.degree
     j_gb = data.j_basis()
     sum_gb = data.sum_basis()
-    n = data.nvars
 
     columns = D.monomials_of_degree(d)
     rank = rank_map(columns)
@@ -180,9 +177,7 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     V = RowSpace(field, rank)
     pr = data.ambient.poly_ring(0)
     for m in pr.monomials_of_degree(d):
-        mono = pr.monomial(m)
-        dif = to_copy(mono, D, 0, n) - to_copy(mono, D, 1, n)
-        V.insert(nf_vec(dif))
+        V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
 
     # W: solve the linearized cocycle condition over degree-d monomials
     param_cols = list(columns)

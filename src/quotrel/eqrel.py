@@ -32,7 +32,7 @@ from .groebner import (
     normal_form,
     radical_member,
 )
-from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial
+from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial, embed
 from .ring import AmbientRing
 
 
@@ -62,29 +62,19 @@ def copy_names(names, copies: int) -> list[list[str]]:
     return [[f"{n}_c{i + 1}" for n in names] for i in range(copies)]
 
 
-def to_copy(f: Polynomial, target: PolyRing, copy: int, nvars: int) -> Polynomial:
-    """Rewrite an ambient polynomial in the ``copy``-th variable block."""
-    off = copy * nvars
-    terms = {}
-    for m, c in f.terms.items():
-        e = [0] * target.nvars
-        for i, x in enumerate(m):
-            e[off + i] = x
-        terms[tuple(e)] = c
-    return Polynomial(target, terms)
+def copy_positions(nvars: int, *copies: int) -> list[int]:
+    """:func:`~quotrel.poly.embed` positions sending the ``k``-th block of
+    ``nvars`` variables to copy ``copies[k]`` of a doubled or tripled ring:
+    ``copy_positions(n, 1)`` puts an ambient polynomial in the second copy,
+    ``copy_positions(n, 0, 2)`` turns I(x,y) into I(x,z)."""
+    return [c * nvars + i for c in copies for i in range(nvars)]
 
 
-def move_copies(f: Polynomial, target: PolyRing, placement: list[int], nvars: int) -> Polynomial:
-    """Send block ``b`` of a copied-ring polynomial to block ``placement[b]``
-    of another copied ring (used to form I(x,z) inside the tripled ring)."""
-    terms = {}
-    for m, c in f.terms.items():
-        e = [0] * target.nvars
-        for b, dest in enumerate(placement):
-            for i in range(nvars):
-                e[dest * nvars + i] = m[b * nvars + i]
-        terms[tuple(e)] = c
-    return Polynomial(target, terms)
+def copy_difference(f: Polynomial, doubled: PolyRing) -> Polynomial:
+    """``f(x) - f(y)``: the ambient polynomial ``f`` in the first copy of the
+    doubled ring minus ``f`` in the second."""
+    n = f.ring.nvars
+    return embed(f, doubled, copy_positions(n, 0)) - embed(f, doubled, copy_positions(n, 1))
 
 
 class RelationPresentation:
@@ -118,7 +108,9 @@ class RelationPresentation:
         self.full_gens = list(self.gens)
         for copy in (0, 1):
             for q in ambient.q_gens(0):
-                self.full_gens.append(to_copy(q, self.doubled, copy, self.nvars))
+                self.full_gens.append(
+                    embed(q, self.doubled, copy_positions(self.nvars, copy))
+                )
         self.map_polys = map_polys
         self.source = source
         self.budget = ambient.budget
@@ -131,7 +123,7 @@ class RelationPresentation:
 
     def swap(self, f: Polynomial) -> Polynomial:
         """Exchange the two variable blocks."""
-        return move_copies(f, self.doubled, [1, 0], self.nvars)
+        return embed(f, self.doubled, copy_positions(self.nvars, 1, 0))
 
     def contains_diagonal_ideal(self) -> bool:
         """Sanity check: both copies of the defining ideal lie in I."""
@@ -152,11 +144,10 @@ def relation_from_map(ambient: AmbientRing, fs: list[Polynomial]) -> RelationPre
     """
     pr = ambient.poly_ring(0)
     rel = RelationPresentation(ambient, [], map_polys=list(fs), source="map")
-    n = rel.nvars
     gens = []
     for f in fs:
         g = f if f.ring == pr else pr.convert(f)
-        gens.append(to_copy(g, rel.doubled, 0, n) - to_copy(g, rel.doubled, 1, n))
+        gens.append(copy_difference(g, rel.doubled))
     rel.gens = gens
     rel.full_gens = gens + rel.full_gens
     rel._gb = None
@@ -176,11 +167,12 @@ def relation_from_group_action(action) -> RelationPresentation:
     pr = ambient.poly_ring(0)
     n = rel.nvars
     D = rel.doubled
-    q_copies = [to_copy(q, D, c, n) for c in (0, 1) for q in ambient.q_gens(0)]
+    q_copies = [embed(q, D, copy_positions(n, c)) for c in (0, 1) for q in ambient.q_gens(0)]
     graphs = []
     for g in action.maps:
         gens = [
-            to_copy(pr.var(i), D, 1, n) - to_copy(g.assignments[0][1][i], D, 0, n)
+            embed(pr.var(i), D, copy_positions(n, 1))
+            - embed(g.assignments[0][1][i], D, copy_positions(n, 0))
             for i in range(n)
         ]
         graphs.append(gens + q_copies)
@@ -246,11 +238,7 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
         return radical_member(f, gens, budget)
 
     # reflexivity: I vanishes on the diagonal
-    diag = [
-        to_copy(rel.ambient.poly_ring(0).var(i), D, 0, n)
-        - to_copy(rel.ambient.poly_ring(0).var(i), D, 1, n)
-        for i in range(n)
-    ]
+    diag = [copy_difference(v, D) for v in rel.ambient.poly_ring(0).gens()]
     diag_gens = diag + rel.full_gens[len(rel.gens):]
     diag_gb = groebner_basis(diag_gens, budget)
     ok, witness = True, None
@@ -275,13 +263,13 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
 
     # transitivity: I(1,3) inside I(1,2) + I(2,3) in the tripled ring
     T = PolyRing(D.field, rel.copies[0] + rel.copies[1] + rel.copies[2], GREVLEX)
-    I12 = [move_copies(g, T, [0, 1], n) for g in rel.full_gens]
-    I23 = [move_copies(g, T, [1, 2], n) for g in rel.full_gens]
+    I12 = [embed(g, T, copy_positions(n, 0, 1)) for g in rel.full_gens]
+    I23 = [embed(g, T, copy_positions(n, 1, 2)) for g in rel.full_gens]
     sum_gens = I12 + I23
     sum_gb = groebner_basis(sum_gens, budget)
     ok, witness = True, None
     for g in rel.full_gens:
-        g13 = move_copies(g, T, [0, 2], n)
+        g13 = embed(g, T, copy_positions(n, 0, 2))
         if not member(g13, sum_gens, sum_gb):
             ok, witness = False, g13
             break

@@ -10,7 +10,7 @@ their own.
 """
 
 from .poly import Polynomial
-from .ring import RingElement, subalgebra_member_ring
+from .ring import subalgebra_member_ring
 
 __all__ = ["FrobeniusWitness", "frobenius_twist", "frobenius_exponent"]
 

@@ -64,45 +64,6 @@ def _span_closure(poly_ring, gen_polys, d, gb, field):
     return space, kept
 
 
-def _unflatten(model, p: Polynomial) -> RingElement:
-    """Turn a flat-model normal form back into an ambient element."""
-    ring = model.ring
-    if ring.ncomponents == 1:
-        return ring.embed(0, p)
-    k = ring.ncomponents
-    parts = [dict() for _ in range(k)]
-    for m, coeff in p.terms.items():
-        comp = None
-        for c in range(k):
-            if m[model.e_offset + c] > 0:
-                comp = c
-                break
-        touched = []
-        for c in range(k):
-            off = model.var_offsets[c]
-            n = ring.poly_ring(c).nvars
-            if any(m[off + i] for i in range(n)):
-                touched.append(c)
-        if comp is None and not touched:
-            for c in range(k):
-                mm = (0,) * ring.poly_ring(c).nvars
-                parts[c][mm] = ring.field.add(parts[c].get(mm, ring.field.zero), coeff)
-            continue
-        if comp is None:
-            if len(touched) != 1:
-                continue
-            comp = touched[0]
-        if touched and touched != [comp]:
-            continue
-        off = model.var_offsets[comp]
-        n = ring.poly_ring(comp).nvars
-        mm = tuple(m[off + i] for i in range(n))
-        parts[comp][mm] = ring.field.add(parts[comp].get(mm, ring.field.zero), coeff)
-    return ring.element(
-        [Polynomial(ring.poly_ring(c), parts[c]) for c in range(k)]
-    )
-
-
 class PinchInput:
     """Gluing data: ring, locus ideal, target subalgebra, finiteness witness.
 
@@ -170,7 +131,7 @@ class PinchInput:
             pr = self.ring.poly_ring(c)
             for e in range(d + 1):
                 for m in pr.monomials_of_degree(e):
-                    nf = self.residue_nf(self.model.column_poly(c, m))
+                    nf = self.residue_nf(self.model.lift(c, pr.monomial(m)))
                     if nf.is_zero():
                         continue
                     if not mod_space.contains(dict(nf.terms)):
@@ -291,7 +252,7 @@ def _ideal_multiples(inp: PinchInput, d: int):
             pr = inp.ring.poly_ring(c)
             for e in range(d + 1):
                 for m in pr.monomials_of_degree(e):
-                    p = normal_form(inp.model.column_poly(c, m) * hp, gb)
+                    p = normal_form(inp.model.lift(c, pr.monomial(m)) * hp, gb)
                     if p.is_zero() or p.total_degree() > d:
                         continue
                     out.append((c, m, h, p))
@@ -371,12 +332,12 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
                     ideal_polys.append(p)
         for p in kernel_polys:
             if not ideal_space.contains(dict(p.terms)):
-                ok_c, wit_c = False, _unflatten(model, p)
+                ok_c, wit_c = False, model.to_element(p)
                 break
         if ok_c:
             for p in ideal_polys:
                 if not kernel.contains(dict(p.terms)):
-                    ok_c, wit_c = False, _unflatten(model, p)
+                    ok_c, wit_c = False, model.to_element(p)
                     break
         if not ok_c:
             break

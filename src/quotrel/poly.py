@@ -18,9 +18,9 @@ returns ``f`` on the nose.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Sequence
 
-from .fields import Field, QQ
+from .fields import Field
 
 Monomial = tuple[int, ...]
 
@@ -154,6 +154,61 @@ def power(base, e: int):
     return result
 
 
+def embed(f: "Polynomial", target: "PolyRing",
+          positions: Sequence[int | None]) -> "Polynomial":
+    """``f`` rewritten in ``target``: source variable ``i`` becomes target
+    variable ``positions[i]`` and coefficients are kept.
+
+    A position may be ``None`` only for a variable that does not occur in
+    ``f``; the placed positions must be distinct.  This is the one place
+    where exponent tuples move between rings (doubled and tripled rings,
+    flat models of products, renamed rings); :func:`unembed` inverts it.
+    """
+    n, k = target.nvars, len(positions)
+    start = positions[0] if k else 0
+    contiguous = start is not None and list(positions) == list(range(start, start + k))
+    if contiguous and 0 <= start <= n - k:
+        # one block: pad the exponent tuples
+        if k == n:
+            return Polynomial(target, dict(f.terms))
+        pre, post = (0,) * start, (0,) * (n - start - k)
+        return Polynomial(target, {pre + m + post: c for m, c in f.terms.items()})
+    image = [j for j in positions if j is not None]
+    if len(set(image)) != len(image) or image and (min(image) < 0 or max(image) >= n):
+        raise ValueError(f"positions {list(positions)} do not fit {target!r} injectively")
+    terms = {}
+    for m, c in f.terms.items():
+        e = [0] * n
+        for i, x in enumerate(m):
+            if x:
+                j = positions[i]
+                if j is None:
+                    raise ValueError(f"variable {f.ring.names[i]!r} not in target ring")
+                e[j] = x
+        terms[tuple(e)] = c
+    return Polynomial(target, terms)
+
+
+def unembed(g: "Polynomial", source: "PolyRing",
+            positions: Sequence[int | None]) -> "Polynomial":
+    """The inverse of :func:`embed`: the ``f`` in ``source`` with
+    ``embed(f, g.ring, positions) == g``.
+
+    Raises ``ValueError`` when a term of ``g`` uses a target variable that
+    no source variable is sent to.
+    """
+    image = set(positions) - {None}
+    outside = [j for j in range(g.ring.nvars) if j not in image]
+    terms = {}
+    for m, c in g.terms.items():
+        if any(m[j] for j in outside):
+            raise ValueError(
+                f"term {g.ring.render_monomial(m)} lies outside {source!r}"
+            )
+        terms[tuple(0 if j is None else m[j] for j in positions)] = c
+    return Polynomial(source, terms)
+
+
 # ---------------------------------------------------------------------------
 # rings and polynomials
 # ---------------------------------------------------------------------------
@@ -217,49 +272,30 @@ class PolyRing:
             return self.zero
         return Polynomial(self, {tuple(expts): c})
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.names, order)
-
     def convert(self, f: "Polynomial") -> "Polynomial":
         """Rebuild ``f`` in this ring.
 
-        Variables are matched by name; the coefficient field may change
-        (rationals reduce mod p when the denominator stays invertible).
+        Variables are matched by name (only those that occur in ``f`` need
+        exist here); the coefficient field may change (rationals reduce mod p
+        when the denominator stays invertible).
         """
         src = f.ring
-        if src.names == self.names:
-            reindex = None
-        else:
-            # Only variables that actually occur need to exist in the target.
-            reindex = [self._index.get(n) for n in src.names]
-        terms: dict[Monomial, object] = {}
-        for m, c in f.terms.items():
-            if src.field == self.field:
-                c2 = c
+        g = embed(f, self, [self._index.get(n) for n in src.names])
+        if src.field == self.field:
+            return g
+        field = self.field
+        terms = {}
+        for m, c in g.terms.items():
+            if src.field.characteristic:
+                c = field.of_int(int(c))
+            elif field.characteristic and c.denominator % field.characteristic == 0:
+                raise ZeroDivisionError(
+                    f"denominator {c.denominator} not invertible in {field!r}"
+                )
             else:
-                frac = c if src.field.characteristic == 0 else None
-                if frac is None:
-                    c2 = self.field.of_int(int(c))
-                else:
-                    if frac.denominator % getattr(self.field, "p", 1) == 0 and self.field.characteristic:
-                        raise ZeroDivisionError(
-                            f"denominator {frac.denominator} not invertible in {self.field!r}"
-                        )
-                    c2 = self.field.of_fraction(frac.numerator, frac.denominator)
-            if reindex is not None:
-                e = [0] * self.nvars
-                for i, x in enumerate(m):
-                    if x == 0:
-                        continue
-                    j = reindex[i]
-                    if j is None:
-                        raise ValueError(
-                            f"variable {src.names[i]!r} not in target ring"
-                        )
-                    e[j] = x
-                m = tuple(e)
-            if not self.field.is_zero(c2):
-                terms[m] = c2
+                c = field.of_fraction(c.numerator, c.denominator)
+            if not field.is_zero(c):
+                terms[m] = c
         return Polynomial(self, terms)
 
     # -- monomial enumeration ------------------------------------------------
@@ -460,12 +496,6 @@ class Polynomial:
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
 
-    def sorted_terms(self) -> list[tuple[Monomial, object]]:
-        return [
-            (m, self.terms[m])
-            for m in sorted(self.terms, key=self.ring.order.key, reverse=True)
-        ]
-
     def coeff(self, m: Monomial):
         return self.terms.get(tuple(m), self.ring.field.zero)
 
@@ -570,17 +600,14 @@ class Polynomial:
             terms[tuple(e)] = c2
         return Polynomial(self.ring, terms)
 
-    def substitute(self, target: PolyRing, images: list["Polynomial"],
-                   coeff_map: Callable | None = None) -> "Polynomial":
+    def substitute(self, target: PolyRing, images: list["Polynomial"]) -> "Polynomial":
         """Evaluate this polynomial at ``images`` inside ``target``.
 
-        ``images[i]`` replaces variable ``i``; ``coeff_map`` (if given) is
-        applied to each coefficient first, e.g. a Frobenius power or a change
-        of field.
+        ``images[i]`` replaces variable ``i``; coefficients are taken as they
+        are, so ``target`` must share this ring's field.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("one image per variable required")
-        field = target.field
         powers: list[dict[int, Polynomial]] = [dict() for _ in range(self.ring.nvars)]
 
         def power(i: int, e: int) -> Polynomial:
@@ -591,8 +618,7 @@ class Polynomial:
 
         result = target.zero
         for m, c in self.terms.items():
-            c2 = coeff_map(c) if coeff_map else c
-            piece = target.constant(c2)
+            piece = target.constant(c)
             for i, e in enumerate(m):
                 if e:
                     piece = piece * power(i, e)

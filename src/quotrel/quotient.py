@@ -25,7 +25,7 @@ other map's image algebra where they do not).
 
 from __future__ import annotations
 
-from .eqrel import RelationPresentation, to_copy
+from .eqrel import RelationPresentation, copy_difference
 from .groebner import MembershipSieve, eliminate, normal_form
 from .linalg import RowSpace, nullspace, rank_map
 from .poly import GREVLEX, PolyRing, Polynomial, fresh_names
@@ -131,11 +131,7 @@ class TruncatedSubalgebra:
             return self.membership_fn(el)
         src = self.source
         if isinstance(src, RelationPresentation):
-            f = el.parts[0]
-            dif = to_copy(f, src.doubled, 0, src.nvars) - to_copy(
-                f, src.doubled, 1, src.nvars
-            )
-            return ideal_member(dif, src.gb())
+            return ideal_member(copy_difference(el.parts[0], src.doubled), src.gb())
         s1, s2 = src
         target = s1.target
         for t in range(target.ncomponents):
@@ -143,16 +139,13 @@ class TruncatedSubalgebra:
             a2, im2 = s2.assignments[t]
             tpr = target.poly_ring(t)
             if a1 == a2:
-                g1 = el.parts[a1].substitute(tpr, im1, s1._coeff_map())
-                g2 = el.parts[a2].substitute(tpr, im2, s2._coeff_map())
+                g1 = el.parts[a1].substitute(tpr, im1)
+                g2 = el.parts[a2].substitute(tpr, im2)
                 if not target.nf(t, g1 - g2).is_zero():
                     return False
             else:
-                for own, a, im, other_im in (
-                    (s1, a1, im1, im2),
-                    (s2, a2, im2, im1),
-                ):
-                    g = el.parts[a].substitute(tpr, im, own._coeff_map())
+                for a, im, other_im in ((a1, im1, im2), (a2, im2, im1)):
+                    g = el.parts[a].substitute(tpr, im)
                     g = target.nf(t, g)
                     ok, _ = subalgebra_member(
                         g,
@@ -248,11 +241,7 @@ def _relation_layers(trunc: TruncatedSubalgebra, rel: RelationPresentation) -> N
     gb = rel.gb()
     rows: dict = {}
     for m in cand:
-        mono = pr.monomial(m)
-        dif = to_copy(mono, rel.doubled, 0, rel.nvars) - to_copy(
-            mono, rel.doubled, 1, rel.nvars
-        )
-        nf = normal_form(dif, gb)
+        nf = normal_form(copy_difference(pr.monomial(m), rel.doubled), gb)
         for mm, coeff in nf.terms.items():
             rows.setdefault(mm, {})[(0, m)] = coeff
     sols = nullspace(list(rows.values()), trunc.columns, field)
@@ -282,27 +271,20 @@ def _pair_component_rows(
             continue
         tpr = target.poly_ring(t)
         if a1 == c and a2 == c:
-            cm1, cm2 = s1._coeff_map(), s2._coeff_map()
             for _, m in cand:
                 mono = pr.monomial(m)
-                dif = target.nf(
-                    t,
-                    mono.substitute(tpr, im1, cm1) - mono.substitute(tpr, im2, cm2),
-                )
+                dif = target.nf(t, mono.substitute(tpr, im1) - mono.substitute(tpr, im2))
                 for mm, coeff in dif.terms.items():
                     rows.setdefault(("eq", t, mm), {})[(c, m)] = coeff
         else:
-            own, own_images, other_images = (
-                (s1, im1, im2) if a1 == c else (s2, im2, im1)
-            )
+            own_images, other_images = (im1, im2) if a1 == c else (im2, im1)
             sieve = MembershipSieve(tpr, other_images,
                                     extra_relations=target.q_gens(t),
                                     budget=trunc.budget)
-            cmap = own._coeff_map()
             zeros = (0,) * tpr.nvars
-            side = 0 if own is s1 else 1
+            side = 0 if a1 == c else 1
             for _, m in cand:
-                img = pr.monomial(m).substitute(tpr, own_images, cmap)
+                img = pr.monomial(m).substitute(tpr, own_images)
                 nf = sieve.reduce(img)
                 for mm, coeff in nf.terms.items():
                     if mm[: tpr.nvars] != zeros:

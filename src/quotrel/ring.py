@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .fields import Field
 from .groebner import groebner_basis, normal_form
-from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial, fresh_names, power
+from .poly import GREVLEX, PolyRing, Polynomial, embed, fresh_names, power, unembed
 
 
 class AmbientRing:
@@ -234,10 +234,10 @@ class RingMap:
 
     ``assignments[t] = (s, images)`` says the map into target component ``t``
     factors through source component ``s`` and sends its ``i``-th variable to
-    ``images[i]`` (a polynomial in target component ``t``).  The optional
-    ``coefficient_power`` raises every coefficient to that power before the
-    substitution (the geometric Frobenius twist); it must stay 1 in
-    characteristic 0.
+    ``images[i]`` (a polynomial in target component ``t``).  Coefficients
+    pass through unchanged: over the supported fields (QQ and prime fields)
+    every field automorphism is the identity, so a map is determined by
+    these images alone.
     """
 
     def __init__(
@@ -245,7 +245,6 @@ class RingMap:
         source: AmbientRing,
         target: AmbientRing,
         assignments: list[tuple[int, list[Polynomial]]],
-        coefficient_power: int = 1,
     ):
         if len(assignments) != target.ncomponents:
             raise ValueError("one assignment per target component required")
@@ -263,38 +262,24 @@ class RingMap:
             if any(im.ring != target.poly_ring(t) for im in images):
                 raise ValueError(f"target component {t}: image in wrong ring")
             self.assignments.append((s, list(images)))
-        if coefficient_power < 1:
-            raise ValueError("coefficient power must be >= 1")
-        if coefficient_power > 1 and source.field.characteristic == 0:
-            raise ValueError("coefficient twist requires positive characteristic")
-        self.coefficient_power = coefficient_power
 
     @classmethod
-    def on_polys(cls, source: AmbientRing, target: AmbientRing, images,
-                 coefficient_power: int = 1) -> "RingMap":
+    def on_polys(cls, source: AmbientRing, target: AmbientRing, images) -> "RingMap":
         """Convenience constructor for maps between one-component rings."""
         if source.is_product or target.is_product:
             raise ValueError("on_polys expects one-component rings")
-        return cls(source, target, [(0, list(images))], coefficient_power)
+        return cls(source, target, [(0, list(images))])
 
     @classmethod
     def identity(cls, ring: AmbientRing) -> "RingMap":
         return cls(ring, ring, [(c, ring.poly_ring(c).gens()) for c in range(ring.ncomponents)])
 
-    def _coeff_map(self):
-        if self.coefficient_power == 1:
-            return None
-        q = self.coefficient_power
-        field = self.target.field
-        return lambda c: field.pow(c, q)
-
     def apply(self, el: RingElement) -> RingElement:
         if el.ring != self.source:
             raise ValueError("element not in the source ring")
-        cmap = self._coeff_map()
         parts = []
         for t, (s, images) in enumerate(self.assignments):
-            parts.append(el.parts[s].substitute(self.target.poly_ring(t), images, cmap))
+            parts.append(el.parts[s].substitute(self.target.poly_ring(t), images))
         return RingElement(self.target, parts)
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
@@ -306,10 +291,9 @@ class RingMap:
     def is_well_defined(self) -> bool:
         """Each defining-ideal generator of the used source component must
         land in the target component's defining ideal."""
-        cmap = self._coeff_map()
         for t, (s, images) in enumerate(self.assignments):
             for g in self.source.q_gens(s):
-                image = g.substitute(self.target.poly_ring(t), images, cmap)
+                image = g.substitute(self.target.poly_ring(t), images)
                 if not self.target.nf(t, image).is_zero():
                     return False
         return True
@@ -318,8 +302,6 @@ class RingMap:
         """The map ``f -> self(inner(f))``."""
         if inner.target != self.source:
             raise ValueError("maps not composable")
-        if self.coefficient_power != 1 or inner.coefficient_power != 1:
-            raise ValueError("composition of twisted maps is not supported")
         assignments = []
         for t, (mid, images) in enumerate(self.assignments):
             s, inner_images = inner.assignments[mid]
@@ -333,11 +315,7 @@ class RingMap:
     def __eq__(self, other):
         if not isinstance(other, RingMap):
             return NotImplemented
-        if (self.source, self.target, self.coefficient_power) != (
-            other.source,
-            other.target,
-            other.coefficient_power,
-        ):
+        if (self.source, self.target) != (other.source, other.target):
             return False
         for t, ((s1, im1), (s2, im2)) in enumerate(
             zip(self.assignments, other.assignments)
@@ -349,7 +327,7 @@ class RingMap:
         return True
 
     def __hash__(self):
-        return hash((self.source, self.target, self.coefficient_power))
+        return hash((self.source, self.target))
 
     def render(self) -> str:
         chunks = []
@@ -373,36 +351,33 @@ class FlatModel:
     """One quotient ring presenting a whole product ring.
 
     Variables are orthogonal idempotents ``e_c`` (one per component) followed
-    by a disjointly renamed copy of each component's variables; the relation
-    ideal forces ``e_c e_d = 0``, ``e_c^2 = e_c``, ``sum e_c = 1``, kills each
+    by a disjointly renamed copy of each component's variables, component
+    ``c``'s copy at flat positions ``positions[c]``; the relation ideal
+    forces ``e_c e_d = 0``, ``e_c^2 = e_c``, ``sum e_c = 1``, kills each
     component variable outside its own idempotent, and imposes the component
     defining ideals.  The resulting normal forms agree with componentwise
     computation, which lets the Groebner-based subalgebra machinery run
-    unchanged over disjoint unions.
+    unchanged over disjoint unions.  :meth:`lift`, :meth:`to_poly` and
+    :meth:`to_element` translate between the two; no other module reads the
+    layout.  A one-component ring is its own model (and has no
+    ``positions``).
     """
 
     def __init__(self, ring: AmbientRing):
         self.ring = ring
-        field = ring.field
         k = ring.ncomponents
         if k == 1:
             self.poly_ring = ring.poly_ring(0)
             self.relations = list(ring.q_gens(0))
-            self.e_offset = 0
-            self.var_offsets = [0]
             return
         taken: set[str] = set()
-        e_names = fresh_names([f"e{c + 1}" for c in range(k)], taken)
-        comp_names: list[str] = []
-        self.var_offsets = []
+        names = fresh_names([f"e{c + 1}" for c in range(k)], taken)
+        self.positions = []
         for c in range(k):
-            self.var_offsets.append(k + len(comp_names))
-            comp_names.extend(
-                fresh_names([f"{n}_{c + 1}" for n in ring.poly_ring(c).names], taken)
-            )
-        self.e_offset = 0
-        self.poly_ring = PolyRing(field, e_names + comp_names, GREVLEX)
-        P = self.poly_ring
+            comp = ring.poly_ring(c).names
+            self.positions.append(list(range(len(names), len(names) + len(comp))))
+            names += fresh_names([f"{n}_{c + 1}" for n in comp], taken)
+        self.poly_ring = P = PolyRing(ring.field, names, GREVLEX)
         e = [P.var(c) for c in range(k)]
         rels: list[Polynomial] = []
         for c in range(k):
@@ -411,49 +386,59 @@ class FlatModel:
             rels.append(e[c] * e[c] - e[c])
         rels.append(P.one - sum(e[1:], e[0]))
         for c in range(k):
-            for i in range(ring.poly_ring(c).nvars):
-                x = P.var(self.var_offsets[c] + i)
+            for j in self.positions[c]:
                 for d in range(k):
                     if d != c:
-                        rels.append(x * e[d])
+                        rels.append(P.var(j) * e[d])
         for c in range(k):
             for g in ring.q_gens(c):
-                rels.append(self._lift(c, g) * e[c])
+                rels.append(self.lift(c, g))
         self.relations = rels
 
-    def _lift(self, c: int, f: Polynomial) -> Polynomial:
-        """Rewrite a component polynomial in the flat ring's variables."""
+    def lift(self, c: int, f: Polynomial) -> Polynomial:
+        """The flat polynomial ``e_c * f`` of the element that is the
+        component polynomial ``f`` on component ``c`` and 0 elsewhere."""
+        if self.ring.ncomponents == 1:
+            return f
         P = self.poly_ring
-        n = self.ring.poly_ring(c).nvars
-        off = self.var_offsets[c]
-        terms = {}
-        for m, coeff in f.terms.items():
-            expts = [0] * P.nvars
-            for i in range(n):
-                expts[off + i] = m[i]
-            terms[tuple(expts)] = coeff
-        return Polynomial(P, terms)
+        return embed(f, P, self.positions[c]) * P.var(c)
 
     def to_poly(self, el: RingElement) -> Polynomial:
         if self.ring.ncomponents == 1:
             return el.parts[0]
-        P = self.poly_ring
-        total = P.zero
+        total = self.poly_ring.zero
         for c, part in enumerate(el.parts):
-            total = total + self._lift(c, part) * P.var(self.e_offset + c)
+            total = total + self.lift(c, part)
         return total
 
-    def column_poly(self, c: int, m: tuple[int, ...]) -> Polynomial:
-        """Flat-ring polynomial for the basis element e_c * (monomial m)."""
-        if self.ring.ncomponents == 1:
-            return self.ring.poly_ring(0).monomial(m)
+    def to_element(self, p: Polynomial) -> RingElement:
+        """The ambient element presented by a flat normal form: the inverse
+        of :meth:`to_poly`.
+
+        A constant term lies on every component; any other term must involve
+        one component only, through its idempotent, its variables or both.
+        A term mixing components raises ``ValueError``.
+        """
+        ring = self.ring
+        k = ring.ncomponents
+        if k == 1:
+            return ring.element([p])
         P = self.poly_ring
-        expts = [0] * P.nvars
-        expts[self.e_offset + c] = 1
-        off = self.var_offsets[c]
-        for i, x in enumerate(m):
-            expts[off + i] = x
-        return P.monomial(tuple(expts))
+        owner = list(range(k)) + [c for c in range(k) for _ in self.positions[c]]
+        shares = [P.zero] * k
+        for m, coeff in p.terms.items():
+            owners = {owner[j] for j, x in enumerate(m) if x}
+            if len(owners) > 1:
+                raise ValueError(
+                    f"term {P.render_monomial(m)} mixes components {sorted(owners)}"
+                )
+            # e_c acts as 1 on its own component
+            bare = P.monomial((0,) * k + m[k:], coeff)
+            for c in owners or range(k):
+                shares[c] = shares[c] + bare
+        return ring.element(
+            [unembed(shares[c], ring.poly_ring(c), self.positions[c]) for c in range(k)]
+        )
 
 
 def subalgebra_member_ring(

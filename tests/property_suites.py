@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 
 from quotrel.effectivity import CocycleData, check_cocycle, effectivity_test
-from quotrel.eqrel import relation_from_map, to_copy, verify_relation
+from quotrel.eqrel import relation_from_map, verify_relation
 from quotrel.fields import GF, QQ
 from quotrel.groebner import groebner_basis, ideal_member
-from quotrel.poly import GREVLEX, LEX, PolyRing
+from quotrel.poly import GREVLEX, LEX, PolyRing, embed
 from quotrel.quotient import coequalizer_kernel_basis
 from quotrel.ring import AmbientRing
 
@@ -152,7 +152,8 @@ def effectivity_v_in_w_suite(cases=20, seed=20260815):
         d = rng.randint(2, 3)
         g = _random_poly(rng, pr, homogeneous=d)
         data = CocycleData(ambient, map_polys, None)
-        coboundary = to_copy(g, data.doubled, 0, 2) - to_copy(g, data.doubled, 1, 2)
+        # g(x) - g(y): the two variables go to positions 0, 1, then 2, 3
+        coboundary = embed(g, data.doubled, [0, 1]) - embed(g, data.doubled, [2, 3])
         data = CocycleData(ambient, map_polys, coboundary)
 
         assert check_cocycle(data), (
@@ -163,9 +164,7 @@ def effectivity_v_in_w_suite(cases=20, seed=20260815):
         sum_gb = data.sum_basis()
         for m in pr.monomials_of_degree(d):
             mono = pr.monomial(m)
-            dif = to_copy(mono, data.doubled, 0, 2) - to_copy(
-                mono, data.doubled, 1, 2
-            )
+            dif = embed(mono, data.doubled, [0, 1]) - embed(mono, data.doubled, [2, 3])
             assert ideal_member(data.defect(dif), sum_gb), (
                 f"coboundary generator for {pr.render(mono)} escaped W"
             )

@@ -1,8 +1,10 @@
-"""Sparse polynomial arithmetic, orders, parsing, rendering."""
+"""Sparse polynomial arithmetic, orders, parsing, rendering, re-embedding."""
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from quotrel.fields import GF, QQ
 from quotrel.poly import (
@@ -12,10 +14,12 @@ from quotrel.poly import (
     ParseError,
     PolyRing,
     Polynomial,
+    embed,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     order_from_name,
+    unembed,
 )
 
 from oracles import grevlex_key
@@ -195,6 +199,65 @@ def test_convert_between_rings():
     with pytest.raises(ValueError):
         # z is used but missing in the target
         R.convert(S.parse("z"))
+
+
+@st.composite
+def embeddings(draw):
+    """A source ring, a bigger target, injective positions (``None`` for
+    some variables) and a polynomial avoiding the unplaced variables."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    target = PolyRing(QQ, [f"t{j}" for j in range(draw(st.integers(n, 7)))])
+    source = PolyRing(QQ, [f"s{i}" for i in range(n)])
+    positions = draw(st.permutations(range(target.nvars)))[:n]
+    positions = [None if draw(st.booleans()) and draw(st.booleans()) else j
+                 for j in positions]
+    f = source.zero
+    for _ in range(draw(st.integers(0, 4))):
+        m = tuple(0 if j is None else draw(st.integers(0, 3)) for j in positions)
+        f = f + source.monomial(m, QQ.of_int(draw(st.integers(-5, 5))))
+    return f, target, positions
+
+
+@settings(max_examples=200, deadline=None)
+@given(embeddings())
+def test_unembed_inverts_embed(case):
+    f, target, positions = case
+    g = embed(f, target, positions)
+    assert g.ring == target and len(g.terms) == len(f.terms)
+    assert unembed(g, f.ring, positions) == f
+
+
+def test_embed_moves_exponents():
+    S = PolyRing(QQ, ("a", "b"))
+    T = PolyRing(QQ, ("x", "y", "z", "w"))
+    f = S.parse("a^2*b - 3*b + 1")
+    assert embed(f, T, [3, 1]) == T.parse("w^2*y - 3*y + 1")
+    assert embed(f, T, [1, 2]) == T.parse("y^2*z - 3*z + 1")  # one block
+    assert embed(f, T, [0, 1]) == T.parse("x^2*y - 3*y + 1")  # prefix
+    assert embed(f, S, [0, 1]) == f
+
+
+def test_convert_is_embed_by_name(R):
+    S = PolyRing(QQ, ("z", "w", "x", "y"))
+    f = R.parse("x^2*y - 3*z + 1/2")
+    assert S.convert(f) == embed(f, S, [2, 3, 0])
+    g = S.parse("x*y - y^3")
+    assert R.convert(g) == embed(g, R, [None, None, 0, 1])
+    assert R.convert(g) == unembed(g, R, [2, 3, None])
+
+
+def test_embed_rejects_unplaced_variables():
+    S = PolyRing(QQ, ("a", "b"))
+    T = PolyRing(QQ, ("x", "y", "z"))
+    assert embed(S.parse("a^2"), T, [2, None]) == T.parse("z^2")
+    with pytest.raises(ValueError, match="'b'"):
+        embed(S.parse("a + b"), T, [2, None])
+    with pytest.raises(ValueError):
+        embed(S.parse("a + b"), T, [1, 1])  # not injective
+    with pytest.raises(ValueError):
+        embed(S.parse("a"), T, [0, 3])  # outside the target
+    with pytest.raises(ValueError, match="y"):
+        unembed(T.parse("x + y"), S, [0, 2])
 
 
 def test_coefficients_stay_in_field():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from quotrel.fields import GF, QQ
+from quotrel.fields import QQ
 from quotrel.groebner import groebner_basis, normal_form
 from quotrel.poly import PolyRing
 from quotrel.ring import (
@@ -158,17 +158,6 @@ def test_map_validation_errors(lines3, dual):
         RingMap.on_polys(dual, dual, [dual.poly_ring(0).parse("x")])
 
 
-def test_coefficient_twist_restrictions(dual):
-    pr = dual.poly_ring(0)
-    with pytest.raises(ValueError):
-        RingMap.on_polys(dual, dual, [pr.parse("x"), pr.parse("eps")],
-                         coefficient_power=2)
-    F = PolyRing(GF(2), ("x",))
-    A = AmbientRing.quotient(F, [])
-    frob = RingMap.on_polys(A, A, [F.parse("x^2")], coefficient_power=2)
-    assert frob.apply(A.embed(0, F.parse("x + 1"))).render() == "x^2 + 1"
-
-
 def test_evaluate_map(dual):
     pr = dual.poly_ring(0)
     shift = RingMap.on_polys(dual, dual, [pr.parse("x + eps"), pr.parse("eps")])
@@ -206,7 +195,34 @@ def test_flat_model_is_a_homomorphism(lines3):
 def test_flat_model_column_poly(lines3):
     model = lines3.model()
     P = model.poly_ring
-    assert model.column_poly(1, (2,)) == P.var(1) * P.var(4) ** 2
+    mono = lines3.poly_ring(1).monomial((2,))
+    assert model.lift(1, mono) == P.var(1) * P.var(4) ** 2
+
+
+def test_flat_model_to_element_inverts_to_poly(lines3):
+    model = lines3.model()
+    gb = groebner_basis(list(model.relations))
+    t = lines3.poly_ring(0).var(0)
+    elements = [
+        lines3.element([t * t + 2, 3 * t - 1, t ** 3 + 5]),
+        lines3.element([t + 1, lines3.poly_ring(1).zero, t - 7]),
+        lines3.element([t.ring.from_int(c) for c in (2, 0, 5)]),
+        lines3.one,
+        lines3.zero,
+    ]
+    for a in elements:
+        p = normal_form(model.to_poly(a), gb)
+        assert model.to_element(p) == a
+        assert model.to_element(model.to_poly(a)) == a
+
+
+def test_flat_model_to_element_rejects_mixed_terms(lines3):
+    model = lines3.model()
+    P = model.poly_ring  # e1, e2, e3, t_1, t_2, t_3
+    with pytest.raises(ValueError, match="mixes components"):
+        model.to_element(P.var(3) * P.var(4) + P.one)
+    with pytest.raises(ValueError, match="mixes components"):
+        model.to_element(P.var(1) * P.var(3))
 
 
 def test_subalgebra_member_ring_products(lines3):
