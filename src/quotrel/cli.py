@@ -648,7 +648,7 @@ class _Executor:
         pr = ring.poly_ring(0)
         rows = [
             pr.render(pr.monomial(m))
-            for m in pr.monomials_up_to_degree(f["degree"])
+            for m in pr.monomials_up_to_degree(f["degree"], self.opt.budget)
         ]
         self.block(st, [self.describe(f["ring"])],
                    {f"monomials up to degree {f['degree']}": rows})
@@ -716,7 +716,8 @@ def main(argv=None) -> int:
     ap.add_argument("--mode", choices=("scheme", "set"), default="scheme",
                     help="equivalence-relation checking mode")
     ap.add_argument("--budget", type=int, default=None,
-                    help="pair budget for basis computations")
+                    help="cap on S-pair reductions per basis computation "
+                         "and on monomials per enumeration (default 100000)")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     dest="format_", metavar="{text,json}",
                     help="report format")

@@ -167,7 +167,7 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     j_gb = data.j_basis()
     sum_gb = data.sum_basis()
 
-    columns = D.monomials_of_degree(d)
+    columns = D.monomials_of_degree(d, data.budget)
     rank = rank_map(columns)
 
     def nf_vec(p: Polynomial) -> dict:
@@ -176,7 +176,7 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     # V: differences of first-block monomials of degree d
     V = RowSpace(field, rank)
     pr = data.ambient.poly_ring(0)
-    for m in pr.monomials_of_degree(d):
+    for m in pr.monomials_of_degree(d, data.budget):
         V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
 
     # W: solve the linearized cocycle condition over degree-d monomials

@@ -10,7 +10,7 @@ their own.
 """
 
 from .poly import Polynomial
-from .ring import subalgebra_member_ring
+from .ring import subalgebra_sieve
 
 __all__ = ["FrobeniusWitness", "frobenius_twist", "frobenius_exponent"]
 
@@ -75,12 +75,12 @@ def frobenius_exponent(sub_gens, alg_gens, r_max: int = 8,
     for g in list(sub_gens) + list(alg_gens):
         if g.ring != ring:
             raise ValueError("generators must live in one ambient ring")
+    member = subalgebra_sieve(ring, list(sub_gens), budget)
     for r in range(r_max + 1):
         q = p**r
         certs = []
         for b in alg_gens:
-            ok, cert = subalgebra_member_ring(b**q, list(sub_gens),
-                                              budget=budget)
+            ok, cert = member(b**q)
             if not ok:
                 certs = None
                 break

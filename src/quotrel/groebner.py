@@ -6,16 +6,30 @@ reduced basis for the ring's monomial order, sorted by increasing leading
 monomial.  All routines are deterministic: same input, same output, bit for
 bit.
 
+Buchberger uses the normal selection strategy: of the pending S-pairs, the
+one with the smallest ``(key(lcm), i, j)`` is reduced next, where ``key`` is
+the ring's order key and ``i < j`` index the basis in the order elements were
+added.  Each pair enters a heap once, with that key, when its second element
+joins the basis.  Pairs are skipped by the product criterion (coprime leading
+monomials) and the chain criterion (some ``lm_k`` divides the lcm and the
+pairs ``(i, k)`` and ``(j, k)`` are no longer pending); skipped pairs do not
+count against the budget.
+
 Computations carry a *budget* — a cap on the number of S-pair reductions and
-on the basis size.  Exceeding it raises :class:`BudgetExceededError`, which is
+on the basis size (and, in :mod:`quotrel.poly`, on the number of monomials
+enumerated).  Exceeding it raises :class:`BudgetExceededError`, which is
 a resource failure, not a mathematical answer; callers must not treat it as
 "no".
 """
 
 from __future__ import annotations
 
+import heapq
+
 from .poly import (
     BlockOrder,
+    BudgetExceededError,
+    DEFAULT_BUDGET,
     GREVLEX,
     Monomial,
     PolyRing,
@@ -26,12 +40,6 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
-
-DEFAULT_BUDGET = 100_000
-
-
-class BudgetExceededError(RuntimeError):
-    """A computation ran out of its resource budget before finishing."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +98,29 @@ def _buchberger(gens: list[Polynomial], ring: PolyRing, budget: int) -> list[Pol
     if not G:
         return []
     lms = [g.leading_monomial() for g in G]
-    pairs: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
+    # normal selection: each pair enters the heap once, keyed by its lcm
+    heap: list[tuple] = []
+    pairs: set[tuple[int, int]] = set()
+
+    def add_pairs(new: int):
+        for i in range(new):
+            lcm = monomial_lcm(lms[i], lms[new])
+            heapq.heappush(heap, (key(lcm), i, new, lcm))
+            pairs.add((i, new))
+
+    for j in range(len(G)):
+        add_pairs(j)
     processed = 0
-
-    def lcm_of(pair):
-        return monomial_lcm(lms[pair[0]], lms[pair[1]])
-
-    while pairs:
-        # normal selection: smallest lcm first (ties broken by index for determinism)
-        pair = min(pairs, key=lambda p: (key(lcm_of(p)), p))
-        pairs.discard(pair)
-        i, j = pair
-        lcm = lcm_of(pair)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        pairs.discard((i, j))
         # product criterion: coprime leading monomials reduce to zero
         if lcm == monomial_mul(lms[i], lms[j]):
             continue
         # chain criterion: some k with lm_k | lcm and both other pairs handled
         skip = False
         for k in range(len(G)):
-            if k in pair or not monomial_divides(lms[k], lcm):
+            if k == i or k == j or not monomial_divides(lms[k], lcm):
                 continue
             if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
                 skip = True
@@ -129,8 +141,7 @@ def _buchberger(gens: list[Polynomial], ring: PolyRing, budget: int) -> list[Pol
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: basis grew past {budget}"
             )
-        new = len(G) - 1
-        pairs.update((k, new) for k in range(new))
+        add_pairs(len(G) - 1)
     return G
 
 

@@ -100,8 +100,11 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
     field = pr.field
     out: list[list[Polynomial]] = [[pr.one]]
     nontrivial = [g for g in action.maps if g != RingMap.identity(action.ring)]
+    by_degree: list[list] = [[] for _ in range(d + 1)]
+    for m in pr.monomials_up_to_degree(d, action.ring.budget):
+        by_degree[sum(m)].append(m)
     for e in range(1, d + 1):
-        columns = pr.monomials_of_degree(e)
+        columns = by_degree[e]
         rows = []
         for g in nontrivial:
             moved = {m: g.apply_poly(pr.monomial(m)) for m in columns}

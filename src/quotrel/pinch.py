@@ -129,13 +129,12 @@ class PinchInput:
                 mod_space.insert(dict(p.terms))
         for c in range(self.ring.ncomponents):
             pr = self.ring.poly_ring(c)
-            for e in range(d + 1):
-                for m in pr.monomials_of_degree(e):
-                    nf = self.residue_nf(self.model.lift(c, pr.monomial(m)))
-                    if nf.is_zero():
-                        continue
-                    if not mod_space.contains(dict(nf.terms)):
-                        return False, self.ring.embed(c, pr.monomial(m))
+            for m in pr.monomials_up_to_degree(d, self.budget):
+                nf = self.residue_nf(self.model.lift(c, pr.monomial(m)))
+                if nf.is_zero():
+                    continue
+                if not mod_space.contains(dict(nf.terms)):
+                    return False, self.ring.embed(c, pr.monomial(m))
         return True, None
 
 
@@ -250,12 +249,11 @@ def _ideal_multiples(inp: PinchInput, d: int):
         hp = inp.model.to_poly(h)
         for c in range(inp.ring.ncomponents):
             pr = inp.ring.poly_ring(c)
-            for e in range(d + 1):
-                for m in pr.monomials_of_degree(e):
-                    p = normal_form(inp.model.lift(c, pr.monomial(m)) * hp, gb)
-                    if p.is_zero() or p.total_degree() > d:
-                        continue
-                    out.append((c, m, h, p))
+            for m in pr.monomials_up_to_degree(d, inp.budget):
+                p = normal_form(inp.model.lift(c, pr.monomial(m)) * hp, gb)
+                if p.is_zero() or p.total_degree() > d:
+                    continue
+                out.append((c, m, h, p))
     return out
 
 

@@ -18,6 +18,7 @@ returns ``f`` on the nose.
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -27,6 +28,13 @@ Monomial = tuple[int, ...]
 
 class ParseError(ValueError):
     """Raised when a polynomial or script fails to parse."""
+
+
+DEFAULT_BUDGET = 100_000
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation ran out of its resource budget before finishing."""
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +308,22 @@ class PolyRing:
 
     # -- monomial enumeration ------------------------------------------------
 
-    def monomials_of_degree(self, d: int) -> list[Monomial]:
-        """All exponent tuples of total degree exactly ``d``, in decreasing order."""
+    def _check_monomial_count(self, count: int, what: str, budget: int | None):
+        limit = DEFAULT_BUDGET if budget is None else budget
+        if count > limit:
+            raise BudgetExceededError(
+                f"monomial enumeration exceeded budget: {count} monomials "
+                f"{what} in {self.nvars} variables, budget {limit}"
+            )
+
+    def monomials_of_degree(
+        self, d: int, budget: int | None = None
+    ) -> list[Monomial]:
+        """All exponent tuples of total degree exactly ``d``, in decreasing order.
+
+        Raises :class:`BudgetExceededError`, before enumerating any, when
+        there are more than ``budget`` of them (default ``DEFAULT_BUDGET``).
+        """
         out: list[Monomial] = []
 
         def rec(prefix: list[int], remaining: int, pos: int):
@@ -313,14 +335,23 @@ class PolyRing:
 
         if self.nvars == 0:
             return [()] if d == 0 else []
+        self._check_monomial_count(
+            comb(self.nvars + d - 1, d), f"of degree {d}", budget)
         rec([], d, 0)
         out.sort(key=self.order.key, reverse=True)
         return out
 
-    def monomials_up_to_degree(self, d: int) -> list[Monomial]:
+    def monomials_up_to_degree(
+        self, d: int, budget: int | None = None
+    ) -> list[Monomial]:
+        """All exponent tuples of total degree at most ``d``, degree by
+        degree; the same budget check as :meth:`monomials_of_degree`, on the
+        total count."""
+        self._check_monomial_count(
+            comb(self.nvars + d, d), f"up to degree {d}", budget)
         out: list[Monomial] = []
         for k in range(d + 1):
-            out.extend(self.monomials_of_degree(k))
+            out.extend(self.monomials_of_degree(k, budget))
         return out
 
     # -- parsing / rendering -------------------------------------------------
@@ -463,14 +494,19 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a :class:`PolyRing`."""
+    """Immutable sparse polynomial over a :class:`PolyRing`.
 
-    __slots__ = ("ring", "terms", "_hash")
+    Nothing mutates ``terms`` after construction, so the hash and the
+    leading monomial are computed once, on first use.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_lm")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._lm = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -489,9 +525,11 @@ class Polynomial:
         return len(degs) <= 1
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.order.key)
+        if self._lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            self._lm = max(self.terms, key=self.ring.order.key)
+        return self._lm
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]

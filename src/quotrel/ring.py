@@ -17,7 +17,7 @@ computations in one polynomial ring.
 from __future__ import annotations
 
 from .fields import Field
-from .groebner import groebner_basis, normal_form
+from .groebner import MembershipSieve, groebner_basis, normal_form
 from .poly import GREVLEX, PolyRing, Polynomial, embed, fresh_names, power, unembed
 
 
@@ -133,7 +133,7 @@ class AmbientRing:
         lms = [g.leading_monomial() for g in self.gb(c)]
         return [
             m
-            for m in pr.monomials_up_to_degree(d)
+            for m in pr.monomials_up_to_degree(d, self.budget)
             if not any(monomial_divides(lm, m) for lm in lms)
         ]
 
@@ -441,6 +441,29 @@ class FlatModel:
         )
 
 
+def subalgebra_sieve(
+    ring: AmbientRing,
+    gens: list[RingElement],
+    budget: int | None = None,
+):
+    """Membership in the subalgebra of ``ring`` generated by ``gens``
+    (products and quotients included), as a function ``f -> (ok,
+    certificate)``.
+
+    One :class:`MembershipSieve` over the flat model answers every query;
+    a certificate is a polynomial in variables ``w1..wn`` with
+    ``certificate(gens) == f`` in the ambient ring.
+    """
+    model = ring.model()
+    sieve = MembershipSieve(
+        model.poly_ring,
+        [model.to_poly(g) for g in gens],
+        extra_relations=model.relations,
+        budget=budget,
+    )
+    return lambda f: sieve.query(model.to_poly(f))
+
+
 def subalgebra_member_ring(
     f: RingElement,
     gens: list[RingElement],
@@ -448,16 +471,7 @@ def subalgebra_member_ring(
 ):
     """Exact subalgebra membership over an ambient ring (products included).
 
-    Returns ``(True, certificate)`` or ``(False, None)``; the certificate is
-    a polynomial in variables ``w1..wn`` with ``certificate(gens) == f`` in
-    the ambient ring.
+    Returns ``(True, certificate)`` or ``(False, None)``; one-shot wrapper
+    around :func:`subalgebra_sieve`.
     """
-    from .groebner import subalgebra_member as _poly_member
-
-    model = f.ring.model()
-    return _poly_member(
-        model.to_poly(f),
-        [model.to_poly(g) for g in gens],
-        extra_relations=model.relations,
-        budget=budget,
-    )
+    return subalgebra_sieve(f.ring, gens, budget)(f)

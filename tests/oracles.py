@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
+from sympy.polys.orderings import ProductOrder, grevlex
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +38,23 @@ def _to_sympy(f, symbols):
     )
 
 
-def sympy_reduced_groebner(polys, order_name):
+def sympy_block_order(front):
+    """sympy's counterpart of ``BlockOrder(front)``: grevlex on the first
+    ``front`` variables, ties broken by grevlex on the rest."""
+    return ProductOrder(
+        (grevlex, lambda m: m[:front]),
+        (grevlex, lambda m: m[front:]),
+    )
+
+
+def sympy_reduced_groebner(polys, order_name, method="buchberger"):
     """Reduced Groebner basis via sympy, returned as a set of rendered
     strings in the package's own notation (monic, ``**`` mapped to ``^``).
 
     ``polys`` must be nonzero polynomials in one :class:`PolyRing`; the
-    characteristic is read off the ring's field.
+    characteristic is read off the ring's field.  ``order_name`` is a sympy
+    order name or a sympy order such as :func:`sympy_block_order`;
+    ``method`` is sympy's algorithm, ``"buchberger"`` or ``"f5b"``.
     """
     ring = polys[0].ring
     symbols = sympy.symbols(list(ring.names))
@@ -50,7 +62,7 @@ def sympy_reduced_groebner(polys, order_name):
         symbols = [symbols]
     exprs = [_to_sympy(f, symbols) for f in polys]
     p = ring.field.characteristic
-    kwargs = {"order": order_name}
+    kwargs = {"order": order_name, "method": method}
     if p:
         kwargs["modulus"] = p
         kwargs["symmetric"] = False

@@ -9,6 +9,7 @@ import io
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -283,3 +284,37 @@ def test_console_script(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stdout == SMOKE_GOLDEN
+
+
+def test_monomial_enumeration_over_budget_exits_three(tmp_path, capsys):
+    # C(100002, 2) monomials: refused from the count, before enumerating
+    script = "ring R = QQ[x, y, z];\nmonomials R degree 100000;\n"
+    start = time.perf_counter()
+    code, out, err = run(tmp_path, capsys, script)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "monomial enumeration exceeded budget" in err
+    # --budget bounds the count too: 10 monomials up to degree 2
+    small = "ring R = QQ[x, y, z];\nmonomials R degree 2;\n"
+    code, out, err = run(tmp_path, capsys, small, "--budget", "9")
+    assert code == 3
+    assert "exceeded budget" in err
+    code, out, err = run(tmp_path, capsys, small, "--budget", "10")
+    assert code == 0
+
+
+@pytest.mark.parametrize("script", [
+    "ring X = QQ[x, y];\n"
+    "relation RM on X = from-map (x^2, x*y, y^2);\n"
+    "kernel-basis RM;\n",
+    "ring X = QQ[x, y];\n"
+    "action S on X = (x, y | y, x);\n"
+    "invariant-basis S;\n",
+])
+def test_max_degree_over_budget_exits_three(tmp_path, capsys, script):
+    # both commands check all C(100002, 2) monomials up to the bound at once
+    start = time.perf_counter()
+    code, _, err = run(tmp_path, capsys, script, "--max-degree", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "monomial enumeration exceeded budget" in err

@@ -5,7 +5,7 @@ import pytest
 from quotrel.fields import GF, QQ
 from quotrel.frobenius import frobenius_exponent, frobenius_twist
 from quotrel.poly import PolyRing
-from quotrel.ring import AmbientRing
+from quotrel.ring import AmbientRing, subalgebra_member_ring
 
 
 def line(p):
@@ -111,3 +111,55 @@ def test_exponent_validation():
     C = AmbientRing.quotient(pr, [])
     with pytest.raises(ValueError, match="positive characteristic"):
         frobenius_exponent([C.embed(0, pr.var(0))], [C.embed(0, pr.var(0))])
+
+
+def frobenius_cases():
+    """name -> (sub_gens, alg_gens, r_max, expected r or None)."""
+    # two lines over FF(3): the diagonal parameter T, products included
+    lines = AmbientRing([(PolyRing(GF(3), ("t",)), []) for _ in range(2)])
+    T = sum((lines.embed(c, lines.poly_ring(c).var(0)) for c in range(2)),
+            lines.zero)
+    # the dual numbers over a line in characteristic 3
+    pr = PolyRing(GF(3), ("x", "eps"))
+    dual = AmbientRing.quotient(pr, [pr.parse("eps^2")])
+    x, eps = (dual.embed(0, pr.parse(v)) for v in ("x", "eps"))
+    # the bench's not-found case: FF(5)[u, v] / (u^2 v - v^3)
+    qr = PolyRing(GF(5), ("u", "v"))
+    nodal = AmbientRing.quotient(qr, [qr.parse("u^2*v - v^3")])
+    u, v = (nodal.embed(0, qr.parse(n)) for n in ("u", "v"))
+    # a fat point in characteristic 2, no subalgebra generators at all
+    fr = PolyRing(GF(2), ("y",))
+    fat = AmbientRing.quotient(fr, [fr.parse("y^2")])
+    y = fat.embed(0, fr.var(0))
+    return {
+        "product": ([T ** 2, T ** 3], [T, T ** 2 + T], 8, 1),
+        "quotient": ([x ** 2, x ** 3], [x, eps], 8, 1),
+        "not-found": ([u ** 2, u * v, v ** 2], [u], 2, None),
+        "empty-sub": ([], [y], 4, 1),
+    }
+
+
+@pytest.mark.parametrize("case", ["product", "quotient", "not-found", "empty-sub"])
+def test_one_sieve_per_frobenius_call(monkeypatch, case):
+    """Every generator and every r is queried against one sieve, and the
+    certificates are those of one-shot membership tests."""
+    from quotrel.groebner import MembershipSieve
+
+    sub, alg, r_max, expected = frobenius_cases()[case]
+    builds = [0]
+    init = MembershipSieve.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MembershipSieve, "__init__", counted)
+    w = frobenius_exponent(sub, alg, r_max=r_max)
+    assert builds[0] == 1
+    if expected is None:
+        assert w is None
+        return
+    assert w.r == expected
+    assert [b for b, _ in w.certificates] == alg
+    for b, cert in w.certificates:
+        assert subalgebra_member_ring(b ** w.q, sub) == (True, cert)

@@ -102,6 +102,48 @@ def test_budget_is_a_distinct_outcome():
     assert groebner_basis(gens, budget=100000)
 
 
+KATSURA3 = (
+    "u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+    "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+    "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+    "u1^2 + 2*u0*u2 + 2*u1*u3 - u2",
+)
+BUDGET_IDEAL = ("x^5 + y^4 + z^3 - 1", "x^3 + y^3 + z^2 - 1")
+
+
+@pytest.mark.parametrize("field, names, order, gens, budget, calls, outcome", [
+    (GF(32003), ("u0", "u1", "u2", "u3"), GREVLEX, KATSURA3, None, 10, 7),
+    (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, None, 3, 3),
+    (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, 3, 2, "budget"),
+    (QQ, ("x", "y", "z"), BlockOrder(1), BUDGET_IDEAL, None, 16, 10),
+])
+def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
+                                   budget, calls, outcome):
+    """S-polynomials built per basis computation, and the basis size (or the
+    budget error).  The normal selection strategy with the product and chain
+    criteria fixes these numbers; a Gebauer-Moeller update or the sugar
+    strategy is expected to change them, deliberately, together with the
+    budget a computation needs."""
+    from quotrel import groebner
+
+    count = [0]
+    original = groebner.s_polynomial
+
+    def counted(f, g):
+        count[0] += 1
+        return original(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    ring = PolyRing(field, names, order)
+    polys = [ring.parse(g) for g in gens]
+    if outcome == "budget":
+        with pytest.raises(BudgetExceededError):
+            groebner_basis(polys, budget=budget)
+    else:
+        assert len(groebner_basis(polys, budget=budget)) == outcome
+    assert count[0] == calls
+
+
 def test_ideal_member_and_linear_oracle(R):
     gens = [R.parse("x^2 - y"), R.parse("y^3")]
     gb = groebner_basis(gens)

@@ -11,6 +11,8 @@ from quotrel.poly import (
     GREVLEX,
     LEX,
     BlockOrder,
+    BudgetExceededError,
+    GrevlexOrder,
     ParseError,
     PolyRing,
     Polynomial,
@@ -170,6 +172,20 @@ def test_monomials_of_degree_counts(R):
     assert len(upto) == 1 + 3 + 6 + 10
 
 
+def test_monomial_enumeration_is_budgeted(R):
+    # the count is checked before enumerating, so huge degrees fail at once
+    assert len(R.monomials_of_degree(4, budget=15)) == 15
+    with pytest.raises(BudgetExceededError, match="15 monomials of degree 4"):
+        R.monomials_of_degree(4, budget=14)
+    assert len(R.monomials_up_to_degree(3, budget=20)) == 20
+    with pytest.raises(BudgetExceededError, match="up to degree 3"):
+        R.monomials_up_to_degree(3, budget=19)
+    with pytest.raises(BudgetExceededError):
+        R.monomials_of_degree(10**6)
+    with pytest.raises(BudgetExceededError):
+        R.monomials_up_to_degree(10**6)
+
+
 def test_substitute(R):
     S = PolyRing(QQ, ("u",))
     f = R.parse("x^2 - y*z + 1")
@@ -266,6 +282,32 @@ def test_coefficients_stay_in_field():
     assert f.is_zero()
     g = R.parse("x") * R.parse("x + 1")
     assert R.render(g) == "x^2 + x"
+
+
+class CountingGrevlex(GrevlexOrder):
+    """Grevlex that counts its key calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def key(self, m):
+        self.calls += 1
+        return super().key(m)
+
+
+def test_leading_monomial_is_computed_once():
+    order = CountingGrevlex()
+    S = PolyRing(QQ, ("x", "y", "z"), order)
+    f = S.parse("x*y*z + x^2*z + y^3 - 2")
+    assert f.leading_monomial() == max(f.terms, key=GREVLEX.key) == (0, 3, 0)
+    calls = order.calls
+    assert f.leading_monomial() == (0, 3, 0)
+    assert f.leading_coeff() == 1
+    assert order.calls == calls
+    with pytest.raises(ValueError):
+        S.zero.leading_monomial()
+    with pytest.raises(ValueError):
+        S.zero.leading_monomial()
 
 
 def test_monic_and_scale(R):
