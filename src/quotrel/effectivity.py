@@ -25,7 +25,7 @@ from __future__ import annotations
 from .eqrel import copy_difference, copy_names, copy_positions
 from .fields import Field
 from .groebner import finite_over_block, groebner_basis, ideal_member, normal_form
-from .linalg import RowSpace, nullspace, rank_map
+from .linalg import RowSpace, condition_rows, nullspace, rank_map
 from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial, embed
 from .ring import AmbientRing
 
@@ -180,16 +180,12 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
         V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
 
     # W: solve the linearized cocycle condition over degree-d monomials
-    param_cols = list(columns)
-    rows: dict = {}
-    for m in param_cols:
-        nf = normal_form(data.defect(D.monomial(m)), sum_gb)
-        for mm, coeff in nf.terms.items():
-            rows.setdefault(mm, {})[m] = coeff
+    rows = condition_rows(
+        (m, normal_form(data.defect(D.monomial(m)), sum_gb).terms) for m in columns
+    )
     W = RowSpace(field, rank)
-    for sol in nullspace(list(rows.values()), param_cols, field):
-        h = Polynomial(D, dict(sol))
-        W.insert(nf_vec(h))
+    for sol in nullspace(rows, columns, field):
+        W.insert(nf_vec(Polynomial(D, sol)))
 
     # complement of V inside W, canonical echelon rows
     VW = V.copy()

@@ -8,7 +8,7 @@ that exhibit any element as integral over the invariant ring.
 
 from __future__ import annotations
 
-from .linalg import nullspace
+from .linalg import condition_rows, nullspace
 from .poly import GREVLEX, PolyRing, Polynomial, fresh_names
 from .ring import AmbientRing, RingMap
 
@@ -97,7 +97,6 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
     """
     action.validate()
     pr = action.ring.poly_ring(0)
-    field = pr.field
     out: list[list[Polynomial]] = [[pr.one]]
     nontrivial = [g for g in action.maps if g != RingMap.identity(action.ring)]
     by_degree: list[list] = [[] for _ in range(d + 1)]
@@ -107,26 +106,15 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
         columns = by_degree[e]
         rows = []
         for g in nontrivial:
-            moved = {m: g.apply_poly(pr.monomial(m)) for m in columns}
-            condition: dict = {}
-            targets = set()
-            for m in columns:
-                for mm in moved[m].terms:
-                    targets.add(mm)
-            for mm in sorted(targets, key=pr.order.key, reverse=True):
-                row = {}
-                for m in columns:
-                    c = moved[m].terms.get(mm, field.zero)
-                    if mm == m:
-                        c = field.sub(c, field.one)
-                    if not field.is_zero(c):
-                        row[m] = c
-                if row:
-                    rows.append(row)
-        basis = []
-        for v in nullspace(rows, columns, field):
-            basis.append(Polynomial(pr, dict(v)))
-        out.append(basis)
+            rows += condition_rows(
+                (m, (g.apply_poly(pr.monomial(m)) - pr.monomial(m)).terms)
+                for m in columns
+            )
+        # the printed normalization: each invariant is 1 at its least
+        # significant monomial, ordered by that monomial, most significant
+        # first
+        basis = nullspace(rows, columns[::-1], pr.field)[::-1]
+        out.append([Polynomial(pr, v) for v in basis])
     return out
 
 

@@ -6,6 +6,14 @@ Vectors are dicts mapping a hashable column label (a monomial, or a
 fixed significance order on the labels; because the reduced echelon form of a
 subspace is unique, the resulting rows are canonical no matter in which order
 vectors were inserted.
+
+Kernels follow the same convention.  :func:`nullspace` takes its columns
+listed most significant first and returns the reduced echelon basis of the
+kernel: each vector is 1 at its leading (most significant) label and 0 at
+every other vector's leading label, and the vectors come most significant
+leading label first.  That basis is unique, so callers use it as is.
+:func:`condition_rows` turns a linear map, given as one image vector per
+column, into the condition rows whose common kernel is the map's kernel.
 """
 
 from __future__ import annotations
@@ -139,14 +147,28 @@ class FnRank:
         return self.fn(label)
 
 
-def nullspace(rows: list[Vector], columns: list, field: Field) -> list[Vector]:
-    """Deterministic basis of the common kernel of linear conditions.
+def condition_rows(images) -> list[Vector]:
+    """The rows of a linear map given as ``(column, image vector)`` pairs:
+    one row per image label, holding that label's coefficient in the image
+    of each column.  Its kernel, by :func:`nullspace`, is the map's."""
+    rows: dict = {}
+    for col, image in images:
+        for label, c in image.items():
+            rows.setdefault(label, {})[col] = c
+    return list(rows.values())
 
-    ``rows`` are condition functionals over the labels in ``columns``.  Each
-    basis vector is normalized with coefficient 1 at its free column, and the
-    basis is ordered by significance of the free columns.
+
+def nullspace(rows: list[Vector], columns: list, field: Field) -> list[Vector]:
+    """Reduced echelon basis of the common kernel of linear conditions.
+
+    ``rows`` are condition functionals over the labels in ``columns``, which
+    are listed most significant first.  Each basis vector is 1 at its
+    leading label and 0 at every other vector's leading label, and the
+    vectors come most significant leading label first.
     """
-    space = RowSpace(field, rank_map(columns))
+    # Echelonizing the conditions from the least significant end leaves the
+    # leading labels of the kernel free.
+    space = RowSpace(field, rank_map(columns[::-1]))
     for r in rows:
         space.insert(r)
     pivot_set = set(space.pivots)

@@ -12,10 +12,16 @@ algebra generated by the output are compared with ideal spans degree by
 degree, and failures come with an explicit witness element.
 """
 
-from .groebner import MembershipSieve, groebner_basis, normal_form
-from .linalg import Descending, FnRank, RowSpace, nullspace
-from .poly import Polynomial, PolyRing
-from .quotient import TruncatedSubalgebra, present_subalgebra
+from .groebner import MembershipSieve
+from .linalg import Descending, FnRank, RowSpace, condition_rows, nullspace
+from .poly import Polynomial
+from .quotient import (
+    TruncatedSubalgebra,
+    ordered_columns,
+    present_subalgebra,
+    product_closure,
+    vector_to_element,
+)
 from .ring import AmbientRing, RingElement
 
 __all__ = [
@@ -29,38 +35,23 @@ __all__ = [
 ]
 
 
-def _flat_rank(poly_ring: PolyRing) -> FnRank:
-    """Column significance for flat-ring monomials: degree first, then the
-    monomial order, both descending."""
-    key = poly_ring.order.key
-    return FnRank(lambda m: Descending((sum(m), key(m))))
+def _flat_space(ring: AmbientRing) -> RowSpace:
+    """An empty row space over the monomials of a one-component ring, ranked
+    by degree first, then the monomial order, both descending, so rows with
+    pivot degree <= e span exactly the degree-<= e filtered piece."""
+    key = ring.poly_ring(0).order.key
+    return RowSpace(ring.field, FnRank(lambda m: Descending((sum(m), key(m)))))
 
 
-def _span_closure(poly_ring, gen_polys, d, gb, field):
-    """Echelonized span of all products of ``gen_polys`` whose normal forms
-    stay within degree ``d``, starting from 1.
-
-    Returns the row space (columns ranked degree-descending, so rows with
-    pivot degree <= e span exactly the degree-<= e filtered piece) and the
-    list of product normal forms that contributed a new pivot.
-    """
-    space = RowSpace(field, _flat_rank(poly_ring))
-    kept: list[Polynomial] = []
-    seed = normal_form(poly_ring.one, gb)
-    if not seed.is_zero():
-        space.insert(dict(seed.terms))
-        kept.append(seed)
-    gens_nf = [normal_form(g, gb) for g in gen_polys]
-    i = 0
-    while i < len(kept):
-        b = kept[i]
-        i += 1
-        for g in gens_nf:
-            p = normal_form(b * g, gb)
-            if p.is_zero() or p.total_degree() > d:
-                continue
-            if space.insert(dict(p.terms)) is not None:
-                kept.append(p)
+def _product_span(ring: AmbientRing, gens, d: int):
+    """The span of all products of ``gens`` (elements of a one-component
+    ring) whose normal forms stay within degree ``d``, starting from 1, and
+    the products that enlarged it."""
+    space = _flat_space(ring)
+    kept = product_closure(
+        gens, [ring.one], d,
+        lambda el: space.insert(dict(el.parts[0].terms)) is not None,
+    )
     return space, kept
 
 
@@ -71,7 +62,8 @@ class PinchInput:
     lifts of algebra generators of the target subalgebra of the residue ring,
     and ``module_gens`` (together with 1) must generate the residue ring as a
     module over that subalgebra — checked degree by degree in
-    :meth:`validate`.
+    :meth:`validate`.  ``flat`` and ``residue`` are the ring and its residue
+    ring R/I_Z as one-component rings on the flat model's polynomial ring.
     """
 
     def __init__(self, ring: AmbientRing, iz_gens, s_lifts, module_gens,
@@ -83,26 +75,10 @@ class PinchInput:
         self.budget = budget if budget is not None else ring.budget
         self.model = ring.model()
         self.iz_polys = [self.model.to_poly(g) for g in self.iz_gens]
-        self._res_gb = None
-        self._ambient_gb = None
-
-    def res_gb(self):
-        """Groebner basis presenting the residue ring R/I_Z flatly."""
-        if self._res_gb is None:
-            self._res_gb = groebner_basis(
-                list(self.model.relations) + self.iz_polys, self.budget
-            )
-        return self._res_gb
-
-    def ambient_gb(self):
-        if self._ambient_gb is None:
-            self._ambient_gb = groebner_basis(
-                list(self.model.relations), self.budget
-            )
-        return self._ambient_gb
-
-    def residue_nf(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, self.res_gb())
+        P = self.model.poly_ring
+        self.flat = AmbientRing.quotient(P, self.model.relations, self.budget)
+        self.residue = AmbientRing.quotient(
+            P, self.model.relations + self.iz_polys, self.budget)
 
     def validate(self, d: int):
         """Check that {1} and the module generators span the residue ring
@@ -111,30 +87,30 @@ class PinchInput:
         Returns ``(True, None)`` or ``(False, witness)`` with a monomial
         element whose residue is missed.
         """
-        P = self.model.poly_ring
-        field = self.ring.field
-        gb = self.res_gb()
-        _, s_span = _span_closure(
-            P, [self.model.to_poly(s) for s in self.s_lifts], d, gb, field
-        )
-        mod_space = RowSpace(field, _flat_rank(P))
-        mods = [P.one] + [
-            normal_form(self.model.to_poly(r), gb) for r in self.module_gens
+        # Listed first: the monomial budget rejects a degree bound too
+        # large to enumerate before any product is formed.
+        monomials = [
+            (c, m)
+            for c in range(self.ring.ncomponents)
+            for m in self.ring.poly_ring(c).monomials_up_to_degree(d, self.budget)
         ]
-        for r in mods:
+        res = self.residue
+
+        def to_res(el: RingElement) -> RingElement:
+            return res.element([self.model.to_poly(el)])
+
+        _, s_span = _product_span(res, [to_res(s) for s in self.s_lifts], d)
+        mod_space = _flat_space(res)
+        for r in [res.one] + [to_res(r) for r in self.module_gens]:
             for b in s_span:
-                p = normal_form(r * b, gb)
-                if p.is_zero() or p.total_degree() > d:
-                    continue
-                mod_space.insert(dict(p.terms))
-        for c in range(self.ring.ncomponents):
-            pr = self.ring.poly_ring(c)
-            for m in pr.monomials_up_to_degree(d, self.budget):
-                nf = self.residue_nf(self.model.lift(c, pr.monomial(m)))
-                if nf.is_zero():
-                    continue
-                if not mod_space.contains(dict(nf.terms)):
-                    return False, self.ring.embed(c, pr.monomial(m))
+                p = r * b
+                if not p.is_zero() and p.degree() <= d:
+                    mod_space.insert(dict(p.parts[0].terms))
+        for c, m in monomials:
+            mono = self.ring.poly_ring(c).monomial(m)
+            nf = res.nf(0, self.model.lift(c, mono))
+            if not nf.is_zero() and not mod_space.contains(dict(nf.terms)):
+                return False, self.ring.embed(c, mono)
         return True, None
 
 
@@ -244,13 +220,12 @@ def _ideal_multiples(inp: PinchInput, d: int):
     """Ambient normal forms of (monomial times ideal generator), degree <= d,
     paired with the multiplier data for witness reporting."""
     out = []
-    gb = inp.ambient_gb()
     for h in inp.iz_gens:
         hp = inp.model.to_poly(h)
         for c in range(inp.ring.ncomponents):
             pr = inp.ring.poly_ring(c)
             for m in pr.monomials_up_to_degree(d, inp.budget):
-                p = normal_form(inp.model.lift(c, pr.monomial(m)) * hp, gb)
+                p = inp.flat.nf(0, inp.model.lift(c, pr.monomial(m)) * hp)
                 if p.is_zero() or p.total_degree() > d:
                     continue
                 out.append((c, m, h, p))
@@ -301,18 +276,20 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
                 break
     checks.append(("residues generate the target subalgebra", ok_b, wit_b))
 
-    space, _ = _span_closure(P, gen_polys, d, inp.ambient_gb(), field)
+    space, _ = _product_span(
+        inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
     ok_c, wit_c = True, None
     for e in range(d + 1):
         rows = [row for piv, row in zip(space.pivots, space.rows)
                 if sum(piv) <= e]
-        conds: dict = {}
-        for j, row in enumerate(rows):
-            nf = inp.residue_nf(Polynomial(P, dict(row)))
-            for mm, coeff in nf.terms.items():
-                conds.setdefault(mm, {})[j] = coeff
-        sols = nullspace(list(conds.values()), list(range(len(rows))), field)
-        kernel = RowSpace(field, _flat_rank(P))
+        conds = condition_rows(
+            (j, inp.residue.nf(0, Polynomial(P, dict(row))).terms)
+            for j, row in enumerate(rows)
+        )
+        # the witness search reads each combination as 1 at its last row,
+        # ordered by that row
+        sols = nullspace(conds, list(range(len(rows)))[::-1], field)[::-1]
+        kernel = _flat_space(inp.flat)
         kernel_polys = []
         for v in sols:
             p = P.zero
@@ -322,7 +299,7 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
                 continue
             if kernel.insert(dict(p.terms)) is not None:
                 kernel_polys.append(p)
-        ideal_space = RowSpace(field, _flat_rank(P))
+        ideal_space = _flat_space(inp.flat)
         ideal_polys = []
         for _, _, _, p in multiples:
             if p.total_degree() <= e:
@@ -360,35 +337,25 @@ def subalgebra_intersection_trunc(gens1, gens2, d: int,
     if any(g.ring != pr for g in list(gens1) + list(gens2)):
         raise ValueError("generator lists must share one polynomial ring")
     ring = AmbientRing.quotient(pr, (), budget)
-    sieve1 = MembershipSieve(pr, list(gens1), budget=budget)
-    sieve2 = MembershipSieve(pr, list(gens2), budget=budget)
+    sieves = [MembershipSieve(pr, list(gens), budget=budget)
+              for gens in (gens1, gens2)]
 
     def member(el: RingElement) -> bool:
         f = el.parts[0]
-        return sieve1.tag_only(sieve1.reduce(f)) and sieve2.tag_only(
-            sieve2.reduce(f)
-        )
+        return all(sieve.tag_only(sieve.reduce(f)) for sieve in sieves)
 
-    trunc = TruncatedSubalgebra(
-        ring, d, ("intersection", tuple(gens1), tuple(gens2)),
-        budget=budget, membership_fn=member,
-    )
     n = pr.nvars
-    rows: dict = {}
-    for (_, m) in trunc.columns:
-        for side, sieve in ((0, sieve1), (1, sieve2)):
-            nf = sieve.reduce(pr.monomial(m))
-            for mm, coeff in nf.terms.items():
-                if any(mm[:n]):
-                    rows.setdefault((side, mm), {})[(0, m)] = coeff
-    sols = nullspace(list(rows.values()), trunc.columns, ring.field)
-    rs = RowSpace(ring.field, trunc.rank)
-    for v in sols:
-        rs.insert(v)
-    for piv, row in zip(rs.pivots, rs.rows):
-        el = ring.element([Polynomial(pr, {m: c for (_, m), c in row.items()})])
-        trunc._add_row(el, sum(piv[1]))
-    return trunc
+    columns = ordered_columns(ring, d)
+    rows = condition_rows(
+        (col, {(side, mm): coeff
+               for side, sieve in enumerate(sieves)
+               for mm, coeff in sieve.reduce(pr.monomial(col[1])).terms.items()
+               if any(mm[:n])})
+        for col in columns
+    )
+    basis = [vector_to_element(ring, v)
+             for v in nullspace(rows, columns, ring.field)]
+    return TruncatedSubalgebra(ring, d, columns, basis, member)
 
 
 def verify_pushout_diagram(gens1, gens2, corner_gens, d: int,
@@ -402,21 +369,22 @@ def verify_pushout_diagram(gens1, gens2, corner_gens, d: int,
     canonical order) outside the corner's span.
     """
     pr = corner_gens[0].ring
+    ring = AmbientRing.quotient(pr, ())
     checks = []
     ok1, wit1 = True, None
     for sieve_gens in (gens1, gens2):
         sieve = MembershipSieve(pr, list(sieve_gens), budget=budget)
         for g in corner_gens:
             if not sieve.tag_only(sieve.reduce(g)):
-                ok1, wit1 = False, AmbientRing.quotient(pr, ()).embed(0, g)
+                ok1, wit1 = False, ring.embed(0, g)
                 break
         if not ok1:
             break
     checks.append(("corner generators lie in both sides", ok1, wit1))
 
     inter = subalgebra_intersection_trunc(gens1, gens2, d, budget=budget)
-    corner_space, _ = _span_closure(pr, list(corner_gens), d, [],
-                                    pr.field)
+    corner_space, _ = _product_span(
+        ring, [ring.element([g]) for g in corner_gens], d)
     ok2, wit2 = True, None
     for b in inter.basis():
         if not corner_space.contains(dict(b.parts[0].terms)):

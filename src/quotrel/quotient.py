@@ -15,6 +15,13 @@ up to a bound:
 * ``present_subalgebra`` — the exact (untruncated) relation ideal of a
   finite list of algebra elements.
 
+Every truncated driver of the package (these, the invariants, the pinching
+and the effectivity test) comes down to two primitives: the kernel of a
+linear map on monomials, :func:`~quotrel.linalg.nullspace` of the
+:func:`~quotrel.linalg.condition_rows` of the map, which is already the
+canonical reduced echelon basis; and the span of the products of generators
+up to a degree, :func:`product_closure`.
+
 Conventions for disconnected sources (product rings): a function on a
 disjoint union may be adjusted on each piece separately, so the kernel is
 assembled componentwise — the shared unit, plus for every piece the
@@ -25,9 +32,17 @@ other map's image algebra where they do not).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .eqrel import RelationPresentation, copy_difference
-from .groebner import MembershipSieve, eliminate, normal_form
-from .linalg import RowSpace, nullspace, rank_map
+from .groebner import (
+    MembershipSieve,
+    eliminate,
+    ideal_member,
+    normal_form,
+    subalgebra_member,
+)
+from .linalg import RowSpace, condition_rows, nullspace, rank_map, vec_scale
 from .poly import GREVLEX, PolyRing, Polynomial, fresh_names
 from .ring import AmbientRing, RingElement, RingMap
 
@@ -71,25 +86,48 @@ def vector_to_element(ring: AmbientRing, v: dict) -> RingElement:
     )
 
 
+def product_closure(gens, seeds, limit: int, insert) -> list:
+    """Breadth-first span of the products of ``gens`` up to degree ``limit``.
+
+    Elements need ``*``, ``is_zero()`` and ``degree()``.  ``insert`` adds an
+    element to the caller's span and says whether the span grew.  The seeds
+    that grow it are kept; every kept element, in order, is multiplied by
+    each generator in turn, and a nonzero product of degree at most
+    ``limit`` that grows the span is kept as well.  Returns the kept
+    elements.
+    """
+    kept = [s for s in seeds if insert(s)]
+    i = 0
+    while i < len(kept):
+        s = kept[i]
+        i += 1
+        for g in gens:
+            p = s * g
+            if not p.is_zero() and p.degree() <= limit and insert(p):
+                kept.append(p)
+    return kept
+
+
 class TruncatedSubalgebra:
     """A subalgebra of an ambient ring known through degree ``d``.
 
-    ``layers[e]`` is the canonical list of basis elements whose leading
-    (most significant) monomial has degree ``e``; concatenating the layers
-    gives a reduced-echelon basis of the whole degree-``d`` filtration piece.
+    ``basis`` is the reduced echelon basis of the degree-``d`` filtration
+    piece over ``columns`` (most significant first), as :func:`nullspace`
+    returns it; ``layers[e]`` holds its elements whose leading monomial has
+    degree ``e``.  ``membership`` is the defining condition, rechecked by
+    :meth:`defining_membership` without the linear algebra.
     """
 
-    def __init__(self, ring: AmbientRing, d: int, source, budget=None,
-                 membership_fn=None):
+    def __init__(self, ring: AmbientRing, d: int, columns: list, basis,
+                 membership):
         self.ring = ring
         self.d = d
-        self.source = source
-        self.budget = budget if budget is not None else ring.budget
-        self.columns = ordered_columns(ring, d)
-        self.rank = rank_map(self.columns)
+        self.rank = rank_map(columns)
         self.layers: list[list[RingElement]] = [[] for _ in range(d + 1)]
-        self.space = RowSpace(ring.field, self.rank)
-        self.membership_fn = membership_fn
+        for f in basis:
+            self.layers[f.degree()].append(f)
+        self._membership = membership
+        self._space: RowSpace | None = None
         self._generators: list[tuple[RingElement, int]] | None = None
         self._new_counts: list[int] | None = None
 
@@ -108,54 +146,16 @@ class TruncatedSubalgebra:
 
     def contains(self, el: RingElement) -> bool:
         """Membership in the degree-``d`` truncation span."""
-        return self.space.contains(element_to_vector(el))
-
-    def _add_row(self, el: RingElement, degree: int) -> None:
-        self.layers[degree].append(el)
-        self.space.insert(element_to_vector(el))
-
-    # -- defining membership (independent recheck) ----------------------------
+        if self._space is None:
+            self._space = RowSpace(self.ring.field, self.rank)
+            for f in self.basis():
+                self._space.insert(element_to_vector(f))
+        return self._space.contains(element_to_vector(el))
 
     def defining_membership(self, el: RingElement) -> bool:
         """Recheck the defining condition directly, without the linear
-        algebra that produced the basis.
-
-        For relation sources: the doubled-ring difference must lie in the
-        relation ideal.  For map pairs: per target component, equal pullbacks
-        when both maps use the same source piece; otherwise each piece's
-        pullback must lie in the other map's image algebra.
-        """
-        from .groebner import ideal_member, subalgebra_member
-
-        if self.membership_fn is not None:
-            return self.membership_fn(el)
-        src = self.source
-        if isinstance(src, RelationPresentation):
-            return ideal_member(copy_difference(el.parts[0], src.doubled), src.gb())
-        s1, s2 = src
-        target = s1.target
-        for t in range(target.ncomponents):
-            a1, im1 = s1.assignments[t]
-            a2, im2 = s2.assignments[t]
-            tpr = target.poly_ring(t)
-            if a1 == a2:
-                g1 = el.parts[a1].substitute(tpr, im1)
-                g2 = el.parts[a2].substitute(tpr, im2)
-                if not target.nf(t, g1 - g2).is_zero():
-                    return False
-            else:
-                for a, im, other_im in ((a1, im1, im2), (a2, im2, im1)):
-                    g = el.parts[a].substitute(tpr, im)
-                    g = target.nf(t, g)
-                    ok, _ = subalgebra_member(
-                        g,
-                        [target.nf(t, h) for h in other_im],
-                        extra_relations=list(target.q_gens(t)),
-                        budget=self.budget,
-                    )
-                    if not ok:
-                        return False
-        return True
+        algebra that produced the basis."""
+        return self._membership(el)
 
     # -- generators -----------------------------------------------------------
 
@@ -171,50 +171,26 @@ class TruncatedSubalgebra:
         field = self.ring.field
         gens: list[tuple[RingElement, int]] = []
         counts = [0] * (self.d + 1)
-        alg = RowSpace(field, self.rank)
-        spanning: list[RingElement] = []
-        products: set[tuple[int, int]] = set()
-
-        def try_insert(el: RingElement) -> bool:
-            if alg.insert(element_to_vector(el)) is None:
-                return False
-            spanning.append(el)
-            return True
-
-        try_insert(self.ring.one)
-
-        def close(limit: int) -> None:
-            changed = True
-            while changed:
-                changed = False
-                for gi, (g, dg) in enumerate(gens):
-                    for hi in range(len(spanning)):
-                        if (gi, hi) in products:
-                            continue
-                        products.add((gi, hi))
-                        prod = g * spanning[hi]
-                        if prod.is_zero() or prod.degree() > self.d:
-                            continue
-                        if prod.degree() <= limit and try_insert(prod):
-                            changed = True
-
         for e in range(1, self.d + 1):
-            # products computed at lower degrees but of this degree
-            products.clear()
-            close(e)
+            # the span of the products, up to degree e, of the generators so
+            # far; formed when first needed and again after each new one
+            alg = None
             for f in self.layers[e]:
+                if alg is None:
+                    alg = RowSpace(field, self.rank)
+                    product_closure(
+                        [g for g, _ in gens], [self.ring.one], e,
+                        lambda p: alg.insert(element_to_vector(p)) is not None,
+                    )
                 res = alg.reduce(element_to_vector(f))
                 if not res:
                     continue
                 piv = min(res, key=self.rank.__getitem__)
-                inv = field.inv(res[piv])
-                res = {k: field.mul(v, inv) for k, v in res.items()}
-                gen = vector_to_element(self.ring, res)
+                gen = vector_to_element(
+                    self.ring, vec_scale(field, res, field.inv(res[piv])))
                 gens.append((gen, e))
                 counts[e] += 1
-                try_insert(gen)
-                products.clear()
-                close(e)
+                alg = None
         self._generators = gens
         self._new_counts = counts
         return gens
@@ -233,37 +209,30 @@ class TruncatedSubalgebra:
         return "\n".join(lines)
 
 
-def _relation_layers(trunc: TruncatedSubalgebra, rel: RelationPresentation) -> None:
-    ring = trunc.ring
+def _relation_kernel(rel: RelationPresentation, columns: list) -> list[RingElement]:
+    ring = rel.ambient
     pr = ring.poly_ring(0)
-    field = ring.field
-    cand = [m for (_, m) in trunc.columns]
     gb = rel.gb()
-    rows: dict = {}
-    for m in cand:
-        nf = normal_form(copy_difference(pr.monomial(m), rel.doubled), gb)
-        for mm, coeff in nf.terms.items():
-            rows.setdefault(mm, {})[(0, m)] = coeff
-    sols = nullspace(list(rows.values()), trunc.columns, field)
-    rs = RowSpace(field, trunc.rank)
-    for v in sols:
-        rs.insert(v)
-    for piv, row in zip(rs.pivots, rs.rows):
-        el = vector_to_element(ring, row)
-        trunc._add_row(el, sum(piv[1]))
+    rows = condition_rows(
+        (col, normal_form(copy_difference(pr.monomial(col[1]), rel.doubled), gb).terms)
+        for col in columns
+    )
+    return [vector_to_element(ring, v) for v in nullspace(rows, columns, ring.field)]
 
 
-def _pair_component_rows(
-    trunc: TruncatedSubalgebra, s1: RingMap, s2: RingMap, c: int
-) -> RowSpace:
+def _relation_member(rel: RelationPresentation, el: RingElement) -> bool:
+    """The doubled-ring difference lies in the relation ideal."""
+    return ideal_member(copy_difference(el.parts[0], rel.doubled), rel.gb())
+
+
+def _pair_component_kernel(
+    ring: AmbientRing, columns: list, s1: RingMap, s2: RingMap, c: int, budget
+) -> list[RingElement]:
     """Reduced-echelon solutions of the compatibility conditions restricted
     to source component ``c``."""
-    ring = trunc.ring
     target = s1.target
-    field = ring.field
     pr = ring.poly_ring(c)
-    cand = [(cc, m) for (cc, m) in trunc.columns if cc == c]
-    rows: dict = {}
+    images = {col: {} for col in columns if col[0] == c}
     for t in range(target.ncomponents):
         a1, im1 = s1.assignments[t]
         a2, im2 = s2.assignments[t]
@@ -271,45 +240,63 @@ def _pair_component_rows(
             continue
         tpr = target.poly_ring(t)
         if a1 == c and a2 == c:
-            for _, m in cand:
+            # equal pullbacks
+            for (_, m), image in images.items():
                 mono = pr.monomial(m)
                 dif = target.nf(t, mono.substitute(tpr, im1) - mono.substitute(tpr, im2))
-                for mm, coeff in dif.terms.items():
-                    rows.setdefault(("eq", t, mm), {})[(c, m)] = coeff
+                image.update(((t, mm), coeff) for mm, coeff in dif.terms.items())
         else:
+            # the pullback lands in the other map's image algebra
             own_images, other_images = (im1, im2) if a1 == c else (im2, im1)
             sieve = MembershipSieve(tpr, other_images,
                                     extra_relations=target.q_gens(t),
-                                    budget=trunc.budget)
-            zeros = (0,) * tpr.nvars
-            side = 0 if a1 == c else 1
-            for _, m in cand:
-                img = pr.monomial(m).substitute(tpr, own_images)
-                nf = sieve.reduce(img)
-                for mm, coeff in nf.terms.items():
-                    if mm[: tpr.nvars] != zeros:
-                        rows.setdefault(("mem", t, side, mm), {})[(c, m)] = coeff
-    sols = nullspace(list(rows.values()), cand, field)
-    rs = RowSpace(field, trunc.rank)
-    for v in sols:
-        rs.insert(v)
-    return rs
+                                    budget=budget)
+            for (_, m), image in images.items():
+                nf = sieve.reduce(pr.monomial(m).substitute(tpr, own_images))
+                image.update(((t, mm), coeff) for mm, coeff in nf.terms.items()
+                             if any(mm[: tpr.nvars]))
+    sols = nullspace(condition_rows(images.items()), list(images), ring.field)
+    return [vector_to_element(ring, v) for v in sols]
 
 
-def _pair_layers(trunc: TruncatedSubalgebra, s1: RingMap, s2: RingMap) -> None:
-    ring = trunc.ring
+def _pair_kernel(ring: AmbientRing, columns: list, s1: RingMap, s2: RingMap,
+                 budget) -> list[RingElement]:
     if ring.ncomponents == 1:
-        rs = _pair_component_rows(trunc, s1, s2, 0)
-        for piv, row in zip(rs.pivots, rs.rows):
-            trunc._add_row(vector_to_element(ring, row), sum(piv[1]))
-        return
-    trunc._add_row(ring.one, 0)
+        return _pair_component_kernel(ring, columns, s1, s2, 0, budget)
+    basis = [ring.one]
     for c in range(ring.ncomponents):
-        rs = _pair_component_rows(trunc, s1, s2, c)
-        for piv, row in zip(rs.pivots, rs.rows):
-            if sum(piv[1]) == 0:
-                continue  # each piece's constants fold into the shared unit
-            trunc._add_row(vector_to_element(ring, row), sum(piv[1]))
+        # each piece's constants fold into the shared unit
+        basis += [el for el in _pair_component_kernel(ring, columns, s1, s2, c, budget)
+                  if el.degree() > 0]
+    return basis
+
+
+def _pair_member(s1: RingMap, s2: RingMap, budget, el: RingElement) -> bool:
+    """Per target component: equal pullbacks when both maps use the same
+    source piece; otherwise each piece's pullback lies in the other map's
+    image algebra."""
+    target = s1.target
+    for t in range(target.ncomponents):
+        a1, im1 = s1.assignments[t]
+        a2, im2 = s2.assignments[t]
+        tpr = target.poly_ring(t)
+        if a1 == a2:
+            g1 = el.parts[a1].substitute(tpr, im1)
+            g2 = el.parts[a2].substitute(tpr, im2)
+            if not target.nf(t, g1 - g2).is_zero():
+                return False
+        else:
+            for a, im, other_im in ((a1, im1, im2), (a2, im2, im1)):
+                g = target.nf(t, el.parts[a].substitute(tpr, im))
+                ok, _ = subalgebra_member(
+                    g,
+                    [target.nf(t, h) for h in other_im],
+                    extra_relations=list(target.q_gens(t)),
+                    budget=budget,
+                )
+                if not ok:
+                    return False
+    return True
 
 
 def coequalizer_kernel_basis(source, d: int, budget=None) -> TruncatedSubalgebra:
@@ -324,17 +311,22 @@ def coequalizer_kernel_basis(source, d: int, budget=None) -> TruncatedSubalgebra
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     if isinstance(source, RelationPresentation):
-        trunc = TruncatedSubalgebra(source.ambient, d, source, budget)
-        _relation_layers(trunc, source)
-        return trunc
+        ring = source.ambient
+        columns = ordered_columns(ring, d)
+        return TruncatedSubalgebra(ring, d, columns,
+                                   _relation_kernel(source, columns),
+                                   partial(_relation_member, source))
     s1, s2 = source
     if not isinstance(s1, RingMap) or not isinstance(s2, RingMap):
         raise TypeError("expected a RelationPresentation or a pair of RingMaps")
     if s1.source != s2.source or s1.target != s2.target:
         raise ValueError("the two maps must share source and target")
-    trunc = TruncatedSubalgebra(s1.source, d, (s1, s2), budget)
-    _pair_layers(trunc, s1, s2)
-    return trunc
+    ring = s1.source
+    budget = budget if budget is not None else ring.budget
+    columns = ordered_columns(ring, d)
+    return TruncatedSubalgebra(ring, d, columns,
+                               _pair_kernel(ring, columns, s1, s2, budget),
+                               partial(_pair_member, s1, s2, budget))
 
 
 class GrowthReport:

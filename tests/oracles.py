@@ -74,6 +74,28 @@ def sympy_reduced_groebner(polys, order_name, method="buchberger"):
     return out
 
 
+def sympy_ideal_intersection(gens_i, gens_j):
+    """Reduced basis of the intersection of two ideals via sympy, in the
+    package's notation: a lex basis of t*I + (1 - t)*J with t first, its
+    elements free of t, reduced again in the ring's own order.  The ring's
+    order must be lex or grevlex."""
+    ring = gens_i[0].ring
+    symbols = sympy.symbols(list(ring.names))
+    if isinstance(symbols, sympy.Symbol):
+        symbols = [symbols]
+    t = sympy.Dummy("t")
+    p = ring.field.characteristic
+    mod = {"modulus": p, "symmetric": False} if p else {}
+    lifted = [t * _to_sympy(f, symbols) for f in gens_i]
+    lifted += [(1 - t) * _to_sympy(f, symbols) for f in gens_j]
+    elim = sympy.groebner(lifted, t, *symbols, order="lex", **mod)
+    kept = [e for e in elim.exprs if not e.has(t)]
+    if not kept:
+        return set()
+    basis = sympy.groebner(kept, *symbols, order=ring.order.name, **mod)
+    return {_render_sympy(sympy.Poly(e, *symbols, **mod), ring) for e in basis.exprs}
+
+
 def _render_sympy(poly, ring) -> str:
     """Render a sympy Poly through the package ring for a comparable string.
 

@@ -10,14 +10,21 @@ and report a single case count.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 from quotrel.effectivity import CocycleData, check_cocycle, effectivity_test
-from quotrel.eqrel import relation_from_map, verify_relation
+from quotrel.eqrel import (
+    relation_from_group_action,
+    relation_from_map,
+    verify_relation,
+)
 from quotrel.fields import GF, QQ
-from quotrel.groebner import groebner_basis, ideal_member
+from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member
+from quotrel.invariants import GroupAction, invariant_basis
 from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, embed
 from quotrel.quotient import coequalizer_kernel_basis
-from quotrel.ring import AmbientRing
+from quotrel.ring import AmbientRing, RingMap
 
 import oracles
 
@@ -210,4 +217,128 @@ def effectivity_v_in_w_suite(cases=20, seed=20260815):
         assert report.verdict == "effective"
         assert report.dim_v <= report.dim_w
         assert all(field.is_zero(c) for c in report.class_coords)
+    return cases
+
+
+def ideal_intersect_oracle_suite(cases=40, seed=20261018):
+    """``ideal_intersect`` agrees with sympy's elimination of t from
+    t*I + (1 - t)*J on random ideals of two or three variables."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        field = rng.choice(FIELDS)
+        ring = PolyRing(field, NAMES[:rng.randint(2, 3)], GREVLEX)
+        gens_i, gens_j = (
+            [_random_poly(rng, ring, max_terms=2, max_degree=2)
+             for _ in range(rng.randint(1, 2))]
+            for _ in range(2)
+        )
+        ours = {ring.render(g) for g in ideal_intersect(gens_i, gens_j)}
+        theirs = oracles.sympy_ideal_intersection(gens_i, gens_j)
+        assert ours == theirs, (
+            f"intersection disagreement over {field!r} on "
+            f"{[ring.render(p) for p in gens_i]} and "
+            f"{[ring.render(p) for p in gens_j]}: {sorted(ours)} != {sorted(theirs)}"
+        )
+    return cases
+
+
+def _signed_permutation_group(rng, n, signed, max_order):
+    """The group generated by one or two random signed permutations of ``n``
+    variables, or ``None`` when it has more than ``max_order`` elements.
+    Element ``g`` sends variable ``i`` to ``g[i][1]`` times variable
+    ``g[i][0]``."""
+    def random_element():
+        perm = rng.sample(range(n), n)
+        return tuple((j, rng.choice((1, -1)) if signed else 1) for j in perm)
+
+    def compose(g, h):
+        return tuple((h[j][0], s * h[j][1]) for j, s in g)
+
+    gens = [random_element() for _ in range(rng.randint(1, 2))]
+    group = {tuple((i, 1) for i in range(n))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = compose(g, h)
+                if gh not in group:
+                    group.add(gh)
+                    nxt.append(gh)
+        if len(group) > max_order:
+            return None
+        frontier = nxt
+    return sorted(group)
+
+
+def _molien_series(group, degree):
+    """Coefficients through ``degree`` of (1/|G|) sum_g 1/det(1 - t g), in
+    exact fractions.  A signed permutation's determinant factors over its
+    cycles: a k-cycle whose signs multiply to s gives 1 - s t^k."""
+    total = [Fraction(0)] * (degree + 1)
+    for g in group:
+        series = [Fraction(1)] + [Fraction(0)] * degree
+        seen = set()
+        for start in range(len(g)):
+            if start in seen:
+                continue
+            length, sign, i = 0, 1, start
+            while i not in seen:
+                seen.add(i)
+                length += 1
+                sign *= g[i][1]
+                i = g[i][0]
+            # multiply by 1/(1 - sign t^length) = sum_m (sign t^length)^m
+            for e in range(length, degree + 1):
+                series[e] += sign * series[e - length]
+        total = [a + b for a, b in zip(total, series)]
+    return [c / len(group) for c in total]
+
+
+def molien_suite(cases=8, seed=20261018):
+    """For random permutation and signed-permutation groups G on n <= 3
+    variables, |G| <= 6: the truncated coordinate ring of the orbit relation
+    has the invariants' dimensions degree by degree, and, when the
+    characteristic does not divide |G|, the Molien series'.  Each orbit
+    relation passes all four axioms."""
+    rng = random.Random(seed)
+    degree = 4
+    done = 0
+    while done < cases:
+        field = rng.choice(FIELDS)
+        n = rng.randint(1, 3)
+        # -x = x in characteristic 2, so signs are dropped there
+        group = _signed_permutation_group(
+            rng, n, signed=field.characteristic != 2 and rng.random() < 0.5,
+            max_order=6)
+        if group is None or len(group) == 1:
+            continue
+        done += 1
+        ambient = AmbientRing.free(field, NAMES[:n])
+        pr = ambient.poly_ring(0)
+        maps = [
+            RingMap.on_polys(ambient, ambient,
+                             [pr.var(j).scale(field.of_int(s)) for j, s in g])
+            for g in group
+        ]
+        action = GroupAction(ambient, maps)
+        what = f"group {group} over {field!r}"
+        rel = relation_from_group_action(action)
+        report = verify_relation(rel, "scheme")
+        if not report.verdicts["transitivity"]:
+            # the composed correspondence may pick up embedded points where
+            # orbits meet, so transitivity can hold for the points only
+            report = verify_relation(rel, "set")
+        assert report.all_pass, f"axiom failure for {what}: " + report.render()
+        kernel_dims = coequalizer_kernel_basis(rel, degree).dims()
+        invariant_dims = list(accumulate(
+            len(layer) for layer in invariant_basis(action, degree)))
+        assert kernel_dims == invariant_dims, (
+            f"{what}: kernel dims {kernel_dims} != invariant dims {invariant_dims}"
+        )
+        if not field.characteristic or len(group) % field.characteristic:
+            molien = list(accumulate(_molien_series(group, degree)))
+            assert invariant_dims == molien, (
+                f"{what}: invariant dims {invariant_dims} != Molien {molien}"
+            )
     return cases

@@ -83,6 +83,12 @@ groebner I;
 """
 
 
+CUSP_PINCH = (
+    "ring P = QQ[u, v];\n"
+    "pinchinput CUSP in P = ideal (u) sub (v^2, v^3) module (v);\n"
+)
+
+
 def run(tmp_path, capsys, text, *args):
     path = tmp_path / "script.qs"
     path.write_text(text)
@@ -310,9 +316,12 @@ def test_monomial_enumeration_over_budget_exits_three(tmp_path, capsys):
     "ring X = QQ[x, y];\n"
     "action S on X = (x, y | y, x);\n"
     "invariant-basis S;\n",
+    CUSP_PINCH + "pinch CUSP;\n",
+    CUSP_PINCH + "verify-pushout CUSP;\n",
 ])
 def test_max_degree_over_budget_exits_three(tmp_path, capsys, script):
-    # both commands check all C(100002, 2) monomials up to the bound at once
+    # each command checks all C(100002, 2) monomials up to the bound at
+    # once, before forming any product
     start = time.perf_counter()
     code, _, err = run(tmp_path, capsys, script, "--max-degree", "100000")
     assert time.perf_counter() - start < 1.0

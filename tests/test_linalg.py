@@ -1,8 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quotrel.fields import GF, QQ
-from quotrel.linalg import Descending, FnRank, RowSpace, nullspace, rank_map
+from quotrel.linalg import (
+    Descending,
+    FnRank,
+    RowSpace,
+    condition_rows,
+    nullspace,
+    rank_map,
+)
 
 import oracles
 
@@ -91,7 +100,7 @@ def test_nullspace_hand_example():
     sols = nullspace([{"x": 1, "y": 1}], ["x", "y"], F)
     assert len(sols) == 1
     (v,) = sols
-    assert v["y"] == 1  # normalized at the free column
+    assert v["x"] == 1  # normalized at the leading (most significant) label
     assert F.add(v.get("x", 0), v.get("y", 0)) == 0
 
 
@@ -113,6 +122,39 @@ def test_nullspace_solutions_satisfy_conditions():
                 s = sum((r.get(c, Fraction(0)) * v.get(c, Fraction(0)) for c in cols),
                         Fraction(0))
                 assert s == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_nullspace_is_the_reduced_echelon_kernel(field):
+    """Random conditions on 4-8 labels: the output is a basis of the
+    kernel, and relabelling each label by its significance index leaves it
+    unchanged under the independent RREF, so it is the unique reduced echelon
+    basis, most significant first."""
+    rng = random.Random(41)
+    arith = oracles.arith_for(field)
+    for _ in range(40):
+        cols = [f"c{i}" for i in rng.sample(range(20), rng.randint(4, 8))]
+        rows = []
+        for _ in range(rng.randint(0, len(cols))):
+            r = {c: field.of_int(rng.randint(-2, 2))
+                 for c in rng.sample(cols, rng.randint(1, len(cols)))}
+            rows.append({k: v for k, v in r.items() if not field.is_zero(v)})
+        sols = nullspace(rows, cols, field)
+        for v in sols:
+            for r in rows:
+                s = field.zero
+                for c, x in r.items():
+                    s = field.add(s, field.mul(x, v.get(c, field.zero)))
+                assert field.is_zero(s)
+        assert len(sols) == len(cols) - oracles.span_dim(rows, arith)
+        index = {c: i for i, c in enumerate(cols)}
+        relabelled = [{index[c]: x for c, x in v.items()} for v in sols]
+        assert oracles.rref(relabelled, arith) == relabelled
+
+
+def test_condition_rows_transpose_images():
+    images = [("a", {"u": 1, "v": 2}), ("b", {"v": 3}), ("c", {})]
+    assert condition_rows(images) == [{"a": 1}, {"a": 2, "b": 3}]
 
 
 def test_descending_reverses_comparisons():
