@@ -6,6 +6,18 @@ reduced basis for the ring's monomial order, sorted by increasing leading
 monomial.  All routines are deterministic: same input, same output, bit for
 bit.
 
+Division (:func:`normal_form`) runs on monomials packed by the ring (see
+:class:`quotrel.poly.MonomialPacking`): packed ints compare as the order
+does, multiply by one addition and test divisibility with one mask.  The
+dividend is a dict keyed by packed monomial plus a max-heap of its keys
+(Monagan & Pearce, CASC 2007); each step pops the largest live term and
+subtracts a multiple of the *first* basis element whose leading monomial
+divides it, so remainders are those of the textbook division algorithm,
+term for term.  Each basis polynomial is packed once per field width and
+keeps that form in a slot.  When a monomial does not fit its fields (a huge
+input exponent, or a product grown in a lex or block reduction), the
+division restarts at twice the field width, with the same result.
+
 Buchberger uses the normal selection strategy: of the pending S-pairs, the
 one with the smallest ``(key(lcm), i, j)`` is reduced next, where ``key`` is
 the ring's order key and ``i < j`` index the basis in the order elements were
@@ -31,7 +43,8 @@ from .poly import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     GREVLEX,
-    Monomial,
+    MonomialPacking,
+    PackingOverflow,
     PolyRing,
     Polynomial,
     fresh_names,
@@ -47,32 +60,82 @@ from .poly import (
 # ---------------------------------------------------------------------------
 
 
+# Field width, in bits, at which every division starts packing; a monomial
+# that does not fit restarts that division at twice the width.
+_WIDTH = 16
+
+
 def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of ``f`` on division by ``basis`` (first divisor wins).
 
     Against a Groebner basis this is the canonical normal form; against an
-    arbitrary list it is still deterministic but order-dependent.
+    arbitrary list it is still deterministic but order-dependent.  Every
+    element of ``basis`` must lie in ``f``'s ring (``ValueError`` otherwise).
     """
     ring = f.ring
-    field = ring.field
-    key = ring.order.key
-    divisors = [
-        (g.leading_monomial(), g.leading_coeff(), g) for g in basis if not g.is_zero()
-    ]
-    p = f
-    remainder: dict[Monomial, object] = {}
-    while p.terms:
-        lm = max(p.terms, key=key)
-        lc = p.terms[lm]
-        for gm, gc, g in divisors:
-            if monomial_divides(gm, lm):
-                factor = field.div(lc, gc)
-                p = p - g.mul_monomial(monomial_div(lm, gm), factor)
+    for g in basis:
+        if g.ring is not ring and g.ring != ring:
+            raise ValueError(f"ring mismatch: {ring!r} vs {g.ring!r}")
+    width = _WIDTH
+    while True:
+        try:
+            return _divide(f, basis, ring.packing(width))
+        except PackingOverflow:
+            width *= 2
+
+
+def _divisor(g: Polynomial, pk: MonomialPacking) -> tuple:
+    """``(width, lm, tail)``: ``g``'s packed leading monomial and its other
+    terms as ``(packed monomial, -c / lc)`` pairs, cached on ``g`` for the
+    last width it was packed at."""
+    slot = g._packed
+    if slot is None or slot[0] != pk.width:
+        field = g.ring.field
+        packed = {pk.pack(m): c for m, c in g.terms.items()}
+        lm = max(packed)
+        lc = packed.pop(lm)
+        tail = [(t, field.neg(field.div(c, lc))) for t, c in packed.items()]
+        slot = g._packed = (pk.width, lm, tail)
+    return slot
+
+
+def _divide(f: Polynomial, basis: list[Polynomial], pk: MonomialPacking) -> Polynomial:
+    """Heap division of ``f`` by ``basis`` on monomials packed by ``pk``;
+    raises :class:`PackingOverflow` when a monomial outgrows its fields."""
+    field = f.ring.field
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    guard, eguard = pk.guard, pk.eguard
+    # the dividend first: when it does not fit, the divisors keep their slots
+    terms = {pk.pack(m): c for m, c in f.terms.items()}
+    divisors = [_divisor(g, pk) for g in basis if g.terms]
+    # one heap entry per key of ``terms``; cancelled terms stay as zeros
+    heap = [-k for k in terms]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    remainder = {}
+    while heap:
+        k = -pop(heap)
+        c = terms.pop(k)
+        if is_zero(c):
+            continue
+        for _, gm, tail in divisors:
+            q = k - gm
+            if not q & eguard:
+                for t, tc in tail:
+                    m = q + t
+                    if m & guard:
+                        raise PackingOverflow(f"product outgrew {pk.width}-bit fields")
+                    old = terms.get(m)
+                    if old is None:
+                        terms[m] = mul(c, tc)
+                        push(heap, -m)
+                    else:
+                        terms[m] = add(old, mul(c, tc))
                 break
         else:
-            remainder[lm] = lc
-            p = Polynomial(ring, {m: c for m, c in p.terms.items() if m != lm})
-    return Polynomial(ring, remainder)
+            remainder[k] = c
+    unpack = pk.unpack
+    return Polynomial(f.ring, {unpack(k): c for k, c in remainder.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

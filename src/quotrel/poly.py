@@ -5,6 +5,13 @@ elements.  Rings carry a monomial order (lex, grevlex, or a block order built
 from grevlex pieces); the order only affects leading terms, sorting and
 rendering, never the arithmetic.
 
+Each order also describes itself as a *weight matrix* (``weights``), whose
+row products compare lexicographically as the order does.  From that matrix
+a ring packs a monomial into one int (:class:`MonomialPacking`): the
+exponents in the low fields (the *exponent word*), the row products above
+them (the *order word*).  Division in :mod:`quotrel.groebner` runs on packed
+ints; ``Polynomial.terms`` stays keyed by exponent tuples.
+
 The text format accepted by :meth:`PolyRing.parse` and produced by
 :meth:`PolyRing.render` is the usual one::
 
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import re
 from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -42,12 +50,25 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _grevlex_rows(n: int) -> list[Monomial]:
+    """Grevlex as weight rows: the degree, then the partial sums
+    S_{n-1}, ..., S_1 of the exponents (a smaller last exponent wins)."""
+    return [(1,) * j + (0,) * (n - j) for j in range(n, 0, -1)]
+
+
 class MonomialOrder:
-    """A monomial order, exposed as a sort key (bigger key = bigger monomial)."""
+    """A monomial order, exposed as a sort key (bigger key = bigger monomial)
+    and as a weight matrix (``weights``) that orders monomials the same way."""
 
     name: str
 
     def key(self, m: Monomial):
+        raise NotImplementedError
+
+    def weights(self, nvars: int) -> list[Monomial]:
+        """Rows of 0/1 weights, first row most significant: ``a`` is bigger
+        than ``b`` iff the row products of ``a`` are lexicographically
+        bigger.  The matrix is invertible."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -66,6 +87,9 @@ class LexOrder(MonomialOrder):
     def key(self, m: Monomial):
         return m
 
+    def weights(self, nvars: int) -> list[Monomial]:
+        return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+
 
 class GrevlexOrder(MonomialOrder):
     """Graded reverse lexicographic order.
@@ -79,6 +103,9 @@ class GrevlexOrder(MonomialOrder):
 
     def key(self, m: Monomial):
         return (sum(m), tuple(-e for e in reversed(m)))
+
+    def weights(self, nvars: int) -> list[Monomial]:
+        return _grevlex_rows(nvars)
 
 
 class BlockOrder(MonomialOrder):
@@ -101,6 +128,12 @@ class BlockOrder(MonomialOrder):
             sum(b),
             tuple(-e for e in reversed(b)),
         )
+
+    def weights(self, nvars: int) -> list[Monomial]:
+        k = min(self.front, nvars)
+        front = [row + (0,) * (nvars - k) for row in _grevlex_rows(k)]
+        back = [(0,) * k + row for row in _grevlex_rows(nvars - k)]
+        return front + back
 
 
 LEX = LexOrder()
@@ -134,6 +167,58 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+class PackingOverflow(ArithmeticError):
+    """A monomial does not fit the fields of a :class:`MonomialPacking`;
+    the caller packs again at a wider field width."""
+
+
+class MonomialPacking:
+    """Monomials in ``nvars`` variables packed into single ints, for one
+    weight matrix and one field ``width`` in bits.
+
+    The low ``nvars`` fields hold the exponents, variable ``i`` in field
+    ``i`` (the exponent word); the fields above ``shift`` hold the row
+    products with the weight matrix, first row highest (the order word).
+    A packed int is valid while every field is below 2^(width - 1), so the
+    top bit of each field is a guard bit:
+
+    * valid packed ints compare as the order does, since the order word
+      decides and determines the monomial;
+    * the product of two monomials is the sum of their packed ints, and
+      it is valid iff ``sum & guard`` is 0: valid fields add without carry;
+    * ``a`` divides ``b`` iff ``(b - a) & eguard`` is 0, since the lowest
+      exponent field where ``b`` is smaller borrows into its guard bit;
+      ``b - a`` is then the packed quotient.
+    """
+
+    def __init__(self, nvars: int, weights: list[Monomial], width: int):
+        self.width = width
+        self.shift = nvars * width
+        self._limit = 1 << (width - 1)
+        self._offsets = range(0, self.shift, width)
+        self._mask = (1 << width) - 1
+        self.eguard = sum(self._limit << s for s in self._offsets)
+        self.guard = self.eguard | sum(
+            self._limit << (self.shift + s) for s in range(0, len(weights) * width, width)
+        )
+        top = len(weights) - 1
+        self._units = [
+            (1 << (i * width))
+            + (sum(row[i] << ((top - r) * width) for r, row in enumerate(weights)) << self.shift)
+            for i in range(nvars)
+        ]
+
+    def pack(self, m: Monomial) -> int:
+        # with 0/1 weights no field of m exceeds its degree
+        if sum(m) >= self._limit:
+            raise PackingOverflow(f"monomial {m} does not fit {self.width}-bit fields")
+        return sum(map(mul, m, self._units))
+
+    def unpack(self, k: int) -> Monomial:
+        mask = self._mask
+        return tuple((k >> s) & mask for s in self._offsets)
 
 
 def fresh_names(wanted: Iterable[str], taken: set[str]) -> list[str]:
@@ -233,6 +318,7 @@ class PolyRing:
         self.order = order
         self.nvars = len(self.names)
         self._index = {n: i for i, n in enumerate(self.names)}
+        self._packings: dict[int, MonomialPacking] = {}
 
     def __eq__(self, other):
         return (
@@ -305,6 +391,14 @@ class PolyRing:
             if not field.is_zero(c):
                 terms[m] = c
         return Polynomial(self, terms)
+
+    def packing(self, width: int) -> MonomialPacking:
+        """This ring's monomial encoding at field ``width`` (cached)."""
+        pk = self._packings.get(width)
+        if pk is None:
+            pk = MonomialPacking(self.nvars, self.order.weights(self.nvars), width)
+            self._packings[width] = pk
+        return pk
 
     # -- monomial enumeration ------------------------------------------------
 
@@ -497,16 +591,18 @@ class Polynomial:
     """Immutable sparse polynomial over a :class:`PolyRing`.
 
     Nothing mutates ``terms`` after construction, so the hash and the
-    leading monomial are computed once, on first use.
+    leading monomial are computed once, on first use, and so is ``_packed``,
+    the packed form that :func:`quotrel.groebner.normal_form` divides by.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lm")
+    __slots__ = ("ring", "terms", "_hash", "_lm", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
         self._lm = None
+        self._packed = None
 
     # -- basic queries -------------------------------------------------------
 

@@ -17,6 +17,10 @@ package:
 
 Conversion to and from sympy goes through rendered strings, which also
 exercises both parsers.
+
+``naive_normal_form`` is the textbook division loop the package used before
+its heap division on packed monomials: it works on exponent tuples and
+``Polynomial`` arithmetic only, so remainders can be compared term for term.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.orderings import ProductOrder, grevlex
+
+from quotrel.poly import Monomial, Polynomial, monomial_div, monomial_divides
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +245,38 @@ def linear_member(f, gens, cap: int) -> bool:
             rows.append({k: v for k, v in prod.terms.items()})
     basis = rref(rows, arith)
     return span_contains(basis, poly_vec(f), arith)
+
+
+# ---------------------------------------------------------------------------
+# reference division
+
+
+def naive_normal_form(f, basis):
+    """Remainder of ``f`` on division by ``basis`` (first divisor wins).
+
+    Against a Groebner basis this is the canonical normal form; against an
+    arbitrary list it is still deterministic but order-dependent.
+    """
+    ring = f.ring
+    field = ring.field
+    key = ring.order.key
+    divisors = [
+        (g.leading_monomial(), g.leading_coeff(), g) for g in basis if not g.is_zero()
+    ]
+    p = f
+    remainder: dict[Monomial, object] = {}
+    while p.terms:
+        lm = max(p.terms, key=key)
+        lc = p.terms[lm]
+        for gm, gc, g in divisors:
+            if monomial_divides(gm, lm):
+                factor = field.div(lc, gc)
+                p = p - g.mul_monomial(monomial_div(lm, gm), factor)
+                break
+        else:
+            remainder[lm] = lc
+            p = Polynomial(ring, {m: c for m, c in p.terms.items() if m != lm})
+    return Polynomial(ring, remainder)
 
 
 # ---------------------------------------------------------------------------

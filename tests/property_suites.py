@@ -20,7 +20,7 @@ from quotrel.eqrel import (
     verify_relation,
 )
 from quotrel.fields import GF, QQ
-from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member
+from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
 from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, embed
 from quotrel.quotient import coequalizer_kernel_basis
@@ -242,6 +242,45 @@ def ideal_intersect_oracle_suite(cases=40, seed=20261018):
     return cases
 
 
+def normal_form_oracle_suite(cases=200, seed=20261019):
+    """``normal_form`` by arbitrary divisor lists, not Groebner bases, returns
+    ``oracles.naive_normal_form``'s remainder term for term and in the same
+    term order, which pins "first divisor wins".  The lists mix in zero
+    polynomials, constants, duplicates and rescaled copies, most leading
+    coefficients are not 1, and each list divides two dividends, the second
+    through the packed forms cached by the first."""
+    rng = random.Random(seed)
+    fields = FIELDS + (GF(32003),)
+    for _ in range(cases):
+        field = rng.choice(fields)
+        nvars = rng.randint(1, 3)
+        order = rng.choice((LEX, GREVLEX, BlockOrder(rng.randint(1, nvars))))
+        ring = PolyRing(field, NAMES[:nvars], order)
+        divisors, count = [], rng.randint(1, 4)
+        while len(divisors) < count:
+            g = _random_poly(rng, ring, max_terms=3)
+            if g.total_degree() > 0:  # constants are mixed in below, rarely
+                divisors.append(g)
+        if rng.random() < 0.3:
+            divisors.insert(rng.randint(0, len(divisors)), ring.zero)
+        if rng.random() < 0.3:
+            g = rng.choice(divisors)
+            copy = g if rng.random() < 0.5 else g.scale(field.of_int(rng.choice((2, 3))))
+            divisors.insert(rng.randint(0, len(divisors)), copy)
+        if rng.random() < 0.1:
+            divisors.insert(rng.randint(0, len(divisors)), ring.from_int(rng.choice((2, 3))))
+        for _ in range(2):
+            f = _random_poly(rng, ring, max_terms=5, max_degree=5)
+            ours = normal_form(f, divisors)
+            theirs = oracles.naive_normal_form(f, divisors)
+            assert list(ours.terms.items()) == list(theirs.terms.items()), (
+                f"remainder disagreement over {field!r} ({order!r}) for "
+                f"{ring.render(f)} by {[ring.render(g) for g in divisors]}: "
+                f"{ring.render(ours)} != {ring.render(theirs)}"
+            )
+    return cases
+
+
 def _signed_permutation_group(rng, n, signed, max_order):
     """The group generated by one or two random signed permutations of ``n``
     variables, or ``None`` when it has more than ``max_order`` elements.
@@ -295,7 +334,7 @@ def _molien_series(group, degree):
     return [c / len(group) for c in total]
 
 
-def molien_suite(cases=8, seed=20261018):
+def molien_suite(cases=24, seed=20261018):
     """For random permutation and signed-permutation groups G on n <= 3
     variables, |G| <= 6: the truncated coordinate ring of the orbit relation
     has the invariants' dimensions degree by degree, and, when the

@@ -46,6 +46,20 @@ def test_normal_form_fixes_reduced_elements(R):
     assert normal_form(once, gb) == once
 
 
+def test_normal_form_rejects_a_basis_element_from_another_ring(R):
+    f = R.parse("x^2 + y")
+    S = PolyRing(QQ, ("x", "y", "z"))
+    # one foreign element divides a term of f, the other divides none
+    for foreign in (S.parse("x"), S.parse("z^5")):
+        for basis in ([foreign], [R.parse("y^3"), foreign]):
+            with pytest.raises(ValueError, match="ring mismatch"):
+                normal_form(f, basis)
+        with pytest.raises(ValueError, match="ring mismatch"):
+            normal_form(R.zero, [foreign])
+    # an equal ring built separately is the same ring
+    assert normal_form(f, [PolyRing(QQ, ("x", "y")).parse("x")]) == R.parse("y")
+
+
 def test_s_polynomial_cancels_leads(R):
     f, g = R.parse("x^2 + y"), R.parse("x*y + 1")
     s = s_polynomial(f, g)

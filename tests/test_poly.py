@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from quotrel.fields import GF, QQ
+from quotrel.groebner import groebner_basis, normal_form
 from quotrel.poly import (
     GREVLEX,
     LEX,
@@ -24,7 +25,7 @@ from quotrel.poly import (
     unembed,
 )
 
-from oracles import grevlex_key
+from oracles import grevlex_key, naive_normal_form
 
 
 @pytest.fixture
@@ -308,6 +309,22 @@ def test_leading_monomial_is_computed_once():
         S.zero.leading_monomial()
     with pytest.raises(ValueError):
         S.zero.leading_monomial()
+
+
+def test_basis_is_packed_once_across_normal_forms():
+    order = CountingGrevlex()
+    S = PolyRing(GF(32003), ("x", "y", "z"), order)
+    gb = groebner_basis([S.parse("x^2 - 2*y*z"), S.parse("y^2 - x*z + 1")])
+    dividends = [S.parse(t) for t in ("x^3*y + z^4", "x^5 + 3*y^5", "x*y*z^3 - 1")]
+    expected = [naive_normal_form(f, gb) for f in dividends]
+    normal_form(dividends[0], gb)
+    slots = [g._packed for g in gb]
+    calls = order.calls
+    for f, nf in zip(dividends, expected):
+        assert normal_form(f, gb) == nf
+    assert all(g._packed is slot for g, slot in zip(gb, slots))
+    # division reads the packed order words, never the order's key
+    assert order.calls == calls
 
 
 def test_monic_and_scale(R):

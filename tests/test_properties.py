@@ -3,18 +3,29 @@
 The counted randomized batteries (oracle agreement, axiom checks on
 generated relations, kernel closure, coboundary defects) live in
 ``property_suites``; here we pin down the algebraic laws the rest of the
-package silently relies on: ring axioms, order axioms, normal-form
-idempotence and parser round-trips.
+package silently relies on: ring axioms, order axioms, the packed monomial
+encoding, normal-form idempotence and parser round-trips.
 """
 
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from quotrel.fields import GF, QQ
 from quotrel.groebner import groebner_basis, normal_form
-from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing
+from quotrel.poly import (
+    GREVLEX,
+    LEX,
+    BlockOrder,
+    PackingOverflow,
+    PolyRing,
+    monomial_divides,
+    monomial_mul,
+)
+
+import oracles
 
 RQ = PolyRing(QQ, ("x", "y"))
 R5 = PolyRing(GF(5), ("x", "y"), LEX)
@@ -139,6 +150,95 @@ def test_block_order_front_variables_dominate(a, b):
     order = BlockOrder(1)
     if a[0] > 0 and b[0] == 0:
         assert order.key(a) > order.key(b)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the weight-matrix encoding of each order
+
+ENCODED_ORDERS = (LEX, GREVLEX, BlockOrder(1), BlockOrder(2))
+
+# exponents up to 5000 keep every field of three variables below 2^15
+wide_monomials = st.tuples(*(st.integers(min_value=0, max_value=5000),) * 3)
+packable = st.one_of(monomials, wide_monomials)
+
+
+def packings(a, b):
+    """Each order's encoding of three variables at 16-bit fields, with the
+    packed ints of ``a`` and ``b``."""
+    for order in ENCODED_ORDERS:
+        pk = PolyRing(QQ, ("x", "y", "z"), order).packing(16)
+        yield order, pk, pk.pack(a), pk.pack(b)
+
+
+def _cmp(u, v):
+    return (u > v) - (u < v)
+
+
+@given(packable, packable)
+def test_packed_monomials_compare_as_the_order_key(a, b):
+    for order, pk, pa, pb in packings(a, b):
+        expected = _cmp(order.key(a), order.key(b))
+        assert _cmp(pa, pb) == expected
+        assert _cmp(pa >> pk.shift, pb >> pk.shift) == expected  # order words
+
+
+@given(packable, packable)
+def test_packed_words_add_under_multiplication(a, b):
+    for _, pk, pa, pb in packings(a, b):
+        product = pk.pack(monomial_mul(a, b))
+        assert pa + pb == product and not product & pk.guard
+        low = (1 << pk.shift) - 1
+        assert (pa & low) + (pb & low) == product & low  # exponent words
+        assert (pa >> pk.shift) + (pb >> pk.shift) == product >> pk.shift
+
+
+@given(packable, packable)
+def test_pack_then_unpack_returns_the_monomial(a, b):
+    for _, pk, pa, pb in packings(a, b):
+        assert pk.unpack(pa) == a and pk.unpack(pb) == b
+
+
+@given(packable, packable)
+def test_guard_word_test_is_divisibility(a, b):
+    for _, pk, pa, pb in packings(a, b):
+        assert (not (pb - pa) & pk.eguard) == monomial_divides(a, b)
+        if monomial_divides(a, b):
+            assert pk.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+
+
+def test_packing_refuses_a_monomial_that_overflows_its_fields():
+    for order in (LEX, GREVLEX):
+        pk = PolyRing(QQ, ("x", "y"), order).packing(16)
+        assert pk.unpack(pk.pack((2**15 - 1, 0))) == (2**15 - 1, 0)
+        with pytest.raises(PackingOverflow):
+            pk.pack((2**15, 0))
+    with pytest.raises(PackingOverflow):
+        # each exponent fits, the degree row of grevlex does not
+        PolyRing(QQ, ("x", "y"), GREVLEX).packing(16).pack((2**14, 2**14))
+
+
+@pytest.mark.parametrize("exponent", [2**31, 2**40])
+def test_huge_input_exponents_divide_like_the_oracle(exponent):
+    R = PolyRing(GF(32003), ("x", "y", "z"))
+    f = R.monomial((exponent, 3, 1), 5) + R.monomial((exponent + 1, 1, 0), 3)
+    f = f + R.parse("x*y^2 - z")
+    basis = [R.parse("y^2 - x*z"), R.monomial((exponent, 0, 1)) - R.parse("y")]
+    for dividend in (f, f * R.monomial((exponent, 0, 0))):
+        expected = oracles.naive_normal_form(dividend, basis)
+        assert max(expected.terms)[0] > exponent
+        assert list(normal_form(dividend, basis).terms.items()) == list(expected.terms.items())
+    assert all(g._packed[0] == 64 for g in basis)
+
+
+def test_lex_products_outgrowing_the_fields_divide_like_the_oracle():
+    R = PolyRing(GF(32003), ("x", "y"), LEX)
+    f = R.parse("x^3 + 2*x*y")
+    g = R.parse("x") - R.monomial((0, 20000))
+    # x^3 -> x^2*y^20000 -> x*y^40000: 40000 does not fit 16-bit fields
+    expected = oracles.naive_normal_form(f, [g])
+    assert expected.leading_monomial() == (0, 60000)
+    assert list(normal_form(f, [g]).terms.items()) == list(expected.terms.items())
+    assert g._packed[0] == 32
 
 
 # ---------------------------------------------------------------------------

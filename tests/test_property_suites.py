@@ -13,7 +13,8 @@ import property_suites
     (property_suites.kernel_closure_suite, 50),
     (property_suites.effectivity_v_in_w_suite, 20),
     (property_suites.ideal_intersect_oracle_suite, 40),
-    (property_suites.molien_suite, 8),
+    (property_suites.molien_suite, 24),
+    (property_suites.normal_form_oracle_suite, 200),
 ])
 def test_suite_runs_every_case(suite, cases):
     assert suite() == cases
