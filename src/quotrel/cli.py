@@ -116,6 +116,7 @@ class _Executor:
     def __init__(self, options):
         self.opt = options
         self.env: dict[str, dict] = {}
+        self.kernels: dict[tuple, object] = {}
         self.report = Report()
 
     # -- environment ----------------------------------------------------------
@@ -430,37 +431,44 @@ class _Executor:
         )
 
     def _source(self, ref):
+        """A kernel command's source and its input lines."""
+        names = ref[1:]
         if ref[0] == "rel":
-            rel = self.lookup(ref[1], "relation")
-            return rel, [self.describe(ref[1])]
-        m1 = self.lookup(ref[1], "map")
-        m2 = self.lookup(ref[2], "map")
-        return (m1, m2), [self.describe(ref[1]), self.describe(ref[2])]
+            source = self.lookup(names[0], "relation")
+        else:
+            source = tuple(self.lookup(n, "map") for n in names)
+        bound = f"degree bound {self.opt.max_degree}"
+        return source, [self.describe(n) for n in names] + [bound]
+
+    def _kernel(self, ref):
+        """The source's truncated kernel, computed once per run: names are
+        never rebound, and the degree bound and budget are fixed."""
+        if ref not in self.kernels:
+            source, _ = self._source(ref)
+            self.kernels[ref] = coequalizer_kernel_basis(
+                source, self.opt.max_degree, self.opt.budget)
+        return self.kernels[ref]
 
     def exec_kernel_basis(self, st):
-        source, inputs = self._source(st.fields["source"])
-        trunc = coequalizer_kernel_basis(source, self.opt.max_degree,
-                                         self.opt.budget)
-        dims = trunc.dims()
+        _, inputs = self._source(st.fields["source"])
+        trunc = self._kernel(st.fields["source"])
         rows = trunc.render_basis().splitlines()
-        rows.append(f"dimensions by degree: {dims}")
-        self.block(st, inputs + [f"degree bound {self.opt.max_degree}"],
-                   {"kernel basis": rows})
+        rows.append(f"dimensions by degree: {trunc.dims()}")
+        self.block(st, inputs, {"kernel basis": rows})
 
     def exec_min_generators(self, st):
-        source, inputs = self._source(st.fields["source"])
-        trunc = coequalizer_kernel_basis(source, self.opt.max_degree,
-                                         self.opt.budget)
-        gens = trunc.minimal_generators()
+        _, inputs = self._source(st.fields["source"])
+        gens = self._kernel(st.fields["source"]).minimal_generators()
         rows = [f"degree {e}: {el.render()}" for el, e in gens]
-        self.block(st, inputs + [f"degree bound {self.opt.max_degree}"],
-                   {"minimal generators": rows})
+        self.block(st, inputs, {"minimal generators": rows})
 
     def exec_probe(self, st):
-        source, inputs = self._source(st.fields["source"])
-        rep = noetherian_probe(source, self.opt.max_degree, self.opt.budget)
-        self.block(st, inputs + [f"degree bound {self.opt.max_degree}"],
-                   {"generator growth": rep.render().splitlines()})
+        ref = st.fields["source"]
+        source, inputs = self._source(ref)
+        d = self.opt.max_degree
+        # below degree 2 the probe refuses before any kernel is computed
+        rep = noetherian_probe(self._kernel(ref) if d >= 2 else source, d)
+        self.block(st, inputs, {"generator growth": rep.render().splitlines()})
 
     def exec_invariant_basis(self, st):
         name = st.fields["action"]
@@ -518,7 +526,10 @@ class _Executor:
             fields += [GF(p) for p in self.opt.primes]
         verdicts = []
         for fld in fields:
-            d = data if fld == data.ambient.field else change_field(data, fld)
+            try:
+                d = data if fld == data.ambient.field else change_field(data, fld)
+            except ZeroDivisionError as e:
+                raise CliError(f"cannot rerun over {fld!r}: {e}") from e
             rep = effectivity_test(d)
             tables[f"over {fld!r}"] = rep.render().splitlines()
             verdicts.append(rep.verdict)

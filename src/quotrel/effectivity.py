@@ -50,6 +50,10 @@ class CocycleData:
         self.tripled = PolyRing(
             pr.field, self.copies[0] + self.copies[1] + self.copies[2], GREVLEX
         )
+        # second block in front: finiteness over the map subring
+        self.swapped = PolyRing(
+            pr.field, self.copies[1] + self.copies[0], BlockOrder(self.nvars)
+        )
         self.map_polys = [p if p.ring == pr else pr.convert(p) for p in map_polys]
         if cocycle is None:
             cocycle = self.doubled.zero
@@ -61,8 +65,6 @@ class CocycleData:
         self.degree = max(self.cocycle.total_degree(), 0)
         self.budget = budget if budget is not None else ambient.budget
         self.j_gens = [copy_difference(p, self.doubled) for p in self.map_polys]
-        self._j_gb = None
-        self._sum_gb = None
 
     def validate(self) -> None:
         for p in self.map_polys:
@@ -72,28 +74,21 @@ class CocycleData:
             raise ValueError("the cocycle candidate must be homogeneous")
         # the coordinate ring must be module-finite over the map subring:
         # every second-block variable needs a monic equation
-        n = self.nvars
-        W = PolyRing(
-            self.doubled.field, self.copies[1] + self.copies[0], BlockOrder(n)
-        )
+        W = self.swapped
         gb = groebner_basis([W.convert(g) for g in self.j_gens], self.budget)
-        finite, missing = finite_over_block(n, gb)
+        finite, missing = finite_over_block(self.nvars, gb)
         if not finite:
             bad = ", ".join(W.names[i] for i in missing)
             raise ValueError(f"ring is not finite over the map subring ({bad} unbounded)")
 
     def j_basis(self):
-        if self._j_gb is None:
-            self._j_gb = groebner_basis(self.j_gens, self.budget)
-        return self._j_gb
+        return groebner_basis(self.j_gens, self.budget)
 
     def sum_basis(self):
         """Basis of J(x,y) + J(y,z) in the tripled ring."""
-        if self._sum_gb is None:
-            gens = [self._to_tripled(g, 0, 1) for g in self.j_gens]
-            gens += [self._to_tripled(g, 1, 2) for g in self.j_gens]
-            self._sum_gb = groebner_basis(gens, self.budget)
-        return self._sum_gb
+        gens = [self._to_tripled(g, 0, 1) for g in self.j_gens]
+        gens += [self._to_tripled(g, 1, 2) for g in self.j_gens]
+        return groebner_basis(gens, self.budget)
 
     def defect(self, h: Polynomial) -> Polynomial:
         """h(x,y) + h(y,z) - h(x,z) in the tripled ring."""

@@ -31,7 +31,9 @@ Computations carry a *budget* — a cap on the number of S-pair reductions and
 on the basis size (and, in :mod:`quotrel.poly`, on the number of monomials
 enumerated).  Exceeding it raises :class:`BudgetExceededError`, which is
 a resource failure, not a mathematical answer; callers must not treat it as
-"no".
+"no".  Reduced bases are memoized on the ring object, so they live as long
+as it does; a memoized basis is served only to a call whose budget covers
+what its computation needed, and any other call fails as on a fresh ring.
 """
 
 from __future__ import annotations
@@ -152,14 +154,16 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(gens: list[Polynomial], ring: PolyRing, budget: int) -> list[Polynomial]:
+def _buchberger(gens: tuple, ring: PolyRing, budget: int) -> tuple[list[Polynomial], int]:
+    """A Groebner basis of ``gens`` plus the least budget that computes it:
+    ``max(S-pair reductions, basis size)``."""
     key = ring.order.key
     G = sorted(
         (g.monic() for g in gens if not g.is_zero()),
         key=lambda g: key(g.leading_monomial()),
     )
     if not G:
-        return []
+        return [], 0
     lms = [g.leading_monomial() for g in G]
     # normal selection: each pair enters the heap once, keyed by its lcm
     heap: list[tuple] = []
@@ -205,7 +209,7 @@ def _buchberger(gens: list[Polynomial], ring: PolyRing, budget: int) -> list[Pol
                 f"Groebner computation exceeded budget: basis grew past {budget}"
             )
         add_pairs(len(G) - 1)
-    return G
+    return G, max(processed, len(G))
 
 
 def _reduce_basis(G: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
@@ -240,13 +244,23 @@ def groebner_basis(
 
     The result is canonical for the ring's monomial order and is sorted by
     increasing leading monomial.  Returns ``[]`` for the zero ideal.
+
+    The basis is memoized on the ring of ``gens[0]`` for that ring's
+    lifetime, keyed by the nonzero generators in the caller's order (which
+    fixes the S-pair count).  It is returned, as a new list, only when
+    ``budget`` covers the S-pair reductions and basis size it needed;
+    otherwise Buchberger runs again and fails as on a fresh ring.
     """
-    gens = [g for g in gens if not g.is_zero()]
+    gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
         return []
     ring = gens[0].ring
-    G = _buchberger(gens, ring, DEFAULT_BUDGET if budget is None else budget)
-    return _reduce_basis(G, ring)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    hit = ring._bases.get(gens)
+    if hit is None or hit[0] > budget:
+        G, needed = _buchberger(gens, ring, budget)
+        hit = ring._bases[gens] = (needed, _reduce_basis(G, ring))
+    return list(hit[1])
 
 
 def is_unit_ideal(gb: list[Polynomial]) -> bool:

@@ -319,6 +319,8 @@ class PolyRing:
         self.nvars = len(self.names)
         self._index = {n: i for i, n in enumerate(self.names)}
         self._packings: dict[int, MonomialPacking] = {}
+        # groebner_basis's memo: generator tuple -> (budget needed, basis)
+        self._bases: dict[tuple, tuple[int, list]] = {}
 
     def __eq__(self, other):
         return (
@@ -496,8 +498,11 @@ class PolyRing:
             if k == "num":
                 take()
                 if "/" in v:
-                    num, den = v.split("/")
-                    return self.constant(self.field.of_fraction(int(num), int(den)))
+                    num, den = map(int, v.split("/"))
+                    if self.field.is_zero(self.field.of_int(den)):
+                        raise ParseError(
+                            f"denominator {den} not invertible in {self.field!r}")
+                    return self.constant(self.field.of_fraction(num, den))
                 return self.from_int(int(v))
             if k == "name":
                 take()

@@ -42,7 +42,6 @@ class AmbientRing:
         if any(pr.field != self.field for pr, _ in self.components):
             raise ValueError("all components must share one coefficient field")
         self.budget = budget
-        self._gbs: list[list[Polynomial] | None] = [None] * len(self.components)
         self._model: FlatModel | None = None
 
     @classmethod
@@ -70,14 +69,11 @@ class AmbientRing:
         return self.components[c][1]
 
     def gb(self, c: int = 0) -> list[Polynomial]:
-        """Reduced Groebner basis of the component's defining ideal (cached)."""
-        if self._gbs[c] is None:
-            self._gbs[c] = groebner_basis(list(self.components[c][1]), self.budget)
-        return self._gbs[c]
+        """Reduced Groebner basis of the component's defining ideal."""
+        return groebner_basis(self.components[c][1], self.budget)
 
     def nf(self, c: int, f: Polynomial) -> Polynomial:
-        gb = self.gb(c)
-        return normal_form(f, gb) if gb else f
+        return normal_form(f, self.gb(c)) if self.components[c][1] else f
 
     def __eq__(self, other):
         return (

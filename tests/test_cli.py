@@ -327,3 +327,100 @@ def test_max_degree_over_budget_exits_three(tmp_path, capsys, script):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "monomial enumeration exceeded budget" in err
+
+
+GROEBNER_FIRST = (
+    "ring A = {field}[x1, x2];\n"
+    "ideal I = (x1^2 + x2) in A;\n"
+    "groebner I;\n"
+)
+
+
+@pytest.mark.parametrize("field, tail, message", [
+    ("FF(3)", "ideal J = (1/3*x1) in A;\n",
+     "error: line 4: denominator 3 not invertible in FF(3)"),
+    ("QQ", "poly f = x1 + 1/0 in A;\n",
+     "error: line 4: denominator 0 not invertible in QQ"),
+    # the QQ run succeeds; the rerun over FF(2) cannot reduce the 1/2
+    ("QQ", "cocycle F on A = maps (x1^2, x1*x2 - x2^2, x2^3)"
+           " poly 1/2*(x1*y2 - x2*y1)*y2^3;\n"
+           "effectivity F;\n",
+     "error: line 5: cannot rerun over FF(2): "
+     "denominator 2 not invertible in FF(2)"),
+])
+def test_zero_denominator_is_an_error_that_keeps_finished_blocks(
+        tmp_path, capsys, field, tail, message):
+    code, out, err = run(tmp_path, capsys,
+                         GROEBNER_FIRST.format(field=field) + tail)
+    assert code == 2
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert out.startswith(
+        "$ groebner I\n"
+        "inputs: I (ideal in A)\n"
+        "reduced basis:\n"
+        "x1^2 + x2\n"
+        "\n"
+    )
+    assert out.endswith(err)
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_checks_reuse_the_ideal_basis(tmp_path, capsys, monkeypatch):
+    from quotrel import groebner
+
+    calls = counting(monkeypatch, groebner, "_buchberger")
+    script = (SMOKE.replace("check", "groebner I;\ncheck")
+              + "check I member x^3 - x*y^2;\n")
+    code, out, _ = run(tmp_path, capsys, script)
+    assert code == 1
+    assert out.count("verdict: member") == 1
+    assert len(calls) == 1
+
+
+KERNEL_SOURCE = (
+    "ring X = QQ[x, y];\n"
+    "relation RS on X = (x1^2 - x2^2, y1^2 - y2^2, x1*y1 - x2*y2);\n"
+)
+
+
+def test_kernel_commands_share_one_truncation(tmp_path, capsys, monkeypatch):
+    from quotrel import cli, quotient
+
+    commands = ["kernel-basis RS;\n", "min-generators RS;\n", "probe RS;\n"]
+    alone = [run(tmp_path, capsys, KERNEL_SOURCE + c, "--max-degree", "4")
+             for c in commands]
+    calls = counting(monkeypatch, cli, "coequalizer_kernel_basis")
+    # noetherian_probe reaches the kernel through its own module
+    monkeypatch.setattr(quotient, "coequalizer_kernel_basis",
+                        cli.coequalizer_kernel_basis)
+    code, out, _ = run(tmp_path, capsys, KERNEL_SOURCE + "".join(commands),
+                       "--max-degree", "4")
+    assert len(calls) == 1
+    assert code == 0
+    assert out == "\n".join(o for _, o, _ in alone)
+
+
+def test_set_mode_computes_only_the_finiteness_basis(tmp_path, capsys,
+                                                     monkeypatch):
+    from quotrel import eqrel
+    from quotrel.poly import BlockOrder
+
+    calls = counting(monkeypatch, eqrel, "groebner_basis")
+    code, out, _ = run(tmp_path, capsys, KERNEL_SOURCE + "verify-relation RS;\n",
+                       "--mode", "set")
+    assert code == 0
+    assert "mode=set" in out
+    assert [gens[0].ring.order for gens, *_ in calls] == [BlockOrder(2)]

@@ -158,6 +158,47 @@ def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
     assert count[0] == calls
 
 
+@pytest.mark.parametrize("field, names, gens, small", [
+    # the basis grows past 3; a budget of 4 suffices
+    (QQ, ("x", "y", "z"), BUDGET_IDEAL, 3),
+    # 10 S-pair reductions; a budget of 10 suffices
+    (GF(32003), ("u0", "u1", "u2", "u3"), KATSURA3, 9),
+])
+def test_memoized_basis_keeps_budget_semantics(monkeypatch, field, names,
+                                               gens, small):
+    """A basis memoized under a large budget is not served to a call whose
+    budget its computation exceeds: that call fails as on a fresh ring."""
+    from quotrel import groebner
+
+    def polys():
+        ring = PolyRing(field, names)
+        return [ring.parse(g) for g in gens]
+
+    with pytest.raises(BudgetExceededError) as fresh:
+        groebner_basis(polys(), budget=small)
+    P = polys()
+    full = groebner_basis(P, budget=1000)
+    with pytest.raises(BudgetExceededError) as reused:
+        groebner_basis(P, budget=small)
+    assert str(reused.value) == str(fresh.value)
+
+    def no_recompute(*args):
+        raise AssertionError("memoized basis recomputed")
+
+    # one more unit is the budget the computation needed: a memo hit
+    monkeypatch.setattr(groebner, "_buchberger", no_recompute)
+    assert groebner_basis(P, budget=small + 1) == full
+
+
+def test_memoized_basis_is_returned_as_a_new_list(R):
+    gens = [R.parse("x^3 - 2*x*y"), R.parse("x^2*y - 2*y^2 + x")]
+    first = groebner_basis(gens)
+    expected = list(first)
+    first.append(R.parse("x"))
+    first[0] = R.zero
+    assert groebner_basis(gens) == expected
+
+
 def test_ideal_member_and_linear_oracle(R):
     gens = [R.parse("x^2 - y"), R.parse("y^3")]
     gb = groebner_basis(gens)
