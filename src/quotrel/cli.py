@@ -117,6 +117,7 @@ class _Executor:
         self.opt = options
         self.env: dict[str, dict] = {}
         self.kernels: dict[tuple, object] = {}
+        self.pinches: dict[tuple, object] = {}
         self.report = Report()
 
     # -- environment ----------------------------------------------------------
@@ -524,29 +525,36 @@ class _Executor:
         fields = [data.ambient.field]
         if data.ambient.field.characteristic == 0:
             fields += [GF(p) for p in self.opt.primes]
+        inputs = [self.describe(name),
+                  "primes " + ",".join(str(p) for p in self.opt.primes)]
         verdicts = []
         for fld in fields:
             try:
                 d = data if fld == data.ambient.field else change_field(data, fld)
             except ZeroDivisionError as e:
+                # keep the tables already computed, without a verdict
+                self.block(st, inputs, tables)
                 raise CliError(f"cannot rerun over {fld!r}: {e}") from e
             rep = effectivity_test(d)
             tables[f"over {fld!r}"] = rep.render().splitlines()
             verdicts.append(rep.verdict)
         verdict = verdicts[0] if len(set(verdicts)) == 1 else "mixed"
-        self.block(
-            st,
-            [self.describe(name),
-             "primes " + ",".join(str(p) for p in self.opt.primes)],
-            tables, verdict=verdict,
-        )
+        self.block(st, inputs, tables, verdict=verdict)
+
+    def _pinch(self, name, names=None):
+        """The pinch of a declared input, computed once per run for each
+        ``names``: names are never rebound and the degree bound is fixed."""
+        key = (name, names)
+        if key not in self.pinches:
+            self.pinches[key] = pinch_generators(
+                self.lookup(name, "pinchinput"), self.opt.max_degree,
+                names=names)
+        return self.pinches[key]
 
     def exec_pinch(self, st):
         f = st.fields
         name = f["pinchinput"]
-        inp = self.lookup(name, "pinchinput")
-        res = pinch_generators(inp, self.opt.max_degree,
-                               names=f["names"] or None)
+        res = self._pinch(name, tuple(f["names"]) or None)
         self.block(st, [self.describe(name),
                         f"degree bound {self.opt.max_degree}"],
                    {"": res.render().splitlines()})
@@ -571,9 +579,8 @@ class _Executor:
             inputs = [self.describe(a), self.describe(b), self.describe(c)]
         else:
             name = f["pinchinput"]
-            inp = self.lookup(name, "pinchinput")
-            res = pinch_generators(inp, self.opt.max_degree)
-            rep = verify_pushout(inp, res, self.opt.max_degree)
+            rep = verify_pushout(self.lookup(name, "pinchinput"),
+                                 self._pinch(name), self.opt.max_degree)
             inputs = [self.describe(name)]
         wit = rep.witness()
         lines = [ln for ln in rep.render().splitlines() if not ln.startswith("verdict:")]

@@ -1,8 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Every coefficient in this package is either a `fractions.Fraction` (over QQ)
-or a plain int in ``range(p)`` (over FF(p)).  There is deliberately no
-floating point anywhere; all arithmetic is exact.
+Over QQ a coefficient is a plain int when it is integral and a reduced
+`fractions.Fraction` otherwise, never a `Fraction` with denominator 1; over
+FF(p) it is a plain int in ``range(p)``.  There is deliberately no floating
+point anywhere; all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ class Field:
 
     Subclasses supply ``of_int``, ``of_fraction``, ``add``, ``sub``, ``mul``,
     ``neg``, ``inv``, ``is_zero`` and the nonnegative power ``_pow``; the
-    interface derives ``div``, ``pow``, ``zero`` and ``one`` from them.
+    interface derives ``div`` and ``pow`` from them.  Both fields write 0
+    and 1 as the ints ``zero`` and ``one``.
     """
 
     characteristic: int
+    zero = 0
+    one = 1
 
     def of_int(self, n: int):
         raise NotImplementedError
@@ -58,48 +62,55 @@ class Field:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.of_int(0)
-
-    @property
-    def one(self):
-        return self.of_int(1)
-
     def render(self, a) -> str:
         return str(a)
 
 
 class RationalField(Field):
-    """QQ, with coefficients stored as reduced `Fraction` objects."""
+    """QQ: an integral value is a plain int, any other a reduced `Fraction`.
+
+    Every operation returns its result in that form, so integral data, the
+    common case, runs on int arithmetic; a `Fraction` result with
+    denominator 1 is demoted to its numerator.  ``str``, ``==``, ``<`` and
+    ``hash`` agree between ``n`` and ``Fraction(n)``, so rendering and
+    polynomial equality do not see the representation.
+    """
 
     characteristic = 0
 
-    def of_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def of_int(self, n: int) -> int:
+        return n
 
-    def of_fraction(self, num: int, den: int) -> Fraction:
-        return Fraction(num, den)
+    def of_fraction(self, num: int, den: int):
+        return _demote(Fraction(num, den))
 
+    # add, sub, mul and neg inline _demote: an int result needs no check.
+    # add and mul put a Fraction operand first: int + Fraction would take
+    # Fraction.__radd__, whose numbers.Rational check is the slower path.
     def add(self, a, b):
-        return a + b
+        c = b + a if a.__class__ is int else a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = b * a if a.__class__ is int else a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
-        return -a
+        c = -a
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        # an exact Fraction: 1 / a would be a float for an int a
+        return _demote(Fraction(a.denominator, a.numerator))
 
     def _pow(self, a, e: int):
-        return a**e
+        return _demote(a**e)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -160,6 +171,11 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("FF", self.p))
+
+
+def _demote(c):
+    """A QQ value in canonical form: the int when ``c`` is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 QQ = RationalField()

@@ -323,7 +323,7 @@ class PolyRing:
         self._bases: dict[tuple, tuple[int, list]] = {}
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.names == other.names

@@ -10,6 +10,7 @@ import json
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +366,28 @@ def test_zero_denominator_is_an_error_that_keeps_finished_blocks(
     assert out.endswith(err)
 
 
+def test_failed_effectivity_rerun_keeps_finished_tables(tmp_path, capsys):
+    script = (GROEBNER_FIRST.format(field="QQ")
+              + "cocycle F on A = maps (x1^2, x1*x2 - x2^2, x2^3)"
+                " poly 1/2*(x1*y2 - x2*y1)*y2^3;\n"
+                "effectivity F;\n")
+    code, out, err = run(tmp_path, capsys, script)
+    assert code == 2
+    assert err.startswith("error: line 5: cannot rerun over FF(2): ")
+    # the QQ table finished before the FF(2) rerun failed; no verdict
+    block = out.split("$ effectivity F\n", 1)[1]
+    assert block.startswith(
+        "inputs: F (cocycle data on A, degree 5), primes 2,3,5\n"
+        "over QQ:\n"
+        "effectivity test in degree 5 over QQ\n")
+    assert "  verdict: noneffective\n\n" + err in block
+    assert "\nover FF(2):" not in block
+    assert "\nverdict:" not in block
+    doc = json.loads(run(tmp_path, capsys, script, "--format", "json")[1])
+    assert list(doc["results"][-1]["tables"]) == ["over QQ"]
+    assert doc["results"][-1]["verdict"] is None
+
+
 def counting(monkeypatch, module, name):
     """Count the calls of ``module.name`` for the rest of the test."""
     calls = []
@@ -424,3 +447,20 @@ def test_set_mode_computes_only_the_finiteness_basis(tmp_path, capsys,
     assert code == 0
     assert "mode=set" in out
     assert [gens[0].ring.order for gens, *_ in calls] == [BlockOrder(2)]
+
+
+def test_verify_pushout_reuses_the_pinch(tmp_path, capsys, monkeypatch):
+    from quotrel import cli
+
+    case = (Path(__file__).parents[1] / "bench" / "cases"
+            / "paper-constructions" / "cusp-pinch.qs").read_text()
+    commands = ["pinch CUSP;\n", "verify-pushout CUSP;\n"]
+    assert case.endswith("".join(commands))
+    declarations = case[:-len("".join(commands))]
+    alone = [run(tmp_path, capsys, declarations + c, "--max-degree", "6")
+             for c in commands]
+    calls = counting(monkeypatch, cli, "pinch_generators")
+    code, out, _ = run(tmp_path, capsys, case, "--max-degree", "6")
+    assert len(calls) == 1
+    assert code == 0
+    assert out == "\n".join(o for _, o, _ in alone)

@@ -1,8 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from quotrel import groebner
 from quotrel.fields import GF, QQ
+from quotrel.poly import Polynomial, PolyRing
 
 
 def test_rational_basics():
@@ -103,3 +108,91 @@ def test_prime_field_pow(p):
             assert F.pow(a, -e) == pow(F.inv(a), e, p)
             assert F.mul(F.pow(a, -e), F.pow(a, e)) == F.one
     assert F.pow(F.zero, 0) == F.one
+
+
+# -- the QQ representation: int when integral, else a reduced Fraction ------
+
+def canonical(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
+def assert_qq(result, expected: Fraction):
+    """``result`` equals ``expected`` and is an int exactly when integral."""
+    assert result == expected
+    assert type(result) is (int if expected.denominator == 1 else Fraction)
+
+
+big = 2**90
+values = st.one_of(
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(-big, big).map(Fraction),
+    st.builds(Fraction, st.integers(-big, big), st.integers(1, big)),
+)
+# field inputs in canonical form, or as a Fraction even when integral: the
+# operations accept both and always answer in canonical form
+qq = st.tuples(values, st.booleans()).map(
+    lambda t: canonical(t[0]) if t[1] else t[0])
+
+
+@settings(max_examples=300)
+@given(qq, qq)
+def test_qq_ops_agree_with_fraction_arithmetic(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_qq(QQ.add(a, b), fa + fb)
+    assert_qq(QQ.sub(a, b), fa - fb)
+    assert_qq(QQ.mul(a, b), fa * fb)
+    assert_qq(QQ.neg(a), -fa)
+    if fb:
+        assert_qq(QQ.inv(b), 1 / fb)
+        assert_qq(QQ.div(a, b), fa / fb)
+
+
+@given(qq, st.integers(-5, 5))
+def test_qq_pow_agrees_with_fraction_arithmetic(a, e):
+    if a == 0 and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            QQ.pow(a, e)
+    else:
+        assert_qq(QQ.pow(a, e), Fraction(a) ** e)
+
+
+@given(st.integers(-big, big), st.integers(-big, big).filter(bool))
+def test_qq_embeddings_are_canonical(n, d):
+    assert_qq(QQ.of_fraction(n, d), Fraction(n, d))
+    assert_qq(QQ.of_int(n), Fraction(n))
+    assert_qq(QQ.zero, Fraction(0))
+    assert_qq(QQ.one, Fraction(1))
+
+
+def test_qq_inv_of_an_int_is_exact():
+    assert_qq(QQ.inv(3), Fraction(1, 3))
+    assert_qq(QQ.inv(-1), Fraction(-1))
+    assert_qq(QQ.inv(Fraction(-1, 7)), Fraction(-7))
+    assert_qq(QQ.inv(big + 1), Fraction(1, big + 1))
+
+
+int_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-big, big).filter(bool), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_terms, int_terms, st.booleans())
+def test_int_and_fraction_coefficients_are_one_polynomial(f, g, int_first):
+    # a fresh ring per example, so the memo starts empty
+    R = PolyRing(QQ, ("x", "y"))
+    as_int = [Polynomial(R, dict(t)) for t in (f, g)]
+    as_frac = [Polynomial(R, {m: Fraction(c) for m, c in t.items()})
+               for t in (f, g)]
+    assert as_int == as_frac
+    assert list(map(hash, as_int)) == list(map(hash, as_frac))
+    product = as_frac[0] * as_frac[1]
+    assert product == as_int[0] * as_int[1]
+    assert all(type(c) is int for c in product.terms.values())
+    first, second = (as_int, as_frac) if int_first else (as_frac, as_int)
+    with mock.patch.object(groebner, "_buchberger",
+                           wraps=groebner._buchberger) as runs:
+        basis = groebner.groebner_basis(first)
+        assert groebner.groebner_basis(second) == basis
+    assert runs.call_count == 1
