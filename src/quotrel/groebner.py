@@ -19,13 +19,18 @@ input exponent, or a product grown in a lex or block reduction), the
 division restarts at twice the field width, with the same result.
 
 Buchberger uses the normal selection strategy: of the pending S-pairs, the
-one with the smallest ``(key(lcm), i, j)`` is reduced next, where ``key`` is
-the ring's order key and ``i < j`` index the basis in the order elements were
-added.  Each pair enters a heap once, with that key, when its second element
-joins the basis.  Pairs are skipped by the product criterion (coprime leading
-monomials) and the chain criterion (some ``lm_k`` divides the lcm and the
-pairs ``(i, k)`` and ``(j, k)`` are no longer pending); skipped pairs do not
-count against the budget.
+one with the smallest ``(lcm, i, j)`` is reduced next, where ``i < j`` index
+the basis in the order elements were added and the lcm is compared in the
+ring's order.  The bookkeeping runs on packed monomials: each leading
+monomial is packed once, and each pair enters a heap once, as ``(packed lcm,
+i, j)``, when its second element joins the basis.  Pairs are skipped by the
+product criterion (coprime leading monomials: the packed lcm is the sum of
+the packed leading monomials) and the chain criterion (some ``lm_k`` divides
+the lcm, one subtraction and one mask, and the pairs ``(i, k)`` and ``(j,
+k)`` are no longer pending); skipped pairs do not count against the budget.
+When a leading monomial or an lcm does not fit its fields, the whole run
+restarts at twice the field width; the pairs and their order do not depend
+on the width.
 
 Computations carry a *budget* — a cap on the number of S-pair reductions and
 on the basis size (and, in :mod:`quotrel.poly`, on the number of monomials
@@ -39,6 +44,7 @@ what its computation needed, and any other call fails as on a fresh ring.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 
 from .poly import (
     BlockOrder,
@@ -51,9 +57,7 @@ from .poly import (
     Polynomial,
     fresh_names,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 
@@ -137,7 +141,11 @@ def _divide(f: Polynomial, basis: list[Polynomial], pk: MonomialPacking) -> Poly
         else:
             remainder[k] = c
     unpack = pk.unpack
-    return Polynomial(f.ring, {unpack(k): c for k, c in remainder.items()})
+    r = Polynomial(f.ring, {unpack(k): c for k, c in remainder.items()})
+    # terms joined the remainder in decreasing order: the first one leads
+    if remainder:
+        r._lm = unpack(next(iter(remainder)))
+    return r
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -154,45 +162,50 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(gens: tuple, ring: PolyRing, budget: int) -> tuple[list[Polynomial], int]:
-    """A Groebner basis of ``gens`` plus the least budget that computes it:
-    ``max(S-pair reductions, basis size)``."""
-    key = ring.order.key
-    G = sorted(
-        (g.monic() for g in gens if not g.is_zero()),
-        key=lambda g: key(g.leading_monomial()),
-    )
-    if not G:
-        return [], 0
+def _buchberger(
+    gens: tuple, pk: MonomialPacking, budget: int
+) -> tuple[list[Polynomial], list[int], int]:
+    """A Groebner basis of the nonzero ``gens``, its leading monomials packed
+    by ``pk``, and the least budget that computes it: ``max(S-pair
+    reductions, basis size)``.  Raises :class:`PackingOverflow` when a
+    leading monomial or an lcm does not fit ``pk``'s fields."""
+    pack, eguard = pk.pack, pk.eguard
+    G = sorted(((pack(g.leading_monomial()), g.monic()) for g in gens), key=itemgetter(0))
+    P = [p for p, _ in G]
+    G = [g for _, g in G]
     lms = [g.leading_monomial() for g in G]
-    # normal selection: each pair enters the heap once, keyed by its lcm
-    heap: list[tuple] = []
+    # normal selection: each pair enters the heap once, keyed by its packed lcm
+    heap: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()
 
     def add_pairs(new: int):
+        m = lms[new]
         for i in range(new):
-            lcm = monomial_lcm(lms[i], lms[new])
-            heapq.heappush(heap, (key(lcm), i, new, lcm))
+            heapq.heappush(heap, (pack(monomial_lcm(lms[i], m)), i, new))
             pairs.add((i, new))
+
+    def chain(L: int, i: int, j: int) -> bool:
+        """Some lm_k divides the lcm ``L`` and both other pairs were handled."""
+        for k, p in enumerate(P):
+            if (
+                not (L - p) & eguard
+                and k != i
+                and k != j
+                and (min(i, k), max(i, k)) not in pairs
+                and (min(j, k), max(j, k)) not in pairs
+            ):
+                return True
+        return False
 
     for j in range(len(G)):
         add_pairs(j)
     processed = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        L, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
-        # product criterion: coprime leading monomials reduce to zero
-        if lcm == monomial_mul(lms[i], lms[j]):
-            continue
-        # chain criterion: some k with lm_k | lcm and both other pairs handled
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j or not monomial_divides(lms[k], lcm):
-                continue
-            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                skip = True
-                break
-        if skip:
+        # product criterion (coprime leading monomials reduce to zero), then
+        # the chain criterion
+        if L == P[i] + P[j] or chain(L, i, j):
             continue
         processed += 1
         if processed > budget:
@@ -204,37 +217,38 @@ def _buchberger(gens: tuple, ring: PolyRing, budget: int) -> tuple[list[Polynomi
             continue
         G.append(r.monic())
         lms.append(r.leading_monomial())
+        P.append(pack(lms[-1]))
         if len(G) > budget:
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: basis grew past {budget}"
             )
         add_pairs(len(G) - 1)
-    return G, max(processed, len(G))
+    return G, P, max(processed, len(G))
 
 
-def _reduce_basis(G: list[Polynomial], ring: PolyRing) -> list[Polynomial]:
-    key = ring.order.key
+def _reduce_basis(G: list[Polynomial], P: list[int], eguard: int) -> list[Polynomial]:
+    """The reduced basis from a monic Groebner basis ``G`` and its packed
+    leading monomials ``P``."""
     # minimalize: drop elements whose leading monomial another one divides
-    minimal: list[Polynomial] = []
-    lms = [g.leading_monomial() for g in G]
-    for i, g in enumerate(G):
-        if any(
-            j != i
-            and monomial_divides(lms[j], lms[i])
-            and (lms[j] != lms[i] or j < i)
-            for j in range(len(G))
-        ):
-            continue
-        minimal.append(g)
-    # inter-reduce tails
-    reduced: list[Polynomial] = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: key(g.leading_monomial()))
-    return reduced
+    # (of equal leading monomials, the first is kept)
+    minimal = [
+        (p, g)
+        for i, (p, g) in enumerate(zip(P, G))
+        if not any(
+            not (p - q) & eguard and (q != p or j < i)
+            for j, q in enumerate(P)
+            if j != i
+        )
+    ]
+    # inter-reduce tails: no other leading monomial divides g's, so its
+    # leading term survives and the remainder is monic with g's leading
+    # monomial
+    reduced = [
+        (p, normal_form(g, [h for k, (_, h) in enumerate(minimal) if k != i]))
+        for i, (p, g) in enumerate(minimal)
+    ]
+    reduced.sort(key=itemgetter(0))
+    return [r for _, r in reduced]
 
 
 def groebner_basis(
@@ -258,8 +272,17 @@ def groebner_basis(
     budget = DEFAULT_BUDGET if budget is None else budget
     hit = ring._bases.get(gens)
     if hit is None or hit[0] > budget:
-        G, needed = _buchberger(gens, ring, budget)
-        hit = ring._bases[gens] = (needed, _reduce_basis(G, ring))
+        # a leading monomial or an lcm that outgrows its fields restarts
+        # the whole run at twice the field width
+        width = _WIDTH
+        while True:
+            pk = ring.packing(width)
+            try:
+                G, P, needed = _buchberger(gens, pk, budget)
+                break
+            except PackingOverflow:
+                width *= 2
+        hit = ring._bases[gens] = (needed, _reduce_basis(G, P, pk.eguard))
     return list(hit[1])
 
 

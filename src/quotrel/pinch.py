@@ -79,6 +79,20 @@ class PinchInput:
         self.flat = AmbientRing.quotient(P, self.model.relations, self.budget)
         self.residue = AmbientRing.quotient(
             P, self.model.relations + self.iz_polys, self.budget)
+        self._residue_sieve = None
+
+    def residue_sieve(self) -> MembershipSieve:
+        """Membership in the target subalgebra of the residue ring: a sieve
+        over the lifts modulo the model relations and the locus ideal,
+        built on first use and shared by the pinch and its push-out check."""
+        if self._residue_sieve is None:
+            self._residue_sieve = MembershipSieve(
+                self.model.poly_ring,
+                [self.model.to_poly(s) for s in self.s_lifts],
+                extra_relations=list(self.model.relations) + self.iz_polys,
+                budget=self.budget,
+            )
+        return self._residue_sieve
 
     def validate(self, d: int):
         """Check that {1} and the module generators span the residue ring
@@ -164,12 +178,7 @@ def pinch_generators(inp: PinchInput, d: int, names=None) -> PinchResult:
         if g.is_zero() or any(g == seen for seen in gens):
             continue
         gens.append(g)
-    res_sieve = MembershipSieve(
-        inp.model.poly_ring,
-        [inp.model.to_poly(s) for s in inp.s_lifts],
-        extra_relations=list(inp.model.relations) + inp.iz_polys,
-        budget=inp.budget,
-    )
+    res_sieve = inp.residue_sieve()
     certs = []
     for g in gens:
         member, cert = res_sieve.query(inp.model.to_poly(g))
@@ -258,11 +267,10 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
             break
     checks.append(("ideal multiples land in the glued algebra", ok_a, wit_a))
 
-    res_rels = list(model.relations) + inp.iz_polys
-    s_polys = [model.to_poly(s) for s in inp.s_lifts]
-    sieve_s = MembershipSieve(P, s_polys, extra_relations=res_rels,
-                              budget=inp.budget)
-    sieve_g = MembershipSieve(P, gen_polys, extra_relations=res_rels,
+    sieve_s = inp.residue_sieve()
+    s_polys = sieve_s.gens
+    sieve_g = MembershipSieve(P, gen_polys,
+                              extra_relations=list(model.relations) + inp.iz_polys,
                               budget=inp.budget)
     ok_b, wit_b = True, None
     for g, gp in zip(out.generators, gen_polys):

@@ -166,7 +166,7 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class PackingOverflow(ArithmeticError):
@@ -596,8 +596,9 @@ class Polynomial:
     """Immutable sparse polynomial over a :class:`PolyRing`.
 
     Nothing mutates ``terms`` after construction, so the hash and the
-    leading monomial are computed once, on first use, and so is ``_packed``,
-    the packed form that :func:`quotrel.groebner.normal_form` divides by.
+    leading monomial are computed once, on first use (``monic`` and
+    :func:`quotrel.groebner.normal_form` hand theirs over), and so is
+    ``_packed``, the packed form that ``normal_form`` divides by.
     """
 
     __slots__ = ("ring", "terms", "_hash", "_lm", "_packed")
@@ -706,7 +707,9 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(self.ring.field.inv(self.leading_coeff()))
+        out = self.scale(self.ring.field.inv(self.leading_coeff()))
+        out._lm = self._lm
+        return out
 
     __pow__ = power
 

@@ -21,16 +21,29 @@ exercises both parsers.
 ``naive_normal_form`` is the textbook division loop the package used before
 its heap division on packed monomials: it works on exponent tuples and
 ``Polynomial`` arithmetic only, so remainders can be compared term for term.
+``naive_buchberger`` is likewise the Buchberger loop the package ran before
+its pair bookkeeping moved onto packed monomials, keyed by exponent tuples
+and the order's ``key``.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 import sympy
 from sympy.polys.orderings import ProductOrder, grevlex
 
-from quotrel.poly import Monomial, Polynomial, monomial_div, monomial_divides
+from quotrel import groebner
+from quotrel.poly import (
+    BudgetExceededError,
+    Monomial,
+    Polynomial,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +290,90 @@ def naive_normal_form(f, basis):
             remainder[lm] = lc
             p = Polynomial(ring, {m: c for m, c in p.terms.items() if m != lm})
     return Polynomial(ring, remainder)
+
+
+# ---------------------------------------------------------------------------
+# reference Buchberger
+
+
+def naive_buchberger(gens, budget):
+    """The reduced Groebner basis of the nonzero ``gens`` and the budget its
+    computation needs, ``max(S-pair reductions, basis size)``.
+
+    Normal selection on ``(key(lcm), i, j)`` heap entries with the product
+    and chain criteria, on exponent tuples.  S-polynomials come from
+    ``groebner.s_polynomial``, looked up at each call so that a test can
+    record them; remainders come from :func:`naive_normal_form`.
+    """
+    ring = gens[0].ring
+    key = ring.order.key
+    G = sorted(
+        (g.monic() for g in gens if not g.is_zero()),
+        key=lambda g: key(g.leading_monomial()),
+    )
+    if not G:
+        return [], 0
+    lms = [g.leading_monomial() for g in G]
+    heap: list[tuple] = []
+    pairs: set[tuple[int, int]] = set()
+
+    def add_pairs(new: int):
+        for i in range(new):
+            lcm = monomial_lcm(lms[i], lms[new])
+            heapq.heappush(heap, (key(lcm), i, new, lcm))
+            pairs.add((i, new))
+
+    for j in range(len(G)):
+        add_pairs(j)
+    processed = 0
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        pairs.discard((i, j))
+        if lcm == monomial_mul(lms[i], lms[j]):
+            continue
+        skip = False
+        for k in range(len(G)):
+            if k == i or k == j or not monomial_divides(lms[k], lcm):
+                continue
+            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
+                skip = True
+                break
+        if skip:
+            continue
+        processed += 1
+        if processed > budget:
+            raise BudgetExceededError(
+                f"Groebner computation exceeded budget: {processed} S-pair reductions"
+            )
+        r = naive_normal_form(groebner.s_polynomial(G[i], G[j]), G)
+        if r.is_zero():
+            continue
+        G.append(r.monic())
+        lms.append(r.leading_monomial())
+        if len(G) > budget:
+            raise BudgetExceededError(
+                f"Groebner computation exceeded budget: basis grew past {budget}"
+            )
+        add_pairs(len(G) - 1)
+    # minimalize, inter-reduce tails, sort by leading monomial
+    minimal = []
+    lms = [g.leading_monomial() for g in G]
+    for i, g in enumerate(G):
+        if any(
+            j != i
+            and monomial_divides(lms[j], lms[i])
+            and (lms[j] != lms[i] or j < i)
+            for j in range(len(G))
+        ):
+            continue
+        minimal.append(g)
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = naive_normal_form(g, minimal[:i] + minimal[i + 1:])
+        if not r.is_zero():
+            reduced.append(r.monic())
+    reduced.sort(key=lambda g: key(g.leading_monomial()))
+    return reduced, max(processed, len(G))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from quotrel.eqrel import (
     relation_from_map,
     verify_relation,
 )
+from quotrel import groebner
 from quotrel.fields import GF, QQ
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
-from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, embed
+from quotrel.poly import GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, embed
 from quotrel.quotient import coequalizer_kernel_basis
 from quotrel.ring import AmbientRing, RingMap
 
@@ -278,6 +279,83 @@ def normal_form_oracle_suite(cases=200, seed=20261019):
                 f"{ring.render(f)} by {[ring.render(g) for g in divisors]}: "
                 f"{ring.render(ours)} != {ring.render(theirs)}"
             )
+    return cases
+
+
+def _recorded(run):
+    """``run()``'s outcome, its result or its ``BudgetExceededError``
+    message, plus the ``(f, g)`` pairs it passed to
+    ``groebner.s_polynomial``, in order."""
+    calls = []
+    original = groebner.s_polynomial
+
+    def recording(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    groebner.s_polynomial = recording
+    try:
+        return run(), calls
+    except BudgetExceededError as exc:
+        return str(exc), calls
+    finally:
+        groebner.s_polynomial = original
+
+
+def _buchberger_input(rng, ring):
+    """Two to four random generators whose terms mostly have positive
+    degree; in a block order, half the time the sieve's shape instead:
+    each back variable minus a form of degree 2 or 3 in the front ones."""
+    if isinstance(ring.order, BlockOrder) and rng.random() < 0.5:
+        front = ring.order.front
+        front_ring = PolyRing(ring.field, ring.names[:front], GREVLEX)
+        lift = list(range(front))
+        return tuple(
+            ring.var(j) - embed(
+                _random_poly(rng, front_ring, max_terms=2,
+                             homogeneous=rng.randint(2, 3)),
+                ring, lift)
+            for j in range(front, ring.nvars)
+        )
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(1, 3)
+        gens.append(_random_poly(rng, ring, max_terms=2, homogeneous=degree)
+                    + _random_poly(rng, ring, max_terms=2, max_degree=degree - 1))
+    return tuple(gens)
+
+
+def buchberger_oracle_suite(cases=1000, seed=20261020):
+    """``groebner_basis`` builds the same S-polynomials, in the same order,
+    as ``oracles.naive_buchberger``, returns the same reduced basis term for
+    term, and memoizes the budget the oracle says it needed; under a budget
+    too small, both fail with the same message after the same
+    S-polynomials."""
+    rng = random.Random(seed)
+    fields = FIELDS + (GF(32003),)
+    names = ("x", "y", "z", "u", "v")
+    for _ in range(cases):
+        field = rng.choice(fields)
+        # lex bases grow fastest, so lex gets the fewest variables; None
+        # stands for a block order
+        order, most = rng.choice(((LEX, 3), (GREVLEX, 4), (None, 5)))
+        nvars = rng.randint(2, most)
+        order = order or BlockOrder(rng.randint(1, nvars - 1))
+        ring = PolyRing(field, names[:nvars], order)
+        gens = _buchberger_input(rng, ring)
+        budget = rng.choice((300, 300, 300, rng.randint(1, 8)))
+        theirs, their_calls = _recorded(lambda: oracles.naive_buchberger(gens, budget))
+        ours, our_calls = _recorded(lambda: groebner_basis(list(gens), budget))
+        where = f"over {field!r} ({order!r}) on {[ring.render(g) for g in gens]}"
+        assert our_calls == their_calls, f"S-pair sequence differs {where}"
+        if isinstance(theirs, str) or isinstance(ours, str):
+            assert ours == theirs, f"budget outcome differs {where}: {ours} != {theirs}"
+            continue
+        basis, needed = theirs
+        assert [list(g.terms.items()) for g in ours] == [
+            list(g.terms.items()) for g in basis
+        ], f"basis differs {where}"
+        assert ring._bases[gens][0] == needed, f"needed budget differs {where}"
     return cases
 
 

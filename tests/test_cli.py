@@ -464,3 +464,24 @@ def test_verify_pushout_reuses_the_pinch(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     assert code == 0
     assert out == "\n".join(o for _, o, _ in alone)
+
+
+def test_cusp_pinch_builds_each_sieve_once(tmp_path, capsys, monkeypatch):
+    """`pinch` and `verify-pushout` share the residue sieve over the
+    subalgebra lifts: the cusp pinch builds its 3 distinct sieves once each."""
+    from quotrel.groebner import MembershipSieve
+
+    builds = []
+    original = MembershipSieve.__init__
+
+    def counted(self, ring, gens, extra_relations=(), budget=None):
+        builds.append((tuple(gens), tuple(extra_relations)))
+        original(self, ring, gens, extra_relations, budget)
+
+    monkeypatch.setattr(MembershipSieve, "__init__", counted)
+    case = (Path(__file__).parents[1] / "bench" / "cases"
+            / "paper-constructions" / "cusp-pinch.qs").read_text()
+    code, _, _ = run(tmp_path, capsys, case, "--max-degree", "6")
+    assert code == 0
+    assert len(builds) == 3
+    assert len(set(builds)) == 3

@@ -123,6 +123,9 @@ KATSURA3 = (
     "u1^2 + 2*u0*u2 + 2*u1*u3 - u2",
 )
 BUDGET_IDEAL = ("x^5 + y^4 + z^3 - 1", "x^3 + y^3 + z^2 - 1")
+# the membership sieve of bench/cases/frobenius-sieves/frobenius-ff2.qs,
+# where the chain criterion skips the most pairs
+FF2_SIEVE = ("w1 - s^2", "w2 - s^3", "w3 - s*t^2", "w4 - t^2", "w5 - t^3")
 
 
 @pytest.mark.parametrize("field, names, order, gens, budget, calls, outcome", [
@@ -130,6 +133,8 @@ BUDGET_IDEAL = ("x^5 + y^4 + z^3 - 1", "x^3 + y^3 + z^2 - 1")
     (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, None, 3, 3),
     (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, 3, 2, "budget"),
     (QQ, ("x", "y", "z"), BlockOrder(1), BUDGET_IDEAL, None, 16, 10),
+    (GF(2), ("s", "t", "w1", "w2", "w3", "w4", "w5"), BlockOrder(2), FF2_SIEVE,
+     None, 153, 19),
 ])
 def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
                                    budget, calls, outcome):
@@ -188,6 +193,25 @@ def test_memoized_basis_keeps_budget_semantics(monkeypatch, field, names,
     # one more unit is the budget the computation needed: a memo hit
     monkeypatch.setattr(groebner, "_buchberger", no_recompute)
     assert groebner_basis(P, budget=small + 1) == full
+
+
+def test_wide_exponents_restart_the_whole_run(monkeypatch):
+    """x^40000 does not fit 16-bit fields: Buchberger packs its leading
+    monomials, fails, and runs again from the start at 32 bits."""
+    from quotrel import groebner
+
+    widths = []
+    original = groebner._buchberger
+
+    def recorded(gens, pk, budget):
+        widths.append(pk.width)
+        return original(gens, pk, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    R = PolyRing(QQ, ("x", "y"))
+    gb = groebner_basis([R.parse("x^40000 - y"), R.parse("x*y")])
+    assert [R.render(g) for g in gb] == ["y^2", "x*y", "x^40000 - y"]
+    assert widths == [16, 32]
 
 
 def test_memoized_basis_is_returned_as_a_new_list(R):

@@ -15,6 +15,7 @@ import property_suites
     (property_suites.ideal_intersect_oracle_suite, 40),
     (property_suites.molien_suite, 24),
     (property_suites.normal_form_oracle_suite, 200),
+    (property_suites.buchberger_oracle_suite, 1000),
 ])
 def test_suite_runs_every_case(suite, cases):
     assert suite() == cases
