@@ -5,7 +5,7 @@ Everything is symbolic: coefficients are rationals or prime-field elements,
 never floats.  The package provides sparse multivariate polynomials, Groebner
 bases, equivalence-relation checking, truncated coordinate rings of
 quotients, invariants of finite group actions, pinched schemes, an
-effectivity test for descent data, Frobenius utilities, and a small script
+effectivity test for descent data, Frobenius exponents, and a small script
 language exposed through the ``quotrel`` command.
 """
 
@@ -17,10 +17,11 @@ from .eqrel import (
     verify_relation,
 )
 from .fields import GF, QQ
-from .frobenius import frobenius_exponent, frobenius_twist
+from .frobenius import frobenius_exponent
 from .groebner import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    MembershipSieve,
     eliminate,
     finite_over_block,
     groebner_basis,
@@ -30,7 +31,6 @@ from .groebner import (
     is_unit_ideal,
     normal_form,
     radical_member,
-    subalgebra_member,
 )
 from .invariants import (
     GroupAction,
@@ -67,7 +67,6 @@ from .ring import (
     FlatModel,
     RingElement,
     RingMap,
-    evaluate_map,
     subalgebra_member_ring,
 )
 
@@ -86,6 +85,7 @@ __all__ = [
     "GroupAction",
     "LEX",
     "LexOrder",
+    "MembershipSieve",
     "ParseError",
     "PinchInput",
     "PolyRing",
@@ -99,10 +99,8 @@ __all__ = [
     "coequalizer_kernel_basis",
     "effectivity_test",
     "eliminate",
-    "evaluate_map",
     "finite_over_block",
     "frobenius_exponent",
-    "frobenius_twist",
     "groebner_basis",
     "ideal_equal",
     "ideal_intersect",
@@ -120,7 +118,6 @@ __all__ = [
     "relation_from_map",
     "reynolds_project",
     "subalgebra_intersection_trunc",
-    "subalgebra_member",
     "subalgebra_member_ring",
     "verify_pushout",
     "verify_pushout_diagram",

@@ -13,7 +13,7 @@ import sys
 from .effectivity import CocycleData, check_cocycle, change_field, effectivity_test
 from .eqrel import RelationPresentation, relation_from_group_action, relation_from_map, verify_relation
 from .fields import GF, QQ
-from .frobenius import frobenius_exponent, frobenius_twist
+from .frobenius import frobenius_exponent
 from .groebner import (
     BudgetExceededError,
     eliminate,
@@ -628,15 +628,6 @@ class _Executor:
         self.block(st, [self.describe(f["sub"]), self.describe(f["alg"]),
                         f"rmax {rmax}"],
                    {"": rows}, verdict=verdict)
-
-    def exec_twist(self, st):
-        f = st.fields
-        ring = self.ring(f["ring"])
-        pr = ring.poly_ring(0)
-        g = frobenius_twist(self.parse_poly(ring, f["expr"]), f["q"])
-        self.block(st, [self.expr_input(ring, f["expr"]),
-                        self.describe(f["ring"])],
-                   {"": ["twist: " + pr.render(g)]})
 
     def exec_evaluate(self, st):
         f = st.fields

@@ -22,16 +22,21 @@ would trivialize.
 
 from __future__ import annotations
 
-from .eqrel import copy_difference, copy_names, copy_positions
+from .eqrel import copy_difference, relation_from_map
 from .fields import Field
-from .groebner import finite_over_block, groebner_basis, ideal_member, normal_form
+from .groebner import groebner_basis, ideal_member, normal_form
 from .linalg import RowSpace, condition_rows, nullspace, rank_map
-from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial, embed
+from .poly import GREVLEX, PolyRing, Polynomial
 from .ring import AmbientRing
 
 
 class CocycleData:
-    """A difference ideal ``J`` plus a homogeneous cocycle candidate."""
+    """A difference ideal ``J`` plus a homogeneous cocycle candidate.
+
+    ``J`` is the relation of the map polynomials
+    (:func:`~quotrel.eqrel.relation_from_map`), held as ``relation``: its
+    doubled and tripled rings are this data's.
+    """
 
     def __init__(
         self,
@@ -44,17 +49,11 @@ class CocycleData:
             raise ValueError("effectivity inputs live in a free polynomial ring")
         self.ambient = ambient
         pr = ambient.poly_ring(0)
-        self.nvars = pr.nvars
-        self.copies = copy_names(pr.names, 3)
-        self.doubled = PolyRing(pr.field, self.copies[0] + self.copies[1], GREVLEX)
-        self.tripled = PolyRing(
-            pr.field, self.copies[0] + self.copies[1] + self.copies[2], GREVLEX
-        )
-        # second block in front: finiteness over the map subring
-        self.swapped = PolyRing(
-            pr.field, self.copies[1] + self.copies[0], BlockOrder(self.nvars)
-        )
         self.map_polys = [p if p.ring == pr else pr.convert(p) for p in map_polys]
+        self.budget = budget if budget is not None else ambient.budget
+        self.relation = relation_from_map(ambient, self.map_polys)
+        self.relation.budget = self.budget
+        self.doubled = self.relation.doubled
         if cocycle is None:
             cocycle = self.doubled.zero
         elif isinstance(cocycle, str):
@@ -63,8 +62,7 @@ class CocycleData:
             cocycle = self.doubled.convert(cocycle)
         self.cocycle = cocycle
         self.degree = max(self.cocycle.total_degree(), 0)
-        self.budget = budget if budget is not None else ambient.budget
-        self.j_gens = [copy_difference(p, self.doubled) for p in self.map_polys]
+        self.j_gens = self.relation.gens
 
     def validate(self) -> None:
         for p in self.map_polys:
@@ -74,33 +72,25 @@ class CocycleData:
             raise ValueError("the cocycle candidate must be homogeneous")
         # the coordinate ring must be module-finite over the map subring:
         # every second-block variable needs a monic equation
-        W = self.swapped
-        gb = groebner_basis([W.convert(g) for g in self.j_gens], self.budget)
-        finite, missing = finite_over_block(self.nvars, gb)
-        if not finite:
-            bad = ", ".join(W.names[i] for i in missing)
+        unbounded = self.relation.unbounded()
+        if unbounded:
+            bad = ", ".join(map(repr, unbounded))
             raise ValueError(f"ring is not finite over the map subring ({bad} unbounded)")
 
     def j_basis(self):
-        return groebner_basis(self.j_gens, self.budget)
+        return self.relation.gb()
 
     def sum_basis(self):
         """Basis of J(x,y) + J(y,z) in the tripled ring."""
-        gens = [self._to_tripled(g, 0, 1) for g in self.j_gens]
-        gens += [self._to_tripled(g, 1, 2) for g in self.j_gens]
+        to_tripled = self.relation.to_tripled
+        gens = [to_tripled(g, 0, 1) for g in self.j_gens]
+        gens += [to_tripled(g, 1, 2) for g in self.j_gens]
         return groebner_basis(gens, self.budget)
 
     def defect(self, h: Polynomial) -> Polynomial:
         """h(x,y) + h(y,z) - h(x,z) in the tripled ring."""
-        return (
-            self._to_tripled(h, 0, 1)
-            + self._to_tripled(h, 1, 2)
-            - self._to_tripled(h, 0, 2)
-        )
-
-    def _to_tripled(self, h: Polynomial, a: int, b: int) -> Polynomial:
-        """A doubled-ring polynomial h(x,y) as h on copies ``a`` and ``b``."""
-        return embed(h, self.tripled, copy_positions(self.nvars, a, b))
+        to_tripled = self.relation.to_tripled
+        return to_tripled(h, 0, 1) + to_tripled(h, 1, 2) - to_tripled(h, 0, 2)
 
 
 def check_cocycle(data: CocycleData) -> bool:

@@ -104,6 +104,10 @@ class RelationPresentation:
         self.nvars = pr.nvars
         self.copies = copy_names(pr.names, 3)
         self.doubled = PolyRing(pr.field, self.copies[0] + self.copies[1], GREVLEX)
+        self.tripled = PolyRing(pr.field, sum(self.copies, []), GREVLEX)
+        # second block in front: finiteness over the first projection
+        self.swapped = PolyRing(pr.field, self.copies[1] + self.copies[0],
+                                BlockOrder(self.nvars))
         self.gens = [g if g.ring == self.doubled else self.doubled.convert(g) for g in gens]
         self.full_gens = list(self.gens)
         for copy in (0, 1):
@@ -121,6 +125,20 @@ class RelationPresentation:
     def swap(self, f: Polynomial) -> Polynomial:
         """Exchange the two variable blocks."""
         return embed(f, self.doubled, copy_positions(self.nvars, 1, 0))
+
+    def to_tripled(self, f: Polynomial, *copies: int) -> Polynomial:
+        """A doubled-ring polynomial ``f(x, y)`` on the given two copies of
+        the tripled ring: ``to_tripled(f, 0, 2)`` is ``f(x, z)``."""
+        return embed(f, self.tripled, copy_positions(self.nvars, *copies))
+
+    def unbounded(self) -> list[Polynomial]:
+        """The second-block variables with no monic equation over the first
+        block, read off a block-order basis with the second block in front:
+        empty exactly when the relation's coordinate ring is a finite module
+        over the first projection."""
+        W = self.swapped
+        gb = groebner_basis([W.convert(g) for g in self.full_gens], self.budget)
+        return [W.var(i) for i in finite_over_block(self.nvars, gb)[1]]
 
     def contains_diagonal_ideal(self) -> bool:
         """Sanity check: both copies of the defining ideal lie in I."""
@@ -223,8 +241,6 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
     if mode not in ("scheme", "set"):
         raise ValueError("mode must be 'scheme' or 'set'")
     report = AxiomReport(mode)
-    D = rel.doubled
-    n = rel.nvars
     budget = rel.budget
 
     def member(f, gens):
@@ -239,7 +255,7 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
         report.witnesses[axis] = witness
 
     # reflexivity: I vanishes on the diagonal
-    diag = [copy_difference(v, D) for v in rel.ambient.poly_ring(0).gens()]
+    diag = [copy_difference(v, rel.doubled) for v in rel.ambient.poly_ring(0).gens()]
     check("reflexivity", rel.gens, diag + rel.full_gens[len(rel.gens):])
 
     # symmetry: the block swap preserves I.  Since swapping is an involution,
@@ -247,17 +263,13 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
     check("symmetry", map(rel.swap, rel.gens), rel.full_gens)
 
     # transitivity: I(1,3) inside I(1,2) + I(2,3) in the tripled ring
-    T = PolyRing(D.field, rel.copies[0] + rel.copies[1] + rel.copies[2], GREVLEX)
-    I12 = [embed(g, T, copy_positions(n, 0, 1)) for g in rel.full_gens]
-    I23 = [embed(g, T, copy_positions(n, 1, 2)) for g in rel.full_gens]
-    I13 = (embed(g, T, copy_positions(n, 0, 2)) for g in rel.full_gens)
+    I12 = [rel.to_tripled(g, 0, 1) for g in rel.full_gens]
+    I23 = [rel.to_tripled(g, 1, 2) for g in rel.full_gens]
+    I13 = (rel.to_tripled(g, 0, 2) for g in rel.full_gens)
     check("transitivity", I13, I12 + I23)
 
-    # finiteness: O(R) is a finite module over the first block, read off a
-    # block-order basis with the second block in front
-    W = PolyRing(D.field, rel.copies[1] + rel.copies[0], BlockOrder(n))
-    gb_w = groebner_basis([W.convert(g) for g in rel.full_gens], budget)
-    finite, missing = finite_over_block(n, gb_w)
-    report.verdicts["finiteness"] = finite
-    report.witnesses["finiteness"] = None if finite else W.var(missing[0])
+    # finiteness: O(R) is a finite module over the first block
+    unbounded = rel.unbounded()
+    report.verdicts["finiteness"] = not unbounded
+    report.witnesses["finiteness"] = unbounded[0] if unbounded else None
     return report

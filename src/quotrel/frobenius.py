@@ -1,6 +1,5 @@
-"""Frobenius twists and factorization exponents in positive characteristic.
+"""Frobenius factorization exponents in positive characteristic.
 
-The twist raises coefficients to a q-th power while leaving monomials alone.
 Because our positive-characteristic coefficients always form a prime field
 (where a^q = a), the q-th powers of a subalgebra's generators already
 generate its image under the q-power map; finding the least q = p^r pushing
@@ -9,36 +8,7 @@ tests, run modulo the ambient defining ideal so nilpotents collapse on
 their own.
 """
 
-from .poly import Polynomial
-from .ring import subalgebra_sieve
-
-__all__ = ["FrobeniusWitness", "frobenius_twist", "frobenius_exponent"]
-
-
-def _check_char(field):
-    p = field.characteristic
-    if p == 0:
-        raise ValueError("Frobenius operations need positive characteristic")
-    return p
-
-
-def frobenius_twist(f: Polynomial, q: int) -> Polynomial:
-    """Raise every coefficient of ``f`` to the q-th power.
-
-    ``q`` must be a power of the (positive) characteristic; over a prime
-    field the twist is the identity, but it is kept explicit so formulas
-    stay valid verbatim for any coefficient arithmetic satisfying the field
-    interface.
-    """
-    field = f.ring.field
-    p = _check_char(field)
-    qq = q
-    while qq % p == 0:
-        qq //= p
-    if qq != 1:
-        raise ValueError(f"{q} is not a power of the characteristic {p}")
-    terms = {m: field.pow(c, q) for m, c in f.terms.items()}
-    return Polynomial(f.ring, terms)
+__all__ = ["FrobeniusWitness", "frobenius_exponent"]
 
 
 class FrobeniusWitness:
@@ -71,16 +41,19 @@ def frobenius_exponent(sub_gens, alg_gens, r_max: int = 8,
     if not alg_gens:
         raise ValueError("need at least one algebra generator")
     ring = alg_gens[0].ring
-    p = _check_char(ring.field)
+    p = ring.field.characteristic
+    if p == 0:
+        raise ValueError("Frobenius operations need positive characteristic")
     for g in list(sub_gens) + list(alg_gens):
         if g.ring != ring:
             raise ValueError("generators must live in one ambient ring")
-    member = subalgebra_sieve(ring, list(sub_gens), budget)
+    model = ring.model()
+    sieve = model.sieve(sub_gens, budget=budget)
     for r in range(r_max + 1):
         q = p**r
         certs = []
         for b in alg_gens:
-            ok, cert = member(b**q)
+            ok, cert = sieve.query(model.to_poly(b**q))
             if not ok:
                 certs = None
                 break

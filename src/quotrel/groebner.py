@@ -4,7 +4,8 @@ Everything downstream (membership sieves, elimination, intersections, kernel
 computations) funnels through :func:`groebner_basis`, which returns the unique
 reduced basis for the ring's monomial order, sorted by increasing leading
 monomial.  All routines are deterministic: same input, same output, bit for
-bit.
+bit.  Subalgebra membership, residues and presentations are all read off
+one tagged ring, :class:`MembershipSieve`.
 
 Division (:func:`normal_form`) runs on monomials packed by the ring (see
 :class:`quotrel.poly.MonomialPacking`): packed ints compare as the order
@@ -58,6 +59,7 @@ from .poly import (
     fresh_names,
     monomial_div,
     monomial_lcm,
+    unembed,
 )
 
 
@@ -393,14 +395,15 @@ def finite_over_block(
 
 
 class MembershipSieve:
-    """Repeated subalgebra-membership tests against one fixed generator list.
+    """Subalgebra membership and presentation against one generator list.
 
     Adjoin a tag variable ``wj`` for each generator and compute, once, a
     Groebner basis of ``(relations) + (wj - gens[j])`` in a block order that
-    makes every original variable larger than every tag.  A tag-only
-    polynomial can only reduce to tag-only polynomials under such an order,
-    so a query ``f`` lies in the subalgebra iff its normal form involves no
-    original variable.
+    makes every original variable larger than every tag (Shannon & Sweedler,
+    J. Symbolic Comput. 6, 1988).  A tag-only polynomial can only reduce to
+    tag-only polynomials under such an order, so ``f`` lies in the
+    subalgebra iff its normal form involves no original variable, and the
+    tag-only elements of the basis present the subalgebra.
     """
 
     def __init__(
@@ -412,6 +415,7 @@ class MembershipSieve:
     ):
         self.ring = ring
         self.gens = list(gens)
+        self.budget = budget
         n = ring.nvars
         self.w_names = tuple(fresh_names(
             [f"w{j + 1}" for j in range(len(gens))], set(ring.names)))
@@ -420,16 +424,18 @@ class MembershipSieve:
         for j, g in enumerate(gens):
             T.append(self.work.var(n + j) - self.work.convert(g))
         self.gb = groebner_basis(T, budget)
-        self._zeros = (0,) * n
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """Normal form of ``f`` in the tagged ring."""
-        return normal_form(self.work.convert(f), self.gb)
-
-    def tag_only(self, nf: Polynomial) -> bool:
-        z = self._zeros
+    def _residue(self, p: Polynomial) -> Polynomial:
         n = self.ring.nvars
-        return all(m[:n] == z for m in nf.terms)
+        return Polynomial(self.work, {m: c for m, c in p.terms.items() if any(m[:n])})
+
+    def residue(self, f: Polynomial) -> Polynomial:
+        """The terms of ``f``'s normal form that involve an original
+        variable: linear in ``f``, and zero exactly when ``f`` is a member."""
+        return self._residue(normal_form(self.work.convert(f), self.gb))
+
+    def contains(self, f: Polynomial) -> bool:
+        return self.residue(f).is_zero()
 
     def query(self, f: Polynomial) -> tuple[bool, Polynomial | None]:
         """Membership verdict plus certificate in a fresh ``k[w1..wn]`` ring.
@@ -437,26 +443,25 @@ class MembershipSieve:
         Substituting the generators into the certificate reproduces ``f``
         modulo the relations.
         """
-        nf = self.reduce(f)
-        if not self.tag_only(nf):
+        nf = normal_form(self.work.convert(f), self.gb)
+        if self._residue(nf):
             return False, None
-        cert_ring = PolyRing(self.ring.field, self.w_names, GREVLEX)
-        cert = cert_ring.convert(nf) if self.w_names else None
-        if cert is None:
-            cert = PolyRing(self.ring.field, ("w1",), GREVLEX).constant(nf.constant_coeff())
-        return True, cert
+        if not self.w_names:
+            return True, PolyRing(self.ring.field, ("w1",), GREVLEX).constant(nf.constant_coeff())
+        return True, PolyRing(self.ring.field, self.w_names, GREVLEX).convert(nf)
 
-
-def subalgebra_member(
-    f: Polynomial,
-    gens: list[Polynomial],
-    extra_relations=(),
-    budget: int | None = None,
-) -> tuple[bool, Polynomial | None]:
-    """Exact membership of ``f`` in the subalgebra generated by ``gens``,
-    optionally modulo the ideal spanned by ``extra_relations``.
-
-    One-shot wrapper around :class:`MembershipSieve`.
-    """
-    sieve = MembershipSieve(f.ring, gens, extra_relations, budget)
-    return sieve.query(f)
+    def presentation(self, names=None) -> tuple[PolyRing, list[Polynomial]]:
+        """A grevlex ring on one variable per generator (the tags' names
+        unless ``names`` provides others, freshened against the original
+        variables) and the reduced basis of the relations among the
+        generators: the tag-only part of the sieve's basis, by position."""
+        if names is None:
+            names = self.w_names
+        elif len(names) != len(self.gens):
+            raise ValueError("need exactly one name per generator")
+        else:
+            names = fresh_names(names, set(self.ring.names))
+        out = PolyRing(self.ring.field, names, GREVLEX)
+        tags = list(range(self.ring.nvars, self.work.nvars))
+        kept = [unembed(g, out, tags) for g in self.gb if not self._residue(g)]
+        return out, groebner_basis(kept, self.budget)

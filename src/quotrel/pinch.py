@@ -18,7 +18,6 @@ from .poly import Polynomial
 from .quotient import (
     TruncatedSubalgebra,
     ordered_columns,
-    present_subalgebra,
     product_closure,
     vector_to_element,
 )
@@ -79,20 +78,18 @@ class PinchInput:
         self.flat = AmbientRing.quotient(P, self.model.relations, self.budget)
         self.residue = AmbientRing.quotient(
             P, self.model.relations + self.iz_polys, self.budget)
-        self._residue_sieve = None
+        self._sieves: dict[tuple, MembershipSieve] = {}
 
-    def residue_sieve(self) -> MembershipSieve:
-        """Membership in the target subalgebra of the residue ring: a sieve
-        over the lifts modulo the model relations and the locus ideal,
-        built on first use and shared by the pinch and its push-out check."""
-        if self._residue_sieve is None:
-            self._residue_sieve = MembershipSieve(
-                self.model.poly_ring,
-                [self.model.to_poly(s) for s in self.s_lifts],
-                extra_relations=list(self.model.relations) + self.iz_polys,
-                budget=self.budget,
-            )
-        return self._residue_sieve
+    def sieve(self, gens, locus: bool = False) -> MembershipSieve:
+        """The sieve of the subalgebra generated by the ring elements
+        ``gens``, over the ring or, with ``locus``, over its residue ring
+        R/I_Z; built on first use and shared by the pinch and its push-out
+        check."""
+        key = (tuple(gens), locus)
+        if key not in self._sieves:
+            self._sieves[key] = self.model.sieve(
+                gens, self.iz_polys if locus else (), self.budget)
+        return self._sieves[key]
 
     def validate(self, d: int):
         """Check that {1} and the module generators span the residue ring
@@ -178,7 +175,7 @@ def pinch_generators(inp: PinchInput, d: int, names=None) -> PinchResult:
         if g.is_zero() or any(g == seen for seen in gens):
             continue
         gens.append(g)
-    res_sieve = inp.residue_sieve()
+    res_sieve = inp.sieve(inp.s_lifts, locus=True)
     certs = []
     for g in gens:
         member, cert = res_sieve.query(inp.model.to_poly(g))
@@ -187,8 +184,7 @@ def pinch_generators(inp: PinchInput, d: int, names=None) -> PinchResult:
                 f"residue of {g.render()} is not in the target subalgebra"
             )
         certs.append(cert)
-    pres_ring, pres_ideal = present_subalgebra(gens, names=names,
-                                               budget=inp.budget)
+    pres_ring, pres_ideal = inp.sieve(gens).presentation(names)
     return PinchResult(gens, certs, pres_ring, pres_ideal, d)
 
 
@@ -252,34 +248,29 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
     """
     model, field = inp.model, inp.ring.field
     P = model.poly_ring
-    gen_polys = [model.to_poly(g) for g in out.generators]
     checks = []
 
-    gen_sieve = MembershipSieve(P, gen_polys,
-                                extra_relations=list(model.relations),
-                                budget=inp.budget)
+    gen_sieve = inp.sieve(out.generators)
+    gen_polys = gen_sieve.gens
     multiples = _ideal_multiples(inp, d)
     ok_a, wit_a = True, None
     for c, m, h, p in multiples:
-        if not gen_sieve.tag_only(gen_sieve.reduce(p)):
+        if not gen_sieve.contains(p):
             ok_a = False
             wit_a = inp.ring.embed(c, inp.ring.poly_ring(c).monomial(m)) * h
             break
     checks.append(("ideal multiples land in the glued algebra", ok_a, wit_a))
 
-    sieve_s = inp.residue_sieve()
-    s_polys = sieve_s.gens
-    sieve_g = MembershipSieve(P, gen_polys,
-                              extra_relations=list(model.relations) + inp.iz_polys,
-                              budget=inp.budget)
+    sieve_s = inp.sieve(inp.s_lifts, locus=True)
+    sieve_g = inp.sieve(out.generators, locus=True)
     ok_b, wit_b = True, None
     for g, gp in zip(out.generators, gen_polys):
-        if not sieve_s.tag_only(sieve_s.reduce(gp)):
+        if not sieve_s.contains(gp):
             ok_b, wit_b = False, g
             break
     if ok_b:
-        for s, sp in zip(inp.s_lifts, s_polys):
-            if not sieve_g.tag_only(sieve_g.reduce(sp)):
+        for s, sp in zip(inp.s_lifts, sieve_s.gens):
+            if not sieve_g.contains(sp):
                 ok_b, wit_b = False, s
                 break
     checks.append(("residues generate the target subalgebra", ok_b, wit_b))
@@ -349,16 +340,13 @@ def subalgebra_intersection_trunc(gens1, gens2, d: int,
               for gens in (gens1, gens2)]
 
     def member(el: RingElement) -> bool:
-        f = el.parts[0]
-        return all(sieve.tag_only(sieve.reduce(f)) for sieve in sieves)
+        return all(sieve.contains(el.parts[0]) for sieve in sieves)
 
-    n = pr.nvars
     columns = ordered_columns(ring, d)
     rows = condition_rows(
         (col, {(side, mm): coeff
                for side, sieve in enumerate(sieves)
-               for mm, coeff in sieve.reduce(pr.monomial(col[1])).terms.items()
-               if any(mm[:n])})
+               for mm, coeff in sieve.residue(pr.monomial(col[1])).terms.items()})
         for col in columns
     )
     basis = [vector_to_element(ring, v)
@@ -383,7 +371,7 @@ def verify_pushout_diagram(gens1, gens2, corner_gens, d: int,
     for sieve_gens in (gens1, gens2):
         sieve = MembershipSieve(pr, list(sieve_gens), budget=budget)
         for g in corner_gens:
-            if not sieve.tag_only(sieve.reduce(g)):
+            if not sieve.contains(g):
                 ok1, wit1 = False, ring.embed(0, g)
                 break
         if not ok1:

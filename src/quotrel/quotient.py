@@ -13,7 +13,8 @@ up to a bound:
 * ``noetherian_probe`` — the growth table of new generators, with an honest
   "not stabilized" flag instead of a non-finite-generation claim;
 * ``present_subalgebra`` — the exact (untruncated) relation ideal of a
-  finite list of algebra elements.
+  finite list of algebra elements, read off a
+  :class:`~quotrel.groebner.MembershipSieve`.
 
 Every truncated driver of the package (these, the invariants, the pinching
 and the effectivity test) comes down to two primitives: the kernel of a
@@ -27,7 +28,8 @@ disjoint union may be adjusted on each piece separately, so the kernel is
 assembled componentwise — the shared unit, plus for every piece the
 constant-free solutions of that piece's own compatibility conditions (equal
 pullbacks where both maps restrict to the piece, pullback landing in the
-other map's image algebra where they do not).
+other map's image algebra where they do not: a vanishing
+:meth:`~quotrel.groebner.MembershipSieve.residue`, which is linear).
 """
 
 from __future__ import annotations
@@ -35,15 +37,9 @@ from __future__ import annotations
 from functools import partial
 
 from .eqrel import RelationPresentation, copy_difference
-from .groebner import (
-    MembershipSieve,
-    eliminate,
-    ideal_member,
-    normal_form,
-    subalgebra_member,
-)
+from .groebner import MembershipSieve, ideal_member, normal_form
 from .linalg import RowSpace, condition_rows, nullspace, rank_map, vec_scale
-from .poly import GREVLEX, PolyRing, Polynomial, fresh_names
+from .poly import PolyRing, Polynomial
 from .ring import AmbientRing, RingElement, RingMap
 
 
@@ -252,9 +248,8 @@ def _pair_component_kernel(
                                     extra_relations=target.q_gens(t),
                                     budget=budget)
             for (_, m), image in images.items():
-                nf = sieve.reduce(pr.monomial(m).substitute(tpr, own_images))
-                image.update(((t, mm), coeff) for mm, coeff in nf.terms.items()
-                             if any(mm[: tpr.nvars]))
+                res = sieve.residue(pr.monomial(m).substitute(tpr, own_images))
+                image.update(((t, mm), coeff) for mm, coeff in res.terms.items())
     sols = nullspace(condition_rows(images.items()), list(images), ring.field)
     return [vector_to_element(ring, v) for v in sols]
 
@@ -288,13 +283,9 @@ def _pair_member(s1: RingMap, s2: RingMap, budget, el: RingElement) -> bool:
         else:
             for a, im, other_im in ((a1, im1, im2), (a2, im2, im1)):
                 g = target.nf(t, el.parts[a].substitute(tpr, im))
-                ok, _ = subalgebra_member(
-                    g,
-                    [target.nf(t, h) for h in other_im],
-                    extra_relations=list(target.q_gens(t)),
-                    budget=budget,
-                )
-                if not ok:
+                sieve = MembershipSieve(tpr, [target.nf(t, h) for h in other_im],
+                                        list(target.q_gens(t)), budget)
+                if not sieve.contains(g):
                     return False
     return True
 
@@ -376,25 +367,15 @@ def present_subalgebra(
 
     Returns a polynomial ring on one variable per generator (named ``w1``,
     ``w2``, … unless ``names`` provides others) and the reduced basis of the
-    kernel of the evaluation map sending those variables to the generators.
-    Works over product ambient rings via the flattened presentation.
+    kernel of the evaluation map sending those variables to the generators,
+    read off the flat model's sieve (:meth:`MembershipSieve.presentation`);
+    product ambient rings included.
     """
     if not gens:
         raise ValueError("need at least one generator to present")
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise ValueError("generators must live in one ambient ring")
-    model = ring.model()
-    base = model.poly_ring
-    if names is None:
-        names = [f"w{j + 1}" for j in range(len(gens))]
-    if len(names) != len(gens):
+    if names is not None and len(names) != len(gens):
         raise ValueError("need exactly one name per generator")
-    w_names = fresh_names(names, set(base.names))
-    work = PolyRing(ring.field, tuple(base.names) + tuple(w_names), GREVLEX)
-    T = [work.convert(r) for r in model.relations]
-    for j, g in enumerate(gens):
-        T.append(work.var(base.nvars + j) - work.convert(model.to_poly(g)))
-    kern = eliminate(T, drop=list(range(base.nvars)), budget=budget)
-    out_ring = PolyRing(ring.field, tuple(w_names), GREVLEX)
-    return out_ring, [out_ring.convert(g) for g in kern]
+    return ring.model().sieve(gens, budget=budget).presentation(names)

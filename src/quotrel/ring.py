@@ -336,13 +336,6 @@ class RingMap:
         return "; ".join(chunks)
 
 
-def evaluate_map(m: RingMap, f) -> RingElement:
-    """Substitution image of ``f`` under ``m``, normal-formed in the target."""
-    if isinstance(f, Polynomial):
-        f = m.source.element([f])
-    return m.apply(f)
-
-
 class FlatModel:
     """One quotient ring presenting a whole product ring.
 
@@ -353,9 +346,10 @@ class FlatModel:
     component variable outside its own idempotent, and imposes the component
     defining ideals.  The resulting normal forms agree with componentwise
     computation, which lets the Groebner-based subalgebra machinery run
-    unchanged over disjoint unions.  :meth:`lift`, :meth:`to_poly` and
-    :meth:`to_element` translate between the two; no other module reads the
-    layout.  A one-component ring is its own model (and has no
+    unchanged over disjoint unions: :meth:`sieve` builds every subalgebra
+    sieve over an ambient ring on this model.  :meth:`lift`, :meth:`to_poly`
+    and :meth:`to_element` translate between the two; no other module reads
+    the layout.  A one-component ring is its own model (and has no
     ``positions``).
     """
 
@@ -390,6 +384,14 @@ class FlatModel:
             for g in ring.q_gens(c):
                 rels.append(self.lift(c, g))
         self.relations = rels
+
+    def sieve(self, gens, extra=(), budget: int | None = None) -> MembershipSieve:
+        """The sieve of the subalgebra generated by the ring elements
+        ``gens``, modulo the model's relations and the flat polynomials
+        ``extra``; it answers queries on flat polynomials (:meth:`to_poly`)."""
+        return MembershipSieve(self.poly_ring, [self.to_poly(g) for g in gens],
+                               extra_relations=self.relations + list(extra),
+                               budget=budget)
 
     def lift(self, c: int, f: Polynomial) -> Polynomial:
         """The flat polynomial ``e_c * f`` of the element that is the
@@ -437,29 +439,6 @@ class FlatModel:
         )
 
 
-def subalgebra_sieve(
-    ring: AmbientRing,
-    gens: list[RingElement],
-    budget: int | None = None,
-):
-    """Membership in the subalgebra of ``ring`` generated by ``gens``
-    (products and quotients included), as a function ``f -> (ok,
-    certificate)``.
-
-    One :class:`MembershipSieve` over the flat model answers every query;
-    a certificate is a polynomial in variables ``w1..wn`` with
-    ``certificate(gens) == f`` in the ambient ring.
-    """
-    model = ring.model()
-    sieve = MembershipSieve(
-        model.poly_ring,
-        [model.to_poly(g) for g in gens],
-        extra_relations=model.relations,
-        budget=budget,
-    )
-    return lambda f: sieve.query(model.to_poly(f))
-
-
 def subalgebra_member_ring(
     f: RingElement,
     gens: list[RingElement],
@@ -467,7 +446,8 @@ def subalgebra_member_ring(
 ):
     """Exact subalgebra membership over an ambient ring (products included).
 
-    Returns ``(True, certificate)`` or ``(False, None)``; one-shot wrapper
-    around :func:`subalgebra_sieve`.
+    Returns ``(True, certificate)`` or ``(False, None)``, the one-shot
+    :meth:`~quotrel.groebner.MembershipSieve.query` of :meth:`FlatModel.sieve`.
     """
-    return subalgebra_sieve(f.ring, gens, budget)(f)
+    model = f.ring.model()
+    return model.sieve(gens, budget=budget).query(model.to_poly(f))

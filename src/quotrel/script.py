@@ -239,7 +239,6 @@ GRAMMAR = {
     ],
     "subalgebra-intersection": [Form("subalgebra-intersection {a} {b}")],
     "frobenius-exponent": [Form("frobenius-exponent {sub} {alg} [rmax = {rmax:int}]")],
-    "twist": [Form("twist {q:int} {expr:expr} in {ring}")],
     "evaluate": [Form("evaluate {map} {expr:expr}")],
     "derivative": [Form("derivative {expr:expr} wrt {var} in {ring}")],
     "monomials": [Form("monomials {ring} degree {degree:int}")],

@@ -23,7 +23,9 @@ its heap division on packed monomials: it works on exponent tuples and
 ``Polynomial`` arithmetic only, so remainders can be compared term for term.
 ``naive_buchberger`` is likewise the Buchberger loop the package ran before
 its pair bookkeeping moved onto packed monomials, keyed by exponent tuples
-and the order's ``key``.
+and the order's ``key``.  ``eliminate_presentation`` is the way the package
+presented a subalgebra before presentations were read off its
+``MembershipSieve``: a hand-built tagged ring and ``groebner.eliminate``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,12 @@ from sympy.polys.orderings import ProductOrder, grevlex
 
 from quotrel import groebner
 from quotrel.poly import (
+    GREVLEX,
     BudgetExceededError,
     Monomial,
+    PolyRing,
     Polynomial,
+    fresh_names,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -385,3 +390,29 @@ def grevlex_key(m: tuple) -> tuple:
     definition: higher total degree wins; ties break by the *smallest*
     trailing exponent vector being *larger*."""
     return (sum(m), tuple(-e for e in reversed(m)))
+
+
+# ---------------------------------------------------------------------------
+# reference presentation
+
+
+def eliminate_presentation(gens, names=None, budget=None):
+    """The ring on one variable per generator (``w1``, ``w2``, … unless
+    ``names`` provides others, freshened against the flat model's names) and
+    the reduced basis of the relations among the ring elements ``gens``.
+
+    A grevlex ring on the flat model's variables followed by the tags, and
+    ``groebner.eliminate`` of the model's relations plus ``wj - gens[j]``.
+    """
+    model = gens[0].ring.model()
+    base = model.poly_ring
+    if names is None:
+        names = [f"w{j + 1}" for j in range(len(gens))]
+    w_names = fresh_names(names, set(base.names))
+    work = PolyRing(base.field, tuple(base.names) + tuple(w_names), GREVLEX)
+    T = [work.convert(r) for r in model.relations]
+    for j, g in enumerate(gens):
+        T.append(work.var(base.nvars + j) - work.convert(model.to_poly(g)))
+    kern = groebner.eliminate(T, drop=list(range(base.nvars)), budget=budget)
+    out_ring = PolyRing(base.field, tuple(w_names), GREVLEX)
+    return out_ring, [out_ring.convert(g) for g in kern]

@@ -24,7 +24,7 @@ from quotrel.fields import GF, QQ
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
 from quotrel.poly import GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, embed
-from quotrel.quotient import coequalizer_kernel_basis
+from quotrel.quotient import coequalizer_kernel_basis, present_subalgebra
 from quotrel.ring import AmbientRing, RingMap
 
 import oracles
@@ -458,4 +458,65 @@ def molien_suite(cases=24, seed=20261018):
             assert invariant_dims == molien, (
                 f"{what}: invariant dims {invariant_dims} != Molien {molien}"
             )
+    return cases
+
+
+def _random_element(rng, ambient):
+    """A random element with a nonzero part of degree at most 2 on every
+    component."""
+    return ambient.element([
+        _random_poly(rng, ambient.poly_ring(c), max_terms=2, max_degree=2)
+        for c in range(ambient.ncomponents)
+    ])
+
+
+def presentation_suite(cases=60, seed=20261021):
+    """``present_subalgebra``, read off the flat model's ``MembershipSieve``,
+    gives the ring names and the reduced basis of
+    ``oracles.eliminate_presentation``; on one sieve ``contains`` agrees
+    with ``query``, products of generators are members, and ``residue`` is
+    linear.  One- and two-component rings over QQ and FF(2, 3, 5), with
+    default names, user names, and names that collide with the flat model's
+    variables (``w1`` in the ring, ``e1`` for a product's idempotent)."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        field = rng.choice(FIELDS)
+        style = ("default", "user", "capture")[case % 3]
+        first = PolyRing(field, ("w1", "w2") if style == "capture" else ("x", "y"))
+        components = [(first, [_random_poly(rng, first, max_terms=2, max_degree=2)]
+                       if rng.random() < 0.5 else [])]
+        if rng.random() < 0.5:
+            second = PolyRing(field, ("z",))
+            components.append((second, [second.parse("z^2")]
+                               if rng.random() < 0.5 else []))
+        ambient = AmbientRing(components)
+        gens = [_random_element(rng, ambient) for _ in range(rng.randint(1, 3))]
+        if style == "user":
+            names = ["a", "b", "c"][:len(gens)]
+        elif style == "capture" and ambient.is_product:
+            names = ["e1", "e2", "e3"][:len(gens)]
+        else:
+            names = None
+        where = f"{ambient!r} on {[g.render() for g in gens]} named {names}"
+        ring, basis = present_subalgebra(gens, names=names)
+        their_ring, theirs = oracles.eliminate_presentation(gens, names=names)
+        assert ring.names == their_ring.names, f"names differ for {where}"
+        assert [ring.render(g) for g in basis] == [
+            their_ring.render(g) for g in theirs
+        ], f"presentation differs for {where}"
+
+        model = ambient.model()
+        sieve = model.sieve(gens)
+        member = gens[0] * gens[-1] + gens[0]
+        probes = [member] + [_random_element(rng, ambient) for _ in range(2)]
+        for el in probes:
+            p = model.to_poly(el)
+            assert sieve.contains(p) == sieve.query(p)[0], (
+                f"contains and query disagree on {el.render()} for {where}")
+        assert sieve.contains(model.to_poly(member)), f"{member.render()} missed for {where}"
+        f, g = (model.to_poly(el) for el in probes[1:])
+        a, b = (field.of_int(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(2))
+        assert sieve.residue(f.scale(a) + g.scale(b)) == (
+            sieve.residue(f).scale(a) + sieve.residue(g).scale(b)
+        ), f"residue is not linear for {where}"
     return cases

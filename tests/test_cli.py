@@ -246,17 +246,6 @@ def test_noneffective_verdict_is_not_a_failure(tmp_path, capsys):
     assert "verdict: noneffective" in out
 
 
-def test_twist_over_prime_field_is_verbatim(tmp_path, capsys):
-    script = "ring F2 = FF(2)[s];\npoly g = s^3 + s in F2;\ntwist 2 g in F2;\n"
-    code, out, _ = run(tmp_path, capsys, script)
-    assert code == 0
-    assert out == (
-        "$ twist 2 g in F2\n"
-        "inputs: g (element of F2), F2 (ring FF(2)[s])\n"
-        "twist: s^3 + s\n"
-    )
-
-
 def test_pushout_diagram_failure_witness(tmp_path, capsys):
     script = """
 ring X = QQ[x, y];
@@ -467,8 +456,11 @@ def test_verify_pushout_reuses_the_pinch(tmp_path, capsys, monkeypatch):
 
 
 def test_cusp_pinch_builds_each_sieve_once(tmp_path, capsys, monkeypatch):
-    """`pinch` and `verify-pushout` share the residue sieve over the
-    subalgebra lifts: the cusp pinch builds its 3 distinct sieves once each."""
+    """`pinch` and `verify-pushout` share their sieves: the cusp pinch builds
+    its 3 distinct sieves once each, and the presentation of the glued ring
+    is read off the sieve that check (a) queries, so Buchberger runs 5
+    times: the locus ideal, the 3 sieves and the presentation."""
+    from quotrel import groebner
     from quotrel.groebner import MembershipSieve
 
     builds = []
@@ -479,9 +471,11 @@ def test_cusp_pinch_builds_each_sieve_once(tmp_path, capsys, monkeypatch):
         original(self, ring, gens, extra_relations, budget)
 
     monkeypatch.setattr(MembershipSieve, "__init__", counted)
+    runs = counting(monkeypatch, groebner, "_buchberger")
     case = (Path(__file__).parents[1] / "bench" / "cases"
             / "paper-constructions" / "cusp-pinch.qs").read_text()
     code, _, _ = run(tmp_path, capsys, case, "--max-degree", "6")
     assert code == 0
     assert len(builds) == 3
     assert len(set(builds)) == 3
+    assert len(runs) == 5

@@ -1,9 +1,9 @@
-"""Coefficient twists and q-power factorization exponents."""
+"""q-power factorization exponents."""
 
 import pytest
 
 from quotrel.fields import GF, QQ
-from quotrel.frobenius import frobenius_exponent, frobenius_twist
+from quotrel.frobenius import frobenius_exponent
 from quotrel.poly import PolyRing
 from quotrel.ring import AmbientRing, subalgebra_member_ring
 
@@ -23,29 +23,6 @@ def eval_cert(cert, gens, ring):
             term = term * g ** e
         total = total + term
     return total
-
-
-def test_twist_needs_positive_characteristic():
-    pr = PolyRing(QQ, ("x",))
-    with pytest.raises(ValueError):
-        frobenius_twist(pr.parse("x"), 2)
-
-
-def test_twist_validates_the_power():
-    pr = PolyRing(GF(2), ("x",))
-    f = pr.parse("x + 1")
-    with pytest.raises(ValueError, match="not a power"):
-        frobenius_twist(f, 3)
-    with pytest.raises(ValueError, match="not a power"):
-        frobenius_twist(f, 6)
-    assert frobenius_twist(f, 4) == f
-
-
-def test_twist_fixes_prime_field_coefficients():
-    pr = PolyRing(GF(7), ("x", "y"))
-    f = pr.parse("3*x^2*y + 5*y - 2")
-    for q in (1, 7, 49):
-        assert frobenius_twist(f, q) == f
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -16,6 +16,7 @@ import property_suites
     (property_suites.molien_suite, 24),
     (property_suites.normal_form_oracle_suite, 200),
     (property_suites.buchberger_oracle_suite, 1000),
+    (property_suites.presentation_suite, 60),
 ])
 def test_suite_runs_every_case(suite, cases):
     assert suite() == cases
