@@ -19,8 +19,6 @@ from .eqrel import (
 from .fields import GF, QQ
 from .frobenius import frobenius_exponent
 from .groebner import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     MembershipSieve,
     eliminate,
     finite_over_block,
@@ -46,14 +44,17 @@ from .pinch import (
     verify_pushout_diagram,
 )
 from .poly import (
+    DEFAULT_BUDGET,
     GREVLEX,
     LEX,
     BlockOrder,
+    BudgetExceededError,
     GrevlexOrder,
     LexOrder,
     ParseError,
     PolyRing,
     Polynomial,
+    budget,
     order_from_name,
 )
 from .quotient import (
@@ -95,6 +96,7 @@ __all__ = [
     "RingElement",
     "RingMap",
     "TruncatedSubalgebra",
+    "budget",
     "check_cocycle",
     "coequalizer_kernel_basis",
     "effectivity_test",

@@ -9,6 +9,7 @@ stdin.  Exit codes: 0 all commands succeeded, 1 at least one check failed,
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from .effectivity import CocycleData, check_cocycle, change_field, effectivity_test
 from .eqrel import RelationPresentation, relation_from_group_action, relation_from_map, verify_relation
@@ -30,7 +31,7 @@ from .pinch import (
     verify_pushout,
     verify_pushout_diagram,
 )
-from .poly import GREVLEX, ParseError, PolyRing
+from .poly import DEFAULT_BUDGET, GREVLEX, ParseError, PolyRing, budget
 from .quotient import coequalizer_kernel_basis, noetherian_probe, present_subalgebra
 from .ring import AmbientRing, RingMap
 from .script import ScriptError, parse_script
@@ -217,7 +218,7 @@ class _Executor:
             pr = PolyRing(field, tuple(c["names"]), GREVLEX)
             q = [pr.parse(t) for t in c["quotient"]]
             comps.append((pr, q))
-        ring = AmbientRing(comps, budget=self.opt.budget)
+        ring = AmbientRing(comps)
         self.bind(f["name"], "ring", ring, f"ring {ring.render()}")
 
     def exec_poly(self, st):
@@ -296,8 +297,7 @@ class _Executor:
         f = st.fields
         ring = self.ring(f["ring"])
         pr = ring.poly_ring(0)
-        data = CocycleData(ring, [pr.parse(t) for t in f["maps"]], f["poly"],
-                           budget=self.opt.budget)
+        data = CocycleData(ring, [pr.parse(t) for t in f["maps"]], f["poly"])
         data.validate()
         self.bind(f["name"], "cocycle", data,
                   f"cocycle data on {f['ring']}, degree {data.degree}")
@@ -310,7 +310,6 @@ class _Executor:
             iz_gens=[self.parse_element(ring, t) for t in f["ideal"]],
             s_lifts=[self.parse_element(ring, t) for t in f["sub"]],
             module_gens=[self.parse_element(ring, t) for t in f["module"]],
-            budget=self.opt.budget,
         )
         self.bind(f["name"], "pinchinput", inp,
                   f"gluing data on {f['ring']}")
@@ -339,7 +338,7 @@ class _Executor:
     def exec_groebner(self, st):
         name = st.fields["ideal"]
         polys, ring = self._ideal(name)
-        gb = groebner_basis(polys, self.opt.budget)
+        gb = groebner_basis(polys)
         pr = ring.poly_ring(0)
         rows = [pr.render(g) for g in gb] or ["(zero ideal)"]
         self.block(st, [self.describe(name)],
@@ -354,8 +353,7 @@ class _Executor:
             el = self.parse_element(ring, f["expr"])
             from .ring import subalgebra_member_ring
 
-            ok, cert = subalgebra_member_ring(el, gens,
-                                              budget=self.opt.budget)
+            ok, cert = subalgebra_member_ring(el, gens)
             rows = []
             if ok:
                 rows.append("certificate: " + cert.ring.render(cert))
@@ -364,9 +362,9 @@ class _Executor:
             polys, ring = self._ideal(name)
             g = self.parse_poly(ring, f["expr"])
             if op == "member":
-                ok = ideal_member(g, groebner_basis(polys, self.opt.budget))
+                ok = ideal_member(g, groebner_basis(polys))
             else:
-                ok = radical_member(g, polys, self.opt.budget)
+                ok = radical_member(g, polys)
             rows = []
         self.block(
             st, [self.describe(name), self.expr_input(ring, f["expr"])],
@@ -382,7 +380,7 @@ class _Executor:
         pb, ring_b = self._ideal(f["b"])
         if ring is not ring_b:
             raise CliError("ideals live in different rings")
-        gb = ideal_intersect(pa, pb, self.opt.budget)
+        gb = ideal_intersect(pa, pb)
         pr = ring.poly_ring(0)
         rows = [pr.render(g) for g in gb] or ["(zero ideal)"]
         self.block(st, [self.describe(f["a"]), self.describe(f["b"])],
@@ -397,8 +395,9 @@ class _Executor:
             if nm not in pr.names:
                 raise CliError(f"{nm!r} is not a variable of the ring")
             drop.append(pr.names.index(nm))
-        gb = eliminate(polys, drop, self.opt.budget)
-        rows = [pr.render(g) for g in gb] or ["(zero ideal)"]
+        gb = eliminate(polys, drop)
+        # the basis lives in the ring without the dropped variables
+        rows = [g.ring.render(g) for g in gb] or ["(zero ideal)"]
         self.block(st, [self.describe(f["ideal"])],
                    {"elimination basis": rows})
 
@@ -406,8 +405,7 @@ class _Executor:
         f = st.fields
         gens, _ring = self._algebra(f["algebra"])
         names = f["names"] or None
-        out_ring, ideal = present_subalgebra(gens, names=names,
-                                             budget=self.opt.budget)
+        out_ring, ideal = present_subalgebra(gens, names=names)
         rows = [
             "generators named: " + ", ".join(out_ring.names),
             "relations: "
@@ -446,8 +444,7 @@ class _Executor:
         never rebound, and the degree bound and budget are fixed."""
         if ref not in self.kernels:
             source, _ = self._source(ref)
-            self.kernels[ref] = coequalizer_kernel_basis(
-                source, self.opt.max_degree, self.opt.budget)
+            self.kernels[ref] = coequalizer_kernel_basis(source, self.opt.max_degree)
         return self.kernels[ref]
 
     def exec_kernel_basis(self, st):
@@ -574,8 +571,7 @@ class _Executor:
                 [g.parts[0] for g in ga],
                 [g.parts[0] for g in gb_],
                 [g.parts[0] for g in gc],
-                self.opt.max_degree, budget=self.opt.budget,
-            )
+                self.opt.max_degree)
             inputs = [self.describe(a), self.describe(b), self.describe(c)]
         else:
             name = f["pinchinput"]
@@ -601,10 +597,8 @@ class _Executor:
         if ring_a.ncomponents != 1 or ring_a.q_gens(0):
             raise CliError("intersection runs in a free polynomial ring")
         trunc = subalgebra_intersection_trunc(
-            [g.parts[0] for g in ga],
-            [g.parts[0] for g in gb_],
-            self.opt.max_degree, budget=self.opt.budget,
-        )
+            [g.parts[0] for g in ga], [g.parts[0] for g in gb_],
+            self.opt.max_degree)
         rows = trunc.render_basis().splitlines()
         rows.append(f"dimensions by degree: {trunc.dims()}")
         self.block(st, [self.describe(f["a"]), self.describe(f["b"]),
@@ -618,7 +612,7 @@ class _Executor:
         if ring_a is not ring_b:
             raise CliError("algebras live in different rings")
         rmax = f["rmax"] if f["rmax"] is not None else 8
-        w = frobenius_exponent(sub, alg, r_max=rmax, budget=self.opt.budget)
+        w = frobenius_exponent(sub, alg, r_max=rmax)
         if w is None:
             rows = [f"no exponent found with r <= {rmax}"]
             verdict = "not-found"
@@ -654,10 +648,12 @@ class _Executor:
     def exec_monomials(self, st):
         f = st.fields
         ring = self.ring(f["ring"])
+        if ring.ncomponents != 1:
+            raise CliError("monomials are listed for one-component rings")
         pr = ring.poly_ring(0)
         rows = [
             pr.render(pr.monomial(m))
-            for m in pr.monomials_up_to_degree(f["degree"], self.opt.budget)
+            for m in pr.monomials_up_to_degree(f["degree"])
         ]
         self.block(st, [self.describe(f["ring"])],
                    {f"monomials up to degree {f['degree']}": rows})
@@ -665,19 +661,21 @@ class _Executor:
     # -- driver -----------------------------------------------------------------
 
     def run(self, script) -> Report:
-        """Execute every statement.  A failing statement is recorded in the
-        report, which keeps the blocks of the statements before it, and
-        raised as a :class:`CliError`."""
-        for st in script.statements:
-            handler = getattr(self, "exec_" + st.kind.replace("-", "_"))
-            try:
-                handler(st)
-            except CliError as e:
-                self.fail(st, e, e.code)
-            except BudgetExceededError as e:
-                self.fail(st, e, 3)
-            except (ParseError, ValueError) as e:
-                self.fail(st, e, 2)
+        """Execute every statement under the run's budget.  A failing
+        statement is recorded in the report, which keeps the blocks of the
+        statements before it, and raised as a :class:`CliError`."""
+        limit = DEFAULT_BUDGET if self.opt.budget is None else self.opt.budget
+        with budget(limit):
+            for st in script.statements:
+                handler = getattr(self, "exec_" + st.kind.replace("-", "_"))
+                try:
+                    handler(st)
+                except CliError as e:
+                    self.fail(st, e, e.code)
+                except BudgetExceededError as e:
+                    self.fail(st, e, 3)
+                except (ParseError, ValueError) as e:
+                    self.fail(st, e, 2)
         return self.report
 
     def fail(self, st, err: Exception, code: int):
@@ -686,13 +684,13 @@ class _Executor:
         raise CliError(self.report.error, code) from err
 
 
-class _Options:
-    def __init__(self, max_degree=10, primes=(2, 3, 5), mode="scheme",
-                 budget=None):
-        self.max_degree = max_degree
-        self.primes = tuple(primes)
-        self.mode = mode
-        self.budget = budget
+class _Options(NamedTuple):
+    """The run's settings; a ``budget`` of ``None`` is ``DEFAULT_BUDGET``."""
+
+    max_degree: int = 10
+    primes: tuple = (2, 3, 5)
+    mode: str = "scheme"
+    budget: int | None = None
 
 
 def run_script(script, options=None) -> Report:

@@ -38,21 +38,14 @@ class CocycleData:
     doubled and tripled rings are this data's.
     """
 
-    def __init__(
-        self,
-        ambient: AmbientRing,
-        map_polys: list[Polynomial],
-        cocycle: Polynomial,
-        budget=None,
-    ):
+    def __init__(self, ambient: AmbientRing, map_polys: list[Polynomial],
+                 cocycle: Polynomial):
         if ambient.is_product or ambient.q_gens(0):
             raise ValueError("effectivity inputs live in a free polynomial ring")
         self.ambient = ambient
         pr = ambient.poly_ring(0)
         self.map_polys = [p if p.ring == pr else pr.convert(p) for p in map_polys]
-        self.budget = budget if budget is not None else ambient.budget
         self.relation = relation_from_map(ambient, self.map_polys)
-        self.relation.budget = self.budget
         self.doubled = self.relation.doubled
         if cocycle is None:
             cocycle = self.doubled.zero
@@ -85,7 +78,7 @@ class CocycleData:
         to_tripled = self.relation.to_tripled
         gens = [to_tripled(g, 0, 1) for g in self.j_gens]
         gens += [to_tripled(g, 1, 2) for g in self.j_gens]
-        return groebner_basis(gens, self.budget)
+        return groebner_basis(gens)
 
     def defect(self, h: Polynomial) -> Polynomial:
         """h(x,y) + h(y,z) - h(x,z) in the tripled ring."""
@@ -152,7 +145,7 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     j_gb = data.j_basis()
     sum_gb = data.sum_basis()
 
-    columns = D.monomials_of_degree(d, data.budget)
+    columns = D.monomials_of_degree(d)
     rank = rank_map(columns)
 
     def nf_vec(p: Polynomial) -> dict:
@@ -161,7 +154,7 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     # V: differences of first-block monomials of degree d
     V = RowSpace(field, rank)
     pr = data.ambient.poly_ring(0)
-    for m in pr.monomials_of_degree(d, data.budget):
+    for m in pr.monomials_of_degree(d):
         V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
 
     # W: solve the linearized cocycle condition over degree-d monomials
@@ -205,11 +198,7 @@ def change_field(data: CocycleData, field: Field) -> CocycleData:
     universality reruns across prime fields)."""
     pr = data.ambient.poly_ring(0)
     new_pr = PolyRing(field, pr.names, pr.order)
-    ambient = AmbientRing.quotient(new_pr, [], budget=data.budget)
+    ambient = AmbientRing.quotient(new_pr, [])
     new_doubled = PolyRing(field, data.doubled.names, GREVLEX)
-    return CocycleData(
-        ambient,
-        [new_pr.convert(p) for p in data.map_polys],
-        new_doubled.convert(data.cocycle),
-        budget=data.budget,
-    )
+    return CocycleData(ambient, [new_pr.convert(p) for p in data.map_polys],
+                       new_doubled.convert(data.cocycle))

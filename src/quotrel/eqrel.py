@@ -117,10 +117,9 @@ class RelationPresentation:
                 )
         self.map_polys = map_polys
         self.source = source
-        self.budget = ambient.budget
 
     def gb(self) -> list[Polynomial]:
-        return groebner_basis(self.full_gens, self.budget)
+        return groebner_basis(self.full_gens)
 
     def swap(self, f: Polynomial) -> Polynomial:
         """Exchange the two variable blocks."""
@@ -137,7 +136,7 @@ class RelationPresentation:
         empty exactly when the relation's coordinate ring is a finite module
         over the first projection."""
         W = self.swapped
-        gb = groebner_basis([W.convert(g) for g in self.full_gens], self.budget)
+        gb = groebner_basis([W.convert(g) for g in self.full_gens])
         return [W.var(i) for i in finite_over_block(self.nvars, gb)[1]]
 
     def contains_diagonal_ideal(self) -> bool:
@@ -192,8 +191,8 @@ def relation_from_group_action(action) -> RelationPresentation:
         graphs.append(gens + q_copies)
     current = graphs[0]
     for nxt in graphs[1:]:
-        current = ideal_intersect(current, nxt, ambient.budget)
-    rel.gens = groebner_basis(current, ambient.budget)
+        current = ideal_intersect(current, nxt)
+    rel.gens = groebner_basis(current)
     rel.full_gens = rel.gens + q_copies
     return rel
 
@@ -241,12 +240,11 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
     if mode not in ("scheme", "set"):
         raise ValueError("mode must be 'scheme' or 'set'")
     report = AxiomReport(mode)
-    budget = rel.budget
 
     def member(f, gens):
         if mode == "scheme":
-            return ideal_member(f, groebner_basis(gens, budget))
-        return radical_member(f, gens, budget)
+            return ideal_member(f, groebner_basis(gens))
+        return radical_member(f, gens)
 
     def check(axis, candidates, gens):
         # the first candidate outside the ideal of ``gens`` is the witness

@@ -5,10 +5,13 @@ Because our positive-characteristic coefficients always form a prime field
 generate its image under the q-power map; finding the least q = p^r pushing
 one algebra into another therefore reduces to per-generator membership
 tests, run modulo the ambient defining ideal so nilpotents collapse on
-their own.
+their own.  For the same reason (sum c*m)^q = sum c*m^q, which is how
+:func:`frobenius_power` forms q-th powers without multiplying.
 """
 
-__all__ = ["FrobeniusWitness", "frobenius_exponent"]
+from .poly import Polynomial
+
+__all__ = ["FrobeniusWitness", "frobenius_exponent", "frobenius_power"]
 
 
 class FrobeniusWitness:
@@ -30,8 +33,15 @@ class FrobeniusWitness:
         return "\n".join(lines)
 
 
-def frobenius_exponent(sub_gens, alg_gens, r_max: int = 8,
-                       budget=None):
+def frobenius_power(b, q: int):
+    """``b ** q`` for a power ``q`` of the prime field's characteristic: the
+    exponents times ``q``, normal-formed by the ring."""
+    return b.ring.element([
+        Polynomial(f.ring, {tuple(q * e for e in m): c for m, c in f.terms.items()})
+        for f in b.parts])
+
+
+def frobenius_exponent(sub_gens, alg_gens, r_max: int = 8):
     """Minimal r <= r_max with every ``alg_gens`` power b^(p^r) inside the
     subalgebra generated by ``sub_gens``, or None if r_max is exhausted.
 
@@ -48,12 +58,12 @@ def frobenius_exponent(sub_gens, alg_gens, r_max: int = 8,
         if g.ring != ring:
             raise ValueError("generators must live in one ambient ring")
     model = ring.model()
-    sieve = model.sieve(sub_gens, budget=budget)
+    sieve = model.sieve(sub_gens)
     for r in range(r_max + 1):
         q = p**r
         certs = []
         for b in alg_gens:
-            ok, cert = sieve.query(model.to_poly(b**q))
+            ok, cert = sieve.query(model.to_poly(frobenius_power(b, q)))
             if not ok:
                 certs = None
                 break

@@ -33,13 +33,13 @@ When a leading monomial or an lcm does not fit its fields, the whole run
 restarts at twice the field width; the pairs and their order do not depend
 on the width.
 
-Computations carry a *budget* — a cap on the number of S-pair reductions and
-on the basis size (and, in :mod:`quotrel.poly`, on the number of monomials
-enumerated).  Exceeding it raises :class:`BudgetExceededError`, which is
-a resource failure, not a mathematical answer; callers must not treat it as
-"no".  Reduced bases are memoized on the ring object, so they live as long
-as it does; a memoized basis is served only to a call whose budget covers
-what its computation needed, and any other call fails as on a fresh ring.
+Each :func:`groebner_basis` call reads the budget in force (``with
+quotrel.poly.budget(n):``), a cap on its S-pair reductions and basis size.
+Exceeding it raises :class:`BudgetExceededError`, a resource failure, not
+a mathematical answer; callers must not treat it as "no".  Reduced bases
+are memoized on the ring object, so they live as long as it does; a
+memoized basis is served only to a call whose budget covers what its
+computation needed, and any other call fails as on a fresh ring.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from operator import itemgetter
 from .poly import (
     BlockOrder,
     BudgetExceededError,
-    DEFAULT_BUDGET,
     GREVLEX,
     MonomialPacking,
     PackingOverflow,
     PolyRing,
     Polynomial,
+    current_budget,
     fresh_names,
     monomial_div,
     monomial_lcm,
@@ -253,9 +253,7 @@ def _reduce_basis(G: list[Polynomial], P: list[int], eguard: int) -> list[Polyno
     return [r for _, r in reduced]
 
 
-def groebner_basis(
-    gens: list[Polynomial], budget: int | None = None
-) -> list[Polynomial]:
+def groebner_basis(gens: list[Polynomial]) -> list[Polynomial]:
     """The reduced Groebner basis of the ideal generated by ``gens``.
 
     The result is canonical for the ring's monomial order and is sorted by
@@ -263,15 +261,15 @@ def groebner_basis(
 
     The basis is memoized on the ring of ``gens[0]`` for that ring's
     lifetime, keyed by the nonzero generators in the caller's order (which
-    fixes the S-pair count).  It is returned, as a new list, only when
-    ``budget`` covers the S-pair reductions and basis size it needed;
+    fixes the S-pair count).  It is returned, as a new list, only when the
+    budget in force covers the S-pair reductions and basis size it needed;
     otherwise Buchberger runs again and fails as on a fresh ring.
     """
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:
         return []
     ring = gens[0].ring
-    budget = DEFAULT_BUDGET if budget is None else budget
+    budget = current_budget()
     hit = ring._bases.get(gens)
     if hit is None or hit[0] > budget:
         # a leading monomial or an lcm that outgrows its fields restarts
@@ -296,11 +294,9 @@ def ideal_member(f: Polynomial, gb: list[Polynomial]) -> bool:
     return normal_form(f, gb).is_zero()
 
 
-def ideal_equal(
-    gens_a: list[Polynomial], gens_b: list[Polynomial], budget: int | None = None
-) -> bool:
+def ideal_equal(gens_a: list[Polynomial], gens_b: list[Polynomial]) -> bool:
     """Whether two generating sets span the same ideal (compares reduced bases)."""
-    return groebner_basis(gens_a, budget) == groebner_basis(gens_b, budget)
+    return groebner_basis(gens_a) == groebner_basis(gens_b)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +304,7 @@ def ideal_equal(
 # ---------------------------------------------------------------------------
 
 
-def eliminate(
-    gens: list[Polynomial],
-    drop: list[int],
-    budget: int | None = None,
-) -> list[Polynomial]:
+def eliminate(gens: list[Polynomial], drop: list[int]) -> list[Polynomial]:
     """Generators of the elimination ideal: intersect with the subring
     omitting the variables at indices ``drop``.
 
@@ -326,21 +318,17 @@ def eliminate(
     back = [i for i in range(ring.nvars) if i not in drop_set]
     perm_names = [ring.names[i] for i in front + back]
     work = PolyRing(ring.field, perm_names, BlockOrder(len(front)))
-    gb = groebner_basis([work.convert(g) for g in gens], budget)
+    gb = groebner_basis([work.convert(g) for g in gens])
     keep_ring = PolyRing(ring.field, [ring.names[i] for i in back], GREVLEX)
     kept = [
         keep_ring.convert(g)
         for g in gb
         if all(m[: len(front)] == (0,) * len(front) for m in g.terms)
     ]
-    return groebner_basis(kept, budget)
+    return groebner_basis(kept)
 
 
-def ideal_intersect(
-    gens_i: list[Polynomial],
-    gens_j: list[Polynomial],
-    budget: int | None = None,
-) -> list[Polynomial]:
+def ideal_intersect(gens_i: list[Polynomial], gens_j: list[Polynomial]) -> list[Polynomial]:
     """Reduced basis of the intersection of two ideals in the same ring."""
     if not gens_i or not gens_j:
         return []
@@ -350,14 +338,12 @@ def ideal_intersect(
     t = work.var(0)
     lifted = [t * work.convert(g) for g in gens_i]
     lifted += [(work.one - t) * work.convert(g) for g in gens_j]
-    gb = groebner_basis(lifted, budget)
+    gb = groebner_basis(lifted)
     kept = [ring.convert(g) for g in gb if all(m[0] == 0 for m in g.terms)]
-    return groebner_basis(kept, budget)
+    return groebner_basis(kept)
 
 
-def radical_member(
-    f: Polynomial, gens: list[Polynomial], budget: int | None = None
-) -> bool:
+def radical_member(f: Polynomial, gens: list[Polynomial]) -> bool:
     """Whether some power of ``f`` lies in the ideal (Rabinowitsch trick)."""
     if f.is_zero():
         return True
@@ -367,7 +353,7 @@ def radical_member(
     t = work.var(0)
     lifted = [work.convert(g) for g in gens]
     lifted.append(work.one - t * work.convert(f))
-    return is_unit_ideal(groebner_basis(lifted, budget))
+    return is_unit_ideal(groebner_basis(lifted))
 
 
 def finite_over_block(
@@ -406,16 +392,9 @@ class MembershipSieve:
     tag-only elements of the basis present the subalgebra.
     """
 
-    def __init__(
-        self,
-        ring: PolyRing,
-        gens: list[Polynomial],
-        extra_relations=(),
-        budget: int | None = None,
-    ):
+    def __init__(self, ring: PolyRing, gens: list[Polynomial], extra_relations=()):
         self.ring = ring
         self.gens = list(gens)
-        self.budget = budget
         n = ring.nvars
         self.w_names = tuple(fresh_names(
             [f"w{j + 1}" for j in range(len(gens))], set(ring.names)))
@@ -423,7 +402,7 @@ class MembershipSieve:
         T = [self.work.convert(g) for g in extra_relations if not g.is_zero()]
         for j, g in enumerate(gens):
             T.append(self.work.var(n + j) - self.work.convert(g))
-        self.gb = groebner_basis(T, budget)
+        self.gb = groebner_basis(T)
 
     def _residue(self, p: Polynomial) -> Polynomial:
         n = self.ring.nvars
@@ -464,4 +443,4 @@ class MembershipSieve:
         out = PolyRing(self.ring.field, names, GREVLEX)
         tags = list(range(self.ring.nvars, self.work.nvars))
         kept = [unembed(g, out, tags) for g in self.gb if not self._residue(g)]
-        return out, groebner_basis(kept, self.budget)
+        return out, groebner_basis(kept)

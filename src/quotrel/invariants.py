@@ -100,7 +100,7 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
     out: list[list[Polynomial]] = [[pr.one]]
     nontrivial = [g for g in action.maps if g != RingMap.identity(action.ring)]
     by_degree: list[list] = [[] for _ in range(d + 1)]
-    for m in pr.monomials_up_to_degree(d, action.ring.budget):
+    for m in pr.monomials_up_to_degree(d):
         by_degree[sum(m)].append(m)
     for e in range(1, d + 1):
         columns = by_degree[e]

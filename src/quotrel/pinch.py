@@ -65,19 +65,16 @@ class PinchInput:
     ring R/I_Z as one-component rings on the flat model's polynomial ring.
     """
 
-    def __init__(self, ring: AmbientRing, iz_gens, s_lifts, module_gens,
-                 budget=None):
+    def __init__(self, ring: AmbientRing, iz_gens, s_lifts, module_gens):
         self.ring = ring
         self.iz_gens = [g for g in iz_gens if not g.is_zero()]
         self.s_lifts = list(s_lifts)
         self.module_gens = list(module_gens)
-        self.budget = budget if budget is not None else ring.budget
         self.model = ring.model()
         self.iz_polys = [self.model.to_poly(g) for g in self.iz_gens]
         P = self.model.poly_ring
-        self.flat = AmbientRing.quotient(P, self.model.relations, self.budget)
-        self.residue = AmbientRing.quotient(
-            P, self.model.relations + self.iz_polys, self.budget)
+        self.flat = AmbientRing.quotient(P, self.model.relations)
+        self.residue = AmbientRing.quotient(P, self.model.relations + self.iz_polys)
         self._sieves: dict[tuple, MembershipSieve] = {}
 
     def sieve(self, gens, locus: bool = False) -> MembershipSieve:
@@ -88,7 +85,7 @@ class PinchInput:
         key = (tuple(gens), locus)
         if key not in self._sieves:
             self._sieves[key] = self.model.sieve(
-                gens, self.iz_polys if locus else (), self.budget)
+                gens, self.iz_polys if locus else ())
         return self._sieves[key]
 
     def validate(self, d: int):
@@ -103,7 +100,7 @@ class PinchInput:
         monomials = [
             (c, m)
             for c in range(self.ring.ncomponents)
-            for m in self.ring.poly_ring(c).monomials_up_to_degree(d, self.budget)
+            for m in self.ring.poly_ring(c).monomials_up_to_degree(d)
         ]
         res = self.residue
 
@@ -229,7 +226,7 @@ def _ideal_multiples(inp: PinchInput, d: int):
         hp = inp.model.to_poly(h)
         for c in range(inp.ring.ncomponents):
             pr = inp.ring.poly_ring(c)
-            for m in pr.monomials_up_to_degree(d, inp.budget):
+            for m in pr.monomials_up_to_degree(d):
                 p = inp.flat.nf(0, inp.model.lift(c, pr.monomial(m)) * hp)
                 if p.is_zero() or p.total_degree() > d:
                     continue
@@ -321,8 +318,17 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
     return PushoutReport(checks, d)
 
 
-def subalgebra_intersection_trunc(gens1, gens2, d: int,
-                                  budget=None) -> TruncatedSubalgebra:
+def _side_sieves(gens1, gens2) -> list[MembershipSieve]:
+    """The sieves of two subalgebras of one polynomial ring."""
+    if not gens1 or not gens2:
+        raise ValueError("need generators for both subalgebras")
+    pr = gens1[0].ring
+    if any(g.ring != pr for g in list(gens1) + list(gens2)):
+        raise ValueError("generator lists must share one polynomial ring")
+    return [MembershipSieve(pr, list(gens)) for gens in (gens1, gens2)]
+
+
+def subalgebra_intersection_trunc(gens1, gens2, d: int) -> TruncatedSubalgebra:
     """Degree-truncated basis of the intersection of two subalgebras.
 
     Both generator lists live in one polynomial ring.  Membership in either
@@ -330,14 +336,12 @@ def subalgebra_intersection_trunc(gens1, gens2, d: int,
     (vanishing of every non-tag term of its sieve normal form), so the
     intersection in each degree is an exact nullspace computation.
     """
-    if not gens1 or not gens2:
-        raise ValueError("need generators for both subalgebras")
-    pr = gens1[0].ring
-    if any(g.ring != pr for g in list(gens1) + list(gens2)):
-        raise ValueError("generator lists must share one polynomial ring")
-    ring = AmbientRing.quotient(pr, (), budget)
-    sieves = [MembershipSieve(pr, list(gens), budget=budget)
-              for gens in (gens1, gens2)]
+    return _intersection_trunc(_side_sieves(gens1, gens2), d)
+
+
+def _intersection_trunc(sieves: list[MembershipSieve], d: int) -> TruncatedSubalgebra:
+    pr = sieves[0].ring
+    ring = AmbientRing.quotient(pr, ())
 
     def member(el: RingElement) -> bool:
         return all(sieve.contains(el.parts[0]) for sieve in sieves)
@@ -354,8 +358,7 @@ def subalgebra_intersection_trunc(gens1, gens2, d: int,
     return TruncatedSubalgebra(ring, d, columns, basis, member)
 
 
-def verify_pushout_diagram(gens1, gens2, corner_gens, d: int,
-                           budget=None) -> PushoutReport:
+def verify_pushout_diagram(gens1, gens2, corner_gens, d: int) -> PushoutReport:
     """Test a claimed push-out square of subalgebras of one polynomial ring.
 
     A push-out corner must be exactly the intersection of the two sides:
@@ -366,28 +369,17 @@ def verify_pushout_diagram(gens1, gens2, corner_gens, d: int,
     """
     pr = corner_gens[0].ring
     ring = AmbientRing.quotient(pr, ())
-    checks = []
-    ok1, wit1 = True, None
-    for sieve_gens in (gens1, gens2):
-        sieve = MembershipSieve(pr, list(sieve_gens), budget=budget)
-        for g in corner_gens:
-            if not sieve.contains(g):
-                ok1, wit1 = False, ring.embed(0, g)
-                break
-        if not ok1:
-            break
-    checks.append(("corner generators lie in both sides", ok1, wit1))
-
-    inter = subalgebra_intersection_trunc(gens1, gens2, d, budget=budget)
+    sieves = _side_sieves(gens1, gens2)
+    # the first corner generator outside the first side, else the second
+    wit1 = next((ring.embed(0, g) for sieve in sieves for g in corner_gens
+                 if not sieve.contains(g)), None)
+    inter = _intersection_trunc(sieves, d)
     corner_space, _ = _product_span(
         ring, [ring.element([g]) for g in corner_gens], d)
-    ok2, wit2 = True, None
-    for b in inter.basis():
-        if not corner_space.contains(dict(b.parts[0].terms)):
-            ok2, wit2 = False, b
-            break
-    checks.append(
+    wit2 = next((b for b in inter.basis()
+                 if not corner_space.contains(dict(b.parts[0].terms))), None)
+    return PushoutReport([
+        ("corner generators lie in both sides", wit1 is None, wit1),
         ("intersection spanned by the corner through the degree bound",
-         ok2, wit2)
-    )
-    return PushoutReport(checks, d)
+         wit2 is None, wit2),
+    ], d)

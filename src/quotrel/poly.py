@@ -20,11 +20,18 @@ The text format accepted by :meth:`PolyRing.parse` and produced by
 Multiplication is written explicitly with ``*`` and powers with ``^``.
 Rendering sorts terms in decreasing monomial order, so ``parse(render(f))``
 returns ``f`` on the nose.
+
+Open-ended searches (Buchberger runs, monomial enumerations) stop with
+:class:`BudgetExceededError` past one *budget*, a context variable: ``with
+budget(n):`` sets it for the enclosed code, :func:`current_budget` reads it,
+and outside any scope it is ``DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import comb
 from operator import mul
 from typing import Iterable, Sequence
@@ -43,6 +50,27 @@ DEFAULT_BUDGET = 100_000
 
 class BudgetExceededError(RuntimeError):
     """A computation ran out of its resource budget before finishing."""
+
+
+_BUDGET: ContextVar[int] = ContextVar("quotrel_budget", default=DEFAULT_BUDGET)
+
+
+def current_budget() -> int:
+    """The innermost :func:`budget` scope's limit, else ``DEFAULT_BUDGET``."""
+    return _BUDGET.get()
+
+
+@contextmanager
+def budget(limit: int):
+    """Cap the enclosed code's Groebner runs at ``limit`` S-pair reductions and
+    basis elements, and its enumerations at ``limit`` monomials."""
+    if not isinstance(limit, int):
+        raise TypeError(f"a budget is an int, not {limit!r}")
+    token = _BUDGET.set(limit)
+    try:
+        yield limit
+    finally:
+        _BUDGET.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +432,19 @@ class PolyRing:
 
     # -- monomial enumeration ------------------------------------------------
 
-    def _check_monomial_count(self, count: int, what: str, budget: int | None):
-        limit = DEFAULT_BUDGET if budget is None else budget
+    def _check_monomial_count(self, count: int, what: str):
+        limit = current_budget()
         if count > limit:
             raise BudgetExceededError(
                 f"monomial enumeration exceeded budget: {count} monomials "
                 f"{what} in {self.nvars} variables, budget {limit}"
             )
 
-    def monomials_of_degree(
-        self, d: int, budget: int | None = None
-    ) -> list[Monomial]:
+    def monomials_of_degree(self, d: int) -> list[Monomial]:
         """All exponent tuples of total degree exactly ``d``, in decreasing order.
 
         Raises :class:`BudgetExceededError`, before enumerating any, when
-        there are more than ``budget`` of them (default ``DEFAULT_BUDGET``).
+        there are more of them than the budget in force.
         """
         out: list[Monomial] = []
 
@@ -432,22 +458,20 @@ class PolyRing:
         if self.nvars == 0:
             return [()] if d == 0 else []
         self._check_monomial_count(
-            comb(self.nvars + d - 1, d), f"of degree {d}", budget)
+            comb(self.nvars + d - 1, d), f"of degree {d}")
         rec([], d, 0)
         out.sort(key=self.order.key, reverse=True)
         return out
 
-    def monomials_up_to_degree(
-        self, d: int, budget: int | None = None
-    ) -> list[Monomial]:
+    def monomials_up_to_degree(self, d: int) -> list[Monomial]:
         """All exponent tuples of total degree at most ``d``, degree by
         degree; the same budget check as :meth:`monomials_of_degree`, on the
         total count."""
         self._check_monomial_count(
-            comb(self.nvars + d, d), f"up to degree {d}", budget)
+            comb(self.nvars + d, d), f"up to degree {d}")
         out: list[Monomial] = []
         for k in range(d + 1):
-            out.extend(self.monomials_of_degree(k, budget))
+            out.extend(self.monomials_of_degree(k))
         return out
 
     # -- parsing / rendering -------------------------------------------------

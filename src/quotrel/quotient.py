@@ -221,9 +221,23 @@ def _relation_member(rel: RelationPresentation, el: RingElement) -> bool:
     return ideal_member(copy_difference(el.parts[0], rel.doubled), rel.gb())
 
 
-def _pair_component_kernel(
-    ring: AmbientRing, columns: list, s1: RingMap, s2: RingMap, c: int, budget
-) -> list[RingElement]:
+def _pair_sieves(s1: RingMap, s2: RingMap) -> dict:
+    """``(t, side)`` -> the sieve of map ``side``'s image algebra on each target
+    component ``t`` where the two maps use different source pieces."""
+    target = s1.target
+    sieves = {}
+    for t in range(target.ncomponents):
+        (a1, im1), (a2, im2) = s1.assignments[t], s2.assignments[t]
+        if a1 != a2:
+            for side, im in enumerate((im1, im2)):
+                sieves[t, side] = MembershipSieve(
+                    target.poly_ring(t), [target.nf(t, h) for h in im],
+                    target.q_gens(t))
+    return sieves
+
+
+def _pair_component_kernel(ring: AmbientRing, columns: list, s1: RingMap, s2: RingMap,
+                           sieves: dict, c: int) -> list[RingElement]:
     """Reduced-echelon solutions of the compatibility conditions restricted
     to source component ``c``."""
     target = s1.target
@@ -243,10 +257,8 @@ def _pair_component_kernel(
                 image.update(((t, mm), coeff) for mm, coeff in dif.terms.items())
         else:
             # the pullback lands in the other map's image algebra
-            own_images, other_images = (im1, im2) if a1 == c else (im2, im1)
-            sieve = MembershipSieve(tpr, other_images,
-                                    extra_relations=target.q_gens(t),
-                                    budget=budget)
+            own_images, other = (im1, 1) if a1 == c else (im2, 0)
+            sieve = sieves[t, other]
             for (_, m), image in images.items():
                 res = sieve.residue(pr.monomial(m).substitute(tpr, own_images))
                 image.update(((t, mm), coeff) for mm, coeff in res.terms.items())
@@ -255,18 +267,18 @@ def _pair_component_kernel(
 
 
 def _pair_kernel(ring: AmbientRing, columns: list, s1: RingMap, s2: RingMap,
-                 budget) -> list[RingElement]:
+                 sieves: dict) -> list[RingElement]:
     if ring.ncomponents == 1:
-        return _pair_component_kernel(ring, columns, s1, s2, 0, budget)
+        return _pair_component_kernel(ring, columns, s1, s2, sieves, 0)
     basis = [ring.one]
     for c in range(ring.ncomponents):
         # each piece's constants fold into the shared unit
-        basis += [el for el in _pair_component_kernel(ring, columns, s1, s2, c, budget)
+        basis += [el for el in _pair_component_kernel(ring, columns, s1, s2, sieves, c)
                   if el.degree() > 0]
     return basis
 
 
-def _pair_member(s1: RingMap, s2: RingMap, budget, el: RingElement) -> bool:
+def _pair_member(s1: RingMap, s2: RingMap, sieves: dict, el: RingElement) -> bool:
     """Per target component: equal pullbacks when both maps use the same
     source piece; otherwise each piece's pullback lies in the other map's
     image algebra."""
@@ -281,16 +293,14 @@ def _pair_member(s1: RingMap, s2: RingMap, budget, el: RingElement) -> bool:
             if not target.nf(t, g1 - g2).is_zero():
                 return False
         else:
-            for a, im, other_im in ((a1, im1, im2), (a2, im2, im1)):
+            for a, im, other in ((a1, im1, 1), (a2, im2, 0)):
                 g = target.nf(t, el.parts[a].substitute(tpr, im))
-                sieve = MembershipSieve(tpr, [target.nf(t, h) for h in other_im],
-                                        list(target.q_gens(t)), budget)
-                if not sieve.contains(g):
+                if not sieves[t, other].contains(g):
                     return False
     return True
 
 
-def coequalizer_kernel_basis(source, d: int, budget=None) -> TruncatedSubalgebra:
+def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
     """Canonical per-degree basis of the functions equalizing a relation or
     a pair of maps, through total degree ``d`` of normal forms.
 
@@ -313,11 +323,11 @@ def coequalizer_kernel_basis(source, d: int, budget=None) -> TruncatedSubalgebra
     if s1.source != s2.source or s1.target != s2.target:
         raise ValueError("the two maps must share source and target")
     ring = s1.source
-    budget = budget if budget is not None else ring.budget
     columns = ordered_columns(ring, d)
+    sieves = _pair_sieves(s1, s2)
     return TruncatedSubalgebra(ring, d, columns,
-                               _pair_kernel(ring, columns, s1, s2, budget),
-                               partial(_pair_member, s1, s2, budget))
+                               _pair_kernel(ring, columns, s1, s2, sieves),
+                               partial(_pair_member, s1, s2, sieves))
 
 
 class GrowthReport:
@@ -350,19 +360,16 @@ class GrowthReport:
         return "\n".join(lines)
 
 
-def noetherian_probe(source, d: int, budget=None) -> GrowthReport:
+def noetherian_probe(source, d: int) -> GrowthReport:
     """Compute the kernel truncation and report generator growth."""
     if d < 2:
         raise ValueError("the growth probe needs degree bound >= 2")
-    trunc = source if isinstance(source, TruncatedSubalgebra) else coequalizer_kernel_basis(source, d, budget)
+    trunc = source if isinstance(source, TruncatedSubalgebra) else coequalizer_kernel_basis(source, d)
     return GrowthReport(trunc)
 
 
-def present_subalgebra(
-    gens: list[RingElement],
-    names=None,
-    budget=None,
-) -> tuple[PolyRing, list[Polynomial]]:
+def present_subalgebra(gens: list[RingElement],
+                       names=None) -> tuple[PolyRing, list[Polynomial]]:
     """The exact ideal of algebraic relations among finitely many elements.
 
     Returns a polynomial ring on one variable per generator (named ``w1``,
@@ -378,4 +385,4 @@ def present_subalgebra(
         raise ValueError("generators must live in one ambient ring")
     if names is not None and len(names) != len(gens):
         raise ValueError("need exactly one name per generator")
-    return ring.model().sieve(gens, budget=budget).presentation(names)
+    return ring.model().sieve(gens).presentation(names)

@@ -24,11 +24,7 @@ from .poly import GREVLEX, PolyRing, Polynomial, embed, fresh_names, power, unem
 class AmbientRing:
     """A finite product of quotient rings ``field[vars]/Q``."""
 
-    def __init__(
-        self,
-        components: list[tuple[PolyRing, list[Polynomial]]],
-        budget: int | None = None,
-    ):
+    def __init__(self, components: list[tuple[PolyRing, list[Polynomial]]]):
         if not components:
             raise ValueError("an ambient ring needs at least one component")
         self.components = []
@@ -41,16 +37,15 @@ class AmbientRing:
         self.field: Field = self.components[0][0].field
         if any(pr.field != self.field for pr, _ in self.components):
             raise ValueError("all components must share one coefficient field")
-        self.budget = budget
         self._model: FlatModel | None = None
 
     @classmethod
-    def free(cls, field: Field, names, budget: int | None = None) -> "AmbientRing":
-        return cls([(PolyRing(field, names, GREVLEX), [])], budget=budget)
+    def free(cls, field: Field, names) -> "AmbientRing":
+        return cls([(PolyRing(field, names, GREVLEX), [])])
 
     @classmethod
-    def quotient(cls, poly_ring: PolyRing, q_gens, budget: int | None = None) -> "AmbientRing":
-        return cls([(poly_ring, list(q_gens))], budget=budget)
+    def quotient(cls, poly_ring: PolyRing, q_gens) -> "AmbientRing":
+        return cls([(poly_ring, list(q_gens))])
 
     # -- structure -----------------------------------------------------------
 
@@ -70,7 +65,7 @@ class AmbientRing:
 
     def gb(self, c: int = 0) -> list[Polynomial]:
         """Reduced Groebner basis of the component's defining ideal."""
-        return groebner_basis(self.components[c][1], self.budget)
+        return groebner_basis(self.components[c][1])
 
     def nf(self, c: int, f: Polynomial) -> Polynomial:
         return normal_form(f, self.gb(c)) if self.components[c][1] else f
@@ -129,7 +124,7 @@ class AmbientRing:
         lms = [g.leading_monomial() for g in self.gb(c)]
         return [
             m
-            for m in pr.monomials_up_to_degree(d, self.budget)
+            for m in pr.monomials_up_to_degree(d)
             if not any(monomial_divides(lm, m) for lm in lms)
         ]
 
@@ -385,13 +380,12 @@ class FlatModel:
                 rels.append(self.lift(c, g))
         self.relations = rels
 
-    def sieve(self, gens, extra=(), budget: int | None = None) -> MembershipSieve:
+    def sieve(self, gens, extra=()) -> MembershipSieve:
         """The sieve of the subalgebra generated by the ring elements
         ``gens``, modulo the model's relations and the flat polynomials
         ``extra``; it answers queries on flat polynomials (:meth:`to_poly`)."""
         return MembershipSieve(self.poly_ring, [self.to_poly(g) for g in gens],
-                               extra_relations=self.relations + list(extra),
-                               budget=budget)
+                               extra_relations=self.relations + list(extra))
 
     def lift(self, c: int, f: Polynomial) -> Polynomial:
         """The flat polynomial ``e_c * f`` of the element that is the
@@ -439,15 +433,11 @@ class FlatModel:
         )
 
 
-def subalgebra_member_ring(
-    f: RingElement,
-    gens: list[RingElement],
-    budget: int | None = None,
-):
+def subalgebra_member_ring(f: RingElement, gens: list[RingElement]):
     """Exact subalgebra membership over an ambient ring (products included).
 
     Returns ``(True, certificate)`` or ``(False, None)``, the one-shot
     :meth:`~quotrel.groebner.MembershipSieve.query` of :meth:`FlatModel.sieve`.
     """
     model = f.ring.model()
-    return model.sieve(gens, budget=budget).query(model.to_poly(f))
+    return model.sieve(gens).query(model.to_poly(f))

@@ -396,7 +396,7 @@ def grevlex_key(m: tuple) -> tuple:
 # reference presentation
 
 
-def eliminate_presentation(gens, names=None, budget=None):
+def eliminate_presentation(gens, names=None):
     """The ring on one variable per generator (``w1``, ``w2``, … unless
     ``names`` provides others, freshened against the flat model's names) and
     the reduced basis of the relations among the ring elements ``gens``.
@@ -413,6 +413,6 @@ def eliminate_presentation(gens, names=None, budget=None):
     T = [work.convert(r) for r in model.relations]
     for j, g in enumerate(gens):
         T.append(work.var(base.nvars + j) - work.convert(model.to_poly(g)))
-    kern = groebner.eliminate(T, drop=list(range(base.nvars)), budget=budget)
+    kern = groebner.eliminate(T, drop=list(range(base.nvars)))
     out_ring = PolyRing(base.field, tuple(w_names), GREVLEX)
     return out_ring, [out_ring.convert(g) for g in kern]

@@ -23,7 +23,7 @@ from quotrel import groebner
 from quotrel.fields import GF, QQ
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
-from quotrel.poly import GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, embed
+from quotrel.poly import GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, budget, embed
 from quotrel.quotient import coequalizer_kernel_basis, present_subalgebra
 from quotrel.ring import AmbientRing, RingMap
 
@@ -343,9 +343,10 @@ def buchberger_oracle_suite(cases=1000, seed=20261020):
         order = order or BlockOrder(rng.randint(1, nvars - 1))
         ring = PolyRing(field, names[:nvars], order)
         gens = _buchberger_input(rng, ring)
-        budget = rng.choice((300, 300, 300, rng.randint(1, 8)))
-        theirs, their_calls = _recorded(lambda: oracles.naive_buchberger(gens, budget))
-        ours, our_calls = _recorded(lambda: groebner_basis(list(gens), budget))
+        limit = rng.choice((300, 300, 300, rng.randint(1, 8)))
+        theirs, their_calls = _recorded(lambda: oracles.naive_buchberger(gens, limit))
+        with budget(limit):
+            ours, our_calls = _recorded(lambda: groebner_basis(list(gens)))
         where = f"over {field!r} ({order!r}) on {[ring.render(g) for g in gens]}"
         assert our_calls == their_calls, f"S-pair sequence differs {where}"
         if isinstance(theirs, str) or isinstance(ours, str):

@@ -299,6 +299,54 @@ def test_monomial_enumeration_over_budget_exits_three(tmp_path, capsys):
     assert code == 0
 
 
+def test_budget_flag_scopes_one_run(tmp_path, capsys):
+    from quotrel.poly import DEFAULT_BUDGET, current_budget
+
+    code, _, _ = run(tmp_path, capsys, SLOW_GROEBNER, "--budget", "3")
+    assert code == 3
+    assert current_budget() == DEFAULT_BUDGET
+
+
+def test_monomials_refuses_a_product_ring(tmp_path, capsys):
+    script = "ring R = QQ[x, y] * QQ[z];\nmonomials R degree 1;\n"
+    code, out, err = run(tmp_path, capsys, script)
+    assert code == 2
+    assert err == "error: line 2: monomials are listed for one-component rings\n"
+
+
+def test_eliminate_renders_in_the_smaller_ring(tmp_path, capsys):
+    script = (
+        "ring S = QQ[a, b, c];\n"
+        "ideal I = (a - b^2, c - b^3) in S;\n"
+        "eliminate I drop b;\n"
+    )
+    code, out, err = run(tmp_path, capsys, script)
+    assert code == 0
+    assert out == (
+        "$ eliminate I drop b\n"
+        "inputs: I (ideal in S)\n"
+        "elimination basis:\n"
+        "a^3 - c^2\n"
+    )
+
+
+def test_frobenius_powers_stay_sparse(tmp_path, capsys):
+    # (x + y)^(5^8) has two terms; forming it by repeated squaring does not
+    # finish in minutes
+    script = (
+        "ring R = FF(5)[x, y];\n"
+        "algebra S = (x^2) in R;\n"
+        "algebra A = (x + y) in R;\n"
+        "frobenius-exponent S A;\n"
+    )
+    start = time.perf_counter()
+    code, out, _ = run(tmp_path, capsys, script, "--budget", "1000")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "no exponent found with r <= 8", "verdict: not-found"]
+
+
 @pytest.mark.parametrize("script", [
     "ring X = QQ[x, y];\n"
     "relation RM on X = from-map (x^2, x*y, y^2);\n"
@@ -466,9 +514,9 @@ def test_cusp_pinch_builds_each_sieve_once(tmp_path, capsys, monkeypatch):
     builds = []
     original = MembershipSieve.__init__
 
-    def counted(self, ring, gens, extra_relations=(), budget=None):
+    def counted(self, ring, gens, extra_relations=()):
         builds.append((tuple(gens), tuple(extra_relations)))
-        original(self, ring, gens, extra_relations, budget)
+        original(self, ring, gens, extra_relations)
 
     monkeypatch.setattr(MembershipSieve, "__init__", counted)
     runs = counting(monkeypatch, groebner, "_buchberger")

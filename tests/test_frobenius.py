@@ -3,7 +3,7 @@
 import pytest
 
 from quotrel.fields import GF, QQ
-from quotrel.frobenius import frobenius_exponent
+from quotrel.frobenius import frobenius_exponent, frobenius_power
 from quotrel.poly import PolyRing
 from quotrel.ring import AmbientRing, subalgebra_member_ring
 
@@ -140,3 +140,28 @@ def test_one_sieve_per_frobenius_call(monkeypatch, case):
     assert [b for b, _ in w.certificates] == alg
     for b, cert in w.certificates:
         assert subalgebra_member_ring(b ** w.q, sub) == (True, cert)
+
+
+def power_cases(p):
+    """name -> an element with several terms and coefficients over FF(p)."""
+    free = AmbientRing.free(GF(p), ("x", "y"))
+    fr = free.poly_ring(0)
+    qr = PolyRing(GF(p), ("x", "eps"))
+    quotient = AmbientRing.quotient(qr, [qr.parse("eps^2"), qr.parse("x^3 - x*eps")])
+    ur = PolyRing(GF(p), ("u", "v"))
+    product = AmbientRing([(PolyRing(GF(p), ("t",)), []), (ur, [ur.parse("u*v - 1")])])
+    return {
+        "free": free.embed(0, fr.parse("2*x^2*y - x + 3*y^2 + 1")),
+        "quotient": quotient.element([qr.parse("x^2 + 2*x*eps - eps + 1")]),
+        "product": product.element([product.poly_ring(0).parse("t^2 + 2*t"),
+                                    product.poly_ring(1).parse("u^2 + 3*v - 1")]),
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("case", ["free", "quotient", "product"])
+def test_frobenius_power_is_the_power(p, case):
+    """Multiplying exponents by q = p^r is the q-th power over FF(p)."""
+    b = power_cases(p)[case]
+    for r in range(3):
+        assert frobenius_power(b, p ** r) == b ** p ** r

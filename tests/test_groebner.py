@@ -1,6 +1,7 @@
 """Groebner engine: normal forms, reduced bases, ideal operations, budgets."""
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -19,7 +20,7 @@ from quotrel.groebner import (
     radical_member,
     s_polynomial,
 )
-from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing
+from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, budget
 
 import oracles
 
@@ -109,10 +110,11 @@ def test_groebner_output_is_input_order_independent(R):
 def test_budget_is_a_distinct_outcome():
     R = PolyRing(QQ, ("x", "y", "z"))
     gens = [R.parse("x^5 + y^4 + z^3 - 1"), R.parse("x^3 + y^3 + z^2 - 1")]
-    with pytest.raises(BudgetExceededError):
-        groebner_basis(gens, budget=3)
+    with budget(3), pytest.raises(BudgetExceededError):
+        groebner_basis(gens)
     # same input with room succeeds
-    assert groebner_basis(gens, budget=100000)
+    with budget(100000):
+        assert groebner_basis(gens)
 
 
 KATSURA3 = (
@@ -127,7 +129,7 @@ BUDGET_IDEAL = ("x^5 + y^4 + z^3 - 1", "x^3 + y^3 + z^2 - 1")
 FF2_SIEVE = ("w1 - s^2", "w2 - s^3", "w3 - s*t^2", "w4 - t^2", "w5 - t^3")
 
 
-@pytest.mark.parametrize("field, names, order, gens, budget, calls, outcome", [
+@pytest.mark.parametrize("field, names, order, gens, limit, calls, outcome", [
     (GF(32003), ("u0", "u1", "u2", "u3"), GREVLEX, KATSURA3, None, 10, 7),
     (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, None, 3, 3),
     (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, 3, 2, "budget"),
@@ -136,7 +138,7 @@ FF2_SIEVE = ("w1 - s^2", "w2 - s^3", "w3 - s*t^2", "w4 - t^2", "w5 - t^3")
      None, 153, 19),
 ])
 def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
-                                   budget, calls, outcome):
+                                   limit, calls, outcome):
     """S-polynomials built per basis computation, and the basis size (or the
     budget error).  The normal selection strategy with the product and chain
     criteria fixes these numbers; a Gebauer-Moeller update or the sugar
@@ -154,11 +156,13 @@ def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
     monkeypatch.setattr(groebner, "s_polynomial", counted)
     ring = PolyRing(field, names, order)
     polys = [ring.parse(g) for g in gens]
-    if outcome == "budget":
-        with pytest.raises(BudgetExceededError):
-            groebner_basis(polys, budget=budget)
-    else:
-        assert len(groebner_basis(polys, budget=budget)) == outcome
+    # None: no scope, the default budget
+    with budget(limit) if limit is not None else nullcontext():
+        if outcome == "budget":
+            with pytest.raises(BudgetExceededError):
+                groebner_basis(polys)
+        else:
+            assert len(groebner_basis(polys)) == outcome
     assert count[0] == calls
 
 
@@ -178,12 +182,13 @@ def test_memoized_basis_keeps_budget_semantics(monkeypatch, field, names,
         ring = PolyRing(field, names)
         return [ring.parse(g) for g in gens]
 
-    with pytest.raises(BudgetExceededError) as fresh:
-        groebner_basis(polys(), budget=small)
+    with budget(small), pytest.raises(BudgetExceededError) as fresh:
+        groebner_basis(polys())
     P = polys()
-    full = groebner_basis(P, budget=1000)
-    with pytest.raises(BudgetExceededError) as reused:
-        groebner_basis(P, budget=small)
+    with budget(1000):
+        full = groebner_basis(P)
+    with budget(small), pytest.raises(BudgetExceededError) as reused:
+        groebner_basis(P)
     assert str(reused.value) == str(fresh.value)
 
     def no_recompute(*args):
@@ -191,7 +196,8 @@ def test_memoized_basis_keeps_budget_semantics(monkeypatch, field, names,
 
     # one more unit is the budget the computation needed: a memo hit
     monkeypatch.setattr(groebner, "_buchberger", no_recompute)
-    assert groebner_basis(P, budget=small + 1) == full
+    with budget(small + 1):
+        assert groebner_basis(P) == full
 
 
 def test_wide_exponents_restart_the_whole_run(monkeypatch):

@@ -69,3 +69,75 @@ def test_no_unused_imports(path):
         name: line for name, line in imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+# -- the budget is read from one scope ------------------------------------------
+
+
+def budget_owners(tree: ast.Module, module: str) -> tuple[list[str], list[str]]:
+    """Qualified names of the functions taking a ``budget`` parameter, and of
+    the scopes storing a ``budget`` attribute: ``x.budget = ...``,
+    ``setattr(x, "budget", ...)``, or a ``budget`` field in a class body."""
+    params, stores = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    a = child.args
+                    if any(x.arg == "budget" for x in a.posonlyargs + a.args + a.kwonlyargs):
+                        params.append(name)
+                elif any(
+                    isinstance(sub, ast.Name) and sub.id == "budget"
+                    and isinstance(sub.ctx, ast.Store)
+                    for stmt in child.body
+                    if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    for sub in ast.walk(stmt)
+                ):
+                    stores.append(name)
+                visit(child, name)
+                continue
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "budget"
+                and isinstance(child.ctx, ast.Store)
+            ) or (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "setattr" and len(child.args) > 1
+                and isinstance(child.args[1], ast.Constant)
+                and child.args[1].value == "budget"
+            ):
+                stores.append(scope)
+            visit(child, scope)
+
+    visit(tree, module)
+    return params, stores
+
+
+def test_budget_scan_flags_parameters_and_stores():
+    tree = ast.parse(
+        "def f(x, budget=None):\n"
+        "    pass\n"
+        "class A:\n"
+        "    budget: int = 3\n"
+        "    def __init__(self, *, budget):\n"
+        "        self.budget = budget\n"
+        "def g(obj):\n"
+        "    setattr(obj, 'budget', 1)\n"
+        "    budget = 2\n"
+        "    return budget\n"
+    )
+    assert budget_owners(tree, "m") == (
+        ["m.f", "m.A.__init__"], ["m.A", "m.A.__init__", "m.g"])
+
+
+def test_budget_is_read_from_one_scope():
+    """Only the Buchberger loop is handed a budget, and only the CLI's
+    options store one; everything else reads ``poly.current_budget``."""
+    params, stores = [], []
+    for path in sorted(SRC.glob("*.py")):
+        p, s = budget_owners(ast.parse(path.read_text()), path.stem)
+        params += p
+        stores += s
+    assert params == ["groebner._buchberger"]
+    assert stores == ["cli._Options"]

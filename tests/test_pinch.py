@@ -3,6 +3,7 @@
 import pytest
 
 from quotrel.fields import QQ
+from quotrel.groebner import MembershipSieve
 from quotrel.pinch import (
     PinchInput,
     PinchResult,
@@ -139,6 +140,25 @@ def test_diagram_true_square():
         [pr.parse("x^2")], [pr.parse("x^3")], [pr.parse("x^6")], 12
     )
     assert rep.passed
+
+
+def test_diagram_builds_one_sieve_per_side(monkeypatch):
+    """The corner check and the intersection share the two side sieves."""
+    builds = []
+    init = MembershipSieve.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MembershipSieve, "__init__", counted)
+    pr = PolyRing(QQ, ("x", "y"))
+    rep = verify_pushout_diagram(
+        [pr.parse("x^2"), pr.parse("y")], [pr.parse("x"), pr.parse("y^2")],
+        [pr.parse("x^2"), pr.parse("y^2")], 6,
+    )
+    assert rep.passed
+    assert len(builds) == 2
 
 
 def test_diagram_corner_too_small():

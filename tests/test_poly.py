@@ -12,11 +12,14 @@ from quotrel.poly import (
     GREVLEX,
     LEX,
     BlockOrder,
+    DEFAULT_BUDGET,
     BudgetExceededError,
     GrevlexOrder,
     ParseError,
     PolyRing,
     Polynomial,
+    budget,
+    current_budget,
     embed,
     monomial_div,
     monomial_divides,
@@ -175,16 +178,37 @@ def test_monomials_of_degree_counts(R):
 
 def test_monomial_enumeration_is_budgeted(R):
     # the count is checked before enumerating, so huge degrees fail at once
-    assert len(R.monomials_of_degree(4, budget=15)) == 15
-    with pytest.raises(BudgetExceededError, match="15 monomials of degree 4"):
-        R.monomials_of_degree(4, budget=14)
-    assert len(R.monomials_up_to_degree(3, budget=20)) == 20
-    with pytest.raises(BudgetExceededError, match="up to degree 3"):
-        R.monomials_up_to_degree(3, budget=19)
+    with budget(15):
+        assert len(R.monomials_of_degree(4)) == 15
+    with budget(14), pytest.raises(BudgetExceededError, match="15 monomials of degree 4"):
+        R.monomials_of_degree(4)
+    with budget(20):
+        assert len(R.monomials_up_to_degree(3)) == 20
+    with budget(19), pytest.raises(BudgetExceededError, match="up to degree 3"):
+        R.monomials_up_to_degree(3)
     with pytest.raises(BudgetExceededError):
         R.monomials_of_degree(10**6)
     with pytest.raises(BudgetExceededError):
         R.monomials_up_to_degree(10**6)
+
+
+def test_budget_scope_restores_the_previous_budget(R):
+    assert current_budget() == DEFAULT_BUDGET
+    with budget(50):
+        with budget(7) as limit:
+            assert limit == current_budget() == 7
+        assert current_budget() == 50
+        with pytest.raises(BudgetExceededError), budget(3):
+            R.monomials_of_degree(4)
+        assert current_budget() == 50
+        with pytest.raises(ZeroDivisionError), budget(2):
+            1 / 0
+        assert current_budget() == 50
+    assert current_budget() == DEFAULT_BUDGET
+    with pytest.raises(TypeError):
+        with budget(None):
+            pass
+    assert current_budget() == DEFAULT_BUDGET
 
 
 def test_substitute(R):

@@ -4,7 +4,8 @@ import pytest
 
 from quotrel.eqrel import relation_from_map
 from quotrel.fields import QQ
-from quotrel.poly import PolyRing
+from quotrel.groebner import MembershipSieve
+from quotrel.poly import BudgetExceededError, PolyRing, budget
 from quotrel.quotient import (
     coequalizer_kernel_basis,
     element_to_vector,
@@ -130,6 +131,39 @@ def test_pair_source_validation(glued_lines):
     foreign = RingMap(Y, Y, [(0, [Y.poly_ring(0).var(0)])])
     with pytest.raises(ValueError):
         coequalizer_kernel_basis((s1, foreign), 2)
+
+
+def test_pair_kernel_builds_one_sieve_per_side(monkeypatch):
+    """u -> s^2 and v -> s^3 from QQ[u] x QQ[v]: the kernel builds the sieve
+    of each map's image algebra once, and rechecking its basis reuses them."""
+    builds = []
+    init = MembershipSieve.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MembershipSieve, "__init__", counted)
+    X = AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])])
+    Z = AmbientRing.free(QQ, ("s",))
+    s = Z.poly_ring(0).var(0)
+    tr = coequalizer_kernel_basis(
+        (RingMap(X, Z, [(0, [s ** 2])]), RingMap(X, Z, [(1, [s ** 3])])), 8)
+    assert [f.render() for f in tr.basis()] == [
+        "(1, 1)", "(0, v^2)", "(u^3, 0)", "(0, v^4)", "(u^6, 0)", "(0, v^6)",
+        "(0, v^8)",
+    ]
+    assert len(builds) == 2
+    assert all(tr.defining_membership(f) for f in tr.basis())
+    assert len(builds) == 2
+
+
+def test_relation_kernel_runs_under_the_budget(cusp_rel):
+    with budget(1):
+        with pytest.raises(BudgetExceededError):
+            coequalizer_kernel_basis(cusp_rel, 12)
+        with pytest.raises(BudgetExceededError):
+            noetherian_probe(cusp_rel, 12)
 
 
 def test_probe_stabilized(cusp_rel):
