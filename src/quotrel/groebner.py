@@ -14,10 +14,15 @@ dividend is a dict keyed by packed monomial plus a max-heap of its keys
 (Monagan & Pearce, CASC 2007); each step pops the largest live term and
 subtracts a multiple of the *first* basis element whose leading monomial
 divides it, so remainders are those of the textbook division algorithm,
-term for term.  Each basis polynomial is packed once per field width and
-keeps that form in a slot.  When a monomial does not fit its fields (a huge
-input exponent, or a product grown in a lex or block reduction), the
-division restarts at twice the field width, with the same result.
+term for term.  Coefficients accumulate with plain ``+`` and ``*`` and take
+their canonical form once, when their term is popped (``% p`` over FF(p);
+over QQ a ``Fraction`` with denominator 1 becomes its numerator), as
+Monagan & Pearce do.  Each basis polynomial is packed once per field width
+and keeps that form in a slot; a division packs its divisor list once, and
+Buchberger keeps one list for its whole run.  When a monomial does not fit
+its fields (a huge input exponent, or a product grown in a lex or block
+reduction), the division restarts at twice the field width, with the same
+result.
 
 Buchberger uses the normal selection strategy: of the pending S-pairs, the
 one with the smallest ``(lcm, i, j)`` is reduced next, where ``i < j`` index
@@ -73,21 +78,33 @@ from .poly import (
 _WIDTH = 16
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
+def normal_form(f: Polynomial, basis: list[Polynomial], packed=None) -> Polynomial:
     """Remainder of ``f`` on division by ``basis`` (first divisor wins).
 
     Against a Groebner basis this is the canonical normal form; against an
     arbitrary list it is still deterministic but order-dependent.  Every
     element of ``basis`` must lie in ``f``'s ring (``ValueError`` otherwise).
+
+    A caller that keeps ``basis`` packed itself (Buchberger) passes
+    ``packed = (divisors, pk)``, the :func:`_divisor` forms of the nonzero
+    elements at packing ``pk``; the division then runs at ``pk`` only, and a
+    monomial that does not fit raises :class:`PackingOverflow`.
     """
+    if packed is not None:
+        return _divide(f, *packed)
     ring = f.ring
     for g in basis:
         if g.ring is not ring and g.ring != ring:
             raise ValueError(f"ring mismatch: {ring!r} vs {g.ring!r}")
-    width = _WIDTH
+    # start where the dividend fits, so that its overflow never repacks
+    # the divisors
+    width, degree = _WIDTH, f.total_degree()
+    while degree >= 1 << (width - 1):
+        width *= 2
     while True:
+        pk = ring.packing(width)
         try:
-            return _divide(f, basis, ring.packing(width))
+            return _divide(f, [_divisor(g, pk) for g in basis if g.terms], pk)
         except PackingOverflow:
             width *= 2
 
@@ -107,15 +124,13 @@ def _divisor(g: Polynomial, pk: MonomialPacking) -> tuple:
     return slot
 
 
-def _divide(f: Polynomial, basis: list[Polynomial], pk: MonomialPacking) -> Polynomial:
-    """Heap division of ``f`` by ``basis`` on monomials packed by ``pk``;
-    raises :class:`PackingOverflow` when a monomial outgrows its fields."""
-    field = f.ring.field
-    add, mul, is_zero = field.add, field.mul, field.is_zero
+def _divide(f: Polynomial, divisors: list[tuple], pk: MonomialPacking) -> Polynomial:
+    """Heap division of ``f`` by the :func:`_divisor` forms ``divisors`` on
+    monomials packed by ``pk``; raises :class:`PackingOverflow` when a
+    monomial outgrows its fields."""
+    p = f.ring.field.characteristic
     guard, eguard = pk.guard, pk.eguard
-    # the dividend first: when it does not fit, the divisors keep their slots
     terms = {pk.pack(m): c for m, c in f.terms.items()}
-    divisors = [_divisor(g, pk) for g in basis if g.terms]
     # one heap entry per key of ``terms``; cancelled terms stay as zeros
     heap = [-k for k in terms]
     heapq.heapify(heap)
@@ -123,8 +138,14 @@ def _divide(f: Polynomial, basis: list[Polynomial], pk: MonomialPacking) -> Poly
     remainder = {}
     while heap:
         k = -pop(heap)
+        # coefficients accumulate with plain operators and take their
+        # canonical form here, once per key
         c = terms.pop(k)
-        if is_zero(c):
+        if p:
+            c %= p
+        elif c.__class__ is not int and c.denominator == 1:
+            c = c.numerator
+        if not c:
             continue
         for _, gm, tail in divisors:
             q = k - gm
@@ -135,10 +156,10 @@ def _divide(f: Polynomial, basis: list[Polynomial], pk: MonomialPacking) -> Poly
                         raise PackingOverflow(f"product outgrew {pk.width}-bit fields")
                     old = terms.get(m)
                     if old is None:
-                        terms[m] = mul(c, tc)
+                        terms[m] = c * tc
                         push(heap, -m)
                     else:
-                        terms[m] = add(old, mul(c, tc))
+                        terms[m] = old + c * tc
                 break
         else:
             remainder[k] = c
@@ -154,8 +175,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     field = f.ring.field
     fm, gm = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(fm, gm)
-    a = f.mul_monomial(monomial_div(lcm, fm), field.inv(f.leading_coeff()))
-    b = g.mul_monomial(monomial_div(lcm, gm), field.inv(g.leading_coeff()))
+    fc, gc = f.leading_coeff(), g.leading_coeff()
+    # Buchberger's elements are monic: no inverse needed
+    a = f.mul_monomial(monomial_div(lcm, fm), fc if fc == 1 else field.inv(fc))
+    b = g.mul_monomial(monomial_div(lcm, gm), gc if gc == 1 else field.inv(gc))
     return a - b
 
 
@@ -176,6 +199,8 @@ def _buchberger(
     P = [p for p, _ in G]
     G = [g for _, g in G]
     lms = [g.leading_monomial() for g in G]
+    # the basis packed once for the whole run
+    D = [_divisor(g, pk) for g in G]
     # normal selection: each pair enters the heap once, keyed by its packed lcm
     heap: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()
@@ -214,12 +239,13 @@ def _buchberger(
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: {processed} S-pair reductions"
             )
-        r = normal_form(s_polynomial(G[i], G[j]), G)
+        r = normal_form(s_polynomial(G[i], G[j]), G, (D, pk))
         if r.is_zero():
             continue
         G.append(r.monic())
+        D.append(_divisor(G[-1], pk))
         lms.append(r.leading_monomial())
-        P.append(pack(lms[-1]))
+        P.append(D[-1][1])
         if len(G) > budget:
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: basis grew past {budget}"

@@ -4,6 +4,13 @@ Provides the averaging (Reynolds) projection when the group order is
 invertible, graded bases of invariants in any characteristic via the
 fixed-point linear system, and the elementary-symmetric-function generators
 that exhibit any element as integral over the invariant ring.
+
+:meth:`GroupAction.validate` records the group's multiplication table,
+and :meth:`GroupAction.generators` reads a generating set off it.  The
+fixed-point system needs only those generators: invariance under a
+generating set is invariance under the group (Derksen & Kemper,
+*Computational Invariant Theory*, sec. 3.1).  The Reynolds projection and
+the orbit equations run over every element.
 """
 
 from __future__ import annotations
@@ -11,6 +18,10 @@ from __future__ import annotations
 from .linalg import condition_rows, nullspace
 from .poly import GREVLEX, PolyRing, Polynomial, fresh_names
 from .ring import AmbientRing, RingMap
+
+
+def _key(m: RingMap) -> tuple:
+    return tuple(m.assignments[0][1])
 
 
 class GroupAction:
@@ -38,34 +49,52 @@ class GroupAction:
     def order(self) -> int:
         return len(self.maps)
 
-    def _find(self, m: RingMap) -> int | None:
-        for i, g in enumerate(self.maps):
-            if g == m:
-                return i
-        return None
-
     def validate(self) -> None:
         """Check the group axioms: distinct elements, identity present,
-        closure under composition, inverses present."""
+        closure under composition, inverses present.  Records the
+        multiplication table: ``products[i][j]`` is the index of
+        ``maps[i].compose(maps[j])``."""
         if self._validated:
             return
+        # the ring is free, so two maps are equal iff their images are
+        index: dict[tuple, int] = {}
         for i, g in enumerate(self.maps):
-            if self._find(g) != i:
+            if index.setdefault(_key(g), i) != i:
                 raise ValueError("duplicate group element in action")
-        ident = RingMap.identity(self.ring)
-        if self._find(ident) is None:
+        ident = index.get(_key(RingMap.identity(self.ring)))
+        if ident is None:
             raise ValueError("action does not contain the identity")
+        self.products = []
         for g in self.maps:
-            has_inverse = False
-            for h in self.maps:
-                gh = g.compose(h)
-                if self._find(gh) is None:
-                    raise ValueError("action is not closed under composition")
-                if gh == ident:
-                    has_inverse = True
-            if not has_inverse:
+            row = [index.get(_key(g.compose(h))) for h in self.maps]
+            if None in row:
+                raise ValueError("action is not closed under composition")
+            if ident not in row:
                 raise ValueError("a group element has no inverse in the list")
+            self.products.append(row)
+        self.identity = ident
         self._validated = True
+
+    def generators(self) -> list[int]:
+        """Indices of a generating set: walking the maps in list order, each
+        map that the maps kept before it do not generate."""
+        self.validate()
+        kept: list[int] = []
+        generated = {self.identity}
+        for i in range(self.order):
+            if i in generated:
+                continue
+            kept.append(i)
+            # the subgroup generated so far: close under the kept maps
+            frontier = list(generated)
+            while frontier:
+                x = frontier.pop()
+                for k in kept:
+                    y = self.products[x][k]
+                    if y not in generated:
+                        generated.add(y)
+                        frontier.append(y)
+        return kept
 
     def apply(self, i: int, f: Polynomial) -> Polynomial:
         return self.maps[i].apply_poly(f)
@@ -92,20 +121,23 @@ def reynolds_project(f: Polynomial, action: GroupAction) -> Polynomial:
 def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
     """Canonical basis of the degree-``e`` invariants for every ``e <= d``.
 
-    Solves the fixed-point system ``g(f) = f`` for all group elements, so it
-    works in every characteristic (no averaging involved).
+    Solves the fixed-point system ``g(f) = f``, so it works in every
+    characteristic (no averaging involved).  A polynomial fixed by a
+    generating set is fixed by the whole group, so the system has one block
+    per map of :meth:`GroupAction.generators` only; its kernel, and so the
+    canonical basis, is the same.
     """
     action.validate()
     pr = action.ring.poly_ring(0)
     out: list[list[Polynomial]] = [[pr.one]]
-    nontrivial = [g for g in action.maps if g != RingMap.identity(action.ring)]
+    generators = [action.maps[i] for i in action.generators()]
     by_degree: list[list] = [[] for _ in range(d + 1)]
     for m in pr.monomials_up_to_degree(d):
         by_degree[sum(m)].append(m)
     for e in range(1, d + 1):
         columns = by_degree[e]
         rows = []
-        for g in nontrivial:
+        for g in generators:
             rows += condition_rows(
                 (m, (g.apply_poly(pr.monomial(m)) - pr.monomial(m)).terms)
                 for m in columns

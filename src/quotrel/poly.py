@@ -275,6 +275,68 @@ def power(base, e: int):
     return result
 
 
+class MonomialImages:
+    """The substitution ``x_i -> images[i]`` into ``target``, as a linear map
+    on monomials whose values are memoized.
+
+    The image of a monomial ``m`` is ``T(m) = reduce(T(m') * P_i(e))``,
+    where ``x_i`` is the last variable of ``m``, ``e`` its exponent and
+    ``m'`` is ``m`` without it; ``P_i(e) = reduce(images[i] ** e)`` comes
+    from :func:`power` and is cached per ``(i, e)``.  So each new monomial
+    costs one product, and the recursion is at most ``nvars`` deep.
+    ``reduce`` (default: none) maps a target polynomial to its normal form
+    modulo an ideal, and must be linear and multiplicative modulo it, like
+    a normal form against a Groebner basis.
+    """
+
+    def __init__(self, target: PolyRing, images: Sequence["Polynomial"], reduce=None):
+        self.target = target
+        self.images = list(images)
+        self.reduce = reduce
+        one = target.one
+        self._table: dict[Monomial, Polynomial] = {
+            (0,) * len(self.images): reduce(one) if reduce else one}
+        self._powers: dict[tuple[int, int], Polynomial] = {}
+
+    def power(self, i: int, e: int) -> "Polynomial":
+        """``P_i(e)``: the reduced ``e``-th power of ``images[i]``."""
+        p = self._powers.get((i, e))
+        if p is None:
+            p = power(self.images[i], e)
+            if self.reduce:
+                p = self.reduce(p)
+            self._powers[i, e] = p
+        return p
+
+    def monomial(self, m: Monomial) -> "Polynomial":
+        """``T(m)``, the image of the monomial with exponents ``m``."""
+        t = self._table.get(m)
+        if t is None:
+            i = max(j for j, e in enumerate(m) if e)
+            rest = m[:i] + (0,) * (len(m) - i)
+            t = self.power(i, m[i])
+            if any(rest):
+                t = self.monomial(rest) * t
+                if self.reduce:
+                    t = self.reduce(t)
+            self._table[m] = t
+        return t
+
+    def apply(self, f: "Polynomial") -> "Polynomial":
+        """The image of ``f``: the sum of ``c * T(m)`` over its terms."""
+        field = self.target.field
+        add, mul, one = field.add, field.mul, field.one
+        terms: dict[Monomial, object] = {}
+        for m, c in f.terms.items():
+            for t, v in self.monomial(m).terms.items():
+                if c != one:
+                    v = mul(c, v)
+                old = terms.get(t)
+                terms[t] = v if old is None else add(old, v)
+        is_zero = field.is_zero
+        return Polynomial(self.target, {t: v for t, v in terms.items() if not is_zero(v)})
+
+
 def embed(f: "Polynomial", target: "PolyRing",
           positions: Sequence[int | None]) -> "Polynomial":
     """``f`` rewritten in ``target``: source variable ``i`` becomes target
@@ -770,26 +832,13 @@ class Polynomial:
         """Evaluate this polynomial at ``images`` inside ``target``.
 
         ``images[i]`` replaces variable ``i``; coefficients are taken as they
-        are, so ``target`` must share this ring's field.
+        are, so ``target`` must share this ring's field.  A one-shot
+        :class:`MonomialImages` table; a caller that substitutes the same
+        images again keeps the table instead.
         """
         if len(images) != self.ring.nvars:
             raise ValueError("one image per variable required")
-        powers: list[dict[int, Polynomial]] = [dict() for _ in range(self.ring.nvars)]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = images[i] ** e
-            return cache[e]
-
-        result = target.zero
-        for m, c in self.terms.items():
-            piece = target.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    piece = piece * power(i, e)
-            result = result + piece
-        return result
+        return MonomialImages(target, images).apply(self)
 
     # -- comparison ----------------------------------------------------------
 

@@ -241,26 +241,23 @@ def _pair_component_kernel(ring: AmbientRing, columns: list, s1: RingMap, s2: Ri
     """Reduced-echelon solutions of the compatibility conditions restricted
     to source component ``c``."""
     target = s1.target
-    pr = ring.poly_ring(c)
     images = {col: {} for col in columns if col[0] == c}
     for t in range(target.ncomponents):
-        a1, im1 = s1.assignments[t]
-        a2, im2 = s2.assignments[t]
+        a1, a2 = s1.assignments[t][0], s2.assignments[t][0]
         if a1 != c and a2 != c:
             continue
-        tpr = target.poly_ring(t)
         if a1 == c and a2 == c:
             # equal pullbacks
+            t1, t2 = s1.table(t), s2.table(t)
             for (_, m), image in images.items():
-                mono = pr.monomial(m)
-                dif = target.nf(t, mono.substitute(tpr, im1) - mono.substitute(tpr, im2))
+                dif = target.nf(t, t1.monomial(m) - t2.monomial(m))
                 image.update(((t, mm), coeff) for mm, coeff in dif.terms.items())
         else:
             # the pullback lands in the other map's image algebra
-            own_images, other = (im1, 1) if a1 == c else (im2, 0)
-            sieve = sieves[t, other]
+            own, other = (s1, 1) if a1 == c else (s2, 0)
+            table, sieve = own.table(t), sieves[t, other]
             for (_, m), image in images.items():
-                res = sieve.residue(pr.monomial(m).substitute(tpr, own_images))
+                res = sieve.residue(table.monomial(m))
                 image.update(((t, mm), coeff) for mm, coeff in res.terms.items())
     sols = nullspace(condition_rows(images.items()), list(images), ring.field)
     return [vector_to_element(ring, v) for v in sols]
@@ -284,19 +281,14 @@ def _pair_member(s1: RingMap, s2: RingMap, sieves: dict, el: RingElement) -> boo
     image algebra."""
     target = s1.target
     for t in range(target.ncomponents):
-        a1, im1 = s1.assignments[t]
-        a2, im2 = s2.assignments[t]
-        tpr = target.poly_ring(t)
+        a1, a2 = s1.assignments[t][0], s2.assignments[t][0]
+        g1, g2 = s1.table(t).apply(el.parts[a1]), s2.table(t).apply(el.parts[a2])
         if a1 == a2:
-            g1 = el.parts[a1].substitute(tpr, im1)
-            g2 = el.parts[a2].substitute(tpr, im2)
             if not target.nf(t, g1 - g2).is_zero():
                 return False
-        else:
-            for a, im, other in ((a1, im1, 1), (a2, im2, 0)):
-                g = target.nf(t, el.parts[a].substitute(tpr, im))
-                if not sieves[t, other].contains(g):
-                    return False
+        elif not (sieves[t, 1].contains(target.nf(t, g1))
+                  and sieves[t, 0].contains(target.nf(t, g2))):
+            return False
     return True
 
 

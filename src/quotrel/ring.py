@@ -16,9 +16,20 @@ computations in one polynomial ring.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .fields import Field
 from .groebner import MembershipSieve, groebner_basis, normal_form
-from .poly import GREVLEX, PolyRing, Polynomial, embed, fresh_names, power, unembed
+from .poly import (
+    GREVLEX,
+    MonomialImages,
+    PolyRing,
+    Polynomial,
+    embed,
+    fresh_names,
+    power,
+    unembed,
+)
 
 
 class AmbientRing:
@@ -229,6 +240,14 @@ class RingMap:
     pass through unchanged: over the supported fields (QQ and prime fields)
     every field automorphism is the identity, so a map is determined by
     these images alone.
+
+    Each target component's substitution is one
+    :class:`~quotrel.poly.MonomialImages` table (:meth:`table`), built on
+    first use with the component's normal form as its ``reduce``, so
+    every monomial's image is computed once per map.  Every result read
+    off a table is normal-formed again (in :class:`RingElement` or
+    explicitly), which reads the basis through ``groebner_basis``: a table
+    hit never skips the budget check.
     """
 
     def __init__(
@@ -253,6 +272,16 @@ class RingMap:
             if any(im.ring != target.poly_ring(t) for im in images):
                 raise ValueError(f"target component {t}: image in wrong ring")
             self.assignments.append((s, list(images)))
+        self._tables: list[MonomialImages | None] = [None] * target.ncomponents
+
+    def table(self, t: int) -> MonomialImages:
+        """The memoized substitution into target component ``t``."""
+        tab = self._tables[t]
+        if tab is None:
+            tab = self._tables[t] = MonomialImages(
+                self.target.poly_ring(t), self.assignments[t][1],
+                partial(self.target.nf, t))
+        return tab
 
     @classmethod
     def on_polys(cls, source: AmbientRing, target: AmbientRing, images) -> "RingMap":
@@ -268,10 +297,9 @@ class RingMap:
     def apply(self, el: RingElement) -> RingElement:
         if el.ring != self.source:
             raise ValueError("element not in the source ring")
-        parts = []
-        for t, (s, images) in enumerate(self.assignments):
-            parts.append(el.parts[s].substitute(self.target.poly_ring(t), images))
-        return RingElement(self.target, parts)
+        return RingElement(self.target, [
+            self.table(t).apply(el.parts[s]) for t, (s, _) in enumerate(self.assignments)
+        ])
 
     def apply_poly(self, f: Polynomial) -> Polynomial:
         """Apply a one-component map directly to a polynomial."""
@@ -282,10 +310,9 @@ class RingMap:
     def is_well_defined(self) -> bool:
         """Each defining-ideal generator of the used source component must
         land in the target component's defining ideal."""
-        for t, (s, images) in enumerate(self.assignments):
+        for t, (s, _) in enumerate(self.assignments):
             for g in self.source.q_gens(s):
-                image = g.substitute(self.target.poly_ring(t), images)
-                if not self.target.nf(t, image).is_zero():
+                if not self.target.nf(t, self.table(t).apply(g)).is_zero():
                     return False
         return True
 
@@ -294,12 +321,10 @@ class RingMap:
         if inner.target != self.source:
             raise ValueError("maps not composable")
         assignments = []
-        for t, (mid, images) in enumerate(self.assignments):
+        for t, (mid, _) in enumerate(self.assignments):
             s, inner_images = inner.assignments[mid]
-            composed = [
-                im.substitute(self.target.poly_ring(t), images)
-                for im in inner_images
-            ]
+            table = self.table(t)
+            composed = [self.target.nf(t, table.apply(im)) for im in inner_images]
             assignments.append((s, composed))
         return RingMap(inner.source, self.target, assignments)
 

@@ -25,7 +25,11 @@ its heap division on packed monomials: it works on exponent tuples and
 its pair bookkeeping moved onto packed monomials, keyed by exponent tuples
 and the order's ``key``.  ``eliminate_presentation`` is the way the package
 presented a subalgebra before presentations were read off its
-``MembershipSieve``: a hand-built tagged ring and ``groebner.eliminate``.
+``MembershipSieve``: a hand-built tagged ring and ``groebner.eliminate``.  ``naive_substitute`` is the substitution loop
+``Polynomial.substitute`` ran before it became a memoized
+``MonomialImages`` table, and ``naive_invariant_basis`` the fixed-point
+system over every nontrivial group element, before it was solved on a
+generating set only.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import sympy
 from sympy.polys.orderings import ProductOrder, grevlex
 
 from quotrel import groebner
+from quotrel.linalg import condition_rows, nullspace
 from quotrel.poly import (
     GREVLEX,
     BudgetExceededError,
@@ -49,6 +54,7 @@ from quotrel.poly import (
     monomial_lcm,
     monomial_mul,
 )
+from quotrel.ring import RingMap
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +422,53 @@ def eliminate_presentation(gens, names=None):
     kern = groebner.eliminate(T, drop=list(range(base.nvars)))
     out_ring = PolyRing(base.field, tuple(w_names), GREVLEX)
     return out_ring, [out_ring.convert(g) for g in kern]
+
+
+# ---------------------------------------------------------------------------
+# reference substitution and invariants
+
+
+def naive_substitute(f, target, images):
+    """Evaluate ``f`` at ``images`` inside ``target``: each term's powers of
+    the images multiplied out, the pieces summed one by one."""
+    if len(images) != f.ring.nvars:
+        raise ValueError("one image per variable required")
+    powers: list[dict[int, Polynomial]] = [dict() for _ in range(f.ring.nvars)]
+
+    def power(i: int, e: int) -> Polynomial:
+        cache = powers[i]
+        if e not in cache:
+            cache[e] = images[i] ** e
+        return cache[e]
+
+    result = target.zero
+    for m, c in f.terms.items():
+        piece = target.constant(c)
+        for i, e in enumerate(m):
+            if e:
+                piece = piece * power(i, e)
+        result = result + piece
+    return result
+
+
+def naive_invariant_basis(action, d):
+    """``invariant_basis`` from the fixed-point system ``g(f) = f`` of every
+    nontrivial element of the group, not of a generating set."""
+    action.validate()
+    pr = action.ring.poly_ring(0)
+    out = [[pr.one]]
+    nontrivial = [g for g in action.maps if g != RingMap.identity(action.ring)]
+    by_degree = [[] for _ in range(d + 1)]
+    for m in pr.monomials_up_to_degree(d):
+        by_degree[sum(m)].append(m)
+    for e in range(1, d + 1):
+        columns = by_degree[e]
+        rows = []
+        for g in nontrivial:
+            rows += condition_rows(
+                (m, (g.apply_poly(pr.monomial(m)) - pr.monomial(m)).terms)
+                for m in columns
+            )
+        basis = nullspace(rows, columns[::-1], pr.field)[::-1]
+        out.append([Polynomial(pr, v) for v in basis])
+    return out

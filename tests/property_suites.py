@@ -418,7 +418,9 @@ def molien_suite(cases=24, seed=20261018):
     variables, |G| <= 6: the truncated coordinate ring of the orbit relation
     has the invariants' dimensions degree by degree, and, when the
     characteristic does not divide |G|, the Molien series'.  Each orbit
-    relation passes all four axioms."""
+    relation passes all four axioms, and ``invariant_basis``, solved on a
+    generating set, equals ``oracles.naive_invariant_basis``, solved on
+    every element."""
     rng = random.Random(seed)
     degree = 4
     done = 0
@@ -449,8 +451,10 @@ def molien_suite(cases=24, seed=20261018):
             report = verify_relation(rel, "set")
         assert report.all_pass, f"axiom failure for {what}: " + report.render()
         kernel_dims = coequalizer_kernel_basis(rel, degree).dims()
-        invariant_dims = list(accumulate(
-            len(layer) for layer in invariant_basis(action, degree)))
+        layers = invariant_basis(action, degree)
+        assert layers == oracles.naive_invariant_basis(action, degree), (
+            f"{what}: invariants on generators differ from all elements'")
+        invariant_dims = list(accumulate(len(layer) for layer in layers))
         assert kernel_dims == invariant_dims, (
             f"{what}: kernel dims {kernel_dims} != invariant dims {invariant_dims}"
         )
@@ -520,4 +524,75 @@ def presentation_suite(cases=60, seed=20261021):
         assert sieve.residue(f.scale(a) + g.scale(b)) == (
             sieve.residue(f).scale(a) + sieve.residue(g).scale(b)
         ), f"residue is not linear for {where}"
+    return cases
+
+
+def _random_image(rng, ring):
+    """A linear or nonlinear polynomial, a nonzero constant, or zero."""
+    kind = rng.choice(("linear", "linear", "nonlinear", "nonlinear", "constant", "zero"))
+    if kind == "zero":
+        return ring.zero
+    if kind == "constant":
+        return ring.from_int(rng.choice((-2, -1, 1, 2, 3))) or ring.one
+    if kind == "linear":
+        return _random_poly(rng, ring, max_terms=3, max_degree=1)
+    return _random_poly(rng, ring, max_terms=3, max_degree=3)
+
+
+def _random_component(rng, field, names):
+    """A free or quotient component on ``names``; a quotient's generators
+    have degree 2 or 3, so powers of the images reduce."""
+    pr = PolyRing(field, names, rng.choice((GREVLEX, LEX)))
+    if rng.random() < 0.4:
+        return pr, []
+    q = []
+    while len(q) < rng.randint(1, 2):
+        g = _random_poly(rng, pr, max_terms=3, max_degree=3)
+        if g.total_degree() >= 2:
+            q.append(g)
+    return pr, q
+
+
+def substitution_oracle_suite(cases=60, seed=20261022):
+    """``RingMap.apply`` and the map's ``MonomialImages`` tables give, for
+    each target component ``t`` fed by source component ``s``, the normal
+    form of ``oracles.naive_substitute`` of the source part, term for term;
+    each table's own output is already that normal form.  Free, quotient
+    and product rings (sources and targets) over QQ and FF(2, 3, 5),
+    linear and nonlinear images, constants and zero; three elements go
+    through one map, so later ones hit the memoized images.  Free targets
+    also check ``Polynomial.substitute`` against the oracle exactly."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        field = rng.choice(FIELDS)
+        source = AmbientRing([
+            _random_component(rng, field, NAMES[:rng.randint(1, 3)])
+            for _ in range(rng.randint(1, 2))])
+        target = AmbientRing([
+            _random_component(rng, field, ("u", "v", "w")[:rng.randint(1, 3)])
+            for _ in range(rng.choice((1, 1, 2)))])
+        assignments = []
+        for t in range(target.ncomponents):
+            s = rng.randrange(source.ncomponents)
+            tpr = target.poly_ring(t)
+            assignments.append((s, [_random_image(rng, tpr)
+                                    for _ in range(source.poly_ring(s).nvars)]))
+        phi = RingMap(source, target, assignments)
+        where = f"case {case}: {source!r} -> {target!r} by {phi.render()}"
+        for _ in range(3):
+            el = source.element([
+                _random_poly(rng, source.poly_ring(c), max_terms=4, max_degree=4)
+                for c in range(source.ncomponents)])
+            image = phi.apply(el)
+            for t, (s, images) in enumerate(assignments):
+                tpr = target.poly_ring(t)
+                naive = oracles.naive_substitute(el.parts[s], tpr, images)
+                expected = target.nf(t, naive)
+                assert image.parts[t].terms == expected.terms, (
+                    f"apply differs on {el.render()} at component {t}, {where}")
+                assert phi.table(t).apply(el.parts[s]).terms == expected.terms, (
+                    f"table output not normal on {el.render()} at component {t}, {where}")
+                if not target.q_gens(t):
+                    assert el.parts[s].substitute(tpr, images).terms == naive.terms, (
+                        f"substitute differs on {el.render()}, {where}")
     return cases

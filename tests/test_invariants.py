@@ -12,6 +12,8 @@ from quotrel.invariants import (
 from quotrel.poly import PolyRing
 from quotrel.ring import AmbientRing, RingMap
 
+import oracles
+
 
 def plane(field=QQ):
     return AmbientRing.free(field, ("x", "y"))
@@ -79,6 +81,49 @@ def test_validate_group_axioms():
     crush = RingMap.on_polys(A, A, [pr.zero, pr.zero])
     with pytest.raises(ValueError, match="inverse"):
         GroupAction(A, [ident, crush]).validate()
+
+
+@pytest.mark.parametrize("images, message", [
+    ([("x",), ("-x",), ("-x",)], "duplicate group element in action"),
+    ([("-x",)], "action does not contain the identity"),
+    ([("x",), ("2*x",)], "action is not closed under composition"),
+    ([("x",), ("0",)], "a group element has no inverse in the list"),
+])
+def test_validate_messages(images, message):
+    A = AmbientRing.free(QQ, ("x",))
+    pr = A.poly_ring(0)
+    maps = [RingMap.on_polys(A, A, [pr.parse(t) for t in im]) for im in images]
+    with pytest.raises(ValueError) as err:
+        GroupAction(A, maps).validate()
+    assert str(err.value) == message
+
+
+def square_action(reflection_first=False):
+    """D4 permuting the corners of a square, as in the bench script
+    ``d4-invariants.qs``: four rotations, then four reflections."""
+    A = AmbientRing.free(QQ, ("a", "b", "c", "d"))
+    pr = A.poly_ring(0)
+    perms = ["abcd", "bcda", "cdab", "dabc", "dcba", "badc", "adcb", "cbad"]
+    if reflection_first:
+        perms = ["abcd", "dcba"] + [p for p in perms if p not in ("abcd", "dcba")]
+    maps = [RingMap.on_polys(A, A, [pr.parse(v) for v in p]) for p in perms]
+    return GroupAction(A, maps)
+
+
+def test_generators():
+    A = plane()
+    pr = A.poly_ring(0)
+    rot = RingMap.on_polys(A, A, [pr.parse("-y"), pr.parse("x")])
+    c4 = [RingMap.identity(A)]
+    for _ in range(3):
+        c4.append(rot.compose(c4[-1]))
+    assert GroupAction(A, c4).generators() == [1]
+    signs = [RingMap.on_polys(A, A, [pr.parse(u), pr.parse(v)])
+             for u, v in (("x", "y"), ("-x", "y"), ("x", "-y"), ("-x", "-y"))]
+    assert GroupAction(A, signs).generators() == [1, 2]
+    # a rotation, then the first reflection the rotations miss
+    assert square_action().generators() == [1, 4]
+    assert square_action(reflection_first=True).generators() == [1, 2]
 
 
 def test_order_and_apply():
@@ -163,6 +208,31 @@ def test_invariant_basis_members_are_fixed():
         for f in layer:
             for i in range(act.order):
                 assert act.apply(i, f) == f
+
+
+def test_invariants_on_generators_match_all_elements():
+    """The system on a generating set has the kernel of the system on every
+    element, whichever elements the list happens to start with."""
+    expected = oracles.naive_invariant_basis(square_action(), 4)
+    for action in (square_action(), square_action(reflection_first=True)):
+        assert invariant_basis(action, 4) == expected
+    assert [len(layer) for layer in expected] == [1, 1, 3, 4, 8]
+
+
+def test_d4_invariants_apply_two_maps(monkeypatch):
+    """Through degree 6, the 209 monomials of positive degree in four
+    variables are moved by the two generators only (all seven nontrivial
+    elements: 1463 applications)."""
+    calls = [0]
+    original = RingMap.apply_poly
+
+    def counted(self, f):
+        calls[0] += 1
+        return original(self, f)
+
+    monkeypatch.setattr(RingMap, "apply_poly", counted)
+    invariant_basis(square_action(), 6)
+    assert calls[0] == 418
 
 
 # -- orbit equations ---------------------------------------------------------

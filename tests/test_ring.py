@@ -4,7 +4,7 @@ import pytest
 
 from quotrel.fields import QQ
 from quotrel.groebner import groebner_basis, normal_form
-from quotrel.poly import PolyRing
+from quotrel.poly import BudgetExceededError, PolyRing, budget
 from quotrel.ring import (
     AmbientRing,
     RingElement,
@@ -125,6 +125,43 @@ def test_map_compose(dual):
     assert both.apply(el).render() == "-x + eps"
     other = shift.compose(neg)  # x -> -(x + eps)
     assert other.apply(el).render() == "-x - eps"
+
+
+def test_map_table_is_built_once_and_reduced(dual):
+    pr = dual.poly_ring(0)
+    shift = RingMap.on_polys(dual, dual, [pr.parse("x + eps"), pr.parse("eps")])
+    table = shift.table(0)
+    assert shift.table(0) is table
+    # (x + eps)^3 = x^3 + 3*x^2*eps modulo eps^2
+    assert pr.render(table.monomial((3, 0))) == "x^3 + 3*x^2*eps"
+    assert pr.render(table.monomial((3, 1))) == "x^3*eps"
+    el = dual.embed(0, pr.parse("x^3 - x^2*eps"))
+    assert shift.apply(el).render() == "x^3 + 2*x^2*eps"
+
+
+def test_map_table_hit_keeps_the_budget_check():
+    """A map into a quotient whose basis needs a budget of 4: after the
+    table is filled under budget 1000, the same application under budget
+    1 fails as on a fresh map."""
+    pr = PolyRing(QQ, ("x", "y", "z"))
+    target = AmbientRing.quotient(pr, [pr.parse("x^5 + y^4 + z^3 - 1"),
+                                       pr.parse("x^3 + y^3 + z^2 - 1")])
+    source = AmbientRing.free(QQ, ("s",))
+    el = source.element([source.poly_ring(0).parse("s^6 + s")])
+
+    def mapped():
+        return RingMap.on_polys(source, target, [pr.parse("x + y")])
+
+    with budget(1), pytest.raises(BudgetExceededError) as fresh:
+        mapped().apply(el)
+    phi = mapped()
+    with budget(1000):
+        full = phi.apply(el)
+    with budget(1), pytest.raises(BudgetExceededError) as reused:
+        phi.apply(el)
+    assert str(reused.value) == str(fresh.value)
+    with budget(1000):
+        assert phi.apply(el) == full
 
 
 def test_map_equality_modulo_quotient(dual):
