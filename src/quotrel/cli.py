@@ -33,7 +33,7 @@ from .pinch import (
 )
 from .poly import DEFAULT_BUDGET, GREVLEX, ParseError, PolyRing, budget
 from .quotient import coequalizer_kernel_basis, noetherian_probe, present_subalgebra
-from .ring import AmbientRing, RingMap
+from .ring import AmbientRing, RingMap, subalgebra_member_ring
 from .script import ScriptError, parse_script
 
 __all__ = ["main", "run_script", "CliError", "Report"]
@@ -351,8 +351,6 @@ class _Executor:
         if op == "subalgebra-member":
             gens, ring = self._algebra(name)
             el = self.parse_element(ring, f["expr"])
-            from .ring import subalgebra_member_ring
-
             ok, cert = subalgebra_member_ring(el, gens)
             rows = []
             if ok:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .eqrel import copy_difference, relation_from_map
 from .fields import Field
 from .groebner import groebner_basis, ideal_member, normal_form
-from .linalg import RowSpace, condition_rows, nullspace, rank_map
+from .linalg import RowSpace, condition_rows, nullspace, significance
 from .poly import GREVLEX, PolyRing, Polynomial
 from .ring import AmbientRing
 
@@ -146,13 +146,13 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     sum_gb = data.sum_basis()
 
     columns = D.monomials_of_degree(d)
-    rank = rank_map(columns)
+    key = significance(columns)
 
     def nf_vec(p: Polynomial) -> dict:
         return dict(normal_form(p, j_gb).terms)
 
     # V: differences of first-block monomials of degree d
-    V = RowSpace(field, rank)
+    V = RowSpace(field, key)
     pr = data.ambient.poly_ring(0)
     for m in pr.monomials_of_degree(d):
         V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
@@ -161,33 +161,24 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     rows = condition_rows(
         (m, normal_form(data.defect(D.monomial(m)), sum_gb).terms) for m in columns
     )
-    W = RowSpace(field, rank)
+    W = RowSpace(field, key)
     for sol in nullspace(rows, columns, field):
         W.insert(nf_vec(Polynomial(D, sol)))
 
-    # complement of V inside W, canonical echelon rows
-    VW = V.copy()
-    for row in W.rows:
-        VW.insert(dict(row))
+    # W/V off W alone: a coboundary has zero defect, so V sits inside W and
+    # V's pivots are among W's.  The canonical complement of V is the W rows
+    # at the other pivots, and the class of f is its residue modulo V read in
+    # W's coordinates at those rows.
     v_pivots = set(V.pivots)
-    complement = [
-        (piv, dict(row)) for piv, row in zip(VW.pivots, VW.rows) if piv not in v_pivots
-    ]
-    comp_polys = [Polynomial(D, row) for _, row in complement]
+    outside = [i for i, piv in enumerate(W.pivots) if piv not in v_pivots]
+    comp_polys = [Polynomial(D, dict(W.rows[i])) for i in outside]
 
-    f_vec = nf_vec(data.cocycle)
-    residue = V.reduce(f_vec)
-    if not residue:
-        coords = [field.zero] * len(complement)
-        verdict = "effective"
-    else:
-        K = RowSpace(field, rank)
-        for _, row in complement:
-            K.insert(dict(row))
-        coords = K.coords(residue)
-        if coords is None:
-            raise RuntimeError("internal error: cocycle class escaped W")
-        verdict = "noneffective"
+    residue = V.reduce(nf_vec(data.cocycle))
+    coords = W.coords(residue)
+    if coords is None:
+        raise RuntimeError("internal error: cocycle class escaped W")
+    coords = [coords[i] for i in outside]
+    verdict = "noneffective" if residue else "effective"
     return EffectivityReport(
         field, d, V.dim, W.dim, verdict, coords, comp_polys
     )

@@ -32,6 +32,7 @@ from .groebner import (
     normal_form,
     radical_member,
 )
+from .invariants import GroupAction
 from .poly import BlockOrder, GREVLEX, PolyRing, Polynomial, embed
 from .ring import AmbientRing
 
@@ -170,8 +171,6 @@ def relation_from_map(ambient: AmbientRing, fs: list[Polynomial]) -> RelationPre
 def relation_from_group_action(action) -> RelationPresentation:
     """The relation "same orbit": the intersection over all group elements of
     the graph ideals ``(y-block - g(x-block)) + Q``."""
-    from .invariants import GroupAction
-
     if not isinstance(action, GroupAction):
         raise TypeError("expected a GroupAction")
     action.validate()

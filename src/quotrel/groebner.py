@@ -334,7 +334,10 @@ def eliminate(gens: list[Polynomial], drop: list[int]) -> list[Polynomial]:
     """Generators of the elimination ideal: intersect with the subring
     omitting the variables at indices ``drop``.
 
-    Returns a reduced Groebner basis in the smaller ring (grevlex).
+    Returns a reduced Groebner basis in the smaller ring (grevlex): the part
+    of the reduced block-order basis free of the dropped variables, which the
+    block order already leaves reduced for grevlex on the rest and sorted by
+    increasing leading monomial.
     """
     if not gens:
         return []
@@ -346,12 +349,11 @@ def eliminate(gens: list[Polynomial], drop: list[int]) -> list[Polynomial]:
     work = PolyRing(ring.field, perm_names, BlockOrder(len(front)))
     gb = groebner_basis([work.convert(g) for g in gens])
     keep_ring = PolyRing(ring.field, [ring.names[i] for i in back], GREVLEX)
-    kept = [
+    return [
         keep_ring.convert(g)
         for g in gb
         if all(m[: len(front)] == (0,) * len(front) for m in g.terms)
     ]
-    return groebner_basis(kept)
 
 
 def ideal_intersect(gens_i: list[Polynomial], gens_j: list[Polynomial]) -> list[Polynomial]:
@@ -459,7 +461,8 @@ class MembershipSieve:
         """A grevlex ring on one variable per generator (the tags' names
         unless ``names`` provides others, freshened against the original
         variables) and the reduced basis of the relations among the
-        generators: the tag-only part of the sieve's basis, by position."""
+        generators: the tag-only part of the sieve's basis, by position,
+        which the block order already leaves reduced and sorted."""
         if names is None:
             names = self.w_names
         elif len(names) != len(self.gens):
@@ -468,5 +471,4 @@ class MembershipSieve:
             names = fresh_names(names, set(self.ring.names))
         out = PolyRing(self.ring.field, names, GREVLEX)
         tags = list(range(self.ring.nvars, self.work.nvars))
-        kept = [unembed(g, out, tags) for g in self.gb if not self._residue(g)]
-        return out, groebner_basis(kept)
+        return out, [unembed(g, out, tags) for g in self.gb if not self._residue(g)]

@@ -1,11 +1,14 @@
 """Exact sparse linear algebra over the coefficient fields.
 
 Vectors are dicts mapping a hashable column label (a monomial, or a
-``(component, monomial)`` pair) to a nonzero field element.  A
-:class:`RowSpace` keeps a row space in reduced echelon form with respect to a
-fixed significance order on the labels; because the reduced echelon form of a
-subspace is unique, the resulting rows are canonical no matter in which order
-vectors were inserted.
+``(component, monomial)`` pair) to a nonzero field element.  Significance
+has one convention throughout: a ``key`` function maps each label to a sort
+key, and the label with the larger key is the more significant, as with
+:meth:`~quotrel.poly.MonomialOrder.key`.  :func:`significance` builds such a
+key from a column list written most significant first.  A :class:`RowSpace`
+keeps a row space in reduced echelon form with respect to its key; because
+the reduced echelon form of a subspace is unique, the resulting rows are
+canonical no matter in which order vectors were inserted.
 
 Kernels follow the same convention.  :func:`nullspace` takes its columns
 listed most significant first and returns the reduced echelon basis of the
@@ -44,28 +47,19 @@ def vec_sub_scaled(field: Field, v: Vector, w: Vector, c) -> Vector:
 class RowSpace:
     """A subspace held in reduced row-echelon form.
 
-    ``rank`` maps column labels to integers; smaller rank means more
-    significant (pivots are chosen at the minimum-rank nonzero entry).
+    Each row's pivot is its entry with the largest ``key``; the rows are
+    kept most significant pivot first.
     """
 
-    def __init__(self, field: Field, rank: dict):
+    def __init__(self, field: Field, key):
         self.field = field
-        self.rank = rank
+        self.key = key
         self.rows: list[Vector] = []
         self.pivots: list = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def copy(self) -> "RowSpace":
-        other = RowSpace(self.field, self.rank)
-        other.rows = [dict(r) for r in self.rows]
-        other.pivots = list(self.pivots)
-        return other
-
-    def _pivot_of(self, v: Vector):
-        return min(v, key=self.rank.__getitem__)
 
     def reduce(self, v: Vector) -> Vector:
         """Residue of ``v`` modulo the row space."""
@@ -99,52 +93,25 @@ class RowSpace:
         res = self.reduce(v)
         if not res:
             return None
-        piv = self._pivot_of(res)
+        key = self.key
+        piv = max(res, key=key)
         res = vec_scale(field, res, field.inv(res[piv]))
         for i, row in enumerate(self.rows):
             c = row.get(piv)
             if c is not None:
                 self.rows[i] = vec_sub_scaled(field, row, res, c)
         at = 0
-        r = self.rank[piv]
-        while at < len(self.pivots) and self.rank[self.pivots[at]] < r:
+        k = key(piv)
+        while at < len(self.pivots) and key(self.pivots[at]) > k:
             at += 1
         self.pivots.insert(at, piv)
         self.rows.insert(at, res)
         return piv
 
 
-def rank_map(columns: list) -> dict:
-    """Significance map from an ordered column list (first = most)."""
-    return {c: i for i, c in enumerate(columns)}
-
-
-class Descending:
-    """Comparison-reversing wrapper, for ranks built from sort keys where the
-    largest key should count as most significant."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return other.key == self.key
-
-
-class FnRank:
-    """Rank backed by a key function, for column universes too large to list."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, label):
-        return self.fn(label)
+def significance(columns: list):
+    """The key of an ordered column list, first column most significant."""
+    return {c: -i for i, c in enumerate(columns)}.__getitem__
 
 
 def condition_rows(images) -> list[Vector]:
@@ -166,9 +133,9 @@ def nullspace(rows: list[Vector], columns: list, field: Field) -> list[Vector]:
     leading label and 0 at every other vector's leading label, and the
     vectors come most significant leading label first.
     """
-    # Echelonizing the conditions from the least significant end leaves the
-    # leading labels of the kernel free.
-    space = RowSpace(field, rank_map(columns[::-1]))
+    # Echelonizing the conditions with the last column most significant
+    # leaves the leading labels of the kernel free.
+    space = RowSpace(field, {c: i for i, c in enumerate(columns)}.__getitem__)
     for r in rows:
         space.insert(r)
     pivot_set = set(space.pivots)

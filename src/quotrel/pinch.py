@@ -13,7 +13,7 @@ degree, and failures come with an explicit witness element.
 """
 
 from .groebner import MembershipSieve
-from .linalg import Descending, FnRank, RowSpace, condition_rows, nullspace
+from .linalg import RowSpace, condition_rows, nullspace
 from .poly import Polynomial
 from .quotient import (
     TruncatedSubalgebra,
@@ -35,11 +35,11 @@ __all__ = [
 
 
 def _flat_space(ring: AmbientRing) -> RowSpace:
-    """An empty row space over the monomials of a one-component ring, ranked
-    by degree first, then the monomial order, both descending, so rows with
-    pivot degree <= e span exactly the degree-<= e filtered piece."""
+    """An empty row space over the monomials of a one-component ring, keyed
+    by degree first, then the monomial order.  Rows with pivot degree <= e
+    come last and span exactly the degree-<= e filtered piece."""
     key = ring.poly_ring(0).order.key
-    return RowSpace(ring.field, FnRank(lambda m: Descending((sum(m), key(m)))))
+    return RowSpace(ring.field, lambda m: (sum(m), key(m)))
 
 
 def _product_span(ring: AmbientRing, gens, d: int):
@@ -274,14 +274,15 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
 
     space, _ = _product_span(
         inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
+    residues = [inp.residue.nf(0, Polynomial(P, dict(row))).terms
+                for row in space.rows]
     ok_c, wit_c = True, None
     for e in range(d + 1):
-        rows = [row for piv, row in zip(space.pivots, space.rows)
-                if sum(piv) <= e]
-        conds = condition_rows(
-            (j, inp.residue.nf(0, Polynomial(P, dict(row))).terms)
-            for j, row in enumerate(rows)
-        )
+        # the rows of pivot degree <= e are a suffix of the space's rows
+        start = next((i for i, piv in enumerate(space.pivots) if sum(piv) <= e),
+                     len(space.pivots))
+        rows = space.rows[start:]
+        conds = condition_rows(enumerate(residues[start:]))
         # the witness search reads each combination as 1 at its last row,
         # ordered by that row
         sols = nullspace(conds, list(range(len(rows)))[::-1], field)[::-1]

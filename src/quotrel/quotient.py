@@ -38,7 +38,7 @@ from functools import partial
 
 from .eqrel import RelationPresentation, copy_difference
 from .groebner import MembershipSieve, ideal_member, normal_form
-from .linalg import RowSpace, condition_rows, nullspace, rank_map, vec_scale
+from .linalg import RowSpace, condition_rows, nullspace, significance
 from .poly import PolyRing, Polynomial
 from .ring import AmbientRing, RingElement, RingMap
 
@@ -118,7 +118,7 @@ class TruncatedSubalgebra:
                  membership):
         self.ring = ring
         self.d = d
-        self.rank = rank_map(columns)
+        self.key = significance(columns)
         self.layers: list[list[RingElement]] = [[] for _ in range(d + 1)]
         for f in basis:
             self.layers[f.degree()].append(f)
@@ -143,7 +143,7 @@ class TruncatedSubalgebra:
     def contains(self, el: RingElement) -> bool:
         """Membership in the degree-``d`` truncation span."""
         if self._space is None:
-            self._space = RowSpace(self.ring.field, self.rank)
+            self._space = RowSpace(self.ring.field, self.key)
             for f in self.basis():
                 self._space.insert(element_to_vector(f))
         return self._space.contains(element_to_vector(el))
@@ -173,17 +173,15 @@ class TruncatedSubalgebra:
             alg = None
             for f in self.layers[e]:
                 if alg is None:
-                    alg = RowSpace(field, self.rank)
+                    alg = RowSpace(field, self.key)
                     product_closure(
                         [g for g, _ in gens], [self.ring.one], e,
                         lambda p: alg.insert(element_to_vector(p)) is not None,
                     )
-                res = alg.reduce(element_to_vector(f))
-                if not res:
+                piv = alg.insert(element_to_vector(f))
+                if piv is None:
                     continue
-                piv = min(res, key=self.rank.__getitem__)
-                gen = vector_to_element(
-                    self.ring, vec_scale(field, res, field.inv(res[piv])))
+                gen = vector_to_element(self.ring, alg.rows[alg.pivots.index(piv)])
                 gens.append((gen, e))
                 counts[e] += 1
                 alg = None

@@ -27,6 +27,7 @@ from .poly import (
     Polynomial,
     embed,
     fresh_names,
+    monomial_divides,
     power,
     unembed,
 )
@@ -129,8 +130,6 @@ class AmbientRing:
         """Monomials of degree <= d not divisible by any leading monomial of
         the component's defining ideal — a linear basis of the quotient up to
         degree d."""
-        from .poly import monomial_divides
-
         pr = self.components[c][0]
         lms = [g.leading_monomial() for g in self.gb(c)]
         return [

@@ -221,6 +221,32 @@ def effectivity_v_in_w_suite(cases=20, seed=20260815):
     return cases
 
 
+def effectivity_class_suite(cases=20, seed=20261023):
+    """W/V coordinates are the class: on the descent data of ``cocycle.qs``
+    over QQ and FF(2, 3, 5), where W/V has dimension 1, a candidate
+    a*w + (g(x) - g(y)) built from a report's own W/V basis vector w has
+    class [a], and is effective exactly when a is 0."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        field = rng.choice(FIELDS)
+        ambient = AmbientRing.free(field, ("x1", "x2"))
+        pr = ambient.poly_ring(0)
+        map_polys = [pr.parse(p) for p in ("x1^2", "x1*x2 - x2^2", "x2^3")]
+        base = CocycleData(ambient, map_polys, "(x1*y2 - x2*y1)*y2^3")
+        (w,) = effectivity_test(base).complement_basis
+        a = field.of_int(rng.randint(-2, 2))
+        g = _random_poly(rng, pr, homogeneous=5)
+        f = (w.scale(a) + embed(g, w.ring, [0, 1])
+             - embed(g, w.ring, [2, 3]))
+        report = effectivity_test(CocycleData(ambient, map_polys, f))
+        where = f"{w.ring.render(f)} over {field!r}"
+        assert report.class_coords == [a], (
+            f"class {report.class_coords} != [{a}] for {where}")
+        assert (report.verdict == "effective") == field.is_zero(a), (
+            f"verdict {report.verdict} for {where}")
+    return cases
+
+
 def ideal_intersect_oracle_suite(cases=40, seed=20261018):
     """``ideal_intersect`` agrees with sympy's elimination of t from
     t*I + (1 - t)*J on random ideals of two or three variables."""
@@ -509,6 +535,9 @@ def presentation_suite(cases=60, seed=20261021):
         assert [ring.render(g) for g in basis] == [
             their_ring.render(g) for g in theirs
         ], f"presentation differs for {where}"
+        # both come off a block-order basis with no second basis computation
+        assert groebner_basis(basis) == basis, f"presentation not reduced for {where}"
+        assert groebner_basis(theirs) == theirs, f"elimination not reduced for {where}"
 
         model = ambient.model()
         sieve = model.sieve(gens)

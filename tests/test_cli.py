@@ -506,8 +506,9 @@ def test_verify_pushout_reuses_the_pinch(tmp_path, capsys, monkeypatch):
 def test_cusp_pinch_builds_each_sieve_once(tmp_path, capsys, monkeypatch):
     """`pinch` and `verify-pushout` share their sieves: the cusp pinch builds
     its 3 distinct sieves once each, and the presentation of the glued ring
-    is read off the sieve that check (a) queries, so Buchberger runs 5
-    times: the locus ideal, the 3 sieves and the presentation."""
+    is the tag-only part of the basis of the sieve that check (a) queries,
+    with no second basis computation, so Buchberger runs 4 times: the locus
+    ideal and the 3 sieves."""
     from quotrel import groebner
     from quotrel.groebner import MembershipSieve
 
@@ -526,4 +527,4 @@ def test_cusp_pinch_builds_each_sieve_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(builds) == 3
     assert len(set(builds)) == 3
-    assert len(runs) == 5
+    assert len(runs) == 4

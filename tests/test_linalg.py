@@ -4,25 +4,18 @@ from fractions import Fraction
 import pytest
 
 from quotrel.fields import GF, QQ
-from quotrel.linalg import (
-    Descending,
-    FnRank,
-    RowSpace,
-    condition_rows,
-    nullspace,
-    rank_map,
-)
+from quotrel.linalg import RowSpace, condition_rows, nullspace, significance
 
 import oracles
 
 
-def test_rank_map_orders_columns():
-    cols = ["a", "b", "c"]
-    assert rank_map(cols) == {"a": 0, "b": 1, "c": 2}
+def test_significance_orders_columns():
+    key = significance(["a", "b", "c"])
+    assert sorted("bca", key=key, reverse=True) == ["a", "b", "c"]
 
 
 def test_rowspace_insert_and_contains():
-    rs = RowSpace(QQ, rank_map(["x", "y", "z"]))
+    rs = RowSpace(QQ, significance(["x", "y", "z"]))
     assert rs.insert({"x": Fraction(2), "y": Fraction(4)}) == "x"
     assert rs.insert({"x": Fraction(1), "y": Fraction(2)}) is None  # dependent
     assert rs.insert({"z": Fraction(3)}) == "z"
@@ -39,10 +32,10 @@ def test_rowspace_rows_are_canonical():
         {"b": Fraction(3), "c": Fraction(1)},
         {"a": Fraction(1), "c": Fraction(5)},
     ]
-    rank = rank_map(["a", "b", "c"])
+    key = significance(["a", "b", "c"])
     seen = []
     for perm in ([0, 1, 2], [2, 1, 0], [1, 0, 2], [2, 0, 1]):
-        rs = RowSpace(QQ, rank)
+        rs = RowSpace(QQ, key)
         for i in perm:
             rs.insert(dict(vectors[i]))
         seen.append([(piv, sorted(r.items())) for piv, r in zip(rs.pivots, rs.rows)])
@@ -50,7 +43,7 @@ def test_rowspace_rows_are_canonical():
 
 
 def test_rowspace_reduce_and_coords():
-    rs = RowSpace(QQ, rank_map(["a", "b"]))
+    rs = RowSpace(QQ, significance(["a", "b"]))
     rs.insert({"a": Fraction(1), "b": Fraction(1)})
     rs.insert({"b": Fraction(2)})
     v = {"a": Fraction(3), "b": Fraction(5)}
@@ -63,18 +56,10 @@ def test_rowspace_reduce_and_coords():
     assert {k: w for k, w in acc.items() if w} == v
 
 
-def test_rowspace_copy_is_independent():
-    rs = RowSpace(QQ, rank_map(["a", "b"]))
-    rs.insert({"a": Fraction(1)})
-    other = rs.copy()
-    other.insert({"b": Fraction(1)})
-    assert rs.dim == 1 and other.dim == 2
-
-
 def test_rowspace_against_oracle_rref():
     rng = random.Random(23)
     labels = [(i,) for i in range(6)]
-    rank = rank_map(labels)
+    key = significance(labels)
     arith = oracles.Arith()
     for _ in range(50):
         rows = []
@@ -84,7 +69,7 @@ def test_rowspace_against_oracle_rref():
                 for _ in range(3)
             }
             rows.append({k: v for k, v in r.items() if v})
-        rs = RowSpace(QQ, rank)
+        rs = RowSpace(QQ, key)
         for r in rows:
             rs.insert(dict(r))
         assert rs.dim == oracles.span_dim([dict(r) for r in rows], arith)
@@ -113,7 +98,7 @@ def test_nullspace_solutions_satisfy_conditions():
             r = {c: Fraction(rng.randint(-2, 2)) for c in rng.sample(cols, 3)}
             rows.append({k: v for k, v in r.items() if v})
         sols = nullspace(rows, cols, QQ)
-        rs = RowSpace(QQ, rank_map(cols))
+        rs = RowSpace(QQ, significance(cols))
         for r in rows:
             rs.insert(dict(r))
         assert len(sols) == len(cols) - rs.dim
@@ -157,16 +142,10 @@ def test_condition_rows_transpose_images():
     assert condition_rows(images) == [{"a": 1}, {"a": 2, "b": 3}]
 
 
-def test_descending_reverses_comparisons():
-    assert Descending(2) < Descending(1)
-    assert Descending((1, 2)) == Descending((1, 2))
-    assert not (Descending(1) < Descending(3))
-
-
-def test_fnrank_feeds_rowspace():
-    # significance by descending total degree, without listing columns
-    rank = FnRank(lambda m: Descending(sum(m)))
-    rs = RowSpace(QQ, rank)
+def test_rowspace_takes_a_key_function():
+    # the larger key is the more significant: here the total degree, without
+    # listing columns
+    rs = RowSpace(QQ, sum)
     rs.insert({(2,): Fraction(1), (0,): Fraction(1)})
     assert rs.pivots == [(2,)]
     rs.insert({(3,): Fraction(1)})

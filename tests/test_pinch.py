@@ -88,6 +88,27 @@ def test_cusp_the_axis_inside_the_plane():
     assert verify_pushout(inp, out, 5).passed
 
 
+def test_cusp_without_v_squared_fails_the_kernel_check():
+    """Dropping v^2 from the cusp's generators loses u*v^2 from the glued
+    algebra, and check (c) names it: an ideal multiple outside the kernel of
+    the gluing."""
+    P = AmbientRing.free(QQ, ("u", "v"))
+    pr = P.poly_ring(0)
+    u, v = P.embed(0, pr.parse("u")), P.embed(0, pr.parse("v"))
+    inp = PinchInput(P, [u], [v ** 2, v ** 3], [v])
+    out = pinch_generators(inp, 5)
+    bad = PinchResult(out.generators[1:], out.certificates[1:], out.pres_ring,
+                      out.pres_ideal, 5)
+    assert verify_pushout(inp, bad, 5).render().splitlines() == [
+        "push-out checks through degree 5:",
+        "  ideal multiples land in the glued algebra: FAIL  (witness: u*v^2)",
+        "  residues generate the target subalgebra: FAIL  (witness: v^2)",
+        "  kernel of the gluing equals the ideal in each degree: FAIL"
+        "  (witness: u*v^2)",
+        "verdict: NOT a push-out",
+    ]
+
+
 def test_gluing_two_origins_across_components():
     X = AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])])
     pu, pv = X.poly_ring(0), X.poly_ring(1)
