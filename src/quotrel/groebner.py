@@ -24,6 +24,21 @@ its fields (a huge input exponent, or a product grown in a lex or block
 reduction), the division restarts at twice the field width, with the same
 result.
 
+Inside Buchberger nothing goes back to exponent tuples between an S-pair
+and its remainder.  :func:`s_polynomial` forms each S-polynomial packed,
+from the two elements' cached packed forms: the lcm over ``lm(g)`` times
+``g``'s tail minus the lcm over ``lm(f)`` times ``f``'s tail, one integer
+addition per term, and :func:`normal_form` divides that packed dividend
+directly.  The run also keeps a first-divisor memo, from a packed monomial
+to an index ``i`` such that no element of ``D[:i]`` divides it: the index
+of its first divisor, or the length ``D`` had when none did.  A popped term
+resumes its scan at ``i``.  This is sound because ``D`` only grows by
+appending within a run, so the first divisor in a prefix stays the first
+divisor in every longer list, and a monomial with no divisor in ``D[:i]``
+still has none there; a run restarted at another width starts a new memo.
+Remainders are those of the plain scan, term for term.  Divisions outside
+Buchberger keep the plain scan from the first divisor.
+
 Buchberger uses the normal selection strategy: of the pending S-pairs, the
 one with the smallest ``(lcm, i, j)`` is reduced next, where ``i < j`` index
 the basis in the order elements were added and the lcm is compared in the
@@ -34,9 +49,9 @@ product criterion (coprime leading monomials: the packed lcm is the sum of
 the packed leading monomials) and the chain criterion (some ``lm_k`` divides
 the lcm, one subtraction and one mask, and the pairs ``(i, k)`` and ``(j,
 k)`` are no longer pending); skipped pairs do not count against the budget.
-When a leading monomial or an lcm does not fit its fields, the whole run
-restarts at twice the field width; the pairs and their order do not depend
-on the width.
+When a leading monomial, an lcm or a term of an S-pair reduction does not
+fit its fields, the whole run restarts at twice the field width; the pairs
+and their order do not depend on the width.
 
 Each :func:`groebner_basis` call reads the budget in force (``with
 quotrel.poly.budget(n):``), a cap on its S-pair reductions and basis size.
@@ -50,7 +65,8 @@ computation needed, and any other call fails as on a fresh ring.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from .poly import (
     BlockOrder,
@@ -78,7 +94,7 @@ from .poly import (
 _WIDTH = 16
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial], packed=None) -> Polynomial:
+def normal_form(f: Polynomial | tuple, basis: list[Polynomial], packed=None) -> Polynomial:
     """Remainder of ``f`` on division by ``basis`` (first divisor wins).
 
     Against a Groebner basis this is the canonical normal form; against an
@@ -86,12 +102,18 @@ def normal_form(f: Polynomial, basis: list[Polynomial], packed=None) -> Polynomi
     element of ``basis`` must lie in ``f``'s ring (``ValueError`` otherwise).
 
     A caller that keeps ``basis`` packed itself (Buchberger) passes
-    ``packed = (divisors, pk)``, the :func:`_divisor` forms of the nonzero
-    elements at packing ``pk``; the division then runs at ``pk`` only, and a
-    monomial that does not fit raises :class:`PackingOverflow`.
+    ``packed = (divisors, pk, memo)``: the :func:`_divisor` forms of the
+    nonzero elements at packing ``pk``, and a first-divisor memo, a dict
+    that only this divisor list (and longer lists it grows into by
+    appending) fills, or ``None``.  ``f`` is then a packed dividend
+    ``(ring, terms)``, as :func:`s_polynomial` returns it given ``pk``, and
+    the division consumes ``terms``.  It runs at ``pk`` only, and a monomial
+    that does not fit raises :class:`PackingOverflow`.  The remainder is a
+    :class:`Polynomial` either way, its terms in decreasing order and its
+    leading monomial set.
     """
     if packed is not None:
-        return _divide(f, *packed)
+        return _divide(*f, *packed)
     ring = f.ring
     for g in basis:
         if g.ring is not ring and g.ring != ring:
@@ -104,33 +126,51 @@ def normal_form(f: Polynomial, basis: list[Polynomial], packed=None) -> Polynomi
     while True:
         pk = ring.packing(width)
         try:
-            return _divide(f, [_divisor(g, pk) for g in basis if g.terms], pk)
+            divisors = [_divisor(g, pk) for g in basis if g.terms]
+            return _divide(ring, _pack_terms(f, pk), divisors, pk)
         except PackingOverflow:
             width *= 2
 
 
+def _pack_terms(f: Polynomial, pk: MonomialPacking) -> dict:
+    return {pk.pack(m): c for m, c in f.terms.items()}
+
+
 def _divisor(g: Polynomial, pk: MonomialPacking) -> tuple:
-    """``(width, lm, tail)``: ``g``'s packed leading monomial and its other
-    terms as ``(packed monomial, -c / lc)`` pairs, cached on ``g`` for the
-    last width it was packed at."""
+    """``(width, lm, tail, top)``: ``g``'s packed leading monomial, its other
+    terms as ``(packed monomial, -c / lc)`` pairs, and ``top``, the bitwise
+    or of the tail's packed monomials, cached on ``g`` for the last width it
+    was packed at.
+
+    Each field of ``top`` is at least that field of every tail monomial and
+    stays below its guard bit, so for a valid ``q``, ``q + top`` fitting
+    its fields means every ``q + t`` does: one guard test covers a whole
+    multiple of the tail, and only a failed one has to test term by term."""
     slot = g._packed
     if slot is None or slot[0] != pk.width:
         field = g.ring.field
-        packed = {pk.pack(m): c for m, c in g.terms.items()}
+        packed = _pack_terms(g, pk)
         lm = max(packed)
         lc = packed.pop(lm)
         tail = [(t, field.neg(field.div(c, lc))) for t, c in packed.items()]
-        slot = g._packed = (pk.width, lm, tail)
+        slot = g._packed = (pk.width, lm, tail, reduce(or_, packed, 0))
     return slot
 
 
-def _divide(f: Polynomial, divisors: list[tuple], pk: MonomialPacking) -> Polynomial:
-    """Heap division of ``f`` by the :func:`_divisor` forms ``divisors`` on
-    monomials packed by ``pk``; raises :class:`PackingOverflow` when a
-    monomial outgrows its fields."""
-    p = f.ring.field.characteristic
+def _divide(
+    ring: PolyRing, terms: dict, divisors: list[tuple], pk: MonomialPacking, memo=None
+) -> Polynomial:
+    """Heap division of the packed dividend ``terms`` (consumed) by the
+    :func:`_divisor` forms ``divisors`` on monomials packed by ``pk``;
+    raises :class:`PackingOverflow` when a monomial outgrows its fields.
+
+    ``memo``, if given, maps a packed monomial ``k`` to an index ``i`` such
+    that no element of ``divisors[:i]`` divides ``k``: the index of its
+    first divisor, or the list's length when it had none.  The scan for
+    ``k`` resumes there and records where it stopped."""
+    p = ring.field.characteristic
     guard, eguard = pk.guard, pk.eguard
-    terms = {pk.pack(m): c for m, c in f.terms.items()}
+    n = len(divisors)
     # one heap entry per key of ``terms``; cancelled terms stay as zeros
     heap = [-k for k in terms]
     heapq.heapify(heap)
@@ -147,13 +187,15 @@ def _divide(f: Polynomial, divisors: list[tuple], pk: MonomialPacking) -> Polyno
             c = c.numerator
         if not c:
             continue
-        for _, gm, tail in divisors:
+        i = 0 if memo is None else memo.get(k, 0)
+        for i in range(i, n):
+            _, gm, tail, top = divisors[i]
             q = k - gm
             if not q & eguard:
+                if (q + top) & guard and any((q + t) & guard for t, _ in tail):
+                    raise PackingOverflow(f"product outgrew {pk.width}-bit fields")
                 for t, tc in tail:
                     m = q + t
-                    if m & guard:
-                        raise PackingOverflow(f"product outgrew {pk.width}-bit fields")
                     old = terms.get(m)
                     if old is None:
                         terms[m] = c * tc
@@ -162,24 +204,57 @@ def _divide(f: Polynomial, divisors: list[tuple], pk: MonomialPacking) -> Polyno
                         terms[m] = old + c * tc
                 break
         else:
+            i = n
             remainder[k] = c
+        if memo is not None:
+            memo[k] = i
     unpack = pk.unpack
-    r = Polynomial(f.ring, {unpack(k): c for k, c in remainder.items()})
+    r = Polynomial(ring, {unpack(k): c for k, c in remainder.items()})
     # terms joined the remainder in decreasing order: the first one leads
     if remainder:
         r._lm = unpack(next(iter(remainder)))
     return r
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    field = f.ring.field
+def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None):
+    """The S-polynomial ``(L / lt(f)) f - (L / lt(g)) g`` of two nonzero
+    polynomials of one ring, ``L`` the lcm of their leading monomials.
+
+    Without ``pk`` it is a :class:`Polynomial`.  With a packing ``pk`` it is
+    the packed dividend that :func:`normal_form` divides when given
+    ``packed``: a pair ``(ring, terms)``, ``terms`` a dict from the packed
+    monomials of the S-polynomial to coefficients that are not yet in
+    canonical form (``-c`` over FF(p) is not reduced mod p, and a cancelled
+    term may stay with coefficient 0).  It is formed from the cached
+    :func:`_divisor` forms: ``L / lm(g)`` times the tail of ``g`` minus
+    ``L / lm(f)`` times the tail of ``f``, one addition per term and one
+    guard test per tail (see :func:`_divisor`); a term that does not fit
+    raises :class:`PackingOverflow`.
+    """
     fm, gm = f.leading_monomial(), g.leading_monomial()
     lcm = monomial_lcm(fm, gm)
-    fc, gc = f.leading_coeff(), g.leading_coeff()
-    # Buchberger's elements are monic: no inverse needed
-    a = f.mul_monomial(monomial_div(lcm, fm), fc if fc == 1 else field.inv(fc))
-    b = g.mul_monomial(monomial_div(lcm, gm), gc if gc == 1 else field.inv(gc))
-    return a - b
+    if pk is None:
+        field = f.ring.field
+        fc, gc = f.leading_coeff(), g.leading_coeff()
+        # Buchberger's elements are monic: no inverse needed
+        a = f.mul_monomial(monomial_div(lcm, fm), fc if fc == 1 else field.inv(fc))
+        b = g.mul_monomial(monomial_div(lcm, gm), gc if gc == 1 else field.inv(gc))
+        return a - b
+    lcm = pk.pack(lcm)
+    _, fm, ftail, ftop = _divisor(f, pk)
+    _, gm, gtail, gtop = _divisor(g, pk)
+    qf, qg = lcm - fm, lcm - gm
+    guard = pk.guard
+    for q, top, tail in ((qf, ftop, ftail), (qg, gtop, gtail)):
+        if (q + top) & guard and any((q + t) & guard for t, _ in tail):
+            raise PackingOverflow(f"S-polynomial outgrew {pk.width}-bit fields")
+    # the tails hold -c / lc: g's enters as it is, f's negated
+    terms = {qg + t: c for t, c in gtail}
+    for t, c in ftail:
+        m = qf + t
+        old = terms.get(m)
+        terms[m] = -c if old is None else old - c
+    return f.ring, terms
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +268,17 @@ def _buchberger(
     """A Groebner basis of the nonzero ``gens``, its leading monomials packed
     by ``pk``, and the least budget that computes it: ``max(S-pair
     reductions, basis size)``.  Raises :class:`PackingOverflow` when a
-    leading monomial or an lcm does not fit ``pk``'s fields."""
+    leading monomial, an lcm or a term of an S-pair reduction does not fit
+    ``pk``'s fields."""
     pack, eguard = pk.pack, pk.eguard
     G = sorted(((pack(g.leading_monomial()), g.monic()) for g in gens), key=itemgetter(0))
     P = [p for p, _ in G]
     G = [g for _, g in G]
     lms = [g.leading_monomial() for g in G]
-    # the basis packed once for the whole run
+    # the basis packed once for the whole run, and its first-divisor memo:
+    # D only grows by appending, so a memo entry stays true
     D = [_divisor(g, pk) for g in G]
+    packed = (D, pk, {})
     # normal selection: each pair enters the heap once, keyed by its packed lcm
     heap: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()
@@ -239,7 +317,7 @@ def _buchberger(
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: {processed} S-pair reductions"
             )
-        r = normal_form(s_polynomial(G[i], G[j]), G, (D, pk))
+        r = normal_form(s_polynomial(G[i], G[j], pk), G, packed)
         if r.is_zero():
             continue
         G.append(r.monic())

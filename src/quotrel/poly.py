@@ -33,7 +33,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import comb
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -180,7 +180,7 @@ def order_from_name(name: str) -> MonomialOrder:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -190,7 +190,7 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of a/b (caller must know b divides a)."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -308,6 +308,38 @@ def normal_form_oracle_suite(cases=200, seed=20261019):
     return cases
 
 
+def spair_oracle_suite(cases=200, seed=20261024):
+    """``s_polynomial(f, g, pk)``, unpacked with zero terms dropped and each
+    coefficient in canonical form, equals ``s_polynomial(f, g)`` term for
+    term, over QQ and FF(2, 3, 5, 32003) in lex, grevlex and block orders.
+    Most leading coefficients are not 1, and half the packings are 32 bits
+    wide, so the cached packed forms are repacked in between."""
+    rng = random.Random(seed)
+    fields = FIELDS + (GF(32003),)
+    for _ in range(cases):
+        field = rng.choice(fields)
+        nvars = rng.randint(1, 3)
+        order = rng.choice((LEX, GREVLEX, BlockOrder(rng.randint(1, nvars))))
+        ring = PolyRing(field, NAMES[:nvars], order)
+        f = _random_poly(rng, ring, max_terms=4, max_degree=4)
+        g = _random_poly(rng, ring, max_terms=4, max_degree=4)
+        pk = ring.packing(rng.choice((16, 32)))
+        theirs = groebner.s_polynomial(f, g)
+        packed_ring, packed = groebner.s_polynomial(f, g, pk)
+        assert packed_ring is ring
+        ours = {}
+        for k, c in packed.items():
+            c = field.add(field.zero, c)
+            if not field.is_zero(c):
+                ours[pk.unpack(k)] = c
+        assert ours == theirs.terms, (
+            f"S-polynomial disagreement over {field!r} ({order!r}) for "
+            f"{ring.render(f)}, {ring.render(g)} at {pk.width} bits: "
+            f"{ours} != {ring.render(theirs)}"
+        )
+    return cases
+
+
 def _recorded(run):
     """``run()``'s outcome, its result or its ``BudgetExceededError``
     message, plus the ``(f, g)`` pairs it passed to
@@ -315,9 +347,9 @@ def _recorded(run):
     calls = []
     original = groebner.s_polynomial
 
-    def recording(f, g):
+    def recording(f, g, *rest):
         calls.append((f, g))
-        return original(f, g)
+        return original(f, g, *rest)
 
     groebner.s_polynomial = recording
     try:

@@ -149,9 +149,9 @@ def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
     count = [0]
     original = groebner.s_polynomial
 
-    def counted(f, g):
+    def counted(f, g, *rest):
         count[0] += 1
-        return original(f, g)
+        return original(f, g, *rest)
 
     monkeypatch.setattr(groebner, "s_polynomial", counted)
     ring = PolyRing(field, names, order)
@@ -217,6 +217,90 @@ def test_wide_exponents_restart_the_whole_run(monkeypatch):
     gb = groebner_basis([R.parse("x^40000 - y"), R.parse("x*y")])
     assert [R.render(g) for g in gb] == ["y^2", "x*y", "x^40000 - y"]
     assert widths == [16, 32]
+
+
+def test_spair_term_outgrowing_the_fields_restarts_the_run(monkeypatch):
+    """The lcm x*z^3000 fits 16-bit fields, but the S-pair's term
+    y^30000*z^3000 has degree 33000, more than 16-bit fields admit for a
+    basis element: the run starts again at 32 bits."""
+    from quotrel import groebner
+
+    widths = []
+    original = groebner._buchberger
+
+    def recorded(gens, pk, budget):
+        widths.append(pk.width)
+        return original(gens, pk, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    R = PolyRing(QQ, ("x", "y", "z"), LEX)
+    R.packing(16).pack((1, 0, 3000))  # the lcm fits
+    gb = groebner_basis([R.parse("x - y^30000"), R.parse("x*z^3000 - 1")])
+    assert [R.render(g) for g in gb] == ["y^30000*z^3000 - 1", "x - y^30000"]
+    assert widths == [16, 32]
+
+
+def test_first_divisor_memo_survives_a_growing_divisor_list():
+    """A memo filled while dividing by the packed D[:n] still gives the
+    first-divisor remainder once D has grown by appending, including for
+    monomials it recorded as having no divisor."""
+    from quotrel.groebner import _divisor
+
+    R = PolyRing(GF(32003), ("x", "y", "z"))
+    basis = [R.parse(g) for g in (
+        "x*y - 2*z", "y^2 + x", "x^2 - 3*y*z", "z^2 - y", "x - 5*z", "y",
+    )]
+    rng = random.Random(20261024)
+    dividends = []
+    for _ in range(12):
+        f = R.zero
+        for _ in range(rng.randint(1, 5)):
+            expo = tuple(rng.randint(0, 3) for _ in range(3))
+            f = f + R.monomial(expo, rng.randint(1, 9))
+        dividends.append(f)
+    pk = R.packing(16)
+    D, memo = [], {}
+    for n in range(len(basis) + 1):
+        if n:
+            D.append(_divisor(basis[n - 1], pk))
+        for f in dividends:
+            dividend = (R, {pk.pack(m): c for m, c in f.terms.items()})
+            ours = normal_form(dividend, basis[:n], (D, pk, memo))
+            theirs = oracles.naive_normal_form(f, basis[:n])
+            assert list(ours.terms.items()) == list(theirs.terms.items())
+            assert ours.is_zero() or ours.leading_monomial() == max(
+                theirs.terms, key=R.order.key)
+    # both kinds of entry were made: a first divisor, and none so far
+    assert any(i < len(D) for i in memo.values())
+    assert len(D) in memo.values()
+
+
+def test_each_spair_reduction_divides_the_s_polynomial_it_built(monkeypatch):
+    """Buchberger calls ``s_polynomial`` once per S-pair reduction and hands
+    its result, as the same object, to the next ``normal_form`` call: the
+    bench tracer counts reductions to zero by that identity."""
+    from quotrel import groebner
+
+    events = []
+    s_poly, nf = groebner.s_polynomial, groebner.normal_form
+
+    def built(*args):
+        out = s_poly(*args)
+        events.append(("s", out))
+        return out
+
+    def divided(f, *args):
+        events.append(("nf", f))
+        return nf(f, *args)
+
+    monkeypatch.setattr(groebner, "s_polynomial", built)
+    monkeypatch.setattr(groebner, "normal_form", divided)
+    ring = PolyRing(GF(32003), ("u0", "u1", "u2", "u3"))
+    groebner_basis([ring.parse(g) for g in KATSURA3])
+    built_at = [k for k, (kind, _) in enumerate(events) if kind == "s"]
+    assert len(built_at) == 10
+    for k in built_at:
+        assert events[k + 1][0] == "nf" and events[k + 1][1] is events[k][1]
 
 
 def test_memoized_basis_is_returned_as_a_new_list(R):

@@ -241,6 +241,17 @@ def test_lex_products_outgrowing_the_fields_divide_like_the_oracle():
     assert g._packed[0] == 32
 
 
+def test_a_tail_cover_outgrowing_the_fields_is_checked_term_by_term():
+    R = PolyRing(GF(32003), ("x", "y"), LEX)
+    g = R.parse("x") - R.monomial((0, 16384)) - R.monomial((0, 16383))
+    f = R.parse("x*y + 1")
+    # the bitwise or of the tail's y exponents is 2^15 - 1, and y times it
+    # outgrows 16-bit fields; y times each tail term does not
+    expected = oracles.naive_normal_form(f, [g])
+    assert list(normal_form(f, [g]).terms.items()) == list(expected.terms.items())
+    assert g._packed[0] == 16
+
+
 # ---------------------------------------------------------------------------
 # normal forms against a fixed basis
 
