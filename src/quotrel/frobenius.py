@@ -7,8 +7,15 @@ one algebra into another therefore reduces to per-generator membership
 tests, run modulo the ambient defining ideal so nilpotents collapse on
 their own.  For the same reason (sum c*m)^q = sum c*m^q, which is how
 :func:`frobenius_power` forms q-th powers without multiplying.
+
+A normal form against a Groebner basis respects products, nf(ab) =
+nf(nf(a) nf(b)), so the normal form of b^(p^(r+1)) is that of the p-th
+power of b^(p^r)'s normal form.  Each generator's normal form is carried
+from one r to the next, and each step divides a p-th power of a small
+residue, not b^q itself.
 """
 
+from .groebner import normal_form
 from .poly import Polynomial
 
 __all__ = ["FrobeniusWitness", "frobenius_exponent", "frobenius_power"]
@@ -33,12 +40,10 @@ class FrobeniusWitness:
         return "\n".join(lines)
 
 
-def frobenius_power(b, q: int):
-    """``b ** q`` for a power ``q`` of the prime field's characteristic: the
-    exponents times ``q``, normal-formed by the ring."""
-    return b.ring.element([
-        Polynomial(f.ring, {tuple(q * e for e in m): c for m, c in f.terms.items()})
-        for f in b.parts])
+def frobenius_power(f: Polynomial, q: int) -> Polynomial:
+    """``f ** q`` for a polynomial over a prime field and a power ``q`` of
+    its characteristic: the exponents times ``q``."""
+    return Polynomial(f.ring, {tuple(q * e for e in m): c for m, c in f.terms.items()})
 
 
 def frobenius_exponent(sub_gens, alg_gens, r_max: int = 8):
@@ -59,15 +64,20 @@ def frobenius_exponent(sub_gens, alg_gens, r_max: int = 8):
             raise ValueError("generators must live in one ambient ring")
     model = ring.model()
     sieve = model.sieve(sub_gens)
+    # per generator, the last r its power was normal-formed at and that
+    # normal form (at first b itself, not yet divided); a generator that an
+    # earlier failure skipped catches up in one division
+    latest = [(0, sieve.work.convert(model.to_poly(b))) for b in alg_gens]
     for r in range(r_max + 1):
-        q = p**r
         certs = []
-        for b in alg_gens:
-            ok, cert = sieve.query(model.to_poly(frobenius_power(b, q)))
+        for n, (s, f) in enumerate(latest):
+            f = normal_form(frobenius_power(f, p ** (r - s)), sieve.gb)
+            latest[n] = (r, f)
+            ok, cert = sieve.certify(f)
             if not ok:
                 certs = None
                 break
-            certs.append((b, cert))
+            certs.append((alg_gens[n], cert))
         if certs is not None:
             return FrobeniusWitness(p, r, certs)
     return None

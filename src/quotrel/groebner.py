@@ -39,19 +39,29 @@ still has none there; a run restarted at another width starts a new memo.
 Remainders are those of the plain scan, term for term.  Divisions outside
 Buchberger keep the plain scan from the first divisor.
 
-Buchberger uses the normal selection strategy: of the pending S-pairs, the
-one with the smallest ``(lcm, i, j)`` is reduced next, where ``i < j`` index
-the basis in the order elements were added and the lcm is compared in the
-ring's order.  The bookkeeping runs on packed monomials: each leading
-monomial is packed once, and each pair enters a heap once, as ``(packed lcm,
-i, j)``, when its second element joins the basis.  Pairs are skipped by the
-product criterion (coprime leading monomials: the packed lcm is the sum of
-the packed leading monomials) and the chain criterion (some ``lm_k`` divides
-the lcm, one subtraction and one mask, and the pairs ``(i, k)`` and ``(j,
-k)`` are no longer pending); skipped pairs do not count against the budget.
-When a leading monomial, an lcm or a term of an S-pair reduction does not
-fit its fields, the whole run restarts at twice the field width; the pairs
-and their order do not depend on the width.
+Buchberger uses degree-first normal selection: of the pending S-pairs, the
+one with the smallest ``(deg lcm, lcm, i, j)`` is reduced next, where
+``deg`` is the total degree, the lcm is compared in the ring's order and
+``i < j`` index the basis in the order elements were added.  One rule
+serves every order.  On grevlex the degree already decides first, so this
+is plain normal selection; in block and lex orders it keeps the pairs of
+high-degree lcms, which build high-degree intermediates, until the cheap
+ones are done, the core of the sugar strategy (Giovini, Mora, Niesi,
+Robbiano & Traverso, ISSAC 1991).  The bookkeeping runs on packed
+monomials: each leading monomial is packed once, with its degree and its
+support (the guard bits of its nonzero exponent fields, see
+:meth:`~quotrel.poly.MonomialPacking.support`), and each pair enters a heap
+once, when its second element joins the basis.  Two leading monomials are
+coprime when their supports do not meet; such a pair's lcm is the product,
+keyed by the sum of the packed ints and of the degrees, and the product
+criterion skips it when it is popped.  Any other pair's lcm is formed once
+as a tuple, which gives both its degree and its packed int.  The chain
+criterion skips a pair when some ``lm_k`` divides the lcm (one subtraction
+and one mask) and neither ``(i, k)`` nor ``(j, k)`` is pending; each index
+keeps the set of its pending partners.  Skipped pairs do not count against
+the budget.  When a leading monomial, an lcm (its guard bits) or a term of
+an S-pair reduction does not fit its fields, the whole run restarts at twice
+the field width; the pairs and their order do not depend on the width.
 
 Each :func:`groebner_basis` call reads the budget in force (``with
 quotrel.poly.budget(n):``), a cap on its S-pair reductions and basis size.
@@ -66,7 +76,7 @@ from __future__ import annotations
 
 import heapq
 from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 
 from .poly import (
     BlockOrder,
@@ -270,35 +280,46 @@ def _buchberger(
     reductions, basis size)``.  Raises :class:`PackingOverflow` when a
     leading monomial, an lcm or a term of an S-pair reduction does not fit
     ``pk``'s fields."""
-    pack, eguard = pk.pack, pk.eguard
+    pack, support, units = pk.pack, pk.support, pk.units
+    guard, eguard = pk.guard, pk.eguard
     G = sorted(((pack(g.leading_monomial()), g.monic()) for g in gens), key=itemgetter(0))
     P = [p for p, _ in G]
     G = [g for _, g in G]
     lms = [g.leading_monomial() for g in G]
+    degs = [sum(m) for m in lms]
+    S = [support(p) for p in P]
     # the basis packed once for the whole run, and its first-divisor memo:
     # D only grows by appending, so a memo entry stays true
     D = [_divisor(g, pk) for g in G]
     packed = (D, pk, {})
-    # normal selection: each pair enters the heap once, keyed by its packed lcm
-    heap: list[tuple[int, int, int]] = []
-    pairs: set[tuple[int, int]] = set()
+    # degree-first normal selection: each pair enters the heap once, keyed
+    # by the total degree of its lcm, then its packed lcm; pending[k] holds
+    # the partners of k whose pair with k is still in the heap
+    heap: list[tuple[int, int, int, int]] = []
+    pending: list[set[int]] = []
 
     def add_pairs(new: int):
-        m = lms[new]
+        m, p, d, s = lms[new], P[new], degs[new], S[new]
         for i in range(new):
-            heapq.heappush(heap, (pack(monomial_lcm(lms[i], m)), i, new))
-            pairs.add((i, new))
+            if S[i] & s:
+                lcm = tuple(map(max, lms[i], m))
+                # every field of a product of two valid monomials stays
+                # below twice the guard bit, so no carry hides an overflow
+                L, e = sum(map(mul, lcm, units)), sum(lcm)
+            else:
+                # coprime: the lcm is the product
+                L, e = P[i] + p, degs[i] + d
+            if L & guard:
+                raise PackingOverflow(f"lcm outgrew {pk.width}-bit fields")
+            heapq.heappush(heap, (e, L, i, new))
+            pending[i].add(new)
+        pending.append(set(range(new)))
 
     def chain(L: int, i: int, j: int) -> bool:
         """Some lm_k divides the lcm ``L`` and both other pairs were handled."""
+        pi, pj = pending[i], pending[j]
         for k, p in enumerate(P):
-            if (
-                not (L - p) & eguard
-                and k != i
-                and k != j
-                and (min(i, k), max(i, k)) not in pairs
-                and (min(j, k), max(j, k)) not in pairs
-            ):
+            if not (L - p) & eguard and k != i and k != j and k not in pi and k not in pj:
                 return True
         return False
 
@@ -306,11 +327,12 @@ def _buchberger(
         add_pairs(j)
     processed = 0
     while heap:
-        L, i, j = heapq.heappop(heap)
-        pairs.discard((i, j))
+        _, L, i, j = heapq.heappop(heap)
+        pending[i].discard(j)
+        pending[j].discard(i)
         # product criterion (coprime leading monomials reduce to zero), then
         # the chain criterion
-        if L == P[i] + P[j] or chain(L, i, j):
+        if not S[i] & S[j] or chain(L, i, j):
             continue
         processed += 1
         if processed > budget:
@@ -323,7 +345,9 @@ def _buchberger(
         G.append(r.monic())
         D.append(_divisor(G[-1], pk))
         lms.append(r.leading_monomial())
+        degs.append(sum(lms[-1]))
         P.append(D[-1][1])
+        S.append(support(P[-1]))
         if len(G) > budget:
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: basis grew past {budget}"
@@ -528,7 +552,11 @@ class MembershipSieve:
         Substituting the generators into the certificate reproduces ``f``
         modulo the relations.
         """
-        nf = normal_form(self.work.convert(f), self.gb)
+        return self.certify(normal_form(self.work.convert(f), self.gb))
+
+    def certify(self, nf: Polynomial) -> tuple[bool, Polynomial | None]:
+        """The verdict and certificate of :meth:`query` for the element of
+        the work ring whose normal form against ``gb`` is ``nf``."""
         if self._residue(nf):
             return False, None
         if not self.w_names:

@@ -219,6 +219,9 @@ class MonomialPacking:
     * ``a`` divides ``b`` iff ``(b - a) & eguard`` is 0, since the lowest
       exponent field where ``b`` is smaller borrows into its guard bit;
       ``b - a`` is then the packed quotient.
+
+    ``units[i]`` is the packed ``x_i``, so ``sum(map(mul, m, units))`` packs
+    ``m`` with no overflow check.
     """
 
     def __init__(self, nvars: int, weights: list[Monomial], width: int):
@@ -228,11 +231,13 @@ class MonomialPacking:
         self._offsets = range(0, self.shift, width)
         self._mask = (1 << width) - 1
         self.eguard = sum(self._limit << s for s in self._offsets)
+        self._ones = self.eguard >> (width - 1)
+        self._emask = (1 << self.shift) - 1
         self.guard = self.eguard | sum(
             self._limit << (self.shift + s) for s in range(0, len(weights) * width, width)
         )
         top = len(weights) - 1
-        self._units = [
+        self.units = [
             (1 << (i * width))
             + (sum(row[i] << ((top - r) * width) for r, row in enumerate(weights)) << self.shift)
             for i in range(nvars)
@@ -242,7 +247,16 @@ class MonomialPacking:
         # with 0/1 weights no field of m exceeds its degree
         if sum(m) >= self._limit:
             raise PackingOverflow(f"monomial {m} does not fit {self.width}-bit fields")
-        return sum(map(mul, m, self._units))
+        return sum(map(mul, m, self.units))
+
+    def support(self, k: int) -> int:
+        """The guard bits of the nonzero exponent fields of the valid packed
+        ``k``: two monomials are coprime iff their supports do not meet.
+
+        Setting every exponent guard bit and subtracting 1 from every field
+        clears exactly the guard bits of the zero fields, with no borrow."""
+        eguard = self.eguard
+        return ((k & self._emask | eguard) - self._ones) & eguard
 
     def unpack(self, k: int) -> Monomial:
         mask = self._mask

@@ -29,7 +29,9 @@ presented a subalgebra before presentations were read off its
 ``Polynomial.substitute`` ran before it became a memoized
 ``MonomialImages`` table, and ``naive_invariant_basis`` the fixed-point
 system over every nontrivial group element, before it was solved on a
-generating set only.
+generating set only.  ``naive_frobenius_exponent`` is the Frobenius search
+before it carried normal forms from one exponent to the next: it queries
+each ``b ** q`` from scratch.
 """
 
 from __future__ import annotations
@@ -311,8 +313,10 @@ def naive_buchberger(gens, budget):
     """The reduced Groebner basis of the nonzero ``gens`` and the budget its
     computation needs, ``max(S-pair reductions, basis size)``.
 
-    Normal selection on ``(key(lcm), i, j)`` heap entries with the product
-    and chain criteria, on exponent tuples.  S-polynomials come from
+    Degree-first normal selection on ``(sum(lcm), key(lcm), i, j)`` heap
+    entries: of the pending pairs, the one whose lcm has the least total
+    degree, then the least lcm in the ring's order.  Product and chain
+    criteria on exponent tuples.  S-polynomials come from
     ``groebner.s_polynomial``, looked up at each call so that a test can
     record them; remainders come from :func:`naive_normal_form`.
     """
@@ -331,14 +335,14 @@ def naive_buchberger(gens, budget):
     def add_pairs(new: int):
         for i in range(new):
             lcm = monomial_lcm(lms[i], lms[new])
-            heapq.heappush(heap, (key(lcm), i, new, lcm))
+            heapq.heappush(heap, (sum(lcm), key(lcm), i, new, lcm))
             pairs.add((i, new))
 
     for j in range(len(G)):
         add_pairs(j)
     processed = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         pairs.discard((i, j))
         if lcm == monomial_mul(lms[i], lms[j]):
             continue
@@ -422,6 +426,27 @@ def eliminate_presentation(gens, names=None):
     kern = groebner.eliminate(T, drop=list(range(base.nvars)))
     out_ring = PolyRing(base.field, tuple(w_names), GREVLEX)
     return out_ring, [out_ring.convert(g) for g in kern]
+
+
+def naive_frobenius_exponent(sub_gens, alg_gens, r_max):
+    """``(r, [(b, certificate), ...])`` for the least ``r <= r_max`` at which
+    every ``b ** p^r`` of ``alg_gens`` passes ``query`` on the flat model's
+    sieve of ``sub_gens``, or ``None``.  Each power is multiplied out in the
+    ambient ring and divided from scratch."""
+    ring = alg_gens[0].ring
+    p = ring.field.characteristic
+    model = ring.model()
+    sieve = model.sieve(sub_gens)
+    for r in range(r_max + 1):
+        certs = []
+        for b in alg_gens:
+            ok, cert = sieve.query(model.to_poly(b ** p ** r))
+            if not ok:
+                break
+            certs.append((b, cert))
+        else:
+            return r, certs
+    return None
 
 
 # ---------------------------------------------------------------------------

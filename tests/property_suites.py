@@ -21,6 +21,7 @@ from quotrel.eqrel import (
 )
 from quotrel import groebner
 from quotrel.fields import GF, QQ
+from quotrel.frobenius import frobenius_exponent
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
 from quotrel.poly import GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, budget, embed
@@ -585,6 +586,48 @@ def presentation_suite(cases=60, seed=20261021):
         assert sieve.residue(f.scale(a) + g.scale(b)) == (
             sieve.residue(f).scale(a) + sieve.residue(g).scale(b)
         ), f"residue is not linear for {where}"
+    return cases
+
+
+def frobenius_suite(cases=40, seed=20261025):
+    """``frobenius_exponent``, which carries each generator's normal form
+    from one r to the next, finds the r and the certificates of
+    ``oracles.naive_frobenius_exponent``, which divides each ``b ** q`` from
+    scratch.  One- and two-component rings over FF(2, 3, 5), free or with a
+    relation, q at most 9; the subalgebra has random generators and, in
+    most cases, a p^e-th power of each variable, so that several exponents
+    r and not-found all occur."""
+    rng = random.Random(seed)
+    found = set()
+    for _ in range(cases):
+        p = rng.choice((2, 3, 5))
+        r_max = {2: 3, 3: 2, 5: 1}[p]
+        first = PolyRing(GF(p), ("x", "y"))
+        relation = rng.choice((None, "y^2", "x^2*y - y^3", "x*y - 1"))
+        components = [(first, [first.parse(relation)] if relation else [])]
+        if rng.random() < 0.4:
+            second = PolyRing(GF(p), ("z",))
+            components.append((second, [second.parse("z^3")] if rng.random() < 0.5 else []))
+        ambient = AmbientRing(components)
+        sub = [_random_element(rng, ambient) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.7:
+            for c in range(ambient.ncomponents):
+                pr = ambient.poly_ring(c)
+                for v in range(pr.nvars):
+                    e = p ** rng.randint(0, r_max)
+                    sub.append(ambient.embed(c, pr.var(v)) ** e)
+        alg = [_random_element(rng, ambient) for _ in range(rng.randint(1, 2))]
+        where = (f"{ambient!r}: {[g.render() for g in alg]} into "
+                 f"{[g.render() for g in sub]}")
+        ours = frobenius_exponent(sub, alg, r_max=r_max)
+        theirs = oracles.naive_frobenius_exponent(sub, alg, r_max)
+        if theirs is None:
+            assert ours is None, f"found r = {ours.r}, oracle none, for {where}"
+        else:
+            assert ours is not None, f"none found, oracle r = {theirs[0]}, for {where}"
+            assert (ours.r, ours.certificates) == theirs, f"witness differs for {where}"
+        found.add(None if theirs is None else theirs[0])
+    assert found >= {None, 0, 1, 2}, f"exponents seen: {found}"
     return cases
 
 

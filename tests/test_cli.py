@@ -347,6 +347,23 @@ def test_frobenius_powers_stay_sparse(tmp_path, capsys):
         "no exponent found with r <= 8", "verdict: not-found"]
 
 
+def test_frobenius_exponents_iterate_residues(tmp_path, capsys):
+    # each r divides the fifth power of the normal form found at r - 1,
+    # never (x + y)^(5^r) itself, so forty steps stay quick
+    script = (
+        "ring R = FF(5)[x, y];\n"
+        "algebra S = (x^2) in R;\n"
+        "algebra A = (x + y) in R;\n"
+        "frobenius-exponent S A rmax = 40;\n"
+    )
+    start = time.perf_counter()
+    code, out, _ = run(tmp_path, capsys, script, "--budget", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "no exponent found with r <= 40", "verdict: not-found"]
+
+
 @pytest.mark.parametrize("script", [
     "ring X = QQ[x, y];\n"
     "relation RM on X = from-map (x^2, x*y, y^2);\n"

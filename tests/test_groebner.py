@@ -127,6 +127,10 @@ BUDGET_IDEAL = ("x^5 + y^4 + z^3 - 1", "x^3 + y^3 + z^2 - 1")
 # the membership sieve of bench/cases/frobenius-sieves/frobenius-ff2.qs,
 # where the chain criterion skips the most pairs
 FF2_SIEVE = ("w1 - s^2", "w2 - s^3", "w3 - s*t^2", "w4 - t^2", "w5 - t^3")
+# x + y + z, xy + yz + zx, xyz and the cyclic x^2 y + y^2 z + z^2 x, and
+# their sieve, where selecting by the block order alone reduced 1407 pairs
+SYMMETRIC = ("x + y + z", "x*y + y*z + z*x", "x*y*z", "x^2*y + y^2*z + z^2*x")
+SYMMETRIC_SIEVE = tuple(f"w{j + 1} - ({g})" for j, g in enumerate(SYMMETRIC))
 
 
 @pytest.mark.parametrize("field, names, order, gens, limit, calls, outcome", [
@@ -135,15 +139,21 @@ FF2_SIEVE = ("w1 - s^2", "w2 - s^3", "w3 - s*t^2", "w4 - t^2", "w5 - t^3")
     (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, 3, 2, "budget"),
     (QQ, ("x", "y", "z"), BlockOrder(1), BUDGET_IDEAL, None, 16, 10),
     (GF(2), ("s", "t", "w1", "w2", "w3", "w4", "w5"), BlockOrder(2), FF2_SIEVE,
-     None, 153, 19),
+     None, 70, 19),
+    (QQ, ("x", "y", "z", "w1", "w2", "w3", "w4"), BlockOrder(3), SYMMETRIC_SIEVE,
+     100, 36, 11),
 ])
 def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
                                    limit, calls, outcome):
     """S-polynomials built per basis computation, and the basis size (or the
-    budget error).  The normal selection strategy with the product and chain
-    criteria fixes these numbers; a Gebauer-Moeller update or the sugar
-    strategy is expected to change them, deliberately, together with the
-    budget a computation needs."""
+    budget error).  Degree-first normal selection with the product and chain
+    criteria fixes these numbers.  On grevlex it pops pairs in the order of
+    their lcms, as plain normal selection does; in block orders it pops
+    lower-degree lcms first, which took the FF(2) sieve from 153 to 70
+    S-polynomials for the same 19-element basis and the QQ sieve of
+    SYMMETRIC from 1407, past a budget of 100, to 36.  A Gebauer-Moeller
+    update or the sugar strategy is expected to change these numbers,
+    deliberately, together with the budget a computation needs."""
     from quotrel import groebner
 
     count = [0]
@@ -238,6 +248,43 @@ def test_spair_term_outgrowing_the_fields_restarts_the_run(monkeypatch):
     gb = groebner_basis([R.parse("x - y^30000"), R.parse("x*z^3000 - 1")])
     assert [R.render(g) for g in gb] == ["y^30000*z^3000 - 1", "x - y^30000"]
     assert widths == [16, 32]
+
+
+def test_coprime_product_outgrowing_the_fields_restarts_the_run(monkeypatch):
+    """In BlockOrder(1) on t, x, y the back-block degree of x^20000*y^20000
+    is 40000, too much for a 16-bit field, though each leading monomial
+    fits and every other lcm does.  Only the coprime pair's packed product,
+    formed without an lcm tuple, outgrows its fields: its guard bits
+    restart the run at 32 bits."""
+    from quotrel import groebner
+
+    widths = []
+    original = groebner._buchberger
+
+    def recorded(gens, pk, budget):
+        widths.append(pk.width)
+        return original(gens, pk, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    R = PolyRing(QQ, ("t", "x", "y"), BlockOrder(1))
+    gb = groebner_basis([R.parse(g) for g in ("t - x", "x^20000 - 1", "y^20000 - 1")])
+    assert [R.render(g) for g in gb] == ["y^20000 - 1", "x^20000 - 1", "t - x"]
+    assert widths == [16, 32]
+
+
+def test_symmetric_sieve_agrees_with_sympy():
+    """The sieve of SYMMETRIC, which degree-first selection builds within a
+    budget of 100 (a row of ``test_s_pair_sequence_is_pinned``), is sympy's
+    basis and gives the certificate of x^3 y^2 + y^3 z^2 + z^3 x^2."""
+    R = PolyRing(QQ, ("x", "y", "z"))
+    with budget(100):
+        sieve = MembershipSieve(R, [R.parse(g) for g in SYMMETRIC])
+    assert {sieve.work.render(g) for g in sieve.gb} == oracles.sympy_reduced_groebner(
+        [sieve.work.parse(g) for g in SYMMETRIC_SIEVE], oracles.sympy_block_order(3),
+        method="f5b")
+    ok, cert = sieve.query(R.parse("x^3*y^2 + y^3*z^2 + z^3*x^2"))
+    assert ok
+    assert cert.ring.render(cert) == "-w1^2*w3 + w2*w3 + w2*w4"
 
 
 def test_first_divisor_memo_survives_a_growing_divisor_list():

@@ -20,6 +20,7 @@ import property_suites
     (property_suites.buchberger_oracle_suite, 1000),
     (property_suites.presentation_suite, 60),
     (property_suites.substitution_oracle_suite, 60),
+    (property_suites.frobenius_suite, 40),
 ])
 def test_suite_runs_every_case(suite, cases):
     assert suite() == cases
