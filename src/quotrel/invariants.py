@@ -125,10 +125,20 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
     characteristic (no averaging involved).  A polynomial fixed by a
     generating set is fixed by the whole group, so the system has one block
     per map of :meth:`GroupAction.generators` only; its kernel, and so the
-    canonical basis, is the same.
+    canonical basis, is the same.  The system is solved one degree at a
+    time, so every map must be linear: an affine map mixes degrees, and
+    raises ``ValueError``.
     """
     action.validate()
     pr = action.ring.poly_ring(0)
+    for g in action.maps:
+        for name, im in zip(pr.names, g.assignments[0][1]):
+            if any(sum(m) != 1 for m in im.terms):
+                raise ValueError(
+                    f"invariant bases need linear maps, but {name} -> "
+                    f"{pr.render(im)} is not homogeneous of degree 1; the "
+                    "kernel-basis of the action's orbit relation (from-action) "
+                    "finds the invariants of an affine action")
     out: list[list[Polynomial]] = [[pr.one]]
     generators = [action.maps[i] for i in action.generators()]
     by_degree: list[list] = [[] for _ in range(d + 1)]

@@ -15,12 +15,7 @@ degree, and failures come with an explicit witness element.
 from .groebner import MembershipSieve
 from .linalg import RowSpace, condition_rows, nullspace
 from .poly import Polynomial
-from .quotient import (
-    TruncatedSubalgebra,
-    ordered_columns,
-    product_closure,
-    vector_to_element,
-)
+from .quotient import TruncatedSubalgebra, product_closure
 from .ring import AmbientRing, RingElement
 
 __all__ = [
@@ -341,22 +336,11 @@ def subalgebra_intersection_trunc(gens1, gens2, d: int) -> TruncatedSubalgebra:
 
 
 def _intersection_trunc(sieves: list[MembershipSieve], d: int) -> TruncatedSubalgebra:
-    pr = sieves[0].ring
-    ring = AmbientRing.quotient(pr, ())
+    def conditions(c: int, f: Polynomial) -> dict:
+        return {(side, m): coeff for side, sieve in enumerate(sieves)
+                for m, coeff in sieve.residue(f).terms.items()}
 
-    def member(el: RingElement) -> bool:
-        return all(sieve.contains(el.parts[0]) for sieve in sieves)
-
-    columns = ordered_columns(ring, d)
-    rows = condition_rows(
-        (col, {(side, mm): coeff
-               for side, sieve in enumerate(sieves)
-               for mm, coeff in sieve.residue(pr.monomial(col[1])).terms.items()})
-        for col in columns
-    )
-    basis = [vector_to_element(ring, v)
-             for v in nullspace(rows, columns, ring.field)]
-    return TruncatedSubalgebra(ring, d, columns, basis, member)
+    return TruncatedSubalgebra(AmbientRing.quotient(sieves[0].ring, ()), d, conditions)
 
 
 def verify_pushout_diagram(gens1, gens2, corner_gens, d: int) -> PushoutReport:

@@ -21,23 +21,28 @@ and the effectivity test) comes down to two primitives: the kernel of a
 linear map on monomials, :func:`~quotrel.linalg.nullspace` of the
 :func:`~quotrel.linalg.condition_rows` of the map, which is already the
 canonical reduced echelon basis; and the span of the products of generators
-up to a degree, :func:`product_closure`.
+up to a degree, :func:`product_closure`.  A :class:`TruncatedSubalgebra` is
+stated by one such map, ``conditions(c, f)`` on the polynomials of each
+component ``c``: the same map gives the kernel, applied to each column
+monomial, and the membership recheck, applied to each part of an element.
+A relation's condition is the normal form of ``f(x) - f(y)`` modulo the
+relation ideal; a pair of maps and an intersection of subalgebras state
+theirs through sieve residues.
 
 Conventions for disconnected sources (product rings): a function on a
-disjoint union may be adjusted on each piece separately, so the kernel is
-assembled componentwise — the shared unit, plus for every piece the
-constant-free solutions of that piece's own compatibility conditions (equal
-pullbacks where both maps restrict to the piece, pullback landing in the
-other map's image algebra where they do not: a vanishing
-:meth:`~quotrel.groebner.MembershipSieve.residue`, which is linear).
+disjoint union may be adjusted on each piece separately, so a pair of maps
+states one condition per source piece — equal pullbacks where both maps
+restrict to the piece, and where they do not, a pullback landing in the
+other map's image algebra: a vanishing
+:meth:`~quotrel.groebner.MembershipSieve.residue`, which is linear.  The
+kernel is solved piece by piece, and the constants of the pieces fold into
+the shared unit.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from .eqrel import RelationPresentation, copy_difference
-from .groebner import MembershipSieve, ideal_member, normal_form
+from .groebner import MembershipSieve, normal_form
 from .linalg import RowSpace, condition_rows, nullspace, significance
 from .poly import PolyRing, Polynomial
 from .ring import AmbientRing, RingElement, RingMap
@@ -47,22 +52,11 @@ def ordered_columns(ring: AmbientRing, d: int) -> list[tuple[int, tuple[int, ...
     """Column labels ``(component, monomial)`` for the degree-``d`` truncation,
     most significant first: degree descending, then component, then the
     component's monomial order descending."""
-    per = []
-    for c in range(ring.ncomponents):
-        pr = ring.poly_ring(c)
-        mons = sorted(
-            ring.standard_monomials(c, d),
-            key=lambda m: (sum(m), pr.order.key(m)),
-            reverse=True,
-        )
-        per.append(mons)
-    cols = []
-    for deg in range(d, -1, -1):
-        for c in range(ring.ncomponents):
-            for m in per[c]:
-                if sum(m) == deg:
-                    cols.append((c, m))
-    return cols
+    return sorted(
+        ((c, m) for c in range(ring.ncomponents) for m in ring.standard_monomials(c, d)),
+        key=lambda col: (sum(col[1]), -col[0], ring.poly_ring(col[0]).order.key(col[1])),
+        reverse=True,
+    )
 
 
 def element_to_vector(el: RingElement) -> dict:
@@ -105,24 +99,36 @@ def product_closure(gens, seeds, limit: int, insert) -> list:
 
 
 class TruncatedSubalgebra:
-    """A subalgebra of an ambient ring known through degree ``d``.
+    """A subalgebra of an ambient ring, cut out by linear conditions and known
+    through degree ``d``.
 
-    ``basis`` is the reduced echelon basis of the degree-``d`` filtration
-    piece over ``columns`` (most significant first), as :func:`nullspace`
-    returns it; ``layers[e]`` holds its elements whose leading monomial has
-    degree ``e``.  ``membership`` is the defining condition, rechecked by
-    :meth:`defining_membership` without the linear algebra.
+    ``conditions(c, f)`` is a linear map taking a polynomial ``f`` on
+    component ``c`` to a vector (a dict of labels to coefficients); an
+    element lies in the subalgebra exactly when the vectors of all its parts
+    vanish.  The basis of the degree-``d`` filtration piece is the reduced
+    echelon kernel of those conditions over :func:`ordered_columns`, solved
+    piece by piece on a product ring, where each piece's constants fold into
+    the shared unit.  ``layers[e]`` holds the basis elements whose leading
+    monomial has degree ``e``.
     """
 
-    def __init__(self, ring: AmbientRing, d: int, columns: list, basis,
-                 membership):
+    def __init__(self, ring: AmbientRing, d: int, conditions):
         self.ring = ring
         self.d = d
+        self._conditions = conditions
+        columns = ordered_columns(ring, d)
         self.key = significance(columns)
         self.layers: list[list[RingElement]] = [[] for _ in range(d + 1)]
-        for f in basis:
-            self.layers[f.degree()].append(f)
-        self._membership = membership
+        for c in range(ring.ncomponents):
+            cols = [col for col in columns if col[0] == c]
+            monomial = ring.poly_ring(c).monomial
+            rows = condition_rows((col, conditions(c, monomial(col[1]))) for col in cols)
+            for v in nullspace(rows, cols, ring.field):
+                f = vector_to_element(ring, v)
+                self.layers[f.degree()].append(f)
+        if ring.is_product:
+            # the constant solution of every piece folds into the shared unit
+            self.layers[0] = [ring.one]
         self._space: RowSpace | None = None
         self._generators: list[tuple[RingElement, int]] | None = None
         self._new_counts: list[int] | None = None
@@ -149,9 +155,9 @@ class TruncatedSubalgebra:
         return self._space.contains(element_to_vector(el))
 
     def defining_membership(self, el: RingElement) -> bool:
-        """Recheck the defining condition directly, without the linear
+        """Recheck the defining conditions directly, without the linear
         algebra that produced the basis."""
-        return self._membership(el)
+        return not any(self._conditions(c, part) for c, part in enumerate(el.parts))
 
     # -- generators -----------------------------------------------------------
 
@@ -203,22 +209,6 @@ class TruncatedSubalgebra:
         return "\n".join(lines)
 
 
-def _relation_kernel(rel: RelationPresentation, columns: list) -> list[RingElement]:
-    ring = rel.ambient
-    pr = ring.poly_ring(0)
-    gb = rel.gb()
-    rows = condition_rows(
-        (col, normal_form(copy_difference(pr.monomial(col[1]), rel.doubled), gb).terms)
-        for col in columns
-    )
-    return [vector_to_element(ring, v) for v in nullspace(rows, columns, ring.field)]
-
-
-def _relation_member(rel: RelationPresentation, el: RingElement) -> bool:
-    """The doubled-ring difference lies in the relation ideal."""
-    return ideal_member(copy_difference(el.parts[0], rel.doubled), rel.gb())
-
-
 def _pair_sieves(s1: RingMap, s2: RingMap) -> dict:
     """``(t, side)`` -> the sieve of map ``side``'s image algebra on each target
     component ``t`` where the two maps use different source pieces."""
@@ -234,60 +224,27 @@ def _pair_sieves(s1: RingMap, s2: RingMap) -> dict:
     return sieves
 
 
-def _pair_component_kernel(ring: AmbientRing, columns: list, s1: RingMap, s2: RingMap,
-                           sieves: dict, c: int) -> list[RingElement]:
-    """Reduced-echelon solutions of the compatibility conditions restricted
-    to source component ``c``."""
-    target = s1.target
-    images = {col: {} for col in columns if col[0] == c}
-    for t in range(target.ncomponents):
-        a1, a2 = s1.assignments[t][0], s2.assignments[t][0]
-        if a1 != c and a2 != c:
-            continue
-        if a1 == c and a2 == c:
-            # equal pullbacks
-            t1, t2 = s1.table(t), s2.table(t)
-            for (_, m), image in images.items():
-                dif = target.nf(t, t1.monomial(m) - t2.monomial(m))
-                image.update(((t, mm), coeff) for mm, coeff in dif.terms.items())
-        else:
-            # the pullback lands in the other map's image algebra
-            own, other = (s1, 1) if a1 == c else (s2, 0)
-            table, sieve = own.table(t), sieves[t, other]
-            for (_, m), image in images.items():
-                res = sieve.residue(table.monomial(m))
-                image.update(((t, mm), coeff) for mm, coeff in res.terms.items())
-    sols = nullspace(condition_rows(images.items()), list(images), ring.field)
-    return [vector_to_element(ring, v) for v in sols]
+def _pair_conditions(s1: RingMap, s2: RingMap):
+    """The compatibility conditions on source piece ``c``, per target
+    component that a map reads from it: equal pullbacks where both maps use
+    the piece; elsewhere the pullback lands in the other map's image
+    algebra, a vanishing :meth:`~quotrel.groebner.MembershipSieve.residue`."""
+    sieves = _pair_sieves(s1, s2)
 
+    def conditions(c: int, f: Polynomial) -> dict:
+        out = {}
+        for t, ((a1, _), (a2, _)) in enumerate(zip(s1.assignments, s2.assignments)):
+            if a1 == a2 == c:
+                image = s1.table(t).apply(f) - s2.table(t).apply(f)
+            elif c in (a1, a2):
+                own, other = (s1, 1) if a1 == c else (s2, 0)
+                image = sieves[t, other].residue(own.table(t).apply(f))
+            else:
+                continue
+            out.update(((t, m), coeff) for m, coeff in image.terms.items())
+        return out
 
-def _pair_kernel(ring: AmbientRing, columns: list, s1: RingMap, s2: RingMap,
-                 sieves: dict) -> list[RingElement]:
-    if ring.ncomponents == 1:
-        return _pair_component_kernel(ring, columns, s1, s2, sieves, 0)
-    basis = [ring.one]
-    for c in range(ring.ncomponents):
-        # each piece's constants fold into the shared unit
-        basis += [el for el in _pair_component_kernel(ring, columns, s1, s2, sieves, c)
-                  if el.degree() > 0]
-    return basis
-
-
-def _pair_member(s1: RingMap, s2: RingMap, sieves: dict, el: RingElement) -> bool:
-    """Per target component: equal pullbacks when both maps use the same
-    source piece; otherwise each piece's pullback lies in the other map's
-    image algebra."""
-    target = s1.target
-    for t in range(target.ncomponents):
-        a1, a2 = s1.assignments[t][0], s2.assignments[t][0]
-        g1, g2 = s1.table(t).apply(el.parts[a1]), s2.table(t).apply(el.parts[a2])
-        if a1 == a2:
-            if not target.nf(t, g1 - g2).is_zero():
-                return False
-        elif not (sieves[t, 1].contains(target.nf(t, g1))
-                  and sieves[t, 0].contains(target.nf(t, g2))):
-            return False
-    return True
+    return conditions
 
 
 def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
@@ -302,22 +259,15 @@ def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     if isinstance(source, RelationPresentation):
-        ring = source.ambient
-        columns = ordered_columns(ring, d)
-        return TruncatedSubalgebra(ring, d, columns,
-                                   _relation_kernel(source, columns),
-                                   partial(_relation_member, source))
+        gb = source.gb()
+        return TruncatedSubalgebra(source.ambient, d, lambda c, f: normal_form(
+            copy_difference(f, source.doubled), gb).terms)
     s1, s2 = source
     if not isinstance(s1, RingMap) or not isinstance(s2, RingMap):
         raise TypeError("expected a RelationPresentation or a pair of RingMaps")
     if s1.source != s2.source or s1.target != s2.target:
         raise ValueError("the two maps must share source and target")
-    ring = s1.source
-    columns = ordered_columns(ring, d)
-    sieves = _pair_sieves(s1, s2)
-    return TruncatedSubalgebra(ring, d, columns,
-                               _pair_kernel(ring, columns, s1, s2, sieves),
-                               partial(_pair_member, s1, s2, sieves))
+    return TruncatedSubalgebra(s1.source, d, _pair_conditions(s1, s2))
 
 
 class GrowthReport:

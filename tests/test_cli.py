@@ -7,6 +7,7 @@ installed ``quotrel`` console script to make sure the packaging glue works.
 
 import io
 import json
+import re
 import shutil
 import subprocess
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from quotrel.cli import main
+from quotrel.script import COMMAND_KINDS, GRAMMAR, parse_script
 
 SMOKE = (
     "ring R = QQ[x,y];\n"
@@ -96,6 +98,38 @@ def run(tmp_path, capsys, text, *args):
     code = main([str(path), *args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# One script per case, each with the report it printed when recorded.  A
+# script's optional "# args: ..." line gives the command-line flags and
+# "# exit: N" the exit code (default 0); re-record a report with
+# ``python -m quotrel.cli tests/cli_goldens/NAME.qs ARGS > tests/cli_goldens/NAME.out``.
+GOLDENS = sorted((Path(__file__).parent / "cli_goldens").glob("*.qs"))
+
+
+def header(text: str, key: str, default: str) -> str:
+    found = re.search(rf"^# {key}: (.*)$", text, re.M)
+    return found.group(1) if found else default
+
+
+@pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
+def test_golden_report(path, capsys):
+    text = path.read_text()
+    code = main([str(path), *header(text, "args", "").split()])
+    assert capsys.readouterr().out == path.with_suffix(".out").read_text()
+    assert code == int(header(text, "exit", "0"))
+
+
+def test_every_command_form_has_a_golden():
+    """Every form of every command kind runs in some golden script."""
+    covered = {
+        (st.kind, i)
+        for path in GOLDENS
+        for st in parse_script(path.read_text()).statements
+        for i, form in enumerate(GRAMMAR[st.kind]) if form.matches(st.fields)
+    }
+    forms = {(k, i) for k in COMMAND_KINDS for i in range(len(GRAMMAR[k]))}
+    assert forms <= covered
 
 
 def test_passing_check_exits_zero(tmp_path, capsys):
@@ -382,6 +416,25 @@ def test_max_degree_over_budget_exits_three(tmp_path, capsys, script):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "monomial enumeration exceeded budget" in err
+
+
+def test_invariant_basis_of_an_affine_action_exits_two(tmp_path, capsys):
+    # degree by degree the system would print only 1, and miss x^2 + x and
+    # x^4 + x; the orbit relation's kernel-basis finds them
+    script = (
+        "ring X = FF(2)[x];\n"
+        "action T on X = (x | x + 1);\n"
+        "relation ORB on X = from-action T;\n"
+        "kernel-basis ORB;\n"
+        "invariant-basis T;\n"
+    )
+    code, out, err = run(tmp_path, capsys, script, "--max-degree", "4")
+    assert code == 2
+    assert "degree 2: x^2 + x\ndegree 4: x^4 + x\n" in out
+    assert err == (
+        "error: line 5: invariant bases need linear maps, but x -> x + 1 is not "
+        "homogeneous of degree 1; the kernel-basis of the action's orbit "
+        "relation (from-action) finds the invariants of an affine action\n")
 
 
 GROEBNER_FIRST = (

@@ -1,4 +1,5 @@
-"""Every name a ``quotrel`` module imports is used in that module.
+"""Every name a ``quotrel`` module imports is used in that module, every
+private helper is referenced, and every private name read is bound.
 
 No linter is part of the toolchain, so this stdlib-``ast`` scan stands in for
 one: a name counts as used when it is read anywhere in the module, including
@@ -141,3 +142,71 @@ def test_budget_is_read_from_one_scope():
         stores += s
     assert params == ["groebner._buchberger"]
     assert stores == ["cli._Options"]
+
+
+# -- every private helper has a caller, and every caller a helper ---------------
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Private functions and classes defined anywhere in the module."""
+    return [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names the module reads: bare names, attribute names and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unbound_private_reads(tree: ast.Module) -> set[str]:
+    """Private bare names the module reads but binds nowhere."""
+    bound = set(imported_names(tree))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name):
+            (reads if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+    return {n for n in reads - bound if n.startswith("_") and not n.startswith("__")}
+
+
+def test_helper_scans_flag_orphans_and_dangling_calls():
+    tree = ast.parse(
+        "from .other import _shared\n"
+        "def _used(): return _gone() + _shared\n"
+        "def _orphan(): pass\n"
+        "class _Kept:\n"
+        "    def _method(self, _arg): return _arg\n"
+        "def api(): return _used() + _Kept()._method(1)\n"
+    )
+    assert set(private_definitions(tree)) - references(tree) == {"_orphan"}
+    assert unbound_private_reads(tree) == {"_gone"}
+
+
+def test_every_private_helper_is_called():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(references, trees.values()))
+    orphans = [f"{module}.{name}" for module, tree in trees.items()
+               for name in private_definitions(tree) if name not in used]
+    assert not orphans, f"private helpers nothing refers to: {orphans}"
+
+
+def test_every_private_name_read_is_bound():
+    """A deleted helper that a caller still names fails only when that call
+    runs; this finds it without running anything."""
+    dangling = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+                for name in unbound_private_reads(ast.parse(path.read_text()))]
+    assert not dangling, f"private names bound nowhere: {dangling}"

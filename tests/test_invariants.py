@@ -1,5 +1,7 @@
 """Finite linear group actions: averaging, graded invariants, orbit equations."""
 
+import re
+
 import pytest
 
 from quotrel.fields import GF, QQ
@@ -192,6 +194,26 @@ def test_invariant_basis_works_in_characteristic_two():
     layers = invariant_basis(act, 2)
     rendered = [[pr.render(f) for f in layer] for layer in layers]
     assert rendered == [["1"], ["x + y"], ["x*y", "x^2 + y^2"]]
+
+
+@pytest.mark.parametrize("field, names, images, message", [
+    (GF(2), ("x",), ["x + 1"], "x -> x + 1"),
+    (QQ, ("x", "y"), ["-x", "-y + 1"], "y -> -y + 1"),
+])
+def test_invariant_basis_refuses_affine_maps(field, names, images, message):
+    """The fixed-point system is solved one degree at a time, which loses
+    the invariants of an affine action (x^2 + x over FF(2), y^2 - y over
+    QQ); it names the first affine image instead."""
+    A = AmbientRing.free(field, names)
+    pr = A.poly_ring(0)
+    act = GroupAction(A, [RingMap.identity(A),
+                          RingMap.on_polys(A, A, [pr.parse(t) for t in images])])
+    with pytest.raises(ValueError, match=re.escape(f"{message} is not homogeneous")):
+        invariant_basis(act, 4)
+    # the averaging and the orbit equations still accept the action
+    if field == QQ:
+        assert pr.render(reynolds_project(pr.parse("x*y"), act)) == "x*y - 1/2*x"
+    assert orbit_symmetric_generators(pr.parse("x"), act)[0]
 
 
 def test_invariant_basis_members_are_fixed():

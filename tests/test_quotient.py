@@ -158,6 +158,39 @@ def test_pair_kernel_builds_one_sieve_per_side(monkeypatch):
     assert len(builds) == 2
 
 
+def test_pair_kernel_on_one_piece_equates_the_pullbacks():
+    """t -> 0 and t -> 1 from QQ[t] to QQ[s]/(s): both maps use the one
+    source piece, so the kernel is the functions with f(0) = f(1)."""
+    X = AmbientRing.free(QQ, ("t",))
+    P = PolyRing(QQ, ("s",))
+    Z = AmbientRing.quotient(P, [P.var(0)])
+    tr = coequalizer_kernel_basis(
+        (RingMap.on_polys(X, Z, [P.zero]), RingMap.on_polys(X, Z, [P.one])), 6)
+    assert [f.render() for f in tr.basis()] == [
+        "1", "t^2 - t", "t^3 - t", "t^4 - t", "t^5 - t", "t^6 - t"]
+    assert tr.dims() == [1, 1, 2, 3, 4, 5, 6]
+    assert [(g.render(), e) for g, e in tr.minimal_generators()] == [
+        ("t^2 - t", 2), ("t^3 - t", 3)]
+    assert all(tr.defining_membership(f) for f in tr.basis())
+    assert not tr.defining_membership(X.embed(0, X.poly_ring(0).var(0)))
+
+
+def test_pair_kernel_mixes_equal_and_image_conditions():
+    """QQ[u] x QQ[v] -> QQ[a] x QQ[b]: on the b piece both maps use v
+    (v -> b against v -> b^2), on the a piece they use different source
+    pieces (u -> a^2 against v -> a^3)."""
+    X = AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])])
+    Y = AmbientRing([(PolyRing(QQ, ("a",)), []), (PolyRing(QQ, ("b",)), [])])
+    a, b = Y.poly_ring(0).var(0), Y.poly_ring(1).var(0)
+    tr = coequalizer_kernel_basis(
+        (RingMap(X, Y, [(0, [a ** 2]), (1, [b])]),
+         RingMap(X, Y, [(1, [a ** 3]), (1, [b ** 2])])), 6)
+    assert [f.render() for f in tr.basis()] == ["(1, 1)", "(u^3, 0)", "(u^6, 0)"]
+    assert all(tr.defining_membership(f) for f in tr.basis())
+    u, v = X.embed(0, X.poly_ring(0).var(0)), X.embed(1, X.poly_ring(1).var(0))
+    assert not any(tr.defining_membership(el) for el in (u, v, u * u * u + v))
+
+
 def test_relation_kernel_runs_under_the_budget(cusp_rel):
     with budget(1):
         with pytest.raises(BudgetExceededError):
