@@ -129,7 +129,7 @@ class PrimeField(Field):
     """FF(p): least nonnegative residues mod a prime p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
         self.characteristic = p
@@ -171,6 +171,28 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("FF", self.p))
+
+
+# Miller-Rabin on the first 13 primes as bases decides primality exactly
+# below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether ``n`` is prime; `ValueError` where the bases do not decide."""
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"cannot certify that {n} is prime: the test is exact "
+                         f"below {_PRIME_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n - 1 = d * 2^s with d odd; a base a proves n composite unless
+    # a^d = 1 or a^(d * 2^r) = -1 for some r < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _PRIME_BASES)
 
 
 def _demote(c):

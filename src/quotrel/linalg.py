@@ -71,18 +71,6 @@ class RowSpace:
                 out = vec_sub_scaled(field, out, row, c)
         return out
 
-    def coords(self, v: Vector):
-        """Coefficients expressing ``v`` over the rows, or ``None``."""
-        field = self.field
-        out = dict(v)
-        cs = []
-        for piv, row in zip(self.pivots, self.rows):
-            c = out.get(piv, field.zero)
-            cs.append(c)
-            if not field.is_zero(c):
-                out = vec_sub_scaled(field, out, row, c)
-        return cs if not out else None
-
     def contains(self, v: Vector) -> bool:
         return not self.reduce(v)
 

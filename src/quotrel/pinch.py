@@ -336,11 +336,11 @@ def subalgebra_intersection_trunc(gens1, gens2, d: int) -> TruncatedSubalgebra:
 
 
 def _intersection_trunc(sieves: list[MembershipSieve], d: int) -> TruncatedSubalgebra:
-    def conditions(c: int, f: Polynomial) -> dict:
+    def condition(el: RingElement) -> dict:
         return {(side, m): coeff for side, sieve in enumerate(sieves)
-                for m, coeff in sieve.residue(f).terms.items()}
+                for m, coeff in sieve.residue(el.parts[0]).terms.items()}
 
-    return TruncatedSubalgebra(AmbientRing.quotient(sieves[0].ring, ()), d, conditions)
+    return TruncatedSubalgebra(AmbientRing.quotient(sieves[0].ring, ()), d, condition)
 
 
 def verify_pushout_diagram(gens1, gens2, corner_gens, d: int) -> PushoutReport:
@@ -350,15 +350,15 @@ def verify_pushout_diagram(gens1, gens2, corner_gens, d: int) -> PushoutReport:
     every corner generator must lie in both subalgebras, and through degree
     ``d`` the intersection must be spanned by the corner algebra.  The
     witness for a failed span is the first intersection basis element (in
-    canonical order) outside the corner's span.
+    canonical order) outside the corner's span; an empty corner is the
+    constants.
     """
-    pr = corner_gens[0].ring
-    ring = AmbientRing.quotient(pr, ())
     sieves = _side_sieves(gens1, gens2)
+    inter = _intersection_trunc(sieves, d)
+    ring = inter.ring
     # the first corner generator outside the first side, else the second
     wit1 = next((ring.embed(0, g) for sieve in sieves for g in corner_gens
                  if not sieve.contains(g)), None)
-    inter = _intersection_trunc(sieves, d)
     corner_space, _ = _product_span(
         ring, [ring.element([g]) for g in corner_gens], d)
     wit2 = next((b for b in inter.basis()

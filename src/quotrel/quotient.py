@@ -22,27 +22,25 @@ linear map on monomials, :func:`~quotrel.linalg.nullspace` of the
 :func:`~quotrel.linalg.condition_rows` of the map, which is already the
 canonical reduced echelon basis; and the span of the products of generators
 up to a degree, :func:`product_closure`.  A :class:`TruncatedSubalgebra` is
-stated by one such map, ``conditions(c, f)`` on the polynomials of each
-component ``c``: the same map gives the kernel, applied to each column
-monomial, and the membership recheck, applied to each part of an element.
-A relation's condition is the normal form of ``f(x) - f(y)`` modulo the
-relation ideal; a pair of maps and an intersection of subalgebras state
-theirs through sieve residues.
+stated by one such map on whole elements, ``condition(el)``: the same map
+gives the kernel, applied to each column monomial, and the membership
+recheck, applied to the element.  A relation's condition is the normal form
+of ``f(x) - f(y)`` modulo the relation ideal, and an intersection of
+subalgebras states its own through sieve residues.
 
-Conventions for disconnected sources (product rings): a function on a
-disjoint union may be adjusted on each piece separately, so a pair of maps
-states one condition per source piece — equal pullbacks where both maps
-restrict to the piece, and where they do not, a pullback landing in the
-other map's image algebra: a vanishing
-:meth:`~quotrel.groebner.MembershipSieve.residue`, which is linear.  The
-kernel is solved piece by piece, and the constants of the pieces fold into
-the shared unit.
+A pair of maps s1, s2 : X -> Z is gluing data, and the functions of the
+quotient are their equalizer, the f with s1(f) = s2(f), also when X is a
+disjoint union (a product ring): each target component reads one source
+piece through each map, possibly two different pieces, so the condition
+couples the parts of ``f`` and the kernel is solved jointly over all pieces.
+For the node, two lines glued at a point, the constants of the two lines
+must agree while everything vanishing at the glued points is free.
 """
 
 from __future__ import annotations
 
 from .eqrel import RelationPresentation, copy_difference
-from .groebner import MembershipSieve, normal_form
+from .groebner import normal_form
 from .linalg import RowSpace, condition_rows, nullspace, significance
 from .poly import PolyRing, Polynomial
 from .ring import AmbientRing, RingElement, RingMap
@@ -99,39 +97,33 @@ def product_closure(gens, seeds, limit: int, insert) -> list:
 
 
 class TruncatedSubalgebra:
-    """A subalgebra of an ambient ring, cut out by linear conditions and known
-    through degree ``d``.
+    """A subalgebra of an ambient ring, cut out by one linear condition and
+    known through degree ``d``.
 
-    ``conditions(c, f)`` is a linear map taking a polynomial ``f`` on
-    component ``c`` to a vector (a dict of labels to coefficients); an
-    element lies in the subalgebra exactly when the vectors of all its parts
-    vanish.  The basis of the degree-``d`` filtration piece is the reduced
-    echelon kernel of those conditions over :func:`ordered_columns`, solved
-    piece by piece on a product ring, where each piece's constants fold into
-    the shared unit.  ``layers[e]`` holds the basis elements whose leading
+    ``condition(el)`` is a linear map taking a :class:`RingElement` to a
+    vector (a dict of labels to coefficients); an element lies in the
+    subalgebra exactly when its vector vanishes.  The basis of the
+    degree-``d`` filtration piece is the reduced echelon kernel of that map
+    over :func:`ordered_columns`, solved once over the columns of every
+    component.  ``layers[e]`` holds the basis elements whose leading
     monomial has degree ``e``.
     """
 
-    def __init__(self, ring: AmbientRing, d: int, conditions):
+    def __init__(self, ring: AmbientRing, d: int, condition):
         self.ring = ring
         self.d = d
-        self._conditions = conditions
+        self._condition = condition
         columns = ordered_columns(ring, d)
         self.key = significance(columns)
         self.layers: list[list[RingElement]] = [[] for _ in range(d + 1)]
-        for c in range(ring.ncomponents):
-            cols = [col for col in columns if col[0] == c]
-            monomial = ring.poly_ring(c).monomial
-            rows = condition_rows((col, conditions(c, monomial(col[1]))) for col in cols)
-            for v in nullspace(rows, cols, ring.field):
-                f = vector_to_element(ring, v)
-                self.layers[f.degree()].append(f)
-        if ring.is_product:
-            # the constant solution of every piece folds into the shared unit
-            self.layers[0] = [ring.one]
+        rows = condition_rows(
+            (col, condition(ring.embed(col[0], ring.poly_ring(col[0]).monomial(col[1]))))
+            for col in columns)
+        for v in nullspace(rows, columns, ring.field):
+            f = vector_to_element(ring, v)
+            self.layers[f.degree()].append(f)
         self._space: RowSpace | None = None
         self._generators: list[tuple[RingElement, int]] | None = None
-        self._new_counts: list[int] | None = None
 
     # -- structure -----------------------------------------------------------
 
@@ -155,9 +147,9 @@ class TruncatedSubalgebra:
         return self._space.contains(element_to_vector(el))
 
     def defining_membership(self, el: RingElement) -> bool:
-        """Recheck the defining conditions directly, without the linear
+        """Recheck the defining condition directly, without the linear
         algebra that produced the basis."""
-        return not any(self._conditions(c, part) for c, part in enumerate(el.parts))
+        return not self._condition(el)
 
     # -- generators -----------------------------------------------------------
 
@@ -172,7 +164,6 @@ class TruncatedSubalgebra:
             return self._generators
         field = self.ring.field
         gens: list[tuple[RingElement, int]] = []
-        counts = [0] * (self.d + 1)
         for e in range(1, self.d + 1):
             # the span of the products, up to degree e, of the generators so
             # far; formed when first needed and again after each new one
@@ -189,15 +180,15 @@ class TruncatedSubalgebra:
                     continue
                 gen = vector_to_element(self.ring, alg.rows[alg.pivots.index(piv)])
                 gens.append((gen, e))
-                counts[e] += 1
                 alg = None
         self._generators = gens
-        self._new_counts = counts
         return gens
 
     def new_generator_counts(self) -> list[int]:
-        self.minimal_generators()
-        return list(self._new_counts)
+        counts = [0] * (self.d + 1)
+        for _, e in self.minimal_generators():
+            counts[e] += 1
+        return counts
 
     def render_basis(self) -> str:
         lines = []
@@ -209,65 +200,37 @@ class TruncatedSubalgebra:
         return "\n".join(lines)
 
 
-def _pair_sieves(s1: RingMap, s2: RingMap) -> dict:
-    """``(t, side)`` -> the sieve of map ``side``'s image algebra on each target
-    component ``t`` where the two maps use different source pieces."""
-    target = s1.target
-    sieves = {}
-    for t in range(target.ncomponents):
-        (a1, im1), (a2, im2) = s1.assignments[t], s2.assignments[t]
-        if a1 != a2:
-            for side, im in enumerate((im1, im2)):
-                sieves[t, side] = MembershipSieve(
-                    target.poly_ring(t), [target.nf(t, h) for h in im],
-                    target.q_gens(t))
-    return sieves
-
-
-def _pair_conditions(s1: RingMap, s2: RingMap):
-    """The compatibility conditions on source piece ``c``, per target
-    component that a map reads from it: equal pullbacks where both maps use
-    the piece; elsewhere the pullback lands in the other map's image
-    algebra, a vanishing :meth:`~quotrel.groebner.MembershipSieve.residue`."""
-    sieves = _pair_sieves(s1, s2)
-
-    def conditions(c: int, f: Polynomial) -> dict:
-        out = {}
-        for t, ((a1, _), (a2, _)) in enumerate(zip(s1.assignments, s2.assignments)):
-            if a1 == a2 == c:
-                image = s1.table(t).apply(f) - s2.table(t).apply(f)
-            elif c in (a1, a2):
-                own, other = (s1, 1) if a1 == c else (s2, 0)
-                image = sieves[t, other].residue(own.table(t).apply(f))
-            else:
-                continue
-            out.update(((t, m), coeff) for m, coeff in image.terms.items())
-        return out
-
-    return conditions
-
-
 def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
     """Canonical per-degree basis of the functions equalizing a relation or
     a pair of maps, through total degree ``d`` of normal forms.
 
     ``source`` is either a :class:`RelationPresentation` (functions ``f``
     with ``f(first block) - f(second block)`` in the relation ideal) or a
-    pair of ring maps with common source and target (functions with equal
-    pullbacks, componentwise over a disconnected common source).
+    pair of ring maps ``(s1, s2)`` with common source and target, whose
+    kernel is their equalizer: the ``f`` with ``s1(f) = s2(f)`` on every
+    target component, over a disconnected source as well.
     """
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     if isinstance(source, RelationPresentation):
         gb = source.gb()
-        return TruncatedSubalgebra(source.ambient, d, lambda c, f: normal_form(
-            copy_difference(f, source.doubled), gb).terms)
+        return TruncatedSubalgebra(source.ambient, d, lambda el: normal_form(
+            copy_difference(el.parts[0], source.doubled), gb).terms)
     s1, s2 = source
     if not isinstance(s1, RingMap) or not isinstance(s2, RingMap):
         raise TypeError("expected a RelationPresentation or a pair of RingMaps")
     if s1.source != s2.source or s1.target != s2.target:
         raise ValueError("the two maps must share source and target")
-    return TruncatedSubalgebra(s1.source, d, _pair_conditions(s1, s2))
+    reads = [(t, a1, a2) for t, ((a1, _), (a2, _))
+             in enumerate(zip(s1.assignments, s2.assignments))]
+
+    def condition(el: RingElement) -> dict:
+        # table values are normal forms, and so is their difference
+        return {(t, m): coeff for t, a1, a2 in reads for m, coeff in (
+            s1.table(t).apply(el.parts[a1]) - s2.table(t).apply(el.parts[a2])
+        ).terms.items()}
+
+    return TruncatedSubalgebra(s1.source, d, condition)
 
 
 class GrowthReport:

@@ -25,7 +25,7 @@ from quotrel.frobenius import frobenius_exponent
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
 from quotrel.poly import GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, budget, embed
-from quotrel.quotient import coequalizer_kernel_basis, present_subalgebra
+from quotrel.quotient import coequalizer_kernel_basis, ordered_columns, present_subalgebra
 from quotrel.ring import AmbientRing, RingMap
 
 import oracles
@@ -699,4 +699,56 @@ def substitution_oracle_suite(cases=60, seed=20261022):
                 if not target.q_gens(t):
                     assert el.parts[s].substitute(tpr, images).terms == naive.terms, (
                         f"substitute differs on {el.render()}, {where}")
+    return cases
+
+
+def pair_equalizer_suite(cases=60, seed=20261026):
+    """The kernel of a map pair is their equalizer: every basis element has
+    equal pullbacks, the kernel's dimension is the column count minus the
+    ``oracles.span_dim`` rank of ``s1 - s2`` on the columns, and ``contains``
+    agrees with ``defining_membership``.  One- and two-piece free sources
+    into one- and two-piece free or quotient targets over QQ and
+    FF(2, 3, 5), each map choosing its own source piece per target
+    component, at degree 4."""
+    rng = random.Random(seed)
+    bound = 4
+    for case in range(cases):
+        field = rng.choice(FIELDS)
+        source = AmbientRing([
+            (PolyRing(field, names), [])
+            for names in (("x", "y")[:rng.randint(1, 2)], ("z",))[:rng.randint(1, 2)]])
+        target = AmbientRing([
+            _random_component(rng, field, ("u", "v")[:rng.randint(1, 2)])
+            for _ in range(rng.randint(1, 2))])
+
+        def random_map():
+            assignments = []
+            for t in range(target.ncomponents):
+                s = rng.randrange(source.ncomponents)
+                assignments.append((s, [_random_image(rng, target.poly_ring(t))
+                                        for _ in range(source.poly_ring(s).nvars)]))
+            return RingMap(source, target, assignments)
+
+        s1, s2 = random_map(), random_map()
+        where = f"case {case}: {s1.render()} against {s2.render()} on {source!r}"
+        trunc = coequalizer_kernel_basis((s1, s2), bound)
+        basis = trunc.basis()
+        for f in basis:
+            assert s1.apply(f) == s2.apply(f), f"{f.render()} has unequal pullbacks, {where}"
+        images = []
+        for c, m in ordered_columns(source, bound):
+            col = source.embed(c, source.poly_ring(c).monomial(m))
+            images.append(oracles.element_vec(s1.apply(col) - s2.apply(col)))
+        rank = oracles.span_dim(images, oracles.arith_for(field))
+        assert trunc.dims()[-1] == len(images) - rank, (
+            f"dims {trunc.dims()} against rank {rank} of {len(images)} columns, {where}")
+        outside = source.element([
+            _random_poly(rng, source.poly_ring(c), max_terms=3, max_degree=bound)
+            for c in range(source.ncomponents)])
+        inside = source.zero
+        for f in basis:
+            inside = inside + f.scale(field.of_int(rng.randint(-2, 2)))
+        for el in (outside, inside, inside + outside):
+            assert trunc.contains(el) == trunc.defining_membership(el), (
+                f"contains and the recheck disagree on {el.render()}, {where}")
     return cases

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from quotrel.cli import main
-from quotrel.script import COMMAND_KINDS, GRAMMAR, parse_script
+from quotrel.script import COMMAND_KINDS, GRAMMAR, Script, parse_script
 
 SMOKE = (
     "ring R = QQ[x,y];\n"
@@ -130,6 +130,46 @@ def test_every_command_form_has_a_golden():
     }
     forms = {(k, i) for k in COMMAND_KINDS for i in range(len(GRAMMAR[k]))}
     assert forms <= covered
+
+
+def _first_use(kind, i):
+    """The golden script with the first statement of form ``i`` of
+    ``kind``, and that statement's index."""
+    for path in GOLDENS:
+        statements = parse_script(path.read_text()).statements
+        for at, st in enumerate(statements):
+            if st.kind == kind and GRAMMAR[kind][i].matches(st.fields):
+                return path, statements, at
+    raise AssertionError(f"no golden runs form {i} of {kind}")
+
+
+@pytest.mark.parametrize("kind, i", [
+    (k, i) for k in COMMAND_KINDS for i in range(len(GRAMMAR[k]))
+], ids=str)
+def test_empty_lists_end_in_a_report_or_an_exit_code(kind, i, tmp_path, capsys):
+    """A command form run on its golden's declarations with every list slot
+    given as ``()`` ends in a report or an exit code 1-3, never in another
+    exception."""
+    path, statements, at = _first_use(kind, i)
+    script = [st for st in statements[:at] if st.kind not in COMMAND_KINDS]
+    script.append(statements[at])
+    for st in script:
+        form = next(form for form in GRAMMAR[st.kind] if form.matches(st.fields))
+        st.fields.update({key: [] for key, slot, _ in form.slots if slot == "list"})
+    text = Script(script).render()
+    code, _, err = run(tmp_path, capsys, text, *header(path.read_text(), "args", "").split())
+    assert code in (0, 1, 2, 3)
+    assert code in (0, 1) or err.startswith("error: line ")
+
+
+def test_large_prime_fields(tmp_path, capsys):
+    """FF(2^61 - 1) is certified prime at once; a characteristic beyond the
+    primality test's exact range is an input error."""
+    text = "ring R = FF(2305843009213693951)[x];\nideal I = (2*x - 1) in R;\ngroebner I;\n"
+    code, out, _ = run(tmp_path, capsys, text)
+    assert code == 0 and "x + 1152921504606846975" in out
+    code, _, err = run(tmp_path, capsys, "ring R = FF(618970019642690137449562111)[x];\n")
+    assert code == 2 and "cannot certify" in err
 
 
 def test_passing_check_exits_zero(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from quotrel import groebner
-from quotrel.fields import GF, QQ
+from quotrel.fields import GF, QQ, PrimeField
 from quotrel.poly import Polynomial, PolyRing
 
 
@@ -62,6 +63,38 @@ def test_prime_field_requires_prime():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+
+def test_prime_test_agrees_with_trial_division():
+    for n in range(200_000):
+        try:
+            PrimeField(n)
+            built = True
+        except ValueError:
+            built = False
+        assert built == _trial_division_prime(n), n
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_prime_test_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="must be prime"):
+        PrimeField(n)
+
+
+def test_large_prime_field_builds_fast():
+    start = time.perf_counter()
+    F = GF(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert F.mul(F.inv(3), 3) == 1
+
+
+def test_prime_test_refuses_beyond_its_bound():
+    with pytest.raises(ValueError, match="cannot certify"):
+        PrimeField(2**89 - 1)
 
 
 def test_inversion_of_zero_fails():

@@ -42,17 +42,20 @@ def test_rowspace_rows_are_canonical():
     assert all(s == seen[0] for s in seen)
 
 
-def test_rowspace_reduce_and_coords():
-    rs = RowSpace(QQ, significance(["a", "b"]))
-    rs.insert({"a": Fraction(1), "b": Fraction(1)})
-    rs.insert({"b": Fraction(2)})
-    v = {"a": Fraction(3), "b": Fraction(5)}
+def test_rowspace_coordinates_are_pivot_entries():
+    """A reduced row space's rows are 0 at each other's pivots, so a member's
+    coordinate on a row is its entry at that row's pivot."""
+    rs = RowSpace(QQ, significance(["a", "b", "c"]))
+    rs.insert({"a": Fraction(1), "b": Fraction(1), "c": Fraction(2)})
+    rs.insert({"b": Fraction(2), "c": Fraction(1)})
+    v = {"a": Fraction(3), "b": Fraction(5), "c": Fraction(7)}
     assert rs.reduce(dict(v)) == {}
-    coords = rs.coords(dict(v))
+    assert all(piv not in other for piv, row in zip(rs.pivots, rs.rows)
+               for other in rs.rows if other is not row)
     acc: dict = {}
-    for c, row in zip(coords, rs.rows):
+    for piv, row in zip(rs.pivots, rs.rows):
         for k, w in row.items():
-            acc[k] = acc.get(k, Fraction(0)) + c * w
+            acc[k] = acc.get(k, Fraction(0)) + v[piv] * w
     assert {k: w for k, w in acc.items() if w} == v
 
 

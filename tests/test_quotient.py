@@ -133,9 +133,10 @@ def test_pair_source_validation(glued_lines):
         coequalizer_kernel_basis((s1, foreign), 2)
 
 
-def test_pair_kernel_builds_one_sieve_per_side(monkeypatch):
-    """u -> s^2 and v -> s^3 from QQ[u] x QQ[v]: the kernel builds the sieve
-    of each map's image algebra once, and rechecking its basis reuses them."""
+def test_pair_kernel_is_the_equalizer_and_builds_no_sieve(monkeypatch):
+    """u -> s^2 and v -> s^3 from QQ[u] x QQ[v]: the kernel is the pairs
+    (f, g) with f(s^2) = g(s^3), solved jointly over both pieces without
+    any subalgebra sieve."""
     builds = []
     init = MembershipSieve.__init__
 
@@ -147,15 +148,51 @@ def test_pair_kernel_builds_one_sieve_per_side(monkeypatch):
     X = AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])])
     Z = AmbientRing.free(QQ, ("s",))
     s = Z.poly_ring(0).var(0)
-    tr = coequalizer_kernel_basis(
-        (RingMap(X, Z, [(0, [s ** 2])]), RingMap(X, Z, [(1, [s ** 3])])), 8)
-    assert [f.render() for f in tr.basis()] == [
-        "(1, 1)", "(0, v^2)", "(u^3, 0)", "(0, v^4)", "(u^6, 0)", "(0, v^6)",
-        "(0, v^8)",
-    ]
-    assert len(builds) == 2
+    s1, s2 = RingMap(X, Z, [(0, [s ** 2])]), RingMap(X, Z, [(1, [s ** 3])])
+    tr = coequalizer_kernel_basis((s1, s2), 8)
+    assert [f.render() for f in tr.basis()] == ["(1, 1)", "(u^3, v^2)", "(u^6, v^4)"]
+    assert all(s1.apply(f) == s2.apply(f) for f in tr.basis())
     assert all(tr.defining_membership(f) for f in tr.basis())
-    assert len(builds) == 2
+    u3, v2 = X.embed(0, X.poly_ring(0).parse("u^3")), X.embed(1, X.poly_ring(1).parse("v^2"))
+    assert not tr.defining_membership(u3) and not tr.defining_membership(v2)
+    assert not builds
+
+
+def test_pair_kernel_equates_pullbacks_across_pieces():
+    """QQ[u] x QQ[v] -> QQ[a] x QQ[b]: on the b piece both maps use v
+    (v -> b against v -> b^2), on the a piece they use different source
+    pieces (u -> a^2 against v -> a^3); only the constants agree."""
+    X = AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])])
+    Y = AmbientRing([(PolyRing(QQ, ("a",)), []), (PolyRing(QQ, ("b",)), [])])
+    a, b = Y.poly_ring(0).var(0), Y.poly_ring(1).var(0)
+    s1 = RingMap(X, Y, [(0, [a ** 2]), (1, [b])])
+    s2 = RingMap(X, Y, [(1, [a ** 3]), (1, [b ** 2])])
+    tr = coequalizer_kernel_basis((s1, s2), 6)
+    assert [f.render() for f in tr.basis()] == ["(1, 1)"]
+    assert all(s1.apply(f) == s2.apply(f) for f in tr.basis())
+    assert all(tr.defining_membership(f) for f in tr.basis())
+    u, v = X.embed(0, X.poly_ring(0).var(0)), X.embed(1, X.poly_ring(1).var(0))
+    assert not any(tr.defining_membership(el) for el in (u, v, u * u * u + v))
+
+
+def test_identity_pair_kernel_is_the_whole_product():
+    """The trivial relation on QQ[u] x QQ[v]: every function, idempotents
+    included, is in the kernel."""
+    X = AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])])
+    identity = RingMap.identity(X)
+    tr = coequalizer_kernel_basis((identity, identity), 2)
+    assert [f.render() for f in tr.basis()] == [
+        "(1, 0)", "(0, 1)", "(u, 0)", "(0, v)", "(u^2, 0)", "(0, v^2)"]
+    assert tr.dims() == [2, 4, 6]
+
+
+def test_glued_lines_recheck_needs_equal_constants(glued_lines):
+    X, s1, s2 = glued_lines
+    tr = coequalizer_kernel_basis((s1, s2), 2)
+    idempotent = X.embed(0, X.poly_ring(0).one)
+    assert not tr.defining_membership(idempotent)
+    assert not tr.contains(idempotent)
+    assert tr.defining_membership(X.one)
 
 
 def test_pair_kernel_on_one_piece_equates_the_pullbacks():
@@ -173,22 +210,6 @@ def test_pair_kernel_on_one_piece_equates_the_pullbacks():
         ("t^2 - t", 2), ("t^3 - t", 3)]
     assert all(tr.defining_membership(f) for f in tr.basis())
     assert not tr.defining_membership(X.embed(0, X.poly_ring(0).var(0)))
-
-
-def test_pair_kernel_mixes_equal_and_image_conditions():
-    """QQ[u] x QQ[v] -> QQ[a] x QQ[b]: on the b piece both maps use v
-    (v -> b against v -> b^2), on the a piece they use different source
-    pieces (u -> a^2 against v -> a^3)."""
-    X = AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])])
-    Y = AmbientRing([(PolyRing(QQ, ("a",)), []), (PolyRing(QQ, ("b",)), [])])
-    a, b = Y.poly_ring(0).var(0), Y.poly_ring(1).var(0)
-    tr = coequalizer_kernel_basis(
-        (RingMap(X, Y, [(0, [a ** 2]), (1, [b])]),
-         RingMap(X, Y, [(1, [a ** 3]), (1, [b ** 2])])), 6)
-    assert [f.render() for f in tr.basis()] == ["(1, 1)", "(u^3, 0)", "(u^6, 0)"]
-    assert all(tr.defining_membership(f) for f in tr.basis())
-    u, v = X.embed(0, X.poly_ring(0).var(0)), X.embed(1, X.poly_ring(1).var(0))
-    assert not any(tr.defining_membership(el) for el in (u, v, u * u * u + v))
 
 
 def test_relation_kernel_runs_under_the_budget(cusp_rel):
