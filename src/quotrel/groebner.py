@@ -18,26 +18,25 @@ term for term.  Coefficients accumulate with plain ``+`` and ``*`` and take
 their canonical form once, when their term is popped (``% p`` over FF(p);
 over QQ a ``Fraction`` with denominator 1 becomes its numerator), as
 Monagan & Pearce do.  Each basis polynomial is packed once per field width
-and keeps that form in a slot; a division packs its divisor list once, and
-Buchberger keeps one list for its whole run.  When a monomial does not fit
-its fields (a huge input exponent, or a product grown in a lex or block
-reduction), the division restarts at twice the field width, with the same
-result.
+and keeps that form in a slot, and a division packs its divisor list once.
+When a monomial does not fit its fields (a huge input exponent, or a
+product grown in a lex or block reduction), the division restarts at twice
+the field width, with the same result.  Divisions outside Buchberger scan
+from the first divisor.
 
-Inside Buchberger nothing goes back to exponent tuples between an S-pair
-and its remainder.  :func:`s_polynomial` forms each S-polynomial packed,
-from the two elements' cached packed forms: the lcm over ``lm(g)`` times
-``g``'s tail minus the lcm over ``lm(f)`` times ``f``'s tail, one integer
-addition per term, and :func:`normal_form` divides that packed dividend
-directly.  The run also keeps a first-divisor memo, from a packed monomial
-to an index ``i`` such that no element of ``D[:i]`` divides it: the index
-of its first divisor, or the length ``D`` had when none did.  A popped term
-resumes its scan at ``i``.  This is sound because ``D`` only grows by
-appending within a run, so the first divisor in a prefix stays the first
-divisor in every longer list, and a monomial with no divisor in ``D[:i]``
-still has none there; a run restarted at another width starts a new memo.
-Remainders are those of the plain scan, term for term.  Divisions outside
-Buchberger keep the plain scan from the first divisor.
+A Buchberger run stays packed from its input to its reduced basis.  It
+keeps one divisor list ``D`` and a first-divisor memo, from a packed
+monomial to an index ``i`` such that no element of ``D[:i]`` divides it (the
+index of its first divisor, or the length ``D`` had when none did), where a
+popped term resumes its scan.  ``D`` only grows by appending, so the first
+divisor in a prefix stays the first in every longer list, and remainders
+are those of the plain scan, term for term.  :func:`s_polynomial` forms each
+S-polynomial from the two elements' packed forms and the pair's packed lcm,
+one integer addition per term, and a nonzero remainder joins ``D`` with its
+packed form read off the packed remainder.  The reduced basis keeps each
+minimal element's leading term and divides its tail by the final ``D`` with
+the same memo: a remainder modulo a Groebner basis is unique.  A run
+restarted at another width starts a new memo.
 
 Buchberger uses degree-first normal selection: of the pending S-pairs, the
 one with the smallest ``(deg lcm, lcm, i, j)`` is reduced next, where
@@ -120,10 +119,19 @@ def normal_form(f: Polynomial | tuple, basis: list[Polynomial], packed=None) -> 
     the division consumes ``terms``.  It runs at ``pk`` only, and a monomial
     that does not fit raises :class:`PackingOverflow`.  The remainder is a
     :class:`Polynomial` either way, its terms in decreasing order and its
-    leading monomial set.
+    leading monomial set; given ``packed``, its :func:`_divisor` form at
+    ``pk`` is set too, so that Buchberger can keep it as a basis element.
     """
     if packed is not None:
-        return _divide(*f, *packed)
+        # Buchberger keeps a nonzero remainder as a basis element: its divisor
+        # form comes from the packed terms, under the degree check of pk.pack
+        pk, remainder = packed[1], _divide(*f, *packed)
+        r = _polynomial(f[0], remainder, pk)
+        if remainder:
+            if max(map(sum, r.terms)) >> (pk.width - 1):
+                raise PackingOverflow(f"remainder outgrew {pk.width}-bit fields")
+            _divisor(r, pk, remainder)
+        return r
     ring = f.ring
     for g in basis:
         if g.ring is not ring and g.ring != ring:
@@ -137,7 +145,7 @@ def normal_form(f: Polynomial | tuple, basis: list[Polynomial], packed=None) -> 
         pk = ring.packing(width)
         try:
             divisors = [_divisor(g, pk) for g in basis if g.terms]
-            return _divide(ring, _pack_terms(f, pk), divisors, pk)
+            return _polynomial(ring, _divide(ring, _pack_terms(f, pk), divisors, pk), pk)
         except PackingOverflow:
             width *= 2
 
@@ -146,11 +154,12 @@ def _pack_terms(f: Polynomial, pk: MonomialPacking) -> dict:
     return {pk.pack(m): c for m, c in f.terms.items()}
 
 
-def _divisor(g: Polynomial, pk: MonomialPacking) -> tuple:
+def _divisor(g: Polynomial, pk: MonomialPacking, packed=None) -> tuple:
     """``(width, lm, tail, top)``: ``g``'s packed leading monomial, its other
     terms as ``(packed monomial, -c / lc)`` pairs, and ``top``, the bitwise
     or of the tail's packed monomials, cached on ``g`` for the last width it
-    was packed at.
+    was packed at.  ``packed``, if given, holds ``g``'s terms packed by
+    ``pk`` (consumed).
 
     Each field of ``top`` is at least that field of every tail monomial and
     stays below its guard bit, so for a valid ``q``, ``q + top`` fitting
@@ -158,21 +167,21 @@ def _divisor(g: Polynomial, pk: MonomialPacking) -> tuple:
     multiple of the tail, and only a failed one has to test term by term."""
     slot = g._packed
     if slot is None or slot[0] != pk.width:
-        field = g.ring.field
-        packed = _pack_terms(g, pk)
+        field, packed = g.ring.field, packed or _pack_terms(g, pk)
         lm = max(packed)
-        lc = packed.pop(lm)
-        tail = [(t, field.neg(field.div(c, lc))) for t, c in packed.items()]
+        s = field.neg(field.inv(packed.pop(lm)))
+        tail = [(t, field.mul(c, s)) for t, c in packed.items()]
         slot = g._packed = (pk.width, lm, tail, reduce(or_, packed, 0))
     return slot
 
 
 def _divide(
     ring: PolyRing, terms: dict, divisors: list[tuple], pk: MonomialPacking, memo=None
-) -> Polynomial:
+) -> dict:
     """Heap division of the packed dividend ``terms`` (consumed) by the
-    :func:`_divisor` forms ``divisors`` on monomials packed by ``pk``;
-    raises :class:`PackingOverflow` when a monomial outgrows its fields.
+    :func:`_divisor` forms ``divisors`` on monomials packed by ``pk``: the
+    packed remainder, keys decreasing, coefficients canonical and nonzero.
+    Raises :class:`PackingOverflow` when a monomial outgrows its fields.
 
     ``memo``, if given, maps a packed monomial ``k`` to an index ``i`` such
     that no element of ``divisors[:i]`` divides ``k``: the index of its
@@ -218,15 +227,20 @@ def _divide(
             remainder[k] = c
         if memo is not None:
             memo[k] = i
+    return remainder
+
+
+def _polynomial(ring: PolyRing, terms: dict, pk: MonomialPacking) -> Polynomial:
+    """The polynomial of the packed ``terms``, whose keys decrease."""
     unpack = pk.unpack
-    r = Polynomial(ring, {unpack(k): c for k, c in remainder.items()})
-    # terms joined the remainder in decreasing order: the first one leads
-    if remainder:
-        r._lm = unpack(next(iter(remainder)))
+    r = Polynomial(ring, {unpack(k): c for k, c in terms.items()})
+    if terms:
+        # the first term leads
+        r._lm = unpack(next(iter(terms)))
     return r
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None):
+def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None, L=None):
     """The S-polynomial ``(L / lt(f)) f - (L / lt(g)) g`` of two nonzero
     polynomials of one ring, ``L`` the lcm of their leading monomials.
 
@@ -239,21 +253,23 @@ def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None
     :func:`_divisor` forms: ``L / lm(g)`` times the tail of ``g`` minus
     ``L / lm(f)`` times the tail of ``f``, one addition per term and one
     guard test per tail (see :func:`_divisor`); a term that does not fit
-    raises :class:`PackingOverflow`.
+    raises :class:`PackingOverflow`.  ``L`` may come packed by ``pk``, as
+    Buchberger pops it with the pair; otherwise it is formed and packed.
     """
-    fm, gm = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(fm, gm)
     if pk is None:
+        fm, gm = f.leading_monomial(), g.leading_monomial()
+        lcm = monomial_lcm(fm, gm)
         field = f.ring.field
         fc, gc = f.leading_coeff(), g.leading_coeff()
         # Buchberger's elements are monic: no inverse needed
         a = f.mul_monomial(monomial_div(lcm, fm), fc if fc == 1 else field.inv(fc))
         b = g.mul_monomial(monomial_div(lcm, gm), gc if gc == 1 else field.inv(gc))
         return a - b
-    lcm = pk.pack(lcm)
+    if L is None:
+        L = pk.pack(monomial_lcm(f.leading_monomial(), g.leading_monomial()))
     _, fm, ftail, ftop = _divisor(f, pk)
     _, gm, gtail, gtop = _divisor(g, pk)
-    qf, qg = lcm - fm, lcm - gm
+    qf, qg = L - fm, L - gm
     guard = pk.guard
     for q, top, tail in ((qf, ftop, ftail), (qg, gtop, gtail)):
         if (q + top) & guard and any((q + t) & guard for t, _ in tail):
@@ -272,14 +288,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(
-    gens: tuple, pk: MonomialPacking, budget: int
-) -> tuple[list[Polynomial], list[int], int]:
-    """A Groebner basis of the nonzero ``gens``, its leading monomials packed
-    by ``pk``, and the least budget that computes it: ``max(S-pair
-    reductions, basis size)``.  Raises :class:`PackingOverflow` when a
-    leading monomial, an lcm or a term of an S-pair reduction does not fit
-    ``pk``'s fields."""
+def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, int]:
+    """``(D, pk, memo)``, the :func:`_divisor` forms at ``pk`` of a monic
+    Groebner basis of the nonzero ``gens`` and the run's first-divisor memo,
+    and the least budget that computes it: ``max(S-pair reductions, basis
+    size)``.  Raises :class:`PackingOverflow` when a leading monomial, an
+    lcm or a term of an S-pair reduction does not fit ``pk``'s fields."""
     pack, support, units = pk.pack, pk.support, pk.units
     guard, eguard = pk.guard, pk.eguard
     G = sorted(((pack(g.leading_monomial()), g.monic()) for g in gens), key=itemgetter(0))
@@ -339,9 +353,10 @@ def _buchberger(
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: {processed} S-pair reductions"
             )
-        r = normal_form(s_polynomial(G[i], G[j], pk), G, packed)
+        r = normal_form(s_polynomial(G[i], G[j], pk, L), G, packed)
         if r.is_zero():
             continue
+        # the monic element keeps the divisor form set from the remainder
         G.append(r.monic())
         D.append(_divisor(G[-1], pk))
         lms.append(r.leading_monomial())
@@ -353,32 +368,35 @@ def _buchberger(
                 f"Groebner computation exceeded budget: basis grew past {budget}"
             )
         add_pairs(len(G) - 1)
-    return G, P, max(processed, len(G))
+    return packed, max(processed, len(G))
 
 
-def _reduce_basis(G: list[Polynomial], P: list[int], eguard: int) -> list[Polynomial]:
-    """The reduced basis from a monic Groebner basis ``G`` and its packed
-    leading monomials ``P``."""
+def _reduce_basis(ring: PolyRing, D: list[tuple], pk: MonomialPacking, memo) -> list[Polynomial]:
+    """The reduced basis from the :func:`_divisor` forms ``D`` at ``pk`` of
+    a monic Groebner basis and its run's first-divisor memo.
+
+    Each minimal element ``g`` becomes ``lm(g)`` plus the remainder of its
+    tail by all of ``D``, with the memo: a remainder modulo a Groebner basis
+    is unique, ``lm(g)`` divides no term below it, and ``D`` no longer
+    grows, so every memo entry stays true."""
+    P, eguard, neg = [d[1] for d in D], pk.eguard, ring.field.neg
     # minimalize: drop elements whose leading monomial another one divides
     # (of equal leading monomials, the first is kept)
     minimal = [
-        (p, g)
-        for i, (p, g) in enumerate(zip(P, G))
+        (p, tail)
+        for i, (_, p, tail, _) in enumerate(D)
         if not any(
             not (p - q) & eguard and (q != p or j < i)
             for j, q in enumerate(P)
             if j != i
         )
     ]
-    # inter-reduce tails: no other leading monomial divides g's, so its
-    # leading term survives and the remainder is monic with g's leading
-    # monomial
-    reduced = [
-        (p, normal_form(g, [h for k, (_, h) in enumerate(minimal) if k != i]))
-        for i, (p, g) in enumerate(minimal)
-    ]
-    reduced.sort(key=itemgetter(0))
-    return [r for _, r in reduced]
+    minimal.sort(key=itemgetter(0))
+    reduced = []
+    for p, tail in minimal:
+        remainder = _divide(ring, {t: neg(c) for t, c in tail}, D, pk, memo)
+        reduced.append(_polynomial(ring, {p: 1} | remainder, pk))
+    return reduced
 
 
 def groebner_basis(gens: list[Polynomial]) -> list[Polynomial]:
@@ -400,17 +418,18 @@ def groebner_basis(gens: list[Polynomial]) -> list[Polynomial]:
     budget = current_budget()
     hit = ring._bases.get(gens)
     if hit is None or hit[0] > budget:
-        # a leading monomial or an lcm that outgrows its fields restarts
-        # the whole run at twice the field width
+        # a monomial that outgrows its fields, in Buchberger or in the
+        # inter-reduction, restarts the whole run at twice the field width
         width = _WIDTH
         while True:
             pk = ring.packing(width)
             try:
-                G, P, needed = _buchberger(gens, pk, budget)
+                (D, pk, memo), needed = _buchberger(gens, pk, budget)
+                basis = _reduce_basis(ring, D, pk, memo)
                 break
             except PackingOverflow:
                 width *= 2
-        hit = ring._bases[gens] = (needed, _reduce_basis(G, P, pk.eguard))
+        hit = ring._bases[gens] = (needed, basis)
     return list(hit[1])
 
 

@@ -695,10 +695,10 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial over a :class:`PolyRing`.
 
-    Nothing mutates ``terms`` after construction, so the hash and the
-    leading monomial are computed once, on first use (``monic`` and
-    :func:`quotrel.groebner.normal_form` hand theirs over), and so is
-    ``_packed``, the packed form that ``normal_form`` divides by.
+    Nothing mutates ``terms`` after construction, so the hash, the leading
+    monomial and ``_packed``, the packed form that ``normal_form`` divides
+    by, are computed once, on first use (``monic`` and
+    :func:`quotrel.groebner.normal_form` hand the last two over).
     """
 
     __slots__ = ("ring", "terms", "_hash", "_lm", "_packed")
@@ -808,7 +808,8 @@ class Polynomial:
         if not self.terms:
             return self
         out = self.scale(self.ring.field.inv(self.leading_coeff()))
-        out._lm = self._lm
+        # every scalar multiple has the same packed divisor form
+        out._lm, out._packed = self._lm, self._packed
         return out
 
     __pow__ = power

@@ -116,9 +116,7 @@ class TruncatedSubalgebra:
         columns = ordered_columns(ring, d)
         self.key = significance(columns)
         self.layers: list[list[RingElement]] = [[] for _ in range(d + 1)]
-        rows = condition_rows(
-            (col, condition(ring.embed(col[0], ring.poly_ring(col[0]).monomial(col[1]))))
-            for col in columns)
+        rows = condition_rows((col, condition(ring._standard_monomial(*col))) for col in columns)
         for v in nullspace(rows, columns, ring.field):
             f = vector_to_element(ring, v)
             self.layers[f.degree()].append(f)

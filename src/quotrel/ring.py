@@ -126,6 +126,14 @@ class AmbientRing:
         parts[c] = f
         return self.element(parts)
 
+    def _standard_monomial(self, c: int, m: tuple[int, ...]) -> "RingElement":
+        """The standard monomial ``m`` on component ``c``, built without a
+        normal form: a standard monomial is one already."""
+        el = RingElement.__new__(RingElement)
+        el.ring, el.parts = self, [pr.zero for pr, _ in self.components]
+        el.parts[c] = self.poly_ring(c).monomial(m)
+        return el
+
     def standard_monomials(self, c: int, d: int) -> list[tuple[int, ...]]:
         """Monomials of degree <= d not divisible by any leading monomial of
         the component's defining ideal — a linear basis of the quotient up to

@@ -23,7 +23,9 @@ its heap division on packed monomials: it works on exponent tuples and
 ``Polynomial`` arithmetic only, so remainders can be compared term for term.
 ``naive_buchberger`` is likewise the Buchberger loop the package ran before
 its pair bookkeeping moved onto packed monomials, keyed by exponent tuples
-and the order's ``key``.  ``eliminate_presentation`` is the way the package
+and the order's ``key``, and ``naive_reduce_basis`` the inter-reduction it
+ran before it divided on Buchberger's packed list: one ``normal_form`` per
+element, by the other minimal elements.  ``eliminate_presentation`` is the way the package
 presented a subalgebra before presentations were read off its
 ``MembershipSieve``: a hand-built tagged ring and ``groebner.eliminate``.  ``naive_substitute`` is the substitution loop
 ``Polynomial.substitute`` ran before it became a memoized
@@ -389,6 +391,28 @@ def naive_buchberger(gens, budget):
             reduced.append(r.monic())
     reduced.sort(key=lambda g: key(g.leading_monomial()))
     return reduced, max(processed, len(G))
+
+
+def naive_reduce_basis(G):
+    """The reduced basis from a monic Groebner basis ``G``, as the package
+    built it before inter-reduction ran on Buchberger's packed divisor list:
+    drop each element whose leading monomial another one divides (of equal
+    ones, the first is kept), divide each kept element by the other kept
+    ones, one plain ``groebner.normal_form`` each, and sort by leading
+    monomial."""
+    key = G[0].ring.order.key
+    lms = [g.leading_monomial() for g in G]
+    minimal = [
+        g for i, g in enumerate(G)
+        if not any(
+            j != i and monomial_divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i)
+            for j in range(len(G))
+        )
+    ]
+    reduced = [
+        groebner.normal_form(g, minimal[:i] + minimal[i + 1:]) for i, g in enumerate(minimal)
+    ]
+    return sorted(reduced, key=lambda g: key(g.leading_monomial()))
 
 
 # ---------------------------------------------------------------------------

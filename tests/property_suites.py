@@ -24,7 +24,9 @@ from quotrel.fields import GF, QQ
 from quotrel.frobenius import frobenius_exponent
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
-from quotrel.poly import GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, budget, embed
+from quotrel.poly import (
+    GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, Polynomial, budget, embed,
+)
 from quotrel.quotient import coequalizer_kernel_basis, ordered_columns, present_subalgebra
 from quotrel.ring import AmbientRing, RingMap
 
@@ -416,6 +418,73 @@ def buchberger_oracle_suite(cases=1000, seed=20261020):
             list(g.terms.items()) for g in basis
         ], f"basis differs {where}"
         assert ring._bases[gens][0] == needed, f"needed budget differs {where}"
+    return cases
+
+
+def reduce_basis_oracle_suite(cases=500, seed=20261027):
+    """``groebner_basis`` inter-reduces on Buchberger's packed divisor list
+    and returns ``oracles.naive_reduce_basis`` of the same monic Groebner
+    basis term for term, over QQ and FF(2, 3, 5, 32003) in lex, grevlex and
+    block orders.  That basis is rebuilt as Buchberger grows it, the sorted
+    monic inputs and then the monic nonzero remainders of its packed
+    divisions, and must give its divisor list.  Every remainder Buchberger
+    keeps carries, as set from its packed terms, the ``_divisor`` form
+    recomputed from its terms.  A case over the budget of 300 is drawn
+    again."""
+    rng = random.Random(seed)
+    fields = FIELDS + (GF(32003),)
+    names = ("x", "y", "z", "u", "v")
+    originals = groebner._buchberger, groebner._reduce_basis, groebner.normal_form
+    buchberger, reduce_basis, nf = originals
+    run = {}
+
+    def recorded_run(gens, pk, limit):
+        run.update(pk=pk, remainders=[])
+        return buchberger(gens, pk, limit)
+
+    def recorded_division(f, basis, packed=None):
+        r = nf(f, basis, packed)
+        if packed is not None and r:
+            run["remainders"].append(r)
+        return r
+
+    def recorded_reduction(ring, D, pk, memo):
+        run["D"] = list(D)
+        return reduce_basis(ring, D, pk, memo)
+
+    def recomputed(g):
+        return groebner._divisor(Polynomial(g.ring, dict(g.terms)), run["pk"])
+
+    groebner._buchberger, groebner._reduce_basis, groebner.normal_form = (
+        recorded_run, recorded_reduction, recorded_division)
+    try:
+        done = 0
+        while done < cases:
+            field = rng.choice(fields)
+            order, most = rng.choice(((LEX, 3), (GREVLEX, 4), (None, 5)))
+            nvars = rng.randint(2, most)
+            order = order or BlockOrder(rng.randint(1, nvars - 1))
+            ring = PolyRing(field, names[:nvars], order)
+            gens = [g for g in _buchberger_input(rng, ring) if g]
+            try:
+                with budget(300):
+                    ours = groebner_basis(gens)
+            except BudgetExceededError:
+                continue
+            where = f"over {field!r} ({order!r}) on {[ring.render(g) for g in gens]}"
+            key = ring.order.key
+            G = sorted((g.monic() for g in gens), key=lambda g: key(g.leading_monomial()))
+            G += [r.monic() for r in run["remainders"]]
+            assert [recomputed(g) for g in G] == run["D"], f"divisor list differs {where}"
+            assert all(r._packed == recomputed(r) for r in run["remainders"]), (
+                f"a remainder's packed form differs {where}")
+            theirs = oracles.naive_reduce_basis(G)
+            assert [list(g.terms.items()) for g in ours] == [
+                list(g.terms.items()) for g in theirs
+            ], f"reduced basis differs {where}"
+            done += 1
+    finally:
+        groebner._buchberger, groebner._reduce_basis, groebner.normal_form = originals
     return cases
 
 

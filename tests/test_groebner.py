@@ -272,6 +272,38 @@ def test_coprime_product_outgrowing_the_fields_restarts_the_run(monkeypatch):
     assert widths == [16, 32]
 
 
+def test_inter_reduction_outgrowing_the_fields_restarts_the_run(monkeypatch):
+    """At 8-bit fields in lex x > t > y > z, {x*t - y^64, y - z^2} needs no
+    S-pair reduction (its leading monomials are coprime) and every term
+    fits, but reducing the tail y^64 by y - z^2 reaches z^128, past the
+    fields: the inter-reduction, not Buchberger, restarts the run at 16."""
+    from quotrel import groebner
+
+    widths, overflows = [], []
+    run, reduce_basis = groebner._buchberger, groebner._reduce_basis
+
+    def recorded(gens, pk, budget):
+        widths.append(pk.width)
+        return run(gens, pk, budget)
+
+    def reduced(*args):
+        try:
+            return reduce_basis(*args)
+        except groebner.PackingOverflow:
+            overflows.append(args[2].width)
+            raise
+
+    monkeypatch.setattr(groebner, "_WIDTH", 8)
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    monkeypatch.setattr(groebner, "_reduce_basis", reduced)
+    R = PolyRing(QQ, ("x", "t", "y", "z"), LEX)
+    gens = [R.parse("x*t - y^64"), R.parse("y - z^2")]
+    gb = groebner_basis(gens)
+    assert widths == [8, 16] and overflows == [8]
+    assert [R.render(g) for g in gb] == ["y - z^2", "x*t - z^128"]
+    assert set(map(R.render, gb)) == oracles.sympy_reduced_groebner(gens, "lex")
+
+
 def test_symmetric_sieve_agrees_with_sympy():
     """The sieve of SYMMETRIC, which degree-first selection builds within a
     budget of 100 (a row of ``test_s_pair_sequence_is_pinned``), is sympy's

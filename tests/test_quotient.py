@@ -212,6 +212,32 @@ def test_pair_kernel_on_one_piece_equates_the_pullbacks():
     assert not tr.defining_membership(X.embed(0, X.poly_ring(0).var(0)))
 
 
+def test_pair_kernel_columns_are_not_normal_formed_again(monkeypatch):
+    """(x, y) -> (t^2, t^3) and (t^2, -t^3) on QQ[x, y]/(y^2 - x^3) at
+    degree 10: the 30 column monomials are standard, so already normal
+    forms, and only the 16 basis elements go through ``normal_form``."""
+    from quotrel import ring as ring_module
+
+    calls = []
+    nf = ring_module.normal_form
+
+    def counted(f, *args):
+        calls.append(f)
+        return nf(f, *args)
+
+    P = PolyRing(QQ, ("x", "y"))
+    X = AmbientRing.quotient(P, [P.parse("y^2 - x^3")])
+    Z = AmbientRing.free(QQ, ("t",))
+    t = Z.poly_ring(0).var(0)
+    s1 = RingMap.on_polys(X, Z, [t ** 2, t ** 3])
+    s2 = RingMap.on_polys(X, Z, [t ** 2, -t ** 3])
+    monkeypatch.setattr(ring_module, "normal_form", counted)
+    tr = coequalizer_kernel_basis((s1, s2), 10)
+    assert tr.dims() == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16]
+    assert len(ordered_columns(X, 10)) == 30
+    assert len(calls) == 16
+
+
 def test_relation_kernel_runs_under_the_budget(cusp_rel):
     with budget(1):
         with pytest.raises(BudgetExceededError):

@@ -1,0 +1,163 @@
+"""Paired benchmark runs: a parent revision against this checkout.
+
+Usage::
+
+    python3 tools/bench_pairs.py --parent REV --out BENCH_N.json
+
+For each workload that ``BENCHMARK.json`` declares it runs
+``bench/run.py --workload W --seed I --seconds S --trace 0`` for
+I = 1..10, S the ``run_seconds`` of ``BENCHMARK.json``, alternating the
+parent and this checkout, the parent first on odd I, so that a drift of the
+machine's speed hits both sides alike; then one ``--trace 1`` run of each
+side, seed 1, as long, for the per-layer counts.
+
+Both sides run from sibling temporary directories, removed at the end, as
+a fresh checkout would: ``parent`` holds the committed files of REV, from
+``git archive``, and ``change`` a copy of this checkout's working tree (its
+tracked files and the untracked ones git does not ignore).  Run from the
+repository itself, the same code reads a different ``peak_rss_mb``.
+Unlike a ``git worktree``, the parent leaves nothing registered in ``.git``
+when a run is cut short.
+
+The ``workloads`` section of ``--out`` is written in the layout of the
+committed ``BENCH_*.json`` files, and any other section already in the file
+is kept.  Per workload, ``trace0`` holds every run's result (the last line
+``bench/run.py`` prints) under ``parent`` and ``change``, and a ``summary``
+per end-to-end metric: both medians, both quartiles (``statistics.quantiles``,
+inclusive method), ``change_better_pairs``, the pairs in which the change
+is strictly better in the direction ``BENCHMARK.json`` gives, and
+``pairs``.  ``trace1`` holds one result per side.
+
+Only the standard library is used.  The script writes nothing but
+``--out``; ``bench/run.py --trace 1`` leaves its spans in ``.bench_trace/``
+of each checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+
+def git(*args: str, cwd: Path = REPO_ROOT) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+@contextmanager
+def checkouts(rev: str):
+    """Sibling temporary directories ``parent``, the committed files of
+    ``rev``, and ``change``, a copy of the working tree."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent, change = Path(tmp, "parent"), Path(tmp, "change")
+        archive = subprocess.run(["git", "archive", rev], cwd=REPO_ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent)
+        for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+            # a tracked file deleted from the working tree is left out
+            if name and (REPO_ROOT / name).is_file():
+                (change / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(REPO_ROOT / name, change / name)
+        yield parent, change
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result line of one ``bench/run.py`` run in ``checkout``."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n"
+            + proc.stderr[-2000:])
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Medians, quartiles and pairs won per end-to-end metric; ``better``
+    maps each metric to ``"lower"`` or ``"higher"``."""
+    out = {}
+    for name, direction in better.items():
+        ours = [r["metrics"][name]["value"] for r in change]
+        theirs = [r["metrics"][name]["value"] for r in parent]
+        wins = sum((c < p) if direction == "lower" else (c > p) for c, p in zip(ours, theirs))
+        out[name] = {
+            "parent_median": statistics.median(theirs),
+            "change_median": statistics.median(ours),
+            "parent_quartiles": quartiles(theirs),
+            "change_quartiles": quartiles(ours),
+            "change_better_pairs": wins,
+            "pairs": len(ours),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="parent revision, e.g. HEAD~1")
+    ap.add_argument("--out", required=True, help="JSON file whose workloads section is written")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    out_path = Path(args.out)
+    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    doc.update({
+        "what": "bench/run.py result lines at the parent commit and at this change",
+        "parent_commit": git("rev-parse", args.parent),
+        "python": platform.python_version(),
+        "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs; "
+                   "run_ref divides out the machine's drifting speed",
+        "trace0_command": f"python3 bench/run.py --workload W --seed I --seconds {seconds:g} "
+                          f"--trace 0, I = 1..{PAIRS}, parent and change alternating, "
+                          "parent first on odd I",
+        "trace1_command": f"python3 bench/run.py --workload W --seed 1 --seconds {seconds:g} "
+                          "--trace 1",
+    })
+    results = doc.setdefault("workloads", {})
+    with checkouts(args.parent) as (parent_dir, change_dir):
+        where = {"parent": parent_dir, "change": change_dir}
+        for w in [workload["name"] for workload in spec["workloads"]]:
+            runs = {"parent": [], "change": []}
+            for seed in range(1, PAIRS + 1):
+                sides = ["parent", "change"] if seed % 2 else ["change", "parent"]
+                for side in sides:
+                    r = bench_run(where[side], w, seed, seconds, 0)
+                    runs[side].append(r)
+                    print(f"{w} seed {seed} {side}: "
+                          f"run_ref {r['metrics']['run_ref']['value']:.4g}", file=sys.stderr)
+            trace1 = {side: bench_run(where[side], w, 1, seconds, 1)
+                      for side in ("parent", "change")}
+            results[w] = {
+                "trace0": {"summary": summarize(runs["parent"], runs["change"], better), **runs},
+                "trace1": trace1,
+            }
+            out_path.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
