@@ -478,18 +478,18 @@ def eliminate(gens: list[Polynomial], drop: list[int]) -> list[Polynomial]:
 
 
 def ideal_intersect(gens_i: list[Polynomial], gens_j: list[Polynomial]) -> list[Polynomial]:
-    """Reduced basis of the intersection of two ideals in the same ring."""
+    """Reduced basis of the intersection of two ideals in the same ring:
+    t*I + (1 - t)*J with t eliminated, already reduced if the ring is grevlex."""
     if not gens_i or not gens_j:
         return []
     ring = gens_i[0].ring
     (t_name,) = fresh_names(["t"], set(ring.names))
-    work = PolyRing(ring.field, (t_name,) + ring.names, BlockOrder(1))
+    work = PolyRing(ring.field, (t_name,) + ring.names, GREVLEX)
     t = work.var(0)
     lifted = [t * work.convert(g) for g in gens_i]
     lifted += [(work.one - t) * work.convert(g) for g in gens_j]
-    gb = groebner_basis(lifted)
-    kept = [ring.convert(g) for g in gb if all(m[0] == 0 for m in g.terms)]
-    return groebner_basis(kept)
+    kept = [ring.convert(g) for g in eliminate(lifted, [0])]
+    return kept if ring.order == GREVLEX else groebner_basis(kept)
 
 
 def radical_member(f: Polynomial, gens: list[Polynomial]) -> bool:

@@ -12,6 +12,8 @@ algebra generated by the output are compared with ideal spans degree by
 degree, and failures come with an explicit witness element.
 """
 
+from itertools import chain
+
 from .groebner import MembershipSieve
 from .linalg import RowSpace, condition_rows, nullspace
 from .poly import Polynomial
@@ -44,7 +46,7 @@ def _product_span(ring: AmbientRing, gens, d: int):
     space = _flat_space(ring)
     kept = product_closure(
         gens, [ring.one], d,
-        lambda el: space.insert(dict(el.parts[0].terms)) is not None,
+        lambda el: space.insert(el.parts[0].terms) is not None,
     )
     return space, kept
 
@@ -108,11 +110,11 @@ class PinchInput:
             for b in s_span:
                 p = r * b
                 if not p.is_zero() and p.degree() <= d:
-                    mod_space.insert(dict(p.parts[0].terms))
+                    mod_space.insert(p.parts[0].terms)
         for c, m in monomials:
             mono = self.ring.poly_ring(c).monomial(m)
             nf = res.nf(0, self.model.lift(c, mono))
-            if not nf.is_zero() and not mod_space.contains(dict(nf.terms)):
+            if not nf.is_zero() and not mod_space.contains(nf.terms):
                 return False, self.ring.embed(c, mono)
         return True, None
 
@@ -234,84 +236,63 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
 
     Three checks through degree ``d``: (a) every multiple of the locus ideal
     lies in the algebra generated by the output; (b) the output's residues
-    and the target subalgebra generate each other; (c) in each degree, the
-    part of the generated algebra vanishing on the locus equals the span of
-    the ideal multiples.
+    and the target subalgebra generate each other; (c) in each degree e, the
+    part of the generated algebra vanishing on the locus (the kernel of the
+    residue map on the product rows of pivot degree <= e) equals the span of
+    the ideal multiples, one span grown degree by degree.  An ideal multiple
+    vanishes on the locus, so it lies in that kernel exactly when it lies in
+    the product span: degree-first echelon rows of pivot degree <= e span
+    the span's whole degree-<= e part.
     """
     model, field = inp.model, inp.ring.field
     P = model.poly_ring
-    checks = []
 
     gen_sieve = inp.sieve(out.generators)
     gen_polys = gen_sieve.gens
     multiples = _ideal_multiples(inp, d)
-    ok_a, wit_a = True, None
-    for c, m, h, p in multiples:
-        if not gen_sieve.contains(p):
-            ok_a = False
-            wit_a = inp.ring.embed(c, inp.ring.poly_ring(c).monomial(m)) * h
-            break
-    checks.append(("ideal multiples land in the glued algebra", ok_a, wit_a))
+    wit_a = next((inp.ring.embed(c, inp.ring.poly_ring(c).monomial(m)) * h
+                  for c, m, h, p in multiples if not gen_sieve.contains(p)), None)
 
     sieve_s = inp.sieve(inp.s_lifts, locus=True)
     sieve_g = inp.sieve(out.generators, locus=True)
-    ok_b, wit_b = True, None
-    for g, gp in zip(out.generators, gen_polys):
-        if not sieve_s.contains(gp):
-            ok_b, wit_b = False, g
-            break
-    if ok_b:
-        for s, sp in zip(inp.s_lifts, sieve_s.gens):
-            if not sieve_g.contains(sp):
-                ok_b, wit_b = False, s
-                break
-    checks.append(("residues generate the target subalgebra", ok_b, wit_b))
+    # the first output residue outside the target, else the first target
+    # generator outside the output's residues
+    wit_b = next((el for sieve, els, polys in (
+        (sieve_s, out.generators, gen_polys), (sieve_g, inp.s_lifts, sieve_s.gens))
+        for el, p in zip(els, polys) if not sieve.contains(p)), None)
 
     space, _ = _product_span(
         inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
-    residues = [inp.residue.nf(0, Polynomial(P, dict(row))).terms
+    residues = [inp.residue.nf(0, Polynomial(P, row)).terms
                 for row in space.rows]
-    ok_c, wit_c = True, None
-    for e in range(d + 1):
+    levels = [[] for _ in range(d + 1)]
+    for _, _, _, p in multiples:
+        levels[p.total_degree()].append(p)
+    ideal_space = _flat_space(inp.flat)
+    wit_c = None
+    for e, level in enumerate(levels):
+        for p in level:
+            ideal_space.insert(p.terms)
         # the rows of pivot degree <= e are a suffix of the space's rows
         start = next((i for i, piv in enumerate(space.pivots) if sum(piv) <= e),
                      len(space.pivots))
         rows = space.rows[start:]
-        conds = condition_rows(enumerate(residues[start:]))
         # the witness search reads each combination as 1 at its last row,
         # ordered by that row
-        sols = nullspace(conds, list(range(len(rows)))[::-1], field)[::-1]
-        kernel = _flat_space(inp.flat)
-        kernel_polys = []
-        for v in sols:
-            p = P.zero
-            for j, coeff in v.items():
-                p = p + Polynomial(P, dict(rows[j])).scale(coeff)
-            if p.is_zero():
-                continue
-            if kernel.insert(dict(p.terms)) is not None:
-                kernel_polys.append(p)
-        ideal_space = _flat_space(inp.flat)
-        ideal_polys = []
-        for _, _, _, p in multiples:
-            if p.total_degree() <= e:
-                if ideal_space.insert(dict(p.terms)) is not None:
-                    ideal_polys.append(p)
-        for p in kernel_polys:
-            if not ideal_space.contains(dict(p.terms)):
-                ok_c, wit_c = False, model.to_element(p)
-                break
-        if ok_c:
-            for p in ideal_polys:
-                if not kernel.contains(dict(p.terms)):
-                    ok_c, wit_c = False, model.to_element(p)
-                    break
-        if not ok_c:
+        sols = nullspace(condition_rows(enumerate(residues[start:])),
+                         list(range(len(rows)))[::-1], field)[::-1]
+        kernel = (sum((Polynomial(P, rows[j]).scale(coeff)
+                       for j, coeff in v.items()), P.zero) for v in sols)
+        wit = next(chain((p for p in kernel if not ideal_space.contains(p.terms)),
+                         (p for p in level if not space.contains(p.terms))), None)
+        if wit is not None:
+            wit_c = model.to_element(wit)
             break
-    checks.append(
-        ("kernel of the gluing equals the ideal in each degree", ok_c, wit_c)
-    )
-    return PushoutReport(checks, d)
+    return PushoutReport([
+        ("ideal multiples land in the glued algebra", wit_a is None, wit_a),
+        ("residues generate the target subalgebra", wit_b is None, wit_b),
+        ("kernel of the gluing equals the ideal in each degree", wit_c is None, wit_c),
+    ], d)
 
 
 def _side_sieves(gens1, gens2) -> list[MembershipSieve]:
@@ -362,7 +343,7 @@ def verify_pushout_diagram(gens1, gens2, corner_gens, d: int) -> PushoutReport:
     corner_space, _ = _product_span(
         ring, [ring.element([g]) for g in corner_gens], d)
     wit2 = next((b for b in inter.basis()
-                 if not corner_space.contains(dict(b.parts[0].terms))), None)
+                 if not corner_space.contains(b.parts[0].terms)), None)
     return PushoutReport([
         ("corner generators lie in both sides", wit1 is None, wit1),
         ("intersection spanned by the corner through the degree bound",

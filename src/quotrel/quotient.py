@@ -66,12 +66,13 @@ def element_to_vector(el: RingElement) -> dict:
 
 
 def vector_to_element(ring: AmbientRing, v: dict) -> RingElement:
+    """The element with coordinates ``v``, a vector over standard monomials
+    labelled ``(component, monomial)``: its parts are normal forms already."""
     parts = [dict() for _ in range(ring.ncomponents)]
     for (c, m), coeff in v.items():
         parts[c][m] = coeff
-    return ring.element(
-        [Polynomial(ring.poly_ring(c), terms) for c, terms in enumerate(parts)]
-    )
+    return RingElement._of_normal_forms(
+        ring, [Polynomial(ring.poly_ring(c), terms) for c, terms in enumerate(parts)])
 
 
 def product_closure(gens, seeds, limit: int, insert) -> list:
@@ -116,7 +117,8 @@ class TruncatedSubalgebra:
         columns = ordered_columns(ring, d)
         self.key = significance(columns)
         self.layers: list[list[RingElement]] = [[] for _ in range(d + 1)]
-        rows = condition_rows((col, condition(ring._standard_monomial(*col))) for col in columns)
+        rows = condition_rows((col, condition(vector_to_element(ring, {col: ring.field.one})))
+                              for col in columns)
         for v in nullspace(rows, columns, ring.field):
             f = vector_to_element(ring, v)
             self.layers[f.degree()].append(f)

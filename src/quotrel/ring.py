@@ -126,14 +126,6 @@ class AmbientRing:
         parts[c] = f
         return self.element(parts)
 
-    def _standard_monomial(self, c: int, m: tuple[int, ...]) -> "RingElement":
-        """The standard monomial ``m`` on component ``c``, built without a
-        normal form: a standard monomial is one already."""
-        el = RingElement.__new__(RingElement)
-        el.ring, el.parts = self, [pr.zero for pr, _ in self.components]
-        el.parts[c] = self.poly_ring(c).monomial(m)
-        return el
-
     def standard_monomials(self, c: int, d: int) -> list[tuple[int, ...]]:
         """Monomials of degree <= d not divisible by any leading monomial of
         the component's defining ideal — a linear basis of the quotient up to
@@ -163,6 +155,13 @@ class RingElement:
             raise ValueError("one polynomial per component required")
         self.ring = ring
         self.parts = [ring.nf(c, p) for c, p in enumerate(parts)]
+
+    @classmethod
+    def _of_normal_forms(cls, ring: AmbientRing, parts: list[Polynomial]) -> "RingElement":
+        """The element of ``parts`` that are normal forms already, not divided again."""
+        el = cls.__new__(cls)
+        el.ring, el.parts = ring, parts
+        return el
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)

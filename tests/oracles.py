@@ -33,7 +33,8 @@ presented a subalgebra before presentations were read off its
 system over every nontrivial group element, before it was solved on a
 generating set only.  ``naive_frobenius_exponent`` is the Frobenius search
 before it carried normal forms from one exponent to the next: it queries
-each ``b ** q`` from scratch.
+each ``b ** q`` from scratch.  ``naive_verify_pushout`` is the push-out
+check that rebuilt its kernel and ideal row spaces at every degree.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from sympy.polys.orderings import ProductOrder, grevlex
 
 from quotrel import groebner
 from quotrel.linalg import condition_rows, nullspace
+from quotrel.pinch import PushoutReport, _flat_space, _ideal_multiples, _product_span
 from quotrel.poly import (
     GREVLEX,
     BudgetExceededError,
@@ -521,3 +523,79 @@ def naive_invariant_basis(action, d):
         basis = nullspace(rows, columns[::-1], pr.field)[::-1]
         out.append([Polynomial(pr, v) for v in basis])
     return out
+
+
+def naive_verify_pushout(inp, out, d):
+    """``verify_pushout`` with loop searches and, in check (c), a kernel
+    row space and an ideal row space rebuilt from scratch at every degree."""
+    model, field = inp.model, inp.ring.field
+    P = model.poly_ring
+    checks = []
+
+    gen_sieve = inp.sieve(out.generators)
+    gen_polys = gen_sieve.gens
+    multiples = _ideal_multiples(inp, d)
+    ok_a, wit_a = True, None
+    for c, m, h, p in multiples:
+        if not gen_sieve.contains(p):
+            ok_a = False
+            wit_a = inp.ring.embed(c, inp.ring.poly_ring(c).monomial(m)) * h
+            break
+    checks.append(("ideal multiples land in the glued algebra", ok_a, wit_a))
+
+    sieve_s = inp.sieve(inp.s_lifts, locus=True)
+    sieve_g = inp.sieve(out.generators, locus=True)
+    ok_b, wit_b = True, None
+    for g, gp in zip(out.generators, gen_polys):
+        if not sieve_s.contains(gp):
+            ok_b, wit_b = False, g
+            break
+    if ok_b:
+        for s, sp in zip(inp.s_lifts, sieve_s.gens):
+            if not sieve_g.contains(sp):
+                ok_b, wit_b = False, s
+                break
+    checks.append(("residues generate the target subalgebra", ok_b, wit_b))
+
+    space, _ = _product_span(
+        inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
+    residues = [inp.residue.nf(0, Polynomial(P, dict(row))).terms
+                for row in space.rows]
+    ok_c, wit_c = True, None
+    for e in range(d + 1):
+        start = next((i for i, piv in enumerate(space.pivots) if sum(piv) <= e),
+                     len(space.pivots))
+        rows = space.rows[start:]
+        conds = condition_rows(enumerate(residues[start:]))
+        sols = nullspace(conds, list(range(len(rows)))[::-1], field)[::-1]
+        kernel = _flat_space(inp.flat)
+        kernel_polys = []
+        for v in sols:
+            p = P.zero
+            for j, coeff in v.items():
+                p = p + Polynomial(P, dict(rows[j])).scale(coeff)
+            if p.is_zero():
+                continue
+            if kernel.insert(dict(p.terms)) is not None:
+                kernel_polys.append(p)
+        ideal_space = _flat_space(inp.flat)
+        ideal_polys = []
+        for _, _, _, p in multiples:
+            if p.total_degree() <= e:
+                if ideal_space.insert(dict(p.terms)) is not None:
+                    ideal_polys.append(p)
+        for p in kernel_polys:
+            if not ideal_space.contains(dict(p.terms)):
+                ok_c, wit_c = False, model.to_element(p)
+                break
+        if ok_c:
+            for p in ideal_polys:
+                if not kernel.contains(dict(p.terms)):
+                    ok_c, wit_c = False, model.to_element(p)
+                    break
+        if not ok_c:
+            break
+    checks.append(
+        ("kernel of the gluing equals the ideal in each degree", ok_c, wit_c)
+    )
+    return PushoutReport(checks, d)

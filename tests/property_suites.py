@@ -24,6 +24,7 @@ from quotrel.fields import GF, QQ
 from quotrel.frobenius import frobenius_exponent
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
+from quotrel.pinch import PinchInput, PinchResult, _product_span, verify_pushout
 from quotrel.poly import (
     GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, Polynomial, budget, embed,
 )
@@ -594,11 +595,11 @@ def molien_suite(cases=24, seed=20261018):
     return cases
 
 
-def _random_element(rng, ambient):
-    """A random element with a nonzero part of degree at most 2 on every
-    component."""
+def _random_element(rng, ambient, max_degree=2):
+    """A random element with a nonzero part of degree at most ``max_degree``
+    on every component."""
     return ambient.element([
-        _random_poly(rng, ambient.poly_ring(c), max_terms=2, max_degree=2)
+        _random_poly(rng, ambient.poly_ring(c), max_terms=2, max_degree=max_degree)
         for c in range(ambient.ncomponents)
     ])
 
@@ -820,4 +821,78 @@ def pair_equalizer_suite(cases=60, seed=20261026):
         for el in (outside, inside, inside + outside):
             assert trunc.contains(el) == trunc.defining_membership(el), (
                 f"contains and the recheck disagree on {el.render()}, {where}")
+    return cases
+
+
+def _pinch_ring(rng, field, shape):
+    """A line, a plane, a plane modulo one cubic, or a product of two
+    lines."""
+    if shape == "line":
+        return AmbientRing.free(field, ("t",))
+    if shape == "plane":
+        return AmbientRing.free(field, ("u", "v"))
+    if shape == "product":
+        return AmbientRing([(PolyRing(field, ("u",)), []), (PolyRing(field, ("v",)), [])])
+    pr = PolyRing(field, ("u", "v"))
+    while True:
+        cubic = _random_poly(rng, pr, max_terms=3, max_degree=3)
+        if cubic.total_degree() == 3:
+            return AmbientRing.quotient(pr, [cubic])
+
+
+def pushout_oracle_suite(cases=60, seed=20261102):
+    """``verify_pushout`` renders exactly as ``oracles.naive_verify_pushout``
+    on random gluing data over QQ and FF(2, 3, 5): a line, a plane, a plane
+    modulo one cubic and a product of two lines, degree 2 to 4, the
+    variables as module generators.  The generator list is the one
+    ``pinch_generators`` forms, with a random subset dropped in half the
+    cases.  A second locus generator that differs from the first by a
+    lower-degree element makes check (c) fail on the kernel side; dropped
+    generators make it fail on the ideal side; both must occur.  Draws that
+    outrun a budget of 200 are drawn again."""
+    rng = random.Random(seed)
+    sides = {"kernel": 0, "ideal": 0}
+    case = 0
+    while case < cases:
+        field = rng.choice(FIELDS)
+        shape = rng.choice(("line", "plane", "cubic", "product"))
+        ring = _pinch_ring(rng, field, shape)
+        d = rng.randint(2, 4)
+        iz = [_random_element(rng, ring, 2)]
+        lower = _random_element(rng, ring, 1)
+        if iz[0].degree() == 2 and not lower.is_zero() and rng.random() < 0.6:
+            iz.append(iz[0] + lower)
+        s_lifts = [_random_element(rng, ring, 3) for _ in range(rng.randint(0, 2))]
+        # the variables, and on the product the first piece's unit
+        module = [ring.embed(c, ring.poly_ring(c).var(i)) for c in range(ring.ncomponents)
+                  for i in range(ring.poly_ring(c).nvars)]
+        module += [ring.embed(0, ring.poly_ring(0).one)] if ring.is_product else []
+        inp = PinchInput(ring, iz, s_lifts, module)
+        gens = []
+        for g in inp.s_lifts + inp.iz_gens + [r * h for r in module for h in inp.iz_gens]:
+            if not g.is_zero() and g not in gens:
+                gens.append(g)
+        if rng.random() < 0.5:
+            gens = [g for g in gens if rng.random() < 0.6] or gens[:1]
+        if not gens or not inp.iz_gens:
+            continue
+        out = PinchResult(gens, [], None, [], d)
+        where = (f"case {case}: {ring!r}, locus {[h.render() for h in inp.iz_gens]}, "
+                 f"generators {[g.render() for g in gens]}, degree {d}")
+        try:
+            with budget(200):
+                ours = verify_pushout(inp, out, d)
+        except BudgetExceededError:
+            continue
+        theirs = oracles.naive_verify_pushout(inp, out, d)
+        assert ours.render() == theirs.render(), (
+            f"{ours.render()}\nagainst the oracle's\n{theirs.render()}\n{where}")
+        _, ok, wit = ours.checks[2]
+        if not ok:
+            space, _ = _product_span(inp.flat, [
+                inp.flat.element([inp.model.to_poly(g)]) for g in gens], d)
+            in_span = space.contains(inp.model.to_poly(wit).terms)
+            sides["kernel" if in_span else "ideal"] += 1
+        case += 1
+    assert all(sides.values()), f"check (c) failures by side: {sides}"
     return cases

@@ -444,6 +444,43 @@ def test_ideal_intersect_diagonal_antidiagonal():
         assert all(ideal_member(g, gb) for g in inter)
 
 
+def _recorded_orders(monkeypatch):
+    """The monomial order of every Buchberger run from here on."""
+    from quotrel import groebner
+
+    orders = []
+    original = groebner._buchberger
+
+    def recorded(gens, pk, budget):
+        orders.append(gens[0].ring.order)
+        return original(gens, pk, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    return orders
+
+
+def test_grevlex_intersection_is_one_elimination(monkeypatch):
+    """In a grevlex ring the t-free part of the block-order basis is already
+    the reduced basis of the intersection: one Buchberger run."""
+    orders = _recorded_orders(monkeypatch)
+    R = PolyRing(QQ, ("x", "y"))
+    inter = ideal_intersect([R.parse("x - y^2")], [R.parse("x"), R.parse("y^3")])
+    assert [R.render(g) for g in inter] == ["y^3 - x*y", "x*y^2 - x^2"]
+    assert orders == [BlockOrder(1)]
+
+
+def test_lex_intersection_gets_its_own_reduced_basis(monkeypatch):
+    """In a lex ring the eliminated grevlex basis is rebased: a second run,
+    in lex, gives the reduced lex basis."""
+    orders = _recorded_orders(monkeypatch)
+    R = PolyRing(QQ, ("x", "y"), LEX)
+    gens_i, gens_j = [R.parse("x - y^2")], [R.parse("x"), R.parse("y^3")]
+    inter = ideal_intersect(gens_i, gens_j)
+    assert [R.render(g) for g in inter] == ["x*y - y^3", "x^2 - y^4"]
+    assert {R.render(g) for g in inter} == oracles.sympy_ideal_intersection(gens_i, gens_j)
+    assert orders == [BlockOrder(1), LEX]
+
+
 def test_radical_member(R):
     gens = [R.parse("x^2")]
     assert radical_member(R.parse("x"), gens)

@@ -4,6 +4,7 @@ import pytest
 
 from quotrel.fields import QQ
 from quotrel.groebner import MembershipSieve
+from quotrel.linalg import RowSpace
 from quotrel.pinch import (
     PinchInput,
     PinchResult,
@@ -107,6 +108,27 @@ def test_cusp_without_v_squared_fails_the_kernel_check():
         "  (witness: u*v^2)",
         "verdict: NOT a push-out",
     ]
+
+
+def test_cusp_pushout_check_inserts_each_ideal_multiple_once(monkeypatch):
+    """Check (c) grows one ideal span degree by degree: on the cusp at
+    degree 14 ``verify_pushout`` makes at most 600 ``RowSpace.insert``
+    calls (573 counted; 1588 when every degree rebuilt its row spaces)."""
+    P = AmbientRing.free(QQ, ("u", "v"))
+    pr = P.poly_ring(0)
+    u, v = P.embed(0, pr.parse("u")), P.embed(0, pr.parse("v"))
+    inp = PinchInput(P, [u], [v ** 2, v ** 3], [v])
+    out = pinch_generators(inp, 14)
+    calls = []
+    insert = RowSpace.insert
+
+    def counted(self, vec):
+        calls.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(RowSpace, "insert", counted)
+    assert verify_pushout(inp, out, 14).passed
+    assert len(calls) <= 600
 
 
 def test_gluing_two_origins_across_components():
