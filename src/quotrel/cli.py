@@ -57,9 +57,10 @@ class Report:
         self.status = 0
         self.error: str | None = None
 
-    def add(self, block: dict):
+    def add(self, block: dict, failed: bool = False):
+        """Record a block, the command's entry of the JSON ``results``."""
         self.blocks.append(block)
-        if block.pop("failed", False):
+        if failed:
             self.status = max(self.status, 1)
 
     def render_text(self) -> str:
@@ -80,23 +81,15 @@ class Report:
         return "\n".join(out)
 
     def render_json(self) -> str:
-        doc = {
-            "version": REPORT_VERSION,
-            "status": self.status,
-            "results": [
-                {
-                    "command": b["command"],
-                    "inputs": b["inputs"],
-                    "verdict": b["verdict"],
-                    "witnesses": b["witnesses"],
-                    "tables": b["tables"],
-                }
-                for b in self.blocks
-            ],
-        }
+        doc = {"version": REPORT_VERSION, "status": self.status,
+               "results": self.blocks}
         if self.error is not None:
             doc["error"] = self.error
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _a_or_an(kind: str) -> str:
+    return ("an " if kind[0] in "aeiou" else "a ") + kind
 
 
 def _split_top_commas(text: str) -> list[str]:
@@ -116,30 +109,39 @@ def _split_top_commas(text: str) -> list[str]:
 class _Executor:
     def __init__(self, options):
         self.opt = options
-        self.env: dict[str, dict] = {}
-        self.kernels: dict[tuple, object] = {}
-        self.pinches: dict[tuple, object] = {}
+        self.env: dict[str, tuple] = {}  # name -> (kind, value, desc)
+        self.memo: dict[tuple, object] = {}
         self.report = Report()
 
     # -- environment ----------------------------------------------------------
 
-    def bind(self, name: str, kind: str, obj, desc: str):
+    def bind(self, name: str, kind: str, value, desc: str):
         if name in self.env:
             raise CliError(f"name {name!r} is already declared")
-        self.env[name] = {"kind": kind, "obj": obj, "desc": desc}
+        self.env[name] = (kind, value, desc)
 
     def lookup(self, name: str, kind: str):
-        entry = self.env.get(name)
-        if entry is None:
+        """The value of a declared name; a poly, ideal or algebra comes with
+        its ring, as ``(value, ring)``."""
+        if name not in self.env:
             raise CliError(f"undeclared name {name!r}")
-        if entry["kind"] != kind:
-            raise CliError(
-                f"{name!r} is a {entry['kind']}, expected a {kind}"
-            )
-        return entry["obj"]
+        found, value, _ = self.env[name]
+        if found != kind:
+            raise CliError(f"{name!r} is {_a_or_an(found)}, expected {_a_or_an(kind)}")
+        return value
 
     def describe(self, name: str) -> str:
-        return f"{name} ({self.env[name]['desc']})"
+        return f"{name} ({self.env[name][2]})"
+
+    def once(self, key: tuple, compute):
+        """``compute()``, evaluated once per run for each key: names are
+        never rebound, and the degree bound and budget are fixed."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def bound_input(self) -> str:
+        return f"degree bound {self.opt.max_degree}"
 
     def ring(self, name: str | None) -> AmbientRing:
         return self.lookup(self.ring_name(name), "ring")
@@ -147,7 +149,7 @@ class _Executor:
     def ring_name(self, name: str | None) -> str:
         if name is not None:
             return name
-        rings = [k for k, v in self.env.items() if v["kind"] == "ring"]
+        rings = [k for k, (kind, _, _) in self.env.items() if kind == "ring"]
         if len(rings) == 1:
             return rings[0]
         if not rings:
@@ -159,14 +161,13 @@ class _Executor:
     def _named_element(self, ring: AmbientRing, text: str):
         """A bare declared-poly name used where an expression is expected."""
         word = text.strip()
-        entry = self.env.get(word)
-        if entry is None or entry["kind"] != "poly":
+        if word not in self.env or self.env[word][0] != "poly":
             return None
         if any(word in ring.poly_ring(c).names
                for c in range(ring.ncomponents)):
             return None  # ring variables shadow declared names
-        el, _ = entry["obj"]
-        if el.ring is not ring:
+        el, owner = self.env[word][1]
+        if owner is not ring:
             raise CliError(f"{word!r} lives in a different ring")
         return el
 
@@ -221,26 +222,28 @@ class _Executor:
         ring = AmbientRing(comps)
         self.bind(f["name"], "ring", ring, f"ring {ring.render()}")
 
-    def exec_poly(self, st):
-        f = st.fields
-        rname = self.ring_name(f["ring"])
+    def _bind_in_ring(self, st, desc: str, parse):
+        """Bind ``st``'s name to ``(parse(ring), ring)``, in the ring its
+        ``in`` clause names or the only ring declared."""
+        rname = self.ring_name(st.fields["ring"])
         ring = self.ring(rname)
-        el = self.parse_element(ring, f["expr"])
-        self.bind(f["name"], "poly", (el, rname), f"element of {rname}")
+        self.bind(st.fields["name"], st.kind, (parse(ring), ring), f"{desc} {rname}")
+
+    def exec_poly(self, st):
+        self._bind_in_ring(st, "element of",
+                           lambda ring: self.parse_element(ring, st.fields["expr"]))
 
     def exec_ideal(self, st):
-        f = st.fields
-        rname = self.ring_name(f["ring"])
-        ring = self.ring(rname)
-        polys = [self.parse_poly(ring, t) for t in f["exprs"]]
-        self.bind(f["name"], "ideal", (polys, rname), f"ideal in {rname}")
+        def preimage(ring):
+            # an ideal I of k[x]/Q is presented by its preimage I + Q in k[x]
+            if ring.is_product:
+                raise CliError("ideals are declared in one-component rings")
+            return [self.parse_poly(ring, t) for t in st.fields["exprs"]] + list(ring.q_gens(0))
+        self._bind_in_ring(st, "ideal in", preimage)
 
     def exec_algebra(self, st):
-        f = st.fields
-        rname = self.ring_name(f["ring"])
-        ring = self.ring(rname)
-        gens = [self.parse_element(ring, t) for t in f["exprs"]]
-        self.bind(f["name"], "algebra", (gens, rname), f"algebra in {rname}")
+        self._bind_in_ring(st, "algebra in",
+                           lambda ring: [self.parse_element(ring, t) for t in st.fields["exprs"]])
 
     def exec_map(self, st):
         f = st.fields
@@ -283,9 +286,12 @@ class _Executor:
             pr = ring.poly_ring(0)
             rel = relation_from_map(ring, [pr.parse(t) for t in f["exprs"]])
         elif f["how"] == "from-action":
-            rel = relation_from_group_action(
-                self.lookup(f["action"], "action")
-            )
+            action = self.lookup(f["action"], "action")
+            if action.ring is not ring:
+                other = next(n for n, (kind, value, _) in self.env.items()
+                             if kind == "ring" and value is action.ring)
+                raise CliError(f"action {f['action']} is declared on {other}, not on {f['ring']}")
+            rel = relation_from_group_action(action)
         else:
             probe = RelationPresentation(ring, [])
             gens = [probe.doubled.parse(t) for t in f["exprs"]]
@@ -318,38 +324,49 @@ class _Executor:
 
     def block(self, st, inputs, tables, verdict=None, witnesses=(),
               failed=False):
-        self.report.add({
-            "command": st.render(),
-            "inputs": list(inputs),
-            "tables": tables,
-            "verdict": verdict,
-            "witnesses": list(witnesses),
-            "failed": failed,
-        })
+        self.report.add({"command": st.render(), "inputs": list(inputs),
+                         "tables": tables, "verdict": verdict,
+                         "witnesses": list(witnesses)}, failed)
 
-    def _ideal(self, name):
-        polys, ring_name = self.lookup(name, "ideal")
-        return polys, self.ring(ring_name)
+    def _in_one_ring(self, kind: str, names, what: str):
+        """The values of the declared ``names`` of ``kind``, and their one
+        ring."""
+        found = [self.lookup(n, kind) for n in names]
+        ring = found[0][1]
+        if any(other is not ring for _, other in found):
+            raise CliError(f"{what} live in different rings")
+        return [value for value, _ in found], ring
 
-    def _algebra(self, name):
-        gens, ring_name = self.lookup(name, "algebra")
-        return gens, self.ring(ring_name)
+    def _free_algebras(self, names, what: str, runs: str):
+        """The generators of the declared algebras ``names`` as polynomials
+        of their one free polynomial ring."""
+        gens, ring = self._in_one_ring("algebra", names, what)
+        if ring.ncomponents != 1 or ring.q_gens(0):
+            raise CliError(f"{runs} in a free polynomial ring")
+        return [[g.parts[0] for g in gs] for gs in gens]
+
+    @staticmethod
+    def _basis_rows(gb):
+        """One row per element, each in its own ring: an elimination basis
+        lives in the ring without the dropped variables."""
+        return [g.ring.render(g) for g in gb] or ["(zero ideal)"]
+
+    @staticmethod
+    def _truncation_rows(trunc):
+        return trunc.render_basis().splitlines() + [f"dimensions by degree: {trunc.dims()}"]
 
     def exec_groebner(self, st):
         name = st.fields["ideal"]
-        polys, ring = self._ideal(name)
-        gb = groebner_basis(polys)
-        pr = ring.poly_ring(0)
-        rows = [pr.render(g) for g in gb] or ["(zero ideal)"]
+        polys, _ = self.lookup(name, "ideal")
         self.block(st, [self.describe(name)],
-                   {"reduced basis": rows})
+                   {"reduced basis": self._basis_rows(groebner_basis(polys))})
 
     def exec_check(self, st):
         f = st.fields
         name, op = f["target"], f["op"]
         witnesses = []
         if op == "subalgebra-member":
-            gens, ring = self._algebra(name)
+            gens, ring = self.lookup(name, "algebra")
             el = self.parse_element(ring, f["expr"])
             ok, cert = subalgebra_member_ring(el, gens)
             rows = []
@@ -357,7 +374,7 @@ class _Executor:
                 rows.append("certificate: " + cert.ring.render(cert))
                 witnesses.append(cert.ring.render(cert))
         else:
-            polys, ring = self._ideal(name)
+            polys, ring = self.lookup(name, "ideal")
             g = self.parse_poly(ring, f["expr"])
             if op == "member":
                 ok = ideal_member(g, groebner_basis(polys))
@@ -374,34 +391,25 @@ class _Executor:
 
     def exec_intersect(self, st):
         f = st.fields
-        pa, ring = self._ideal(f["a"])
-        pb, ring_b = self._ideal(f["b"])
-        if ring is not ring_b:
-            raise CliError("ideals live in different rings")
-        gb = ideal_intersect(pa, pb)
-        pr = ring.poly_ring(0)
-        rows = [pr.render(g) for g in gb] or ["(zero ideal)"]
+        (pa, pb), _ = self._in_one_ring("ideal", (f["a"], f["b"]), "ideals")
         self.block(st, [self.describe(f["a"]), self.describe(f["b"])],
-                   {"intersection basis": rows})
+                   {"intersection basis": self._basis_rows(ideal_intersect(pa, pb))})
 
     def exec_eliminate(self, st):
         f = st.fields
-        polys, ring = self._ideal(f["ideal"])
+        polys, ring = self.lookup(f["ideal"], "ideal")
         pr = ring.poly_ring(0)
         drop = []
         for nm in f["names"]:
             if nm not in pr.names:
                 raise CliError(f"{nm!r} is not a variable of the ring")
             drop.append(pr.names.index(nm))
-        gb = eliminate(polys, drop)
-        # the basis lives in the ring without the dropped variables
-        rows = [g.ring.render(g) for g in gb] or ["(zero ideal)"]
         self.block(st, [self.describe(f["ideal"])],
-                   {"elimination basis": rows})
+                   {"elimination basis": self._basis_rows(eliminate(polys, drop))})
 
     def exec_present(self, st):
         f = st.fields
-        gens, _ring = self._algebra(f["algebra"])
+        gens, _ = self.lookup(f["algebra"], "algebra")
         names = f["names"] or None
         out_ring, ideal = present_subalgebra(gens, names=names)
         rows = [
@@ -434,23 +442,17 @@ class _Executor:
             source = self.lookup(names[0], "relation")
         else:
             source = tuple(self.lookup(n, "map") for n in names)
-        bound = f"degree bound {self.opt.max_degree}"
-        return source, [self.describe(n) for n in names] + [bound]
+        return source, [self.describe(n) for n in names] + [self.bound_input()]
 
     def _kernel(self, ref):
-        """The source's truncated kernel, computed once per run: names are
-        never rebound, and the degree bound and budget are fixed."""
-        if ref not in self.kernels:
-            source, _ = self._source(ref)
-            self.kernels[ref] = coequalizer_kernel_basis(source, self.opt.max_degree)
-        return self.kernels[ref]
+        """The source's truncated kernel."""
+        return self.once(ref, lambda: coequalizer_kernel_basis(
+            self._source(ref)[0], self.opt.max_degree))
 
     def exec_kernel_basis(self, st):
         _, inputs = self._source(st.fields["source"])
-        trunc = self._kernel(st.fields["source"])
-        rows = trunc.render_basis().splitlines()
-        rows.append(f"dimensions by degree: {trunc.dims()}")
-        self.block(st, inputs, {"kernel basis": rows})
+        self.block(st, inputs, {"kernel basis": self._truncation_rows(
+            self._kernel(st.fields["source"]))})
 
     def exec_min_generators(self, st):
         _, inputs = self._source(st.fields["source"])
@@ -477,9 +479,7 @@ class _Executor:
                 rows.append(
                     f"degree {e}: " + ", ".join(pr.render(b) for b in basis)
                 )
-        self.block(st, [self.describe(name),
-                        f"degree bound {self.opt.max_degree}"],
-                   {"invariants": rows})
+        self.block(st, [self.describe(name), self.bound_input()], {"invariants": rows})
 
     def exec_reynolds(self, st):
         f = st.fields
@@ -537,40 +537,24 @@ class _Executor:
         self.block(st, inputs, tables, verdict=verdict)
 
     def _pinch(self, name, names=None):
-        """The pinch of a declared input, computed once per run for each
-        ``names``: names are never rebound and the degree bound is fixed."""
-        key = (name, names)
-        if key not in self.pinches:
-            self.pinches[key] = pinch_generators(
-                self.lookup(name, "pinchinput"), self.opt.max_degree,
-                names=names)
-        return self.pinches[key]
+        """The pinch of a declared input, for each ``names``."""
+        return self.once(("pinch", name, names), lambda: pinch_generators(
+            self.lookup(name, "pinchinput"), self.opt.max_degree, names=names))
 
     def exec_pinch(self, st):
-        f = st.fields
-        name = f["pinchinput"]
-        res = self._pinch(name, tuple(f["names"]) or None)
-        self.block(st, [self.describe(name),
-                        f"degree bound {self.opt.max_degree}"],
+        name = st.fields["pinchinput"]
+        res = self._pinch(name, tuple(st.fields["names"]) or None)
+        self.block(st, [self.describe(name), self.bound_input()],
                    {"": res.render().splitlines()})
 
     def exec_verify_pushout(self, st):
         f = st.fields
         if "pinchinput" not in f:
-            a, b, c = f["a"], f["b"], f["c"]
-            ga, ring_a = self._algebra(a)
-            gb_, ring_b = self._algebra(b)
-            gc, ring_c = self._algebra(c)
-            if not (ring_a is ring_b is ring_c):
-                raise CliError("diagram algebras live in different rings")
-            if ring_a.ncomponents != 1 or ring_a.q_gens(0):
-                raise CliError("diagram checks run in a free polynomial ring")
+            names = f["a"], f["b"], f["c"]
             rep = verify_pushout_diagram(
-                [g.parts[0] for g in ga],
-                [g.parts[0] for g in gb_],
-                [g.parts[0] for g in gc],
+                *self._free_algebras(names, "diagram algebras", "diagram checks run"),
                 self.opt.max_degree)
-            inputs = [self.describe(a), self.describe(b), self.describe(c)]
+            inputs = [self.describe(n) for n in names]
         else:
             name = f["pinchinput"]
             rep = verify_pushout(self.lookup(name, "pinchinput"),
@@ -579,7 +563,7 @@ class _Executor:
         wit = rep.witness()
         lines = [ln for ln in rep.render().splitlines() if not ln.startswith("verdict:")]
         self.block(
-            st, inputs + [f"degree bound {self.opt.max_degree}"],
+            st, inputs + [self.bound_input()],
             {"": lines},
             verdict="push-out" if rep.passed else "not-push-out",
             witnesses=[wit.render()] if wit is not None else [],
@@ -587,28 +571,16 @@ class _Executor:
         )
 
     def exec_subalgebra_intersection(self, st):
-        f = st.fields
-        ga, ring_a = self._algebra(f["a"])
-        gb_, ring_b = self._algebra(f["b"])
-        if ring_a is not ring_b:
-            raise CliError("algebras live in different rings")
-        if ring_a.ncomponents != 1 or ring_a.q_gens(0):
-            raise CliError("intersection runs in a free polynomial ring")
+        names = st.fields["a"], st.fields["b"]
         trunc = subalgebra_intersection_trunc(
-            [g.parts[0] for g in ga], [g.parts[0] for g in gb_],
+            *self._free_algebras(names, "algebras", "intersection runs"),
             self.opt.max_degree)
-        rows = trunc.render_basis().splitlines()
-        rows.append(f"dimensions by degree: {trunc.dims()}")
-        self.block(st, [self.describe(f["a"]), self.describe(f["b"]),
-                        f"degree bound {self.opt.max_degree}"],
-                   {"intersection basis": rows})
+        self.block(st, [self.describe(n) for n in names] + [self.bound_input()],
+                   {"intersection basis": self._truncation_rows(trunc)})
 
     def exec_frobenius_exponent(self, st):
         f = st.fields
-        sub, ring_a = self._algebra(f["sub"])
-        alg, ring_b = self._algebra(f["alg"])
-        if ring_a is not ring_b:
-            raise CliError("algebras live in different rings")
+        (sub, alg), _ = self._in_one_ring("algebra", (f["sub"], f["alg"]), "algebras")
         rmax = f["rmax"] if f["rmax"] is not None else 8
         w = frobenius_exponent(sub, alg, r_max=rmax)
         if w is None:
@@ -708,21 +680,28 @@ def _parse_primes(text: str):
     return primes
 
 
+def _nonnegative(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="quotrel",
         description="Run a quotrel script and print its report.",
     )
+    defaults = _Options()
     ap.add_argument("script", help="script file, or - for stdin")
-    ap.add_argument("--max-degree", type=int, default=10,
+    ap.add_argument("--max-degree", type=_nonnegative, default=defaults.max_degree,
                     help="truncation degree for graded computations")
-    ap.add_argument("--primes", type=_parse_primes, default=(2, 3, 5),
+    ap.add_argument("--primes", type=_parse_primes, default=defaults.primes,
                     help="comma-separated primes for characteristic reruns")
-    ap.add_argument("--mode", choices=("scheme", "set"), default="scheme",
+    ap.add_argument("--mode", choices=("scheme", "set"), default=defaults.mode,
                     help="equivalence-relation checking mode")
-    ap.add_argument("--budget", type=int, default=None,
+    ap.add_argument("--budget", type=int, default=defaults.budget,
                     help="cap on S-pair reductions per basis computation "
-                         "and on monomials per enumeration (default 100000)")
+                         f"and on monomials per enumeration (default {DEFAULT_BUDGET})")
     ap.add_argument("--format", choices=("text", "json"), default="text",
                     dest="format_", metavar="{text,json}",
                     help="report format")

@@ -83,16 +83,13 @@ class RelationPresentation:
 
     ``gens`` is the user-supplied generator list, kept verbatim (witness
     reporting refers to it); the presented ideal always also contains both
-    copies of the ambient defining ideal, collected in ``full_gens``.  When
-    the relation came from a polynomial map, ``map_polys`` remembers the
-    defining polynomials for later descent-data checks.
+    copies of the ambient defining ideal, collected in ``full_gens``.
     """
 
     def __init__(
         self,
         ambient: AmbientRing,
         gens: list[Polynomial],
-        map_polys: list[Polynomial] | None = None,
         source: str = "explicit",
     ):
         if ambient.is_product:
@@ -116,7 +113,6 @@ class RelationPresentation:
                 self.full_gens.append(
                     embed(q, self.doubled, copy_positions(self.nvars, copy))
                 )
-        self.map_polys = map_polys
         self.source = source
 
     def gb(self) -> list[Polynomial]:
@@ -158,7 +154,7 @@ def relation_from_map(ambient: AmbientRing, fs: list[Polynomial]) -> RelationPre
     An empty list yields the indiscrete relation (0).
     """
     pr = ambient.poly_ring(0)
-    rel = RelationPresentation(ambient, [], map_polys=list(fs), source="map")
+    rel = RelationPresentation(ambient, [], source="map")
     gens = []
     for f in fs:
         g = f if f.ring == pr else pr.convert(f)

@@ -15,6 +15,7 @@ equal AST.
 """
 
 import re
+from typing import NamedTuple
 
 __all__ = ["ScriptError", "Statement", "Script", "Form", "GRAMMAR",
            "parse_script"]
@@ -29,70 +30,35 @@ class ScriptError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col", "pos")
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+    pos: int
 
-    def __init__(self, kind, text, line, col, pos):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-        self.pos = pos
 
-    def __repr__(self):
-        return f"{self.kind}({self.text!r}@{self.line}:{self.col})"
+# The token table: the first alternative that matches at a position wins.
+_TOKENS = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
+    ("name", r"[^\W\d](?:[\w-]*\w)?"),  # a trailing hyphen is an operator
+    ("int", r"\d+"),
+    ("punct", r"->|[\[\]()=,;:|/*+^-]"),
+    ("newline", r"\n"),
+    ("skip", r"[ \t\r]+|#.*"),
+    ("bad", r"."),
+]))
 
 
 def _tokenize(text: str) -> list[_Token]:
-    out = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            # trailing hyphens belong to operators, not names
-            while text[j - 1] == "-":
-                j -= 1
-            out.append(_Token("name", text[i:j], line, col, i))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], line, col, i))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two == "->":
-            out.append(_Token("punct", two, line, col, i))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[]=,;:|/*+-^":
-            out.append(_Token("punct", ch, line, col, i))
-            i += 1
-            col += 1
-            continue
-        raise ScriptError(f"unexpected character {ch!r}", line, col)
+    out, line, line_start = [], 1, 0
+    for m in _TOKENS.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "newline":
+            line, line_start = line + 1, pos + 1
+        elif kind == "bad":
+            raise ScriptError(f"unexpected character {m.group()!r}", line, pos - line_start + 1)
+        elif kind != "skip":
+            out.append(_Token(kind, m.group(), line, pos - line_start + 1, pos))
     return out
 
 

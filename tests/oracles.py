@@ -35,6 +35,8 @@ generating set only.  ``naive_frobenius_exponent`` is the Frobenius search
 before it carried normal forms from one exponent to the next: it queries
 each ``b ** q`` from scratch.  ``naive_verify_pushout`` is the push-out
 check that rebuilt its kernel and ideal row spaces at every degree.
+``naive_tokenize`` is the script lexer's character loop from before the
+lexer became one table of regular expressions.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from quotrel.poly import (
     monomial_mul,
 )
 from quotrel.ring import RingMap
+from quotrel.script import ScriptError
 
 
 # ---------------------------------------------------------------------------
@@ -599,3 +602,58 @@ def naive_verify_pushout(inp, out, d):
         ("kernel of the gluing equals the ideal in each degree", ok_c, wit_c)
     )
     return PushoutReport(checks, d)
+
+
+def naive_tokenize(text: str) -> list[tuple]:
+    """The script's tokens as ``(kind, text, line, col, pos)`` tuples, read
+    character by character."""
+    out = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_-"):
+                j += 1
+            # trailing hyphens belong to operators, not names
+            while text[j - 1] == "-":
+                j -= 1
+            out.append(("name", text[i:j], line, col, i))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("int", text[i:j], line, col, i))
+            col += j - i
+            i = j
+            continue
+        two = text[i : i + 2]
+        if two == "->":
+            out.append(("punct", two, line, col, i))
+            i += 2
+            col += 2
+            continue
+        if ch in "()[]=,;:|/*+-^":
+            out.append(("punct", ch, line, col, i))
+            i += 1
+            col += 1
+            continue
+        raise ScriptError(f"unexpected character {ch!r}", line, col)
+    return out

@@ -247,6 +247,55 @@ def test_unknown_flag_exits_two(tmp_path, capsys):
     assert main([str(path), "--frobnicate"]) == 2
 
 
+def test_negative_max_degree_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "script.qs"
+    path.write_text(SMOKE)
+    assert main([str(path), "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-degree: expected a nonnegative integer, got '-1'" in captured.err
+
+
+def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, "ring R = QQ[x];\nmonomials R degree ²;\n")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2, column 20: expected integer, found '²'\n"
+
+
+def test_non_ascii_names_are_declared(tmp_path, capsys):
+    code, out, _ = run(tmp_path, capsys, "ring X = QQ[x];\nideal Ĩ = (x) in X;\ngroebner Ĩ;\n")
+    assert code == 0
+    assert out == "$ groebner Ĩ\ninputs: Ĩ (ideal in X)\nreduced basis:\nx\n"
+
+
+def test_orbit_relation_needs_the_action_on_its_ring(tmp_path, capsys):
+    script = (
+        "ring X = QQ[x, y];\n"
+        "ring Y = QQ[u, v];\n"
+        "action S on Y = (u, v | v, u);\n"
+        "relation R on X = from-action S;\n"
+    )
+    code, out, err = run(tmp_path, capsys, script)
+    assert code == 2
+    assert err == "error: line 4: action S is declared on Y, not on X\n"
+
+
+def test_ideals_are_refused_in_product_rings(tmp_path, capsys):
+    for gens in ("()", "((x, y))"):
+        code, _, err = run(tmp_path, capsys,
+                           f"ring P = QQ[x] * QQ[y];\nideal I = {gens} in P;\n")
+        assert code == 2
+        assert err.startswith("error: line 2: ")
+
+
+def test_wrong_kind_names_both_kinds(tmp_path, capsys):
+    script = "ring X = QQ[x];\nideal I = (x);\npresent I;\n"
+    code, _, err = run(tmp_path, capsys, script)
+    assert code == 2
+    assert err == "error: line 3: 'I' is an ideal, expected an algebra\n"
+
+
 def test_budget_flag_exits_three(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, SLOW_GROEBNER, "--budget", "3")
     assert code == 3

@@ -1,5 +1,6 @@
 """Parsing the declarative command language (no execution here)."""
 
+import random
 import re
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import hypothesis.strategies as hs
 import pytest
 from hypothesis import given, settings
 
-from quotrel.script import GRAMMAR, Script, ScriptError, Statement, parse_script
+from oracles import naive_tokenize
+from quotrel.script import GRAMMAR, Script, ScriptError, Statement, _tokenize, parse_script
 
 FULL_COVERAGE = """
 ring R = QQ[x, y];
@@ -138,6 +140,41 @@ def test_unknown_keyword():
 def test_unexpected_character():
     with pytest.raises(ScriptError, match=r"unexpected character '\$'"):
         parse_script("poly f = $;")
+
+
+def _lex(tokenize, text):
+    """The tokens as tuples, or the error's message and position."""
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except ScriptError as e:
+        return (str(e), e.line, e.col)
+
+
+def test_token_table_matches_the_character_loop():
+    """Seeded strings, mostly of characters that make tokens, with any ASCII
+    character mixed in, lex alike through the token table and the old
+    character loop: equal tokens with positions, or the equal error."""
+    rng = random.Random(21)
+    common = "aZ_é٣Ĩ 09-->#\n\t\r()[]=,;:|/*+^"
+    errors = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(common) if rng.random() < 0.97 else chr(rng.randrange(128))
+                       for _ in range(rng.randrange(25)))
+        expected = _lex(naive_tokenize, text)
+        assert _lex(_tokenize, text) == expected, text
+        errors += isinstance(expected, tuple)
+    assert 2000 < errors < 18000  # both outcomes are exercised
+
+
+def test_non_decimal_digits_start_names():
+    """A numeric character that is not a decimal digit, such as a
+    superscript two, cannot start an integer; it lexes as a name, so the
+    parser reports it where an integer is expected."""
+    assert [t.text for t in _tokenize("degree ² x² ٣")] == [
+        "degree", "²", "x²", "٣"]
+    assert [t.kind for t in _tokenize("² ٣")] == ["name", "int"]
+    with pytest.raises(ScriptError, match="line 1, column 20: expected integer, found '²'"):
+        parse_script("monomials R degree ²;")
 
 
 def test_empty_statement():
