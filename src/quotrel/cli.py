@@ -677,12 +677,23 @@ def _parse_primes(text: str):
         raise argparse.ArgumentTypeError("primes must be integers")
     if not primes:
         raise argparse.ArgumentTypeError("need at least one prime")
+    try:
+        for p in primes:
+            GF(p)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
     return primes
 
 
 def _nonnegative(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
@@ -699,7 +710,7 @@ def main(argv=None) -> int:
                     help="comma-separated primes for characteristic reruns")
     ap.add_argument("--mode", choices=("scheme", "set"), default=defaults.mode,
                     help="equivalence-relation checking mode")
-    ap.add_argument("--budget", type=int, default=defaults.budget,
+    ap.add_argument("--budget", type=_positive, default=defaults.budget,
                     help="cap on S-pair reductions per basis computation "
                          f"and on monomials per enumeration (default {DEFAULT_BUDGET})")
     ap.add_argument("--format", choices=("text", "json"), default="text",

@@ -14,6 +14,13 @@ doubled ring modulo ``J``:
   ``h(x,y) + h(y,z) - h(x,z)`` vanishes modulo ``J(x,y) + J(y,z)`` in the
   tripled ring.
 
+The defect kills ``J``.  For ``h`` in ``J`` the terms ``h(x,y)`` and
+``h(y,z)`` lie in ``J(x,y)`` and ``J(y,z)``, and ``h(x,z)`` lies in
+``J(x,z)``, which is inside ``J(x,y) + J(y,z)`` because
+``fi(x) - fi(z) = (fi(x) - fi(y)) + (fi(y) - fi(z))``.  So ``h`` and its
+normal form modulo ``J`` have the same defect, and ``W`` is the kernel of
+the defect on the span of the degree-``d`` standard monomials of ``J``.
+
 The relation is *effective* exactly when the class of ``f`` in ``W/V``
 vanishes; a nonzero class exhibits descent data that descends to no actual
 quotient.  The candidate itself is never added to ``V`` — otherwise the test
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from .eqrel import copy_difference, relation_from_map
 from .fields import Field
-from .groebner import groebner_basis, ideal_member, normal_form
+from .groebner import groebner_basis, ideal_member, normal_form, standard_monomials
 from .linalg import RowSpace, condition_rows, nullspace, significance
 from .poly import GREVLEX, PolyRing, Polynomial
 from .ring import AmbientRing
@@ -135,7 +142,10 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     """Decide whether the relation ``(J, f)`` is effective.
 
     Requires the cocycle condition (checked); compares the class of ``f``
-    against the coboundary space in degree ``deg f``.
+    against the coboundary space in degree ``deg f``.  As ``J_d`` lies in the
+    kernel of the defect, the cocycle condition is solved on the standard
+    monomials of ``J`` alone, and its kernel vectors, reduced modulo ``J``
+    already, join ``W`` as they are.
     """
     if not check_cocycle(data):
         raise ValueError("the candidate does not satisfy the cocycle condition")
@@ -157,13 +167,14 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     for m in pr.monomials_of_degree(d):
         V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
 
-    # W: solve the linearized cocycle condition over degree-d monomials
+    # W: solve the linearized cocycle condition on J's standard monomials
+    standard = standard_monomials(columns, j_gb)
     rows = condition_rows(
-        (m, normal_form(data.defect(D.monomial(m)), sum_gb).terms) for m in columns
+        (m, normal_form(data.defect(D.monomial(m)), sum_gb).terms) for m in standard
     )
     W = RowSpace(field, key)
-    for sol in nullspace(rows, columns, field):
-        W.insert(nf_vec(Polynomial(D, sol)))
+    for sol in nullspace(rows, standard, field):
+        W.insert(sol)
 
     # W/V off W alone: a coboundary has zero defect, so V sits inside W and
     # V's pivots are among W's.  The canonical complement of V is the W rows

@@ -88,6 +88,7 @@ from .poly import (
     current_budget,
     fresh_names,
     monomial_div,
+    monomial_divides,
     monomial_lcm,
     unembed,
 )
@@ -439,6 +440,12 @@ def is_unit_ideal(gb: list[Polynomial]) -> bool:
 
 def ideal_member(f: Polynomial, gb: list[Polynomial]) -> bool:
     return normal_form(f, gb).is_zero()
+
+
+def standard_monomials(monomials: list, gb: list[Polynomial]) -> list:
+    """The ``monomials``, in order, that no leading monomial of ``gb`` divides."""
+    lms = [g.leading_monomial() for g in gb]
+    return [m for m in monomials if not any(monomial_divides(lm, m) for lm in lms)]
 
 
 def ideal_equal(gens_a: list[Polynomial], gens_b: list[Polynomial]) -> bool:

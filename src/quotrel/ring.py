@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 
 from .fields import Field
-from .groebner import MembershipSieve, groebner_basis, normal_form
+from .groebner import MembershipSieve, groebner_basis, normal_form, standard_monomials
 from .poly import (
     GREVLEX,
     MonomialImages,
@@ -27,7 +27,6 @@ from .poly import (
     Polynomial,
     embed,
     fresh_names,
-    monomial_divides,
     power,
     unembed,
 )
@@ -130,13 +129,7 @@ class AmbientRing:
         """Monomials of degree <= d not divisible by any leading monomial of
         the component's defining ideal — a linear basis of the quotient up to
         degree d."""
-        pr = self.components[c][0]
-        lms = [g.leading_monomial() for g in self.gb(c)]
-        return [
-            m
-            for m in pr.monomials_up_to_degree(d)
-            if not any(monomial_divides(lm, m) for lm in lms)
-        ]
+        return standard_monomials(self.components[c][0].monomials_up_to_degree(d), self.gb(c))
 
     def model(self) -> "FlatModel":
         if self._model is None:

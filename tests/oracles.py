@@ -36,7 +36,10 @@ before it carried normal forms from one exponent to the next: it queries
 each ``b ** q`` from scratch.  ``naive_verify_pushout`` is the push-out
 check that rebuilt its kernel and ideal row spaces at every degree.
 ``naive_tokenize`` is the script lexer's character loop from before the
-lexer became one table of regular expressions.
+lexer became one table of regular expressions.  ``naive_effectivity_test``
+is the effectivity test that solved the cocycle condition over every
+monomial of the candidate's degree and normal-formed each kernel vector
+modulo ``J``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ import sympy
 from sympy.polys.orderings import ProductOrder, grevlex
 
 from quotrel import groebner
-from quotrel.linalg import condition_rows, nullspace
+from quotrel.effectivity import EffectivityReport, check_cocycle
+from quotrel.eqrel import copy_difference
+from quotrel.linalg import RowSpace, condition_rows, nullspace, significance
 from quotrel.pinch import PushoutReport, _flat_space, _ideal_multiples, _product_span
 from quotrel.poly import (
     GREVLEX,
@@ -657,3 +662,42 @@ def naive_tokenize(text: str) -> list[tuple]:
             continue
         raise ScriptError(f"unexpected character {ch!r}", line, col)
     return out
+
+
+def naive_effectivity_test(data):
+    """``effectivity_test`` with the kernel of the linearized cocycle
+    condition taken over every monomial of degree ``d``, each kernel vector
+    then normal-formed modulo ``J`` before it joins ``W``."""
+    if not check_cocycle(data):
+        raise ValueError("the candidate does not satisfy the cocycle condition")
+    D = data.doubled
+    field = D.field
+    d = data.degree
+    j_gb = data.j_basis()
+    sum_gb = data.sum_basis()
+    columns = D.monomials_of_degree(d)
+    key = significance(columns)
+
+    def nf_vec(p):
+        return dict(groebner.normal_form(p, j_gb).terms)
+
+    V = RowSpace(field, key)
+    pr = data.ambient.poly_ring(0)
+    for m in pr.monomials_of_degree(d):
+        V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
+    rows = condition_rows(
+        (m, groebner.normal_form(data.defect(D.monomial(m)), sum_gb).terms)
+        for m in columns
+    )
+    W = RowSpace(field, key)
+    for sol in nullspace(rows, columns, field):
+        W.insert(nf_vec(Polynomial(D, sol)))
+
+    v_pivots = set(V.pivots)
+    outside = [i for i, piv in enumerate(W.pivots) if piv not in v_pivots]
+    residue = V.reduce(nf_vec(data.cocycle))
+    assert W.contains(residue), "cocycle class escaped W"
+    coords = [residue.get(W.pivots[i], field.zero) for i in outside]
+    verdict = "noneffective" if residue else "effective"
+    return EffectivityReport(field, d, V.dim, W.dim, verdict, coords,
+                             [Polynomial(D, dict(W.rows[i])) for i in outside])

@@ -15,6 +15,7 @@ from itertools import accumulate
 
 from quotrel.effectivity import CocycleData, check_cocycle, effectivity_test
 from quotrel.eqrel import (
+    copy_difference,
     relation_from_group_action,
     relation_from_map,
     verify_relation,
@@ -248,6 +249,59 @@ def effectivity_class_suite(cases=20, seed=20261023):
             f"class {report.class_coords} != [{a}] for {where}")
         assert (report.verdict == "effective") == field.is_zero(a), (
             f"verdict {report.verdict} for {where}")
+    return cases
+
+
+def effectivity_oracle_suite(cases=40, seed=20261103):
+    """``effectivity_test`` renders exactly as
+    ``oracles.naive_effectivity_test`` on random descent data over QQ and
+    FF(2, 3, 5) in two or three variables.  The map is a pure power of each
+    variable plus one random homogeneous polynomial; the candidate is
+    a*w + (g(x) - g(y)) in degree 2 to 5, with w running over the oracle's
+    own W/V basis.  Every other case takes the shape of ``cocycle.qs``, where
+    W/V is not zero: some variable u squared, another v cubed, an extra
+    polynomial with u*v and v^2 terms, degree 5.  Noneffective verdicts must
+    occur.  Draws that outrun a budget of 200 are drawn again."""
+    rng = random.Random(seed)
+    noneffective = 0
+    case = 0
+    while case < cases:
+        field = rng.choice(FIELDS)
+        nvars = rng.randint(2, 3)
+        ambient = AmbientRing.free(field, NAMES[:nvars])
+        pr = ambient.poly_ring(0)
+        powers = [rng.randint(1, 3) for _ in range(nvars)]
+        if case % 2:
+            u, v = rng.sample(range(nvars), 2)
+            powers[u], powers[v] = 2, 3
+            xu, xv = pr.var(u), pr.var(v)
+            extra = ((xu * xu).scale(field.of_int(rng.randint(-2, 2)))
+                     + (xu * xv).scale(field.of_int(rng.choice((-1, 1))))
+                     + (xv * xv).scale(field.of_int(rng.choice((-1, 1)))))
+            d = 5
+        else:
+            extra = _random_poly(rng, pr, homogeneous=rng.randint(2, 3))
+            d = rng.randint(2, 5)
+        maps = [pr.monomial(tuple(p if j == i else 0 for j in range(nvars)))
+                for i, p in enumerate(powers)] + [extra]
+        g = _random_poly(rng, pr, homogeneous=d)
+        try:
+            with budget(200):
+                f = copy_difference(g, CocycleData(ambient, maps, None).doubled)
+                probe = CocycleData(ambient, maps, f)
+                for w in oracles.naive_effectivity_test(probe).complement_basis:
+                    f = f + w.scale(field.of_int(rng.randint(-2, 2)))
+                data = CocycleData(ambient, maps, f)
+                ours = effectivity_test(data).render()
+                theirs = oracles.naive_effectivity_test(data).render()
+        except BudgetExceededError:
+            continue
+        assert ours == theirs, (
+            f"{ours}\nagainst the oracle's\n{theirs}\nfor maps "
+            f"{[pr.render(p) for p in maps]} and {probe.doubled.render(f)}")
+        noneffective += ours.endswith("noneffective")
+        case += 1
+    assert noneffective, "no noneffective case was drawn"
     return cases
 
 

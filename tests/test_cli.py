@@ -256,6 +256,28 @@ def test_negative_max_degree_is_a_usage_error(tmp_path, capsys):
     assert "argument --max-degree: expected a nonnegative integer, got '-1'" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_budget_must_be_positive(value, tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, SMOKE, "--budget", value)
+    assert (code, out) == (2, "")
+    assert f"argument --budget: expected a positive integer, got {value!r}" in err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("4,6", "characteristic must be prime, got 4"),
+    ("2,9", "characteristic must be prime, got 9"),
+    ("1", "characteristic must be prime, got 1"),
+    ("-3", "characteristic must be prime, got -3"),
+    ("3317044064679887385961987", "cannot certify that 3317044064679887385961987 is prime"),
+    ("2,x", "primes must be integers"),
+])
+def test_primes_must_be_primes(value, message, tmp_path, capsys):
+    # checked up front, also for a script that runs no effectivity test
+    code, out, err = run(tmp_path, capsys, SMOKE, "--primes", value)
+    assert (code, out) == (2, "")
+    assert f"argument --primes: {message}" in err
+
+
 def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, "ring R = QQ[x];\nmonomials R degree ²;\n")
     assert code == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+import quotrel.effectivity
 from quotrel.effectivity import (
     CocycleData,
     change_field,
@@ -9,6 +10,7 @@ from quotrel.effectivity import (
     effectivity_test,
 )
 from quotrel.fields import GF, QQ
+from quotrel.linalg import nullspace
 from quotrel.poly import PolyRing
 from quotrel.ring import AmbientRing
 
@@ -86,6 +88,22 @@ def test_noneffective_counterexample(counterexample):
     assert [g.ring.render(g) for g in rep.complement_basis] == [
         "x2*y1*y2^3 - x1*y2^4"
     ]
+
+
+def test_cocycle_condition_is_solved_on_standard_monomials(counterexample, monkeypatch):
+    # J_5 lies in the kernel of the defect: the condition is solved on the
+    # 13 standard monomials of J, not on all 56 monomials of degree 5
+    widths = []
+
+    def recording(rows, columns, field):
+        widths.append(len(columns))
+        return nullspace(rows, columns, field)
+
+    monkeypatch.setattr(quotrel.effectivity, "nullspace", recording)
+    rep = effectivity_test(counterexample)
+    assert len(counterexample.doubled.monomials_of_degree(5)) == 56
+    assert widths == [13]
+    assert rep.dim_w == 5
 
 
 def test_report_render(counterexample):

@@ -13,6 +13,7 @@ import property_suites
     (property_suites.kernel_closure_suite, 50),
     (property_suites.effectivity_v_in_w_suite, 20),
     (property_suites.effectivity_class_suite, 20),
+    (property_suites.effectivity_oracle_suite, 40),
     (property_suites.ideal_intersect_oracle_suite, 40),
     (property_suites.molien_suite, 24),
     (property_suites.normal_form_oracle_suite, 200),
