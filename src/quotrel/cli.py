@@ -677,6 +677,8 @@ def _parse_primes(text: str):
         raise argparse.ArgumentTypeError("primes must be integers")
     if not primes:
         raise argparse.ArgumentTypeError("need at least one prime")
+    if len(set(primes)) != len(primes):
+        raise argparse.ArgumentTypeError(f"repeated prime in {text!r}")
     try:
         for p in primes:
             GF(p)

@@ -181,14 +181,13 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     # at the other pivots, and the class of f is its residue modulo V read in
     # W's coordinates at those rows: W is reduced, so the coordinate on a
     # row is the residue's entry at that row's pivot.
-    v_pivots = set(V.pivots)
-    outside = [i for i, piv in enumerate(W.pivots) if piv not in v_pivots]
-    comp_polys = [Polynomial(D, dict(W.rows[i])) for i in outside]
+    outside = [piv for piv in W.pivots if piv not in V.row]
+    comp_polys = [Polynomial(D, W.row[piv]) for piv in outside]
 
     residue = V.reduce(nf_vec(data.cocycle))
     if not W.contains(residue):
         raise RuntimeError("internal error: cocycle class escaped W")
-    coords = [residue.get(W.pivots[i], field.zero) for i in outside]
+    coords = [residue.get(piv, field.zero) for piv in outside]
     verdict = "noneffective" if residue else "effective"
     return EffectivityReport(
         field, d, V.dim, W.dim, verdict, coords, comp_polys

@@ -8,7 +8,11 @@ key, and the label with the larger key is the more significant, as with
 key from a column list written most significant first.  A :class:`RowSpace`
 keeps a row space in reduced echelon form with respect to its key; because
 the reduced echelon form of a subspace is unique, the resulting rows are
-canonical no matter in which order vectors were inserted.
+canonical no matter in which order vectors were inserted.  It holds one row
+per pivot, in the dict ``row``: each row is 1 at its pivot and 0 at every
+other pivot, and a row once stored is never mutated, so callers may wrap it
+without copying.  ``pivots`` and ``rows`` are views sorted by the key, most
+significant first, computed on each read.
 
 Kernels follow the same convention.  :func:`nullspace` takes its columns
 listed most significant first and returns the reduced echelon basis of the
@@ -26,17 +30,10 @@ from .fields import Field
 Vector = dict
 
 
-def vec_scale(field: Field, v: Vector, c) -> Vector:
-    if field.is_zero(c):
-        return {}
-    return {k: field.mul(x, c) for k, x in v.items()}
-
-
-def vec_sub_scaled(field: Field, v: Vector, w: Vector, c) -> Vector:
-    """v - c*w, dropping zero entries."""
-    out = dict(v)
+def _add_scaled(field: Field, out: Vector, w: Vector, c) -> Vector:
+    """out += c*w in place, dropping zero entries; returns out."""
     for k, x in w.items():
-        y = field.sub(out.get(k, field.zero), field.mul(c, x))
+        y = field.add(out.get(k, field.zero), field.mul(c, x))
         if field.is_zero(y):
             out.pop(k, None)
         else:
@@ -45,30 +42,34 @@ def vec_sub_scaled(field: Field, v: Vector, w: Vector, c) -> Vector:
 
 
 class RowSpace:
-    """A subspace held in reduced row-echelon form.
-
-    Each row's pivot is its entry with the largest ``key``; the rows are
-    kept most significant pivot first.
-    """
+    """A subspace in reduced row-echelon form: ``row`` maps each pivot, the
+    entry of its row with the largest ``key``, to that row."""
 
     def __init__(self, field: Field, key):
         self.field = field
         self.key = key
-        self.rows: list[Vector] = []
-        self.pivots: list = []
+        self.row: dict = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.row)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self.row, key=self.key, reverse=True)
+
+    @property
+    def rows(self) -> list[Vector]:
+        return [self.row[piv] for piv in self.pivots]
 
     def reduce(self, v: Vector) -> Vector:
-        """Residue of ``v`` modulo the row space."""
-        field = self.field
+        """Residue of ``v`` modulo the row space.  Each row is 0 at every
+        other pivot, so clearing one pivot entry leaves the others as is."""
+        field, row = self.field, self.row
         out = dict(v)
-        for piv, row in zip(self.pivots, self.rows):
-            c = out.get(piv)
-            if c is not None:
-                out = vec_sub_scaled(field, out, row, c)
+        for label, c in v.items():
+            if label in row:
+                _add_scaled(field, out, row[label], field.neg(c))
         return out
 
     def contains(self, v: Vector) -> bool:
@@ -77,23 +78,16 @@ class RowSpace:
     def insert(self, v: Vector):
         """Add ``v`` to the space.  Returns the new pivot label if the
         dimension grew, else ``None``."""
-        field = self.field
+        field, row = self.field, self.row
         res = self.reduce(v)
         if not res:
             return None
-        key = self.key
-        piv = max(res, key=key)
-        res = vec_scale(field, res, field.inv(res[piv]))
-        for i, row in enumerate(self.rows):
-            c = row.get(piv)
-            if c is not None:
-                self.rows[i] = vec_sub_scaled(field, row, res, c)
-        at = 0
-        k = key(piv)
-        while at < len(self.pivots) and key(self.pivots[at]) > k:
-            at += 1
-        self.pivots.insert(at, piv)
-        self.rows.insert(at, res)
+        piv = max(res, key=self.key)
+        new = _add_scaled(field, {}, res, field.inv(res[piv]))
+        for p, r in row.items():
+            if piv in r:
+                row[p] = _add_scaled(field, dict(r), new, field.neg(r[piv]))
+        row[piv] = new
         return piv
 
 
@@ -126,13 +120,12 @@ def nullspace(rows: list[Vector], columns: list, field: Field) -> list[Vector]:
     space = RowSpace(field, {c: i for i, c in enumerate(columns)}.__getitem__)
     for r in rows:
         space.insert(r)
-    pivot_set = set(space.pivots)
     basis = []
     for free in columns:
-        if free in pivot_set:
+        if free in space.row:
             continue
         v = {free: field.one}
-        for piv, row in zip(space.pivots, space.rows):
+        for piv, row in space.row.items():
             c = row.get(free)
             if c is not None:
                 v[piv] = field.neg(c)

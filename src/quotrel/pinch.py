@@ -263,8 +263,8 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
 
     space, _ = _product_span(
         inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
-    residues = [inp.residue.nf(0, Polynomial(P, row)).terms
-                for row in space.rows]
+    pivots, rows = space.pivots, space.rows
+    residues = [inp.residue.nf(0, Polynomial(P, row)).terms for row in rows]
     levels = [[] for _ in range(d + 1)]
     for _, _, _, p in multiples:
         levels[p.total_degree()].append(p)
@@ -274,14 +274,13 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
         for p in level:
             ideal_space.insert(p.terms)
         # the rows of pivot degree <= e are a suffix of the space's rows
-        start = next((i for i, piv in enumerate(space.pivots) if sum(piv) <= e),
-                     len(space.pivots))
-        rows = space.rows[start:]
+        start = next((i for i, piv in enumerate(pivots) if sum(piv) <= e),
+                     len(pivots))
         # the witness search reads each combination as 1 at its last row,
         # ordered by that row
         sols = nullspace(condition_rows(enumerate(residues[start:])),
-                         list(range(len(rows)))[::-1], field)[::-1]
-        kernel = (sum((Polynomial(P, rows[j]).scale(coeff)
+                         list(range(len(rows) - start))[::-1], field)[::-1]
+        kernel = (sum((Polynomial(P, rows[start + j]).scale(coeff)
                        for j, coeff in v.items()), P.zero) for v in sols)
         wit = next(chain((p for p in kernel if not ideal_space.contains(p.terms)),
                          (p for p in level if not space.contains(p.terms))), None)

@@ -419,6 +419,8 @@ class PolyRing:
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in {self.names}")
+        if not all(map(self._name_re.fullmatch, self.names)):
+            raise ValueError(f"invalid variable names in {self.names}")
         self.order = order
         self.nvars = len(self.names)
         self._index = {n: i for i, n in enumerate(self.names)}
@@ -552,8 +554,9 @@ class PolyRing:
 
     # -- parsing / rendering -------------------------------------------------
 
+    _name_re = re.compile(r"[^\W\d]\w*")  # the script lexer's names without "-"
     _token_re = re.compile(
-        r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+        rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{_name_re.pattern})|(?P<op>[-+*^()]))"
     )
 
     def _tokenize(self, text: str) -> list[tuple[str, str]]:

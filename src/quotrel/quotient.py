@@ -178,7 +178,7 @@ class TruncatedSubalgebra:
                 piv = alg.insert(element_to_vector(f))
                 if piv is None:
                     continue
-                gen = vector_to_element(self.ring, alg.rows[alg.pivots.index(piv)])
+                gen = vector_to_element(self.ring, alg.row[piv])
                 gens.append((gen, e))
                 alg = None
         self._generators = gens

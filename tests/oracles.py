@@ -13,7 +13,8 @@ package:
   the package (kernel bases, intersections, pinched algebras) are by
   definition spans of vectors indexed by monomials, so a from-scratch RREF
   verifies their membership claims and dimensions without touching the
-  package's own row-space code.
+  package's own row-space code.  ``naive_reduce`` is the reduction loop a
+  ``RowSpace`` ran while it kept its pivots and rows as two parallel lists.
 
 Conversion to and from sympy goes through rendered strings, which also
 exercises both parsers.
@@ -244,6 +245,27 @@ def span_contains(basis: list[dict], v: dict, arith: Arith) -> bool:
 
 def span_dim(rows: list[dict], arith: Arith) -> int:
     return len(rref(rows, arith))
+
+
+def naive_reduce(space: RowSpace, v: dict) -> dict:
+    """``space.reduce(v)`` as the per-pivot loop it was before a row space
+    held its rows by pivot: every pivot of the space, most significant
+    first, is probed in the vector, and each hit subtracts that pivot's row
+    from a fresh copy."""
+    field = space.field
+    out = dict(v)
+    for piv, row in zip(space.pivots, space.rows):
+        c = out.get(piv)
+        if c is None:
+            continue
+        out = dict(out)
+        for k, x in row.items():
+            y = field.sub(out.get(k, field.zero), field.mul(c, x))
+            if field.is_zero(y):
+                out.pop(k, None)
+            else:
+                out[k] = y
+    return out
 
 
 def poly_vec(f) -> dict:

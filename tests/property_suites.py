@@ -25,6 +25,7 @@ from quotrel.fields import GF, QQ
 from quotrel.frobenius import frobenius_exponent
 from quotrel.groebner import groebner_basis, ideal_intersect, ideal_member, normal_form
 from quotrel.invariants import GroupAction, invariant_basis
+from quotrel.linalg import RowSpace
 from quotrel.pinch import PinchInput, PinchResult, _product_span, verify_pushout
 from quotrel.poly import (
     GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, Polynomial, budget, embed,
@@ -949,4 +950,70 @@ def pushout_oracle_suite(cases=60, seed=20261102):
             sides["kernel" if in_span else "ideal"] += 1
         case += 1
     assert all(sides.values()), f"check (c) failures by side: {sides}"
+    return cases
+
+
+def _random_vector(rng, field, columns, max_entries):
+    """A sparse vector over ``columns`` with coefficients in +-1, +-2, +-3,
+    all nonzero over QQ and FF(7)."""
+    labels = rng.sample(columns, rng.randint(1, min(max_entries, len(columns))))
+    return {k: field.of_int(rng.choice((-3, -2, -1, 1, 2, 3))) for k in labels}
+
+
+def rowspace_oracle_suite(cases=200, seed=20261104):
+    """A ``RowSpace`` over QQ and FF(7), keyed so that the least label is the
+    most significant, agrees with ``oracles.rref`` on random sparse vectors,
+    some of them combinations of others, inserted in two shuffled orders:
+    the same ``pivots`` and ``rows``, and ``insert`` returns a new pivot
+    exactly when the dimension grows.  ``reduce`` returns what
+    ``oracles.naive_reduce`` returns and leaves its argument alone.  Every
+    row read after an insert is unchanged by all later inserts, since
+    callers wrap rows as polynomial terms without copying them."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        field = rng.choice((QQ, GF(7)))
+        arith = oracles.arith_for(field)
+        columns = list(range(rng.randint(1, 9)))
+        vectors = [_random_vector(rng, field, columns, 4)
+                   for _ in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(0, 3)):
+            # a combination of two drawn vectors, often inside the span
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            ca, cb = field.of_int(rng.randint(1, 3)), field.of_int(rng.randint(-3, -1))
+            combo = {}
+            for v, c in ((a, ca), (b, cb)):
+                for k, x in v.items():
+                    y = field.add(combo.get(k, field.zero), field.mul(c, x))
+                    if field.is_zero(y):
+                        combo.pop(k, None)
+                    else:
+                        combo[k] = y
+            if combo:
+                vectors.append(combo)
+        expected = oracles.rref(vectors, arith)
+        where = f"case {case} over {field!r}: {vectors}"
+        for _ in range(2):
+            order = rng.sample(vectors, len(vectors))
+            space = RowSpace(field, lambda k: -k)
+            read = []
+            for v in order:
+                before = dict(v)
+                dim = space.dim
+                piv = space.insert(v)
+                assert v == before, f"insert changed its argument, {where}"
+                assert (piv is not None) == (space.dim == dim + 1), where
+                read += [(row, dict(row)) for row in space.rows]
+            assert space.pivots == [min(r) for r in expected], where
+            assert space.rows == expected, f"{space.rows} != {expected}, {where}"
+            assert all(row == copy for row, copy in read), (
+                f"a row changed after it was read, {where}")
+            for probe in vectors + [_random_vector(rng, field, columns, 5)
+                                    for _ in range(3)]:
+                before = dict(probe)
+                ours = space.reduce(probe)
+                assert probe == before, f"reduce changed its argument, {where}"
+                assert ours == oracles.naive_reduce(space, probe), (
+                    f"residue of {probe}: {ours}, {where}")
+                assert space.contains(probe) == oracles.span_contains(
+                    expected, probe, arith), where
     return cases

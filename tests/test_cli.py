@@ -94,7 +94,7 @@ CUSP_PINCH = (
 
 def run(tmp_path, capsys, text, *args):
     path = tmp_path / "script.qs"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code = main([str(path), *args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -114,9 +114,9 @@ def header(text: str, key: str, default: str) -> str:
 
 @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
 def test_golden_report(path, capsys):
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     code = main([str(path), *header(text, "args", "").split()])
-    assert capsys.readouterr().out == path.with_suffix(".out").read_text()
+    assert capsys.readouterr().out == path.with_suffix(".out").read_text(encoding="utf-8")
     assert code == int(header(text, "exit", "0"))
 
 
@@ -125,7 +125,7 @@ def test_every_command_form_has_a_golden():
     covered = {
         (st.kind, i)
         for path in GOLDENS
-        for st in parse_script(path.read_text()).statements
+        for st in parse_script(path.read_text(encoding="utf-8")).statements
         for i, form in enumerate(GRAMMAR[st.kind]) if form.matches(st.fields)
     }
     forms = {(k, i) for k in COMMAND_KINDS for i in range(len(GRAMMAR[k]))}
@@ -136,7 +136,7 @@ def _first_use(kind, i):
     """The golden script with the first statement of form ``i`` of
     ``kind``, and that statement's index."""
     for path in GOLDENS:
-        statements = parse_script(path.read_text()).statements
+        statements = parse_script(path.read_text(encoding="utf-8")).statements
         for at, st in enumerate(statements):
             if st.kind == kind and GRAMMAR[kind][i].matches(st.fields):
                 return path, statements, at
@@ -157,7 +157,7 @@ def test_empty_lists_end_in_a_report_or_an_exit_code(kind, i, tmp_path, capsys):
         form = next(form for form in GRAMMAR[st.kind] if form.matches(st.fields))
         st.fields.update({key: [] for key, slot, _ in form.slots if slot == "list"})
     text = Script(script).render()
-    code, _, err = run(tmp_path, capsys, text, *header(path.read_text(), "args", "").split())
+    code, _, err = run(tmp_path, capsys, text, *header(path.read_text(encoding="utf-8"), "args", "").split())
     assert code in (0, 1, 2, 3)
     assert code in (0, 1) or err.startswith("error: line ")
 

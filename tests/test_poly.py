@@ -75,6 +75,15 @@ def test_parse_errors(R):
             R.parse(bad)
 
 
+def test_variable_names_are_what_the_reader_reads():
+    """A ring takes exactly the names its polynomial reader can read back."""
+    S = PolyRing(QQ, ("é", "_y1"))
+    assert S.render(S.parse("é^2*_y1 - é")) == "é^2*_y1 - é"
+    for bad in ["a-b", "1x", "x y", "", "x'"]:
+        with pytest.raises(ValueError, match="invalid variable name"):
+            PolyRing(QQ, ("z", bad))
+
+
 def test_parse_rationals_and_powers(R):
     f = R.parse("3/4*x^2 - 2*x + 5")
     assert f.coeff((2, 0, 0)) == QQ.of_fraction(3, 4)

@@ -25,6 +25,7 @@ import property_suites
     (property_suites.frobenius_suite, 40),
     (property_suites.pair_equalizer_suite, 60),
     (property_suites.pushout_oracle_suite, 60),
+    (property_suites.rowspace_oracle_suite, 200),
 ])
 def test_suite_runs_every_case(suite, cases):
     assert suite() == cases
