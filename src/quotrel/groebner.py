@@ -28,44 +28,68 @@ A Buchberger run stays packed from its input to its reduced basis.  It
 keeps one divisor list ``D`` and a first-divisor memo, from a packed
 monomial to an index ``i`` such that no element of ``D[:i]`` divides it (the
 index of its first divisor, or the length ``D`` had when none did), where a
-popped term resumes its scan.  ``D`` only grows by appending, so the first
-divisor in a prefix stays the first in every longer list, and remainders
-are those of the plain scan, term for term.  :func:`s_polynomial` forms each
-S-polynomial from the two elements' packed forms and the pair's packed lcm,
-one integer addition per term, and a nonzero remainder joins ``D`` with its
-packed form read off the packed remainder.  The reduced basis keeps each
-minimal element's leading term and divides its tail by the final ``D`` with
-the same memo: a remainder modulo a Groebner basis is unique.  A run
-restarted at another width starts a new memo.
+popped term resumes its scan.  Within a step (below) ``D`` only grows by
+appending, so the first divisor in a prefix stays the first in every
+longer list, and remainders are those of the plain scan (passing over the
+divisors a signature rules out), term for term; between steps ``D`` keeps
+a subsequence of its elements, and each memo index becomes the number of
+kept elements below it.  :func:`s_polynomial` forms each S-polynomial from
+the two elements' packed forms and a packed common multiple of their
+leading monomials, one integer addition per term, and a nonzero remainder
+joins ``D`` with its packed form read off the packed remainder.  The
+reduced basis keeps each minimal element's leading term and divides its
+tail by the final ``D`` with the same memo: a remainder modulo a Groebner
+basis is unique.  A run restarted at another width starts a new memo.
 
-Buchberger uses degree-first normal selection: of the pending S-pairs, the
-one with the smallest ``(deg lcm, lcm, i, j)`` is reduced next, where
-``deg`` is the total degree, the lcm is compared in the ring's order and
-``i < j`` index the basis in the order elements were added.  One rule
-serves every order.  On grevlex the degree already decides first, so this
-is plain normal selection; in block and lex orders it keeps the pairs of
-high-degree lcms, which build high-degree intermediates, until the cheap
-ones are done, the core of the sugar strategy (Giovini, Mora, Niesi,
-Robbiano & Traverso, ISSAC 1991).  The bookkeeping runs on packed
-monomials: each leading monomial is packed once, with its degree and its
-support (the guard bits of its nonzero exponent fields, see
-:meth:`~quotrel.poly.MonomialPacking.support`), and each pair enters a heap
-once, when its second element joins the basis.  Two leading monomials are
-coprime when their supports do not meet; such a pair's lcm is the product,
-keyed by the sum of the packed ints and of the degrees, and the product
-criterion skips it when it is popped.  Any other pair's lcm is formed once
-as a tuple, which gives both its degree and its packed int.  The chain
-criterion skips a pair when some ``lm_k`` divides the lcm (one subtraction
-and one mask) and neither ``(i, k)`` nor ``(j, k)`` is pending; each index
-keeps the set of its pending partners.  Skipped pairs do not count against
-the budget.  When a leading monomial, an lcm (its guard bits) or a term of
-an S-pair reduction does not fit its fields, the whole run restarts at twice
-the field width; the pairs and their order do not depend on the width.
+The run is signature-based (Faugere's F5, ISSAC 2002; Gao, Volny & Wang,
+Math. Comp. 85, 2016), so that S-polynomials which would reduce to zero
+are dropped before any division.  It is incremental: the generators
+``f_1, ..., f_m``, sorted by increasing leading monomial, are taken one at
+a time, and step ``k`` extends a Groebner basis of ``(f_1, ..., f_{k-1})``
+to one of ``(f_1, ..., f_k)``.  An element added in step ``k`` is ``u f_k``
+plus a combination of the earlier generators, and its signature is the
+monomial ``u``; signatures are compared position over term, so within a
+step as packed monomials, and every element of an earlier step lies below
+all of them.  A step starts from the remainder of ``f_k`` by the earlier
+basis, of signature 1, and then handles candidate signatures in increasing
+order, each once.  The pair of a new element ``a`` with an element ``b``
+proposes the larger of ``(L / lm a) sig(a)`` and ``(L / lm b) sig(b)``,
+``L`` their lcm (an earlier element's side counts as below); a pair whose
+two sides are equal proposes none.  A candidate signature ``T`` is dropped
+
+* when the pair is coprime: ``T`` is then the signature of its Koszul
+  syzygy;
+* when a leading monomial of the earlier basis divides ``T`` (F5's
+  criterion: ``lm(g) f_k`` lies in the earlier ideal), or a signature that
+  already reduced to zero in this step does;
+* when its leading term only reduces singularly.  The candidate of
+  signature ``T`` is the multiple ``(T / sig c) c`` of the latest element
+  ``c`` whose signature divides ``T`` (the rewrite criterion in the order
+  elements were added; Roune & Stillman, ISSAC 2012).  If no element
+  reduces its leading monomial by a multiple of signature below ``T``, the
+  basis already has an element of signature dividing ``T`` with that
+  leading monomial, and the candidate adds nothing.
+
+Otherwise the first such reducer ``b`` cancels the candidate's leading
+term: that is the S-polynomial of ``c`` and ``b`` at that monomial.  It is
+divided on the same heap division and memo, by regular reductions only: an
+element of the step divides a term only through a multiple whose signature
+is below ``T`` (earlier elements divide freely), and the memo keeps
+recording first divisors, also those passed over for their signature.  A
+remainder of zero makes ``T`` a syzygy signature; any other joins the basis
+with signature ``T``.  After each step only the minimal elements are kept,
+which is a Groebner basis of the ideal so far, and the memo's indices are
+renumbered.  A signature, an lcm or a term that does not fit its fields
+restarts the whole run at twice the field width.
 
 Each :func:`groebner_basis` call reads the budget in force (``with
-quotrel.poly.budget(n):``), a cap on its S-pair reductions and basis size.
-Exceeding it raises :class:`BudgetExceededError`, a resource failure, not
-a mathematical answer; callers must not treat it as "no".  Reduced bases
+quotrel.poly.budget(n):``), a cap on its S-pair reductions (candidates
+whose S-polynomial is built and divided; dropped ones are free) and on the
+number of basis elements it holds at once.  That bounds the rest: the heap
+holds at most one signature per pair of elements, and the syzygy list one
+per earlier element and one per reduction to zero.  Exceeding it raises
+:class:`BudgetExceededError`, a resource failure, not a mathematical
+answer; callers must not treat it as "no".  Reduced bases
 are memoized on the ring object, so they live as long as it does; a
 memoized basis is served only to a call whose budget covers what its
 computation needed, and any other call fails as on a fresh ring.
@@ -75,6 +99,7 @@ from __future__ import annotations
 
 import heapq
 from functools import reduce
+from itertools import accumulate
 from operator import itemgetter, mul, or_
 
 from .poly import (
@@ -115,7 +140,9 @@ def normal_form(f: Polynomial | tuple, basis: list[Polynomial], packed=None) -> 
     ``packed = (divisors, pk, memo)``: the :func:`_divisor` forms of the
     nonzero elements at packing ``pk``, and a first-divisor memo, a dict
     that only this divisor list (and longer lists it grows into by
-    appending) fills, or ``None``.  ``f`` is then a packed dividend
+    appending) fills, or ``None``.  A fourth entry ``(sigs, start, T)``
+    restricts the division to regular reductions (see :func:`_divide`).
+    ``f`` is then a packed dividend
     ``(ring, terms)``, as :func:`s_polynomial` returns it given ``pk``, and
     the division consumes ``terms``.  It runs at ``pk`` only, and a monomial
     that does not fit raises :class:`PackingOverflow`.  The remainder is a
@@ -177,7 +204,7 @@ def _divisor(g: Polynomial, pk: MonomialPacking, packed=None) -> tuple:
 
 
 def _divide(
-    ring: PolyRing, terms: dict, divisors: list[tuple], pk: MonomialPacking, memo=None
+    ring: PolyRing, terms: dict, divisors: list[tuple], pk: MonomialPacking, memo=None, sig=None
 ) -> dict:
     """Heap division of the packed dividend ``terms`` (consumed) by the
     :func:`_divisor` forms ``divisors`` on monomials packed by ``pk``: the
@@ -187,10 +214,16 @@ def _divide(
     ``memo``, if given, maps a packed monomial ``k`` to an index ``i`` such
     that no element of ``divisors[:i]`` divides ``k``: the index of its
     first divisor, or the list's length when it had none.  The scan for
-    ``k`` resumes there and records where it stopped."""
+    ``k`` resumes there and records where it stopped.
+
+    ``sig = (sigs, start, T)``, if given, admits only regular reductions
+    of signature ``T``: ``divisors[i]`` for ``i >= start`` has the packed
+    signature ``sigs[i]`` and divides ``k`` only when ``(k / lm) sigs[i]``
+    is below ``T``.  The memo still records the first divisor."""
     p = ring.field.characteristic
     guard, eguard = pk.guard, pk.eguard
     n = len(divisors)
+    sigs, start, T = sig or ((), n, 0)
     # one heap entry per key of ``terms``; cancelled terms stay as zeros
     heap = [-k for k in terms]
     heapq.heapify(heap)
@@ -208,10 +241,16 @@ def _divide(
         if not c:
             continue
         i = 0 if memo is None else memo.get(k, 0)
+        first = None
         for i in range(i, n):
             _, gm, tail, top = divisors[i]
             q = k - gm
             if not q & eguard:
+                if i >= start and q + sigs[i] >= T:
+                    # its multiple's signature is not below T: no reducer
+                    if first is None:
+                        first = i
+                    continue
                 if (q + top) & guard and any((q + t) & guard for t, _ in tail):
                     raise PackingOverflow(f"product outgrew {pk.width}-bit fields")
                 for t, tc in tail:
@@ -227,7 +266,7 @@ def _divide(
             i = n
             remainder[k] = c
         if memo is not None:
-            memo[k] = i
+            memo[k] = i if first is None else first
     return remainder
 
 
@@ -243,7 +282,8 @@ def _polynomial(ring: PolyRing, terms: dict, pk: MonomialPacking) -> Polynomial:
 
 def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None, L=None):
     """The S-polynomial ``(L / lt(f)) f - (L / lt(g)) g`` of two nonzero
-    polynomials of one ring, ``L`` the lcm of their leading monomials.
+    polynomials of one ring, ``L`` the lcm of their leading monomials or,
+    given packed, any common multiple.
 
     Without ``pk`` it is a :class:`Polynomial`.  With a packing ``pk`` it is
     the packed dividend that :func:`normal_form` divides when given
@@ -255,7 +295,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None
     ``L / lm(f)`` times the tail of ``f``, one addition per term and one
     guard test per tail (see :func:`_divisor`); a term that does not fit
     raises :class:`PackingOverflow`.  ``L`` may come packed by ``pk``, as
-    Buchberger pops it with the pair; otherwise it is formed and packed.
+    Buchberger passes the leading monomial of its candidate; otherwise it
+    is the lcm, formed and packed.
     """
     if pk is None:
         fm, gm = f.leading_monomial(), g.leading_monomial()
@@ -292,84 +333,144 @@ def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None
 def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, int]:
     """``(D, pk, memo)``, the :func:`_divisor` forms at ``pk`` of a monic
     Groebner basis of the nonzero ``gens`` and the run's first-divisor memo,
-    and the least budget that computes it: ``max(S-pair reductions, basis
-    size)``.  Raises :class:`PackingOverflow` when a leading monomial, an
-    lcm or a term of an S-pair reduction does not fit ``pk``'s fields."""
+    and the least budget that computes it: ``max(S-pair reductions, most
+    elements held at once)``.
+
+    Signature-based and incremental, position over term (Faugere, ISSAC
+    2002): the generators are taken in increasing order of packed leading
+    monomial, and an element added while generator ``f`` is taken carries
+    the packed monomial ``u`` of its signature ``u f``; earlier elements
+    count as below every signature.  Candidate signatures are popped in
+    increasing order, each once, and dropped when the pair that proposed
+    them is coprime (its Koszul syzygy), when a leading monomial of the
+    earlier basis or a signature already reduced to zero divides them (F5's
+    syzygy criterion), or when the multiple of the latest element whose
+    signature divides them (the rewrite criterion; Roune & Stillman, ISSAC
+    2012; Gao, Volny & Wang, Math. Comp. 85, 2016) has a leading monomial
+    that only reduces singularly, that is by a multiple of the same
+    signature.  The others are S-polynomials of that element and the first
+    regular reducer of that monomial, divided by regular reductions only:
+    an element of the current step reduces a term only through a multiple
+    whose signature is below the candidate's.
+
+    Raises :class:`PackingOverflow` when a leading monomial, a signature,
+    an lcm or a term of a reduction does not fit ``pk``'s fields.
+    """
+    ring = gens[0].ring
     pack, support, units = pk.pack, pk.support, pk.units
     guard, eguard = pk.guard, pk.eguard
-    G = sorted(((pack(g.leading_monomial()), g.monic()) for g in gens), key=itemgetter(0))
-    P = [p for p, _ in G]
-    G = [g for _, g in G]
-    lms = [g.leading_monomial() for g in G]
-    degs = [sum(m) for m in lms]
-    S = [support(p) for p in P]
-    # the basis packed once for the whole run, and its first-divisor memo:
-    # D only grows by appending, so a memo entry stays true
-    D = [_divisor(g, pk) for g in G]
-    packed = (D, pk, {})
-    # degree-first normal selection: each pair enters the heap once, keyed
-    # by the total degree of its lcm, then its packed lcm; pending[k] holds
-    # the partners of k whose pair with k is still in the heap
-    heap: list[tuple[int, int, int, int]] = []
-    pending: list[set[int]] = []
+    push, pop = heapq.heappush, heapq.heappop
+    # the elements, in the order they were added: monic polynomial, divisor
+    # form, leading monomial (tuple and packed), its support, signature
+    G, D, lms, P, S, sigs = [], [], [], [], [], []
+    memo = {}
+    processed = peak = 0
 
-    def add_pairs(new: int):
-        m, p, d, s = lms[new], P[new], degs[new], S[new]
-        for i in range(new):
-            if S[i] & s:
-                lcm = tuple(map(max, lms[i], m))
-                # every field of a product of two valid monomials stays
-                # below twice the guard bit, so no carry hides an overflow
-                L, e = sum(map(mul, lcm, units)), sum(lcm)
-            else:
-                # coprime: the lcm is the product
-                L, e = P[i] + p, degs[i] + d
-            if L & guard:
-                raise PackingOverflow(f"lcm outgrew {pk.width}-bit fields")
-            heapq.heappush(heap, (e, L, i, new))
-            pending[i].add(new)
-        pending.append(set(range(new)))
-
-    def chain(L: int, i: int, j: int) -> bool:
-        """Some lm_k divides the lcm ``L`` and both other pairs were handled."""
-        pi, pj = pending[i], pending[j]
-        for k, p in enumerate(P):
-            if not (L - p) & eguard and k != i and k != j and k not in pi and k not in pj:
-                return True
-        return False
-
-    for j in range(len(G)):
-        add_pairs(j)
-    processed = 0
-    while heap:
-        _, L, i, j = heapq.heappop(heap)
-        pending[i].discard(j)
-        pending[j].discard(i)
-        # product criterion (coprime leading monomials reduce to zero), then
-        # the chain criterion
-        if not S[i] & S[j] or chain(L, i, j):
-            continue
-        processed += 1
-        if processed > budget:
-            raise BudgetExceededError(
-                f"Groebner computation exceeded budget: {processed} S-pair reductions"
-            )
-        r = normal_form(s_polynomial(G[i], G[j], pk, L), G, packed)
-        if r.is_zero():
-            continue
-        # the monic element keeps the divisor form set from the remainder
+    def add(r: Polynomial, T: int):
+        nonlocal peak
         G.append(r.monic())
         D.append(_divisor(G[-1], pk))
         lms.append(r.leading_monomial())
-        degs.append(sum(lms[-1]))
         P.append(D[-1][1])
         S.append(support(P[-1]))
+        sigs.append(T)
         if len(G) > budget:
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: basis grew past {budget}"
             )
-        add_pairs(len(G) - 1)
-    return packed, max(processed, len(G))
+        peak = max(peak, len(G))
+
+    def reducer(L: int, T: int):
+        """The index of the first element whose multiple has leading
+        monomial ``L`` and, if it is one of the step's, signature below
+        ``T``, or ``None``; the memo is read and filled as by _divide."""
+        first = None
+        for i in range(memo.get(L, 0), len(D)):
+            q = L - P[i]
+            if not q & eguard:
+                if first is None:
+                    first = memo[L] = i
+                if i < start or q + sigs[i] < T:
+                    return i
+        if first is None:
+            memo[L] = len(D)
+        return None
+
+    for _, f in sorted(((pack(g.leading_monomial()), g) for g in gens), key=itemgetter(0)):
+        # G[:start] is a minimal Groebner basis of the earlier generators
+        start = len(G)
+        r = normal_form((ring, _pack_terms(f, pk)), G, (D, pk, memo))
+        if not r:
+            # f lies in the ideal of the earlier generators
+            continue
+        add(r, 0)
+        # signatures of syzygies: lm(g) f lies in the earlier ideal
+        syz, heap = P[:start], []
+        a = start
+        while a is not None:
+            # the signatures the new element's pairs propose; a coprime
+            # pair's is that of its Koszul syzygy
+            p, m, s, sa = P[a], lms[a], S[a], sigs[a]
+            for b in range(a):
+                if S[b] & s:
+                    L = sum(map(mul, map(max, lms[b], m), units))
+                    T = L - p + sa
+                    if b >= start:
+                        Tb = L - P[b] + sigs[b]
+                        if T == Tb:
+                            continue
+                        T = max(T, Tb)
+                    if T & guard:
+                        raise PackingOverflow(f"signature outgrew {pk.width}-bit fields")
+                    push(heap, T)
+            a = None
+            while heap and a is None:
+                T = pop(heap)
+                while heap and heap[0] == T:
+                    pop(heap)
+                if any(not (T - z) & eguard for z in syz):
+                    continue
+                # the candidate: the multiple of the latest element whose
+                # signature divides T, with leading monomial L
+                c = len(G) - 1
+                while (T - sigs[c]) & eguard:
+                    c -= 1
+                L = T - sigs[c] + P[c]
+                if L & guard:
+                    raise PackingOverflow(f"lcm outgrew {pk.width}-bit fields")
+                b = reducer(L, T)
+                if b is None:
+                    # its leading term only reduces singularly
+                    continue
+                processed += 1
+                if processed > budget:
+                    raise BudgetExceededError(
+                        f"Groebner computation exceeded budget: {processed} S-pair reductions"
+                    )
+                spoly = s_polynomial(G[c], G[b], pk, L)
+                r = normal_form(spoly, G, (D, pk, memo, (sigs, start, T)))
+                if not r:
+                    syz.append(T)
+                    continue
+                add(r, T)
+                a = len(G) - 1
+        # keep the minimal elements: no earlier one divides a new one, and of
+        # equal new leading monomials the first is kept
+        new = [
+            i for i in range(start, len(G))
+            if not any(not (P[i] - P[j]) & eguard and (P[j] != P[i] or j < i)
+                       for j in range(start, len(G)) if j != i)
+        ]
+        keep = [i for i in range(start) if all((P[i] - P[j]) & eguard for j in new)] + new
+        if len(keep) < len(G):
+            # a memo index becomes the number of kept elements below it
+            kept = set(keep)
+            below = list(accumulate((i in kept for i in range(len(G))), initial=0))
+            for xs in (G, D, lms, P, S, sigs):
+                xs[:] = [xs[i] for i in keep]
+            for k, i in memo.items():
+                memo[k] = below[i]
+    return (D, pk, memo), max(processed, peak)
 
 
 def _reduce_basis(ring: PolyRing, D: list[tuple], pk: MonomialPacking, memo) -> list[Polynomial]:
@@ -407,10 +508,14 @@ def groebner_basis(gens: list[Polynomial]) -> list[Polynomial]:
     increasing leading monomial.  Returns ``[]`` for the zero ideal.
 
     The basis is memoized on the ring of ``gens[0]`` for that ring's
-    lifetime, keyed by the nonzero generators in the caller's order (which
-    fixes the S-pair count).  It is returned, as a new list, only when the
-    budget in force covers the S-pair reductions and basis size it needed;
-    otherwise Buchberger runs again and fails as on a fresh ring.
+    lifetime, keyed by the nonzero generators in the caller's order
+    (Buchberger takes them by increasing leading monomial, equal ones in
+    that order, which fixes the S-polynomials it builds).  It is returned,
+    as a new list, only when the budget in force covers what it needed: the
+    S-pair reductions (each S-polynomial built and divided; a candidate a
+    signature criterion drops costs nothing) and the most basis elements
+    held at once; otherwise Buchberger runs again and fails as on a fresh
+    ring.
     """
     gens = tuple(g for g in gens if not g.is_zero())
     if not gens:

@@ -399,24 +399,12 @@ def spair_oracle_suite(cases=200, seed=20261024):
     return cases
 
 
-def _recorded(run):
-    """``run()``'s outcome, its result or its ``BudgetExceededError``
-    message, plus the ``(f, g)`` pairs it passed to
-    ``groebner.s_polynomial``, in order."""
-    calls = []
-    original = groebner.s_polynomial
-
-    def recording(f, g, *rest):
-        calls.append((f, g))
-        return original(f, g, *rest)
-
-    groebner.s_polynomial = recording
+def _outcome(run):
+    """``run()``'s result, or its ``BudgetExceededError`` message."""
     try:
-        return run(), calls
+        return run()
     except BudgetExceededError as exc:
-        return str(exc), calls
-    finally:
-        groebner.s_polynomial = original
+        return str(exc)
 
 
 def _buchberger_input(rng, ring):
@@ -442,38 +430,57 @@ def _buchberger_input(rng, ring):
     return tuple(gens)
 
 
+def _random_order(rng):
+    """A monomial order and a number of variables for it: lex bases grow
+    fastest, so lex gets the fewest variables."""
+    # None stands for a block order
+    order, most = rng.choice(((LEX, 3), (GREVLEX, 4), (None, 5)))
+    nvars = rng.randint(2, most)
+    return order or BlockOrder(rng.randint(1, nvars - 1)), nvars
+
+
 def buchberger_oracle_suite(cases=1000, seed=20261020):
-    """``groebner_basis`` builds the same S-polynomials, in the same order,
-    as ``oracles.naive_buchberger``, returns the same reduced basis term for
-    term, and memoizes the budget the oracle says it needed; under a budget
-    too small, both fail with the same message after the same
-    S-polynomials."""
+    """``groebner_basis`` returns the reduced basis of
+    ``oracles.naive_buchberger`` term for term, and its budget outcome
+    follows the need it memoizes: under a budget below that need it fails
+    with the message of the limit it crossed, on a fresh ring and again
+    once the basis is memoized; at or above it, it returns the basis.  The
+    oracle's S-pair sequence and need are those of the old pair loop and
+    are not compared."""
     rng = random.Random(seed)
     fields = FIELDS + (GF(32003),)
     names = ("x", "y", "z", "u", "v")
     for _ in range(cases):
         field = rng.choice(fields)
-        # lex bases grow fastest, so lex gets the fewest variables; None
-        # stands for a block order
-        order, most = rng.choice(((LEX, 3), (GREVLEX, 4), (None, 5)))
-        nvars = rng.randint(2, most)
-        order = order or BlockOrder(rng.randint(1, nvars - 1))
+        order, nvars = _random_order(rng)
         ring = PolyRing(field, names[:nvars], order)
         gens = _buchberger_input(rng, ring)
         limit = rng.choice((300, 300, 300, rng.randint(1, 8)))
-        theirs, their_calls = _recorded(lambda: oracles.naive_buchberger(gens, limit))
-        with budget(limit):
-            ours, our_calls = _recorded(lambda: groebner_basis(list(gens)))
         where = f"over {field!r} ({order!r}) on {[ring.render(g) for g in gens]}"
-        assert our_calls == their_calls, f"S-pair sequence differs {where}"
-        if isinstance(theirs, str) or isinstance(ours, str):
-            assert ours == theirs, f"budget outcome differs {where}: {ours} != {theirs}"
+        with budget(limit):
+            ours = _outcome(lambda: groebner_basis(list(gens)))
+        with budget(300):
+            full = _outcome(lambda: groebner_basis(list(gens)))
+        if isinstance(full, str):
+            assert limit < 300 or ours == full, f"budget outcome differs {where}"
             continue
-        basis, needed = theirs
-        assert [list(g.terms.items()) for g in ours] == [
-            list(g.terms.items()) for g in basis
+        needed = ring._bases[tuple(g for g in gens if g)][0]
+        with budget(limit):
+            again = _outcome(lambda: groebner_basis(list(gens)))
+        assert again == ours, f"memoized outcome differs {where}: {again} != {ours}"
+        if limit < needed:
+            assert ours in (
+                f"Groebner computation exceeded budget: {limit + 1} S-pair reductions",
+                f"Groebner computation exceeded budget: basis grew past {limit}",
+            ), f"budget outcome differs {where}: {ours} under {limit}, need {needed}"
+        else:
+            assert ours == full, f"basis differs under {limit} {where}"
+        theirs = _outcome(lambda: oracles.naive_buchberger(gens, 300))
+        if isinstance(theirs, str):
+            continue
+        assert [list(g.terms.items()) for g in full] == [
+            list(g.terms.items()) for g in theirs[0]
         ], f"basis differs {where}"
-        assert ring._bases[gens][0] == needed, f"needed budget differs {where}"
     return cases
 
 
@@ -481,12 +488,12 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
     """``groebner_basis`` inter-reduces on Buchberger's packed divisor list
     and returns ``oracles.naive_reduce_basis`` of the same monic Groebner
     basis term for term, over QQ and FF(2, 3, 5, 32003) in lex, grevlex and
-    block orders.  That basis is rebuilt as Buchberger grows it, the sorted
-    monic inputs and then the monic nonzero remainders of its packed
-    divisions, and must give its divisor list.  Every remainder Buchberger
-    keeps carries, as set from its packed terms, the ``_divisor`` form
-    recomputed from its terms.  A case over the budget of 300 is drawn
-    again."""
+    block orders.  Every element of that divisor list is the divisor form
+    of a nonzero remainder of one of Buchberger's packed divisions, and the
+    basis is read off those remainders, made monic, in the list's order.
+    Every remainder Buchberger keeps carries, as set from its packed terms,
+    the ``_divisor`` form recomputed from its terms.  A case over the budget
+    of 300 is drawn again."""
     rng = random.Random(seed)
     fields = FIELDS + (GF(32003),)
     names = ("x", "y", "z", "u", "v")
@@ -517,9 +524,7 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
         done = 0
         while done < cases:
             field = rng.choice(fields)
-            order, most = rng.choice(((LEX, 3), (GREVLEX, 4), (None, 5)))
-            nvars = rng.randint(2, most)
-            order = order or BlockOrder(rng.randint(1, nvars - 1))
+            order, nvars = _random_order(rng)
             ring = PolyRing(field, names[:nvars], order)
             gens = [g for g in _buchberger_input(rng, ring) if g]
             try:
@@ -528,10 +533,9 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
             except BudgetExceededError:
                 continue
             where = f"over {field!r} ({order!r}) on {[ring.render(g) for g in gens]}"
-            key = ring.order.key
-            G = sorted((g.monic() for g in gens), key=lambda g: key(g.leading_monomial()))
-            G += [r.monic() for r in run["remainders"]]
-            assert [recomputed(g) for g in G] == run["D"], f"divisor list differs {where}"
+            kept = {id(r._packed): r for r in run["remainders"]}
+            assert all(id(d) in kept for d in run["D"]), f"a divisor is no remainder {where}"
+            G = [kept[id(d)].monic() for d in run["D"]]
             assert all(r._packed == recomputed(r) for r in run["remainders"]), (
                 f"a remainder's packed form differs {where}")
             theirs = oracles.naive_reduce_basis(G)
@@ -541,6 +545,66 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
             done += 1
     finally:
         groebner._buchberger, groebner._reduce_basis, groebner.normal_form = originals
+    return cases
+
+
+def _edge_case(rng, ring, kind, gens):
+    """``gens`` turned into one of the inputs a signature run treats
+    specially: a repeated generator (rescaled), a zero or a constant
+    generator, a generator in the ideal of the others, the unit ideal, or
+    the generators in reverse order."""
+    field, gens = ring.field, list(gens)
+    c = field.of_int(rng.randint(1, 4))
+    if field.is_zero(c):
+        c = field.one
+    if kind == "repeated":
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens).scale(c))
+    elif kind == "zero or constant":
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice((ring.zero, ring.constant(c))))
+    elif kind == "member":
+        member = ring.zero
+        for g in gens:
+            member = member + g * _random_poly(rng, ring, max_terms=2, max_degree=1)
+        gens.insert(rng.randrange(len(gens) + 1), member)
+    elif kind == "unit":
+        gens.append(rng.choice(gens) + ring.one)
+    else:
+        gens.reverse()
+    return gens
+
+
+def signature_oracle_suite(cases=500, seed=20261105):
+    """The signature-based run on the inputs it treats specially, in turn:
+    repeated generators, a zero or constant generator, a generator in the
+    ideal of the others, the unit ideal and generators in reverse order,
+    over QQ and FF(2, 3, 5, 32003) in lex, grevlex and block orders.  Each
+    basis is ``oracles.naive_reduce_basis`` of ``oracles.naive_buchberger``
+    term for term; a case the oracle cannot finish within a budget of 300
+    is drawn again."""
+    rng = random.Random(seed)
+    fields = FIELDS + (GF(32003),)
+    names = ("x", "y", "z", "u", "v")
+    kinds = ("repeated", "zero or constant", "member", "unit", "reverse")
+    done = 0
+    while done < cases:
+        kind = kinds[done % len(kinds)]
+        field = rng.choice(fields)
+        order, nvars = _random_order(rng)
+        ring = PolyRing(field, names[:nvars], order)
+        gens = _edge_case(rng, ring, kind, _buchberger_input(rng, ring))
+        theirs = _outcome(lambda: oracles.naive_buchberger(gens, 300))
+        if isinstance(theirs, str):
+            continue
+        theirs = oracles.naive_reduce_basis(theirs[0]) if theirs[0] else []
+        with budget(300):
+            ours = groebner_basis(gens)
+        where = f"{kind} over {field!r} ({order!r}) on {[ring.render(g) for g in gens]}"
+        assert [list(g.terms.items()) for g in ours] == [
+            list(g.terms.items()) for g in theirs
+        ], f"basis differs {where}"
+        if kind == "unit":
+            assert [ring.render(g) for g in ours] == ["1"], f"not the unit ideal {where}"
+        done += 1
     return cases
 
 

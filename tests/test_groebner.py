@@ -110,7 +110,8 @@ def test_groebner_output_is_input_order_independent(R):
 def test_budget_is_a_distinct_outcome():
     R = PolyRing(QQ, ("x", "y", "z"))
     gens = [R.parse("x^5 + y^4 + z^3 - 1"), R.parse("x^3 + y^3 + z^2 - 1")]
-    with budget(3), pytest.raises(BudgetExceededError):
+    # the run holds three elements at its largest
+    with budget(2), pytest.raises(BudgetExceededError):
         groebner_basis(gens)
     # same input with room succeeds
     with budget(100000):
@@ -125,35 +126,38 @@ KATSURA3 = (
 )
 BUDGET_IDEAL = ("x^5 + y^4 + z^3 - 1", "x^3 + y^3 + z^2 - 1")
 # the membership sieve of bench/cases/frobenius-sieves/frobenius-ff2.qs,
-# where the chain criterion skips the most pairs
+# where the old pair loop reduced 51 of its 70 S-polynomials to zero
 FF2_SIEVE = ("w1 - s^2", "w2 - s^3", "w3 - s*t^2", "w4 - t^2", "w5 - t^3")
 # x + y + z, xy + yz + zx, xyz and the cyclic x^2 y + y^2 z + z^2 x, and
-# their sieve, where selecting by the block order alone reduced 1407 pairs
+# their sieve, where selecting pairs by the block order alone reduced 1407
 SYMMETRIC = ("x + y + z", "x*y + y*z + z*x", "x*y*z", "x^2*y + y^2*z + z^2*x")
 SYMMETRIC_SIEVE = tuple(f"w{j + 1} - ({g})" for j, g in enumerate(SYMMETRIC))
+# five binomial quadrics in four variables, not a complete intersection:
+# some candidates reduce to zero, so the reductions outnumber the basis
+BINOMIALS = ("u0*u1 - u2*u3", "u0*u2 - u1*u3", "u0*u3 - u1*u2", "u0^2 - u1^2", "u2^2 - u3^2")
 
 
 @pytest.mark.parametrize("field, names, order, gens, limit, calls, outcome", [
-    (GF(32003), ("u0", "u1", "u2", "u3"), GREVLEX, KATSURA3, None, 10, 7),
-    (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, None, 3, 3),
-    (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, 3, 2, "budget"),
-    (QQ, ("x", "y", "z"), BlockOrder(1), BUDGET_IDEAL, None, 16, 10),
+    (GF(32003), ("u0", "u1", "u2", "u3"), GREVLEX, KATSURA3, None, 4, 7),
+    (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, None, 1, 3),
+    (QQ, ("x", "y", "z"), GREVLEX, BUDGET_IDEAL, 2, 1, "budget"),
+    (QQ, ("x", "y", "z"), BlockOrder(1), BUDGET_IDEAL, None, 8, 10),
     (GF(2), ("s", "t", "w1", "w2", "w3", "w4", "w5"), BlockOrder(2), FF2_SIEVE,
-     None, 70, 19),
+     None, 27, 19),
     (QQ, ("x", "y", "z", "w1", "w2", "w3", "w4"), BlockOrder(3), SYMMETRIC_SIEVE,
-     100, 36, 11),
+     100, 10, 11),
 ])
 def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
                                    limit, calls, outcome):
     """S-polynomials built per basis computation, and the basis size (or the
-    budget error).  Degree-first normal selection with the product and chain
-    criteria fixes these numbers.  On grevlex it pops pairs in the order of
-    their lcms, as plain normal selection does; in block orders it pops
-    lower-degree lcms first, which took the FF(2) sieve from 153 to 70
-    S-polynomials for the same 19-element basis and the QQ sieve of
-    SYMMETRIC from 1407, past a budget of 100, to 36.  A Gebauer-Moeller
-    update or the sugar strategy is expected to change these numbers,
-    deliberately, together with the budget a computation needs."""
+    budget error).  The signature-based loop fixes these numbers: one
+    candidate per signature, in increasing order, none whose signature is a
+    multiple of a syzygy's.  The old pair loop, degree-first selection with the
+    product and chain criteria, built 10, 3, 2, 16, 70 and 36 of them here;
+    selecting pairs by the block order alone had built 153 for the FF(2)
+    sieve and 1407, past a budget of 100, for the QQ sieve of SYMMETRIC.
+    Another signature order or rewrite rule is expected to change these
+    numbers, deliberately, together with the budget a computation needs."""
     from quotrel import groebner
 
     count = [0]
@@ -178,9 +182,9 @@ def test_s_pair_sequence_is_pinned(monkeypatch, field, names, order, gens,
 
 @pytest.mark.parametrize("field, names, gens, small", [
     # the basis grows past 3; a budget of 4 suffices
-    (QQ, ("x", "y", "z"), BUDGET_IDEAL, 3),
+    (QQ, ("x", "y", "z"), ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y"), 3),
     # 10 S-pair reductions; a budget of 10 suffices
-    (GF(32003), ("u0", "u1", "u2", "u3"), KATSURA3, 9),
+    (GF(32003), ("u0", "u1", "u2", "u3"), BINOMIALS, 9),
 ])
 def test_memoized_basis_keeps_budget_semantics(monkeypatch, field, names,
                                                gens, small):
@@ -230,32 +234,39 @@ def test_wide_exponents_restart_the_whole_run(monkeypatch):
 
 
 def test_spair_term_outgrowing_the_fields_restarts_the_run(monkeypatch):
-    """The lcm x*z^3000 fits 16-bit fields, but the S-pair's term
-    y^30000*z^3000 has degree 33000, more than 16-bit fields admit for a
-    basis element: the run starts again at 32 bits."""
+    """x^2*z^3000 - y^30000 leaves x - y^30000 on division by x*z^3000 - 1,
+    and every term so far fits 16-bit fields.  The pair's lcm x*z^3000 fits
+    too, but the remainder of its S-polynomial has the term y^30000*z^3000,
+    of degree 33000, more than 16-bit fields admit for a basis element: the
+    run starts again at 32 bits."""
     from quotrel import groebner
 
-    widths = []
-    original = groebner._buchberger
+    widths, built = [], []
+    original, s_poly = groebner._buchberger, groebner.s_polynomial
 
     def recorded(gens, pk, budget):
         widths.append(pk.width)
         return original(gens, pk, budget)
 
+    def spair(f, g, pk, L):
+        built.append(pk.width)
+        return s_poly(f, g, pk, L)
+
     monkeypatch.setattr(groebner, "_buchberger", recorded)
+    monkeypatch.setattr(groebner, "s_polynomial", spair)
     R = PolyRing(QQ, ("x", "y", "z"), LEX)
     R.packing(16).pack((1, 0, 3000))  # the lcm fits
-    gb = groebner_basis([R.parse("x - y^30000"), R.parse("x*z^3000 - 1")])
+    gb = groebner_basis([R.parse("x^2*z^3000 - y^30000"), R.parse("x*z^3000 - 1")])
     assert [R.render(g) for g in gb] == ["y^30000*z^3000 - 1", "x - y^30000"]
-    assert widths == [16, 32]
+    assert widths == [16, 32] and built == [16, 32]
 
 
-def test_coprime_product_outgrowing_the_fields_restarts_the_run(monkeypatch):
+def test_coprime_pairs_form_no_product(monkeypatch):
     """In BlockOrder(1) on t, x, y the back-block degree of x^20000*y^20000
-    is 40000, too much for a 16-bit field, though each leading monomial
-    fits and every other lcm does.  Only the coprime pair's packed product,
-    formed without an lcm tuple, outgrows its fields: its guard bits
-    restart the run at 32 bits."""
+    is 40000, too much for a 16-bit field.  The leading monomials of t - x,
+    x^20000 - 1 and y^20000 - 1 are pairwise coprime, so each pair's
+    signature is that of its Koszul syzygy: no product is formed, no
+    S-polynomial is built, and the run ends at 16 bits."""
     from quotrel import groebner
 
     widths = []
@@ -265,18 +276,49 @@ def test_coprime_product_outgrowing_the_fields_restarts_the_run(monkeypatch):
         widths.append(pk.width)
         return original(gens, pk, budget)
 
+    def built(*args):
+        raise AssertionError("an S-polynomial was built")
+
     monkeypatch.setattr(groebner, "_buchberger", recorded)
+    monkeypatch.setattr(groebner, "s_polynomial", built)
     R = PolyRing(QQ, ("t", "x", "y"), BlockOrder(1))
     gb = groebner_basis([R.parse(g) for g in ("t - x", "x^20000 - 1", "y^20000 - 1")])
     assert [R.render(g) for g in gb] == ["y^20000 - 1", "x^20000 - 1", "t - x"]
-    assert widths == [16, 32]
+    assert widths == [16]
+
+
+def test_signature_outgrowing_the_fields_restarts_the_run(monkeypatch):
+    """At 8-bit fields in grevlex, x*y^121 - ... leaves x - z on division by
+    the two earlier generators, and its pair with x*y^120 - y^120*z + z has
+    the S-polynomial -z of signature y^120.  The pair of z with z^9 - y has
+    the lcm z^9, which fits, but the signature z^8*y^120, of degree 128,
+    does not: the run starts again at 16 bits."""
+    from quotrel import groebner
+
+    widths = []
+    original = groebner._buchberger
+
+    def recorded(gens, pk, budget):
+        widths.append(pk.width)
+        return original(gens, pk, budget)
+
+    monkeypatch.setattr(groebner, "_WIDTH", 8)
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    R = PolyRing(QQ, ("x", "y", "z"))
+    gens = [R.parse(g) for g in (
+        "z^9 - y", "x*y^120 - y^120*z + z", "x*y^121 - y^121*z + y*z + x - z")]
+    gb = groebner_basis(gens)
+    assert widths == [8, 16]
+    assert [R.render(g) for g in gb] == ["z", "y", "x"]
 
 
 def test_inter_reduction_outgrowing_the_fields_restarts_the_run(monkeypatch):
-    """At 8-bit fields in lex x > t > y > z, {x*t - y^64, y - z^2} needs no
-    S-pair reduction (its leading monomials are coprime) and every term
-    fits, but reducing the tail y^64 by y - z^2 reaches z^128, past the
-    fields: the inter-reduction, not Buchberger, restarts the run at 16."""
+    """At 8-bit fields in lex x > t > y > z, t - y^64 comes first, and
+    x*y - x*z^2 leaves y - z^2 on division by x - 1.  Their leading
+    monomials are pairwise coprime, so no S-polynomial is built, and every
+    term fits; but reducing the tail y^64 of the first generator by y - z^2
+    reaches z^128, past the fields: the inter-reduction, not Buchberger,
+    restarts the run at 16."""
     from quotrel import groebner
 
     widths, overflows = [], []
@@ -297,16 +339,16 @@ def test_inter_reduction_outgrowing_the_fields_restarts_the_run(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger", recorded)
     monkeypatch.setattr(groebner, "_reduce_basis", reduced)
     R = PolyRing(QQ, ("x", "t", "y", "z"), LEX)
-    gens = [R.parse("x*t - y^64"), R.parse("y - z^2")]
+    gens = [R.parse("t - y^64"), R.parse("x - 1"), R.parse("x*y - x*z^2")]
     gb = groebner_basis(gens)
     assert widths == [8, 16] and overflows == [8]
-    assert [R.render(g) for g in gb] == ["y - z^2", "x*t - z^128"]
+    assert [R.render(g) for g in gb] == ["y - z^2", "t - z^128", "x - 1"]
     assert set(map(R.render, gb)) == oracles.sympy_reduced_groebner(gens, "lex")
 
 
 def test_symmetric_sieve_agrees_with_sympy():
-    """The sieve of SYMMETRIC, which degree-first selection builds within a
-    budget of 100 (a row of ``test_s_pair_sequence_is_pinned``), is sympy's
+    """The sieve of SYMMETRIC, which Buchberger builds within a budget of
+    100 (a row of ``test_s_pair_sequence_is_pinned``), is sympy's
     basis and gives the certificate of x^3 y^2 + y^3 z^2 + z^3 x^2."""
     R = PolyRing(QQ, ("x", "y", "z"))
     with budget(100):
@@ -377,9 +419,77 @@ def test_each_spair_reduction_divides_the_s_polynomial_it_built(monkeypatch):
     ring = PolyRing(GF(32003), ("u0", "u1", "u2", "u3"))
     groebner_basis([ring.parse(g) for g in KATSURA3])
     built_at = [k for k, (kind, _) in enumerate(events) if kind == "s"]
-    assert len(built_at) == 10
+    assert len(built_at) == 4
     for k in built_at:
         assert events[k + 1][0] == "nf" and events[k + 1][1] is events[k][1]
+
+
+def katsura(n, field=GF(32003)):
+    """The katsura-n system in u0..un: u0 + 2 (u1 + ... + un) = 1 and, for
+    each m < n, the sum of u|i| u|m - i| over i in -n..n equals um."""
+    ring = PolyRing(field, tuple(f"u{i}" for i in range(n + 1)))
+    u = ring.var
+    gens = [u(0) + sum((u(i) * 2 for i in range(1, n + 1)), ring.zero) - ring.one]
+    for m in range(n):
+        gens.append(sum((u(abs(i)) * u(abs(m - i)) for i in range(-n, n + 1)
+                         if abs(m - i) <= n), ring.zero) - u(m))
+    return ring, gens
+
+
+def _zero_reductions(monkeypatch):
+    """``[built, zero]``, kept up to date: S-polynomials built by
+    Buchberger, and those whose division left zero."""
+    from quotrel import groebner
+
+    counts, last = [0, 0], [None]
+    s_poly, nf = groebner.s_polynomial, groebner.normal_form
+
+    def built(*args):
+        last[0] = s_poly(*args)
+        counts[0] += 1
+        return last[0]
+
+    def divided(f, *args):
+        r = nf(f, *args)
+        if f is last[0]:
+            counts[1] += r.is_zero()
+        return r
+
+    monkeypatch.setattr(groebner, "s_polynomial", built)
+    monkeypatch.setattr(groebner, "normal_form", divided)
+    return counts
+
+
+def test_regular_sequences_reduce_no_s_polynomial_to_zero(monkeypatch):
+    """A syzygy of a regular sequence is a combination of the Koszul ones,
+    whose signatures the criteria drop, so no candidate reduces to zero
+    (Faugere, ISSAC 2002): katsura-3 and katsura-4 over FF(32003), and four
+    generic forms of degrees 2, 2, 3 and 3 in four variables."""
+    counts = _zero_reductions(monkeypatch)
+    for n, size in ((3, 7), (4, 13)):
+        ring, gens = katsura(n)
+        assert len(groebner_basis(gens)) == size
+    R = PolyRing(GF(32003), ("x", "y", "z", "w"))
+    rng = random.Random(20261105)
+    forms = [
+        sum((R.monomial(m, rng.randrange(1, 32003))
+             for m in R.monomials_up_to_degree(d) if sum(m) == d), R.zero)
+        for d in (2, 2, 3, 3)
+    ]
+    assert len(groebner_basis(forms)) == 17
+    assert counts[0] > 0 and counts[1] == 0
+
+
+def test_large_system_stops_at_a_small_budget():
+    """katsura-6 over FF(32003) needs a basis of 41 elements: under a budget
+    of 20 it stops when the basis grows past it, with the message every
+    budget failure has, and the same again on the same ring."""
+    ring, gens = katsura(6)
+    for _ in range(2):
+        with budget(20), pytest.raises(BudgetExceededError) as exc:
+            groebner_basis(gens)
+        assert str(exc.value) == "Groebner computation exceeded budget: basis grew past 20"
+    assert len(groebner_basis(gens)) == 41
 
 
 def test_memoized_basis_is_returned_as_a_new_list(R):

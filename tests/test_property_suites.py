@@ -20,6 +20,7 @@ import property_suites
     (property_suites.spair_oracle_suite, 200),
     (property_suites.buchberger_oracle_suite, 1000),
     (property_suites.reduce_basis_oracle_suite, 500),
+    (property_suites.signature_oracle_suite, 500),
     (property_suites.presentation_suite, 60),
     (property_suites.substitution_oracle_suite, 60),
     (property_suites.frobenius_suite, 40),

@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_N.json
+    python3 tools/bench_pairs.py --parent REV --out BENCH_N.json --larger
 
 For each workload that ``BENCHMARK.json`` declares it runs
 ``bench/run.py --workload W --seed I --seconds S --trace 0`` for
@@ -28,6 +29,15 @@ inclusive method), ``change_better_pairs``, the pairs in which the change
 is strictly better in the direction ``BENCHMARK.json`` gives, and
 ``pairs``.  ``trace1`` holds one result per side.
 
+With ``--larger`` it runs no workload and writes the ``larger_inputs``
+section instead: one Groebner basis per input of ``LARGER`` (cyclic and
+katsura systems over FF(32003) and QQ, grevlex), each run in a fresh
+process in either checkout, ``LARGER_PAIRS`` pairs alternating as above.
+Per input it records both sides' seconds (``perf_counter`` around
+``groebner_basis``) and their medians, the S-polynomials built (counted by
+wrapping ``groebner.s_polynomial``), the basis size, and the distinct
+sha256 prefixes of the rendered reduced basis.
+
 Only the standard library is used.  The script writes nothing but
 ``--out``; ``bench/run.py --trace 1`` leaves its spans in ``.bench_trace/``
 of each checkout.
@@ -51,6 +61,51 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+LARGER_PAIRS = 5
+# name -> (system, n, field) of the --larger inputs
+LARGER = {
+    "cyclic6-ff32003": ("cyclic", 6, "FF(32003)"),
+    "katsura6-ff32003": ("katsura", 6, "FF(32003)"),
+    "katsura7-ff32003": ("katsura", 7, "FF(32003)"),
+    "katsura6-qq": ("katsura", 6, "QQ"),
+    "cyclic6-qq": ("cyclic", 6, "QQ"),
+}
+# One --larger run, executed by ``python3 -c`` in a checkout with the
+# system, n and field as arguments; it prints one JSON line.
+LARGER_RUN = """
+import hashlib, json, sys, time
+sys.path.insert(0, "src")
+from quotrel import groebner
+from quotrel.fields import GF, QQ
+from quotrel.poly import PolyRing
+
+system, n, field = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+if system == "cyclic":
+    names = [f"x{i}" for i in range(n)]
+    gens = [" + ".join("*".join(names[(i + j) % n] for j in range(d)) for i in range(n))
+            for d in range(1, n)] + ["*".join(names) + " - 1"]
+else:
+    names = [f"u{i}" for i in range(n + 1)]
+    gens = [" + ".join([names[0]] + [f"2*{v}" for v in names[1:]]) + " - 1"]
+    gens += [" + ".join(f"{names[abs(i)]}*{names[abs(m - i)]}" for i in range(-n, n + 1)
+                        if abs(m - i) <= n) + f" - {names[m]}" for m in range(n)]
+ring = PolyRing(QQ if field == "QQ" else GF(int(field[3:-1])), names)
+polys = [ring.parse(g) for g in gens]
+built = [0]
+s_polynomial = groebner.s_polynomial
+
+def counted(*args):
+    built[0] += 1
+    return s_polynomial(*args)
+
+groebner.s_polynomial = counted
+start = time.perf_counter()
+basis = groebner.groebner_basis(polys)
+seconds = time.perf_counter() - start
+text = "\\n".join(ring.render(g) for g in basis)
+print(json.dumps({"seconds": seconds, "s_polynomials": built[0], "basis_size": len(basis),
+                  "basis_sha256_16": hashlib.sha256(text.encode()).hexdigest()[:16]}))
+"""
 
 
 def git(*args: str, cwd: Path = REPO_ROOT) -> str:
@@ -90,6 +145,34 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return json.loads(lines[-1])
 
 
+def larger_run(checkout: Path, system: str, n: int, field: str) -> dict:
+    """The result of one ``LARGER_RUN`` in a fresh process in ``checkout``."""
+    cmd = [sys.executable, "-c", LARGER_RUN, system, str(n), field]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{system}-{n} over {field} in {checkout} exited with "
+                           f"{proc.returncode}:\n" + proc.stderr[-2000:])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summarize_larger(parent: list[dict], change: list[dict]) -> dict:
+    """Both sides' seconds and medians, S-polynomial counts, basis size and
+    basis hashes of one input's ``larger_run`` results."""
+    runs = {"parent": parent, "change": change}
+    out = {}
+    for side, rs in runs.items():
+        out[f"{side}_median_s"] = round(statistics.median(r["seconds"] for r in rs), 5)
+    for side, rs in runs.items():
+        out[f"{side}_s"] = [round(r["seconds"], 5) for r in rs]
+    for side, rs in runs.items():
+        out[f"{side}_s_polynomials"] = rs[0]["s_polynomials"]
+    both = parent + change
+    out["basis_size"] = sorted({r["basis_size"] for r in both})
+    out["basis_sha256_16"] = sorted({r["basis_sha256_16"] for r in both})
+    out["outputs_equal"] = len(out["basis_sha256_16"]) == 1
+    return out
+
+
 def quartiles(values: list[float]) -> list[float]:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, q3]
@@ -118,6 +201,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent revision, e.g. HEAD~1")
     ap.add_argument("--out", required=True, help="JSON file whose workloads section is written")
+    ap.add_argument("--larger", action="store_true",
+                    help="time the LARGER inputs and write the larger_inputs section instead")
     args = ap.parse_args(argv)
 
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -137,9 +222,26 @@ def main(argv=None) -> int:
         "trace1_command": f"python3 bench/run.py --workload W --seed 1 --seconds {seconds:g} "
                           "--trace 1",
     })
-    results = doc.setdefault("workloads", {})
     with checkouts(args.parent) as (parent_dir, change_dir):
         where = {"parent": parent_dir, "change": change_dir}
+        if args.larger:
+            cases = doc.setdefault("larger_inputs", {}).setdefault("cases", {})
+            doc["larger_inputs"]["how"] = (
+                "tools/bench_pairs.py --larger: groebner_basis of each input in a fresh process, "
+                f"perf_counter around the call; {LARGER_PAIRS} pairs alternating, parent first "
+                "on odd pairs; S-polynomials counted by wrapping groebner.s_polynomial; sha256 "
+                "prefix of the rendered reduced basis")
+            for name, (system, n, field) in LARGER.items():
+                runs = {"parent": [], "change": []}
+                for pair in range(1, LARGER_PAIRS + 1):
+                    for side in ["parent", "change"] if pair % 2 else ["change", "parent"]:
+                        runs[side].append(larger_run(where[side], system, n, field))
+                        print(f"{name} pair {pair} {side}: {runs[side][-1]['seconds']:.3f} s",
+                              file=sys.stderr)
+                cases[name] = summarize_larger(runs["parent"], runs["change"])
+                out_path.write_text(json.dumps(doc, indent=2) + "\n")
+            return 0
+        results = doc.setdefault("workloads", {})
         for w in [workload["name"] for workload in spec["workloads"]]:
             runs = {"parent": [], "change": []}
             for seed in range(1, PAIRS + 1):
