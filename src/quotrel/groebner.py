@@ -22,7 +22,9 @@ and keeps that form in a slot, and a division packs its divisor list once.
 When a monomial does not fit its fields (a huge input exponent, or a
 product grown in a lex or block reduction), the division restarts at twice
 the field width, with the same result.  Divisions outside Buchberger scan
-from the first divisor.
+from the first divisor.  A :class:`NormalFormTable` serves many normal
+forms modulo one fixed reduced basis: it divides each monomial once, from
+the tabled remainder of the monomial one variable down.
 
 A Buchberger run stays packed from its input to its reduced basis.  It
 keeps one divisor list ``D`` and a first-divisor memo, from a packed
@@ -161,9 +163,7 @@ def normal_form(f: Polynomial | tuple, basis: list[Polynomial], packed=None) -> 
             _divisor(r, pk, remainder)
         return r
     ring = f.ring
-    for g in basis:
-        if g.ring is not ring and g.ring != ring:
-            raise ValueError(f"ring mismatch: {ring!r} vs {g.ring!r}")
+    _check_rings(ring, basis)
     # start where the dividend fits, so that its overflow never repacks
     # the divisors
     width, degree = _WIDTH, f.total_degree()
@@ -176,6 +176,12 @@ def normal_form(f: Polynomial | tuple, basis: list[Polynomial], packed=None) -> 
             return _polynomial(ring, _divide(ring, _pack_terms(f, pk), divisors, pk), pk)
         except PackingOverflow:
             width *= 2
+
+
+def _check_rings(ring: PolyRing, basis: list[Polynomial]) -> None:
+    for g in basis:
+        if g.ring is not ring and g.ring != ring:
+            raise ValueError(f"ring mismatch: {ring!r} vs {g.ring!r}")
 
 
 def _pack_terms(f: Polynomial, pk: MonomialPacking) -> dict:
@@ -278,6 +284,110 @@ def _polynomial(ring: PolyRing, terms: dict, pk: MonomialPacking) -> Polynomial:
         # the first term leads
         r._lm = unpack(next(iter(terms)))
     return r
+
+
+class NormalFormTable:
+    """Normal forms of monomials modulo one reduced Groebner basis, tabled.
+
+    The table packs at one width and maps a packed monomial to its packed
+    remainder, keys decreasing, coefficients canonical and nonzero.  A
+    monomial that no leading monomial divides is its own normal form; any
+    other ``k`` is ``x_i`` times the tabled normal form of ``k / x_i``,
+    ``x_i`` its variable of highest index, divided by :func:`_divide` with
+    the table's own first-divisor memo.  That is exact: ``f - nf(f)`` lies
+    in the ideal, so ``nf(x_i f) = nf(x_i nf(f))``, and a remainder modulo a
+    Groebner basis does not depend on the division that produced it.  The
+    basis never changes, so the memo stays sound as the table grows, and
+    each monomial is divided once, from the remainder one degree down (the
+    symbolic preprocessing of F4, Faugere, JPAA 139, 1999, for one fixed
+    basis).  A monomial that does not fit its fields restarts the whole
+    table at twice the width, and the call that met it runs again; a caller
+    that keeps packed keys across calls compares :attr:`width` before and
+    after.
+    """
+
+    def __init__(self, ring: PolyRing, basis: list[Polynomial]):
+        _check_rings(ring, basis)
+        self.ring = ring
+        self._basis = [g for g in basis if g.terms]
+        self._start(_WIDTH)
+
+    def _start(self, width: int) -> None:
+        while True:
+            pk = self.ring.packing(width)
+            try:
+                self._divisors = [_divisor(g, pk) for g in self._basis]
+                break
+            except PackingOverflow:
+                width *= 2
+        self.pk = pk
+        self._memo: dict = {}
+        self._table: dict = {}
+
+    @property
+    def width(self) -> int:
+        return self.pk.width
+
+    def combination(self, terms) -> dict:
+        """``sum c * nf(m)`` over the pairs ``(m, c)`` of ``terms``,
+        monomials of the table's ring with nonzero coefficients: a dict from
+        monomials packed at :attr:`width` to nonzero coefficients, summed
+        with the field's operations."""
+        terms = list(terms)
+        while True:
+            try:
+                return self._combination(terms)
+            except PackingOverflow:
+                self._start(2 * self.pk.width)
+
+    def _combination(self, terms: list) -> dict:
+        field = self.ring.field
+        add, mul, pack, nf = field.add, field.mul, self.pk.pack, self._nf
+        out = {}
+        for m, c in terms:
+            for k, a in nf(pack(m)).items():
+                old = out.get(k)
+                v = mul(c, a) if old is None else add(old, mul(c, a))
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return out
+
+    def _nf(self, k: int) -> dict:
+        """The packed remainder of the packed monomial ``k`` (do not mutate)."""
+        table, memo, divisors = self._table, self._memo, self._divisors
+        pk = self.pk
+        n, eguard, emask = len(divisors), pk.eguard, (1 << pk.shift) - 1
+        # walk down by one variable at a time to a tabled monomial or to one
+        # that no leading monomial divides
+        chain = []
+        while True:
+            r = table.get(k)
+            if r is not None:
+                break
+            i = memo.get(k)
+            if i is None:
+                i = memo[k] = next((j for j, (_, gm, _, _) in enumerate(divisors)
+                                    if not (k - gm) & eguard), n)
+            if i == n:
+                r = table[k] = {k: self.ring.field.one}
+                break
+            low = k & emask
+            if not low:
+                # a leading monomial divides 1: the unit ideal
+                r = table[k] = {}
+                break
+            u = pk.units[(low.bit_length() - 1) // pk.width]
+            chain.append((k, u))
+            k -= u
+        guard = pk.guard
+        for k, u in reversed(chain):
+            dividend = {t + u: c for t, c in r.items()}
+            if any(t & guard for t in dividend):
+                raise PackingOverflow(f"product outgrew {pk.width}-bit fields")
+            r = table[k] = _divide(self.ring, dividend, divisors, pk, memo)
+        return r
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None, L=None):

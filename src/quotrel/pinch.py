@@ -269,6 +269,20 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
     for _, _, _, p in multiples:
         levels[p.total_degree()].append(p)
     ideal_space = _flat_space(inp.flat)
+
+    def combination(v: dict, start: int) -> Polynomial:
+        # the kernel element of the solution v on the rows from start on,
+        # summed as one coefficient dict
+        terms = {}
+        for j, coeff in v.items():
+            for m, a in rows[start + j].items():
+                b = field.add(terms.get(m, field.zero), field.mul(coeff, a))
+                if field.is_zero(b):
+                    terms.pop(m, None)
+                else:
+                    terms[m] = b
+        return Polynomial(P, terms)
+
     wit_c = None
     for e, level in enumerate(levels):
         for p in level:
@@ -280,8 +294,7 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
         # ordered by that row
         sols = nullspace(condition_rows(enumerate(residues[start:])),
                          list(range(len(rows) - start))[::-1], field)[::-1]
-        kernel = (sum((Polynomial(P, rows[start + j]).scale(coeff)
-                       for j, coeff in v.items()), P.zero) for v in sols)
+        kernel = (combination(v, start) for v in sols)
         wit = next(chain((p for p in kernel if not ideal_space.contains(p.terms)),
                          (p for p in level if not space.contains(p.terms))), None)
         if wit is not None:

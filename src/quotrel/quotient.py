@@ -24,9 +24,20 @@ canonical reduced echelon basis; and the span of the products of generators
 up to a degree, :func:`product_closure`.  A :class:`TruncatedSubalgebra` is
 stated by one such map on whole elements, ``condition(el)``: the same map
 gives the kernel, applied to each column monomial, and the membership
-recheck, applied to the element.  A relation's condition is the normal form
-of ``f(x) - f(y)`` modulo the relation ideal, and an intersection of
-subalgebras states its own through sieve residues.
+recheck, applied to the element.  An intersection of subalgebras states its
+condition through sieve residues.
+
+A relation's condition is the normal form of ``f(x) - f(y)`` modulo the
+relation ideal.  The normal form modulo a Groebner basis is unique and
+linear, so it is the sum over the terms ``c * m`` of ``f`` of ``c *
+(nf(m(x)) - nf(m(y)))``, read off one
+:class:`~quotrel.groebner.NormalFormTable` of the relation's reduced basis:
+each monomial of the doubled ring is divided once, from the normal form of
+the monomial one variable down, and every column after it reuses the
+result.  The table's vectors are labelled by packed monomials, and the
+kernel, the canonical reduced echelon basis, does not depend on how the
+conditions are labelled, so the output is the one the per-column divisions
+gave.
 
 A pair of maps s1, s2 : X -> Z is gluing data, and the functions of the
 quotient are their equalizer, the f with s1(f) = s2(f), also when X is a
@@ -39,8 +50,8 @@ must agree while everything vanishing at the glued points is free.
 
 from __future__ import annotations
 
-from .eqrel import RelationPresentation, copy_difference
-from .groebner import normal_form
+from .eqrel import RelationPresentation
+from .groebner import NormalFormTable
 from .linalg import RowSpace, condition_rows, nullspace, significance
 from .poly import PolyRing, Polynomial
 from .ring import AmbientRing, RingElement, RingMap
@@ -78,19 +89,30 @@ def vector_to_element(ring: AmbientRing, v: dict) -> RingElement:
 def product_closure(gens, seeds, limit: int, insert) -> list:
     """Breadth-first span of the products of ``gens`` up to degree ``limit``.
 
-    Elements need ``*``, ``is_zero()`` and ``degree()``.  ``insert`` adds an
-    element to the caller's span and says whether the span grew.  The seeds
-    that grow it are kept; every kept element, in order, is multiplied by
-    each generator in turn, and a nonzero product of degree at most
-    ``limit`` that grows the span is kept as well.  Returns the kept
-    elements.
+    Elements need ``*``, ``is_zero()``, ``degree()`` and ``ring``.
+    ``insert`` adds an element to the caller's span and says whether the
+    span grew.  The seeds that grow it are kept; every kept element, in
+    order, is multiplied by each generator in turn, and a nonzero product
+    of degree at most ``limit`` that grows the span is kept as well.
+    Returns the kept elements.
+
+    When the elements' ring is one free polynomial ring the degree of a
+    product is the sum of its factors' degrees, so a product whose degrees
+    add up past ``limit`` is not formed at all.  In a quotient or a product
+    ring a product can drop degree (``x * x = y`` modulo ``x^2 - y``), and
+    every product is formed.
     """
     kept = [s for s in seeds if insert(s)]
+    free = bool(kept) and kept[0].ring.ncomponents == 1 and not kept[0].ring.q_gens(0)
+    degrees = [g.degree() for g in gens]
     i = 0
     while i < len(kept):
         s = kept[i]
         i += 1
-        for g in gens:
+        room = limit - s.degree()
+        for g, e in zip(gens, degrees):
+            if free and e > room:
+                continue
             p = s * g
             if not p.is_zero() and p.degree() <= limit and insert(p):
                 kept.append(p)
@@ -209,13 +231,33 @@ def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
     pair of ring maps ``(s1, s2)`` with common source and target, whose
     kernel is their equalizer: the ``f`` with ``s1(f) = s2(f)`` on every
     target component, over a disconnected source as well.
+
+    A relation's condition on ``f`` is ``sum c * (nf(m(x)) - nf(m(y)))``
+    over the terms ``c * m`` of ``f``, each ``nf`` read off one
+    :class:`~quotrel.groebner.NormalFormTable` of ``source.gb()``.  That is
+    the normal form of ``f(x) - f(y)``, since a normal form modulo a
+    Groebner basis is unique and linear.  The conditions are labelled by
+    packed monomials; should the table restart at a wider packing while the
+    kernel is solved, the kernel is solved again on the new labels.
     """
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     if isinstance(source, RelationPresentation):
-        gb = source.gb()
-        return TruncatedSubalgebra(source.ambient, d, lambda el: normal_form(
-            copy_difference(el.parts[0], source.doubled), gb).terms)
+        table = NormalFormTable(source.doubled, source.gb())
+        neg, zeros = source.ambient.field.neg, (0,) * source.nvars
+
+        def condition(el: RingElement) -> dict:
+            return table.combination(
+                pair for m, c in el.parts[0].terms.items()
+                for pair in ((m + zeros, c), (zeros + m, neg(c))))
+
+        while True:
+            # a table restarted at a wider packing relabels its vectors:
+            # solve again on the new labels
+            width = table.width
+            trunc = TruncatedSubalgebra(source.ambient, d, condition)
+            if table.width == width:
+                return trunc
     s1, s2 = source
     if not isinstance(s1, RingMap) or not isinstance(s2, RingMap):
         raise TypeError("expected a RelationPresentation or a pair of RingMaps")

@@ -40,7 +40,11 @@ check that rebuilt its kernel and ideal row spaces at every degree.
 lexer became one table of regular expressions.  ``naive_effectivity_test``
 is the effectivity test that solved the cocycle condition over every
 monomial of the candidate's degree and normal-formed each kernel vector
-modulo ``J``.
+modulo ``J``.  ``naive_relation_kernel_basis`` is the relation kernel that
+divided ``f(x) - f(y)`` from scratch for every column, before its
+condition was read off one normal-form table, and
+``naive_product_closure`` the span-of-products loop that formed every
+product, also those past the degree bound.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from quotrel.poly import (
     monomial_lcm,
     monomial_mul,
 )
+from quotrel.quotient import TruncatedSubalgebra
 from quotrel.ring import RingMap
 from quotrel.script import ScriptError
 
@@ -723,3 +728,31 @@ def naive_effectivity_test(data):
     verdict = "noneffective" if residue else "effective"
     return EffectivityReport(field, d, V.dim, W.dim, verdict, coords,
                              [Polynomial(D, dict(W.rows[i])) for i in outside])
+
+
+# ---------------------------------------------------------------------------
+# reference relation kernels and product spans
+
+
+def naive_relation_kernel_basis(rel, d):
+    """``coequalizer_kernel_basis`` of a relation with its condition divided
+    per call: the normal form of ``f(x) - f(y)``, formed as a polynomial in
+    the doubled ring, modulo the relation's reduced basis."""
+    gb = rel.gb()
+    return TruncatedSubalgebra(rel.ambient, d, lambda el: groebner.normal_form(
+        copy_difference(el.parts[0], rel.doubled), gb).terms)
+
+
+def naive_product_closure(gens, seeds, limit, insert):
+    """``quotient.product_closure`` forming every product ``s * g`` and
+    keeping the nonzero ones of degree at most ``limit``."""
+    kept = [s for s in seeds if insert(s)]
+    i = 0
+    while i < len(kept):
+        s = kept[i]
+        i += 1
+        for g in gens:
+            p = s * g
+            if not p.is_zero() and p.degree() <= limit and insert(p):
+                kept.append(p)
+    return kept

@@ -15,6 +15,7 @@ from itertools import accumulate
 
 from quotrel.effectivity import CocycleData, check_cocycle, effectivity_test
 from quotrel.eqrel import (
+    RelationPresentation,
     copy_difference,
     relation_from_group_action,
     relation_from_map,
@@ -711,6 +712,71 @@ def molien_suite(cases=24, seed=20261018):
             assert invariant_dims == molien, (
                 f"{what}: invariant dims {invariant_dims} != Molien {molien}"
             )
+    return cases
+
+
+def _relation_case(rng, kind, field):
+    """A relation of the given kind over ``field``: the orbit relation of a
+    small signed-permutation group, the cusp or the node as the relation of
+    a map from the line, or explicit generators on a quotient ambient."""
+    if kind == "action":
+        while True:
+            n = rng.randint(1, 3)
+            group = _signed_permutation_group(
+                rng, n, signed=field.characteristic != 2 and rng.random() < 0.5,
+                max_order=6)
+            if group is not None and len(group) > 1:
+                break
+        ambient = AmbientRing.free(field, NAMES[:n])
+        pr = ambient.poly_ring(0)
+        maps = [RingMap.on_polys(ambient, ambient,
+                                 [pr.var(j).scale(field.of_int(s)) for j, s in g])
+                for g in group]
+        return f"orbits of {group}", relation_from_group_action(GroupAction(ambient, maps))
+    if kind == "map":
+        ambient = AmbientRing.free(field, ("t",))
+        pr = ambient.poly_ring(0)
+        # the cusp t -> (t^2, t^3); the node t -> (t^2 - 1, t^3 - t) glues
+        # t = 1 to t = -1
+        name, fs = rng.choice((("cusp", ("t^2", "t^3")), ("node", ("t^2 - 1", "t^3 - t"))))
+        return name, relation_from_map(ambient, [pr.parse(f) for f in fs])
+    pr = PolyRing(field, ("x", "y"))
+    ambient = AmbientRing.quotient(pr, [_random_poly(rng, pr, max_degree=2)])
+    rel = RelationPresentation(ambient, [])
+    gens = [copy_difference(_random_poly(rng, pr, max_degree=3), rel.doubled)
+            for _ in range(rng.randint(1, 2))]
+    gens += [_random_poly(rng, rel.doubled, max_degree=3) for _ in range(rng.randint(0, 1))]
+    return f"explicit on {ambient!r}", RelationPresentation(ambient, gens)
+
+
+def relation_kernel_oracle_suite(cases=45, seed=20261106):
+    """The truncated kernel of a relation, whose condition is read off one
+    normal-form table, equals ``oracles.naive_relation_kernel_basis``, which
+    divides each condition from scratch: layer by layer and generator by
+    generator, term for term.  Orbit relations of small signed-permutation
+    groups, the cusp and the node, and explicit relations on a quotient
+    ambient, over QQ and FF(2, 3, 5, 7), through degree 8 at most.  One more
+    case glues ``x1^40000`` to ``x2^40000``: the table's 16-bit fields
+    cannot hold that leading monomial, so it restarts at 32 bits."""
+    rng = random.Random(seed)
+    fields = FIELDS + (GF(7),)
+    for i in range(cases):
+        field = rng.choice(fields)
+        kind = ("action", "map", "quotient")[i % 3]
+        what, rel = _relation_case(rng, kind, field)
+        d = rng.randint(2, 6 if kind == "action" else 8)
+        ours = coequalizer_kernel_basis(rel, d)
+        theirs = oracles.naive_relation_kernel_basis(rel, d)
+        where = f"{what} over {field!r} through degree {d}"
+        assert ours.layers == theirs.layers, f"kernel layers differ: {where}"
+        assert [f.render() for f in ours.basis()] == [f.render() for f in theirs.basis()], where
+        assert ours.minimal_generators() == theirs.minimal_generators(), (
+            f"minimal generators differ: {where}")
+    ambient = AmbientRing.free(QQ, ("x",))
+    rel = relation_from_map(ambient, [ambient.poly_ring(0).parse("x^40000")])
+    assert groebner.NormalFormTable(rel.doubled, rel.gb()).width == 32
+    ours, theirs = coequalizer_kernel_basis(rel, 8), oracles.naive_relation_kernel_basis(rel, 8)
+    assert ours.layers == theirs.layers and ours.dims() == [1] * 9
     return cases
 
 

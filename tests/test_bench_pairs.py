@@ -1,13 +1,17 @@
 """The summaries that ``tools/bench_pairs.py`` writes for paired runs, and
-its runs of the larger inputs."""
+its runs of the larger inputs and scripts."""
 
 import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from quotrel.cli import _Options, run_script
 from quotrel.fields import GF
 from quotrel.groebner import groebner_basis
 from quotrel.poly import PolyRing
+from quotrel.script import parse_script
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -67,3 +71,26 @@ def test_larger_run_builds_katsura_and_cyclic_systems():
     assert out["basis_size"] == 7 and out["s_polynomials"] > 0
     assert out["basis_sha256_16"] == hashlib.sha256(text.encode()).hexdigest()[:16]
     assert bench_pairs.larger_run(TOOL.parent.parent, "cyclic", 4, "QQ")["basis_size"] == 7
+
+
+def test_larger_script_summary_reports_both_sides_and_whether_the_reports_agree():
+    parent = [{"seconds": s, "report_sha256_16": "aa"} for s in (4.0, 2.0, 3.0)]
+    change = [{"seconds": s, "report_sha256_16": "aa"} for s in (1.0, 0.5, 2.0)]
+    summary = bench_pairs.summarize_larger(parent, change)
+    assert summary["parent_median_s"] == 3.0 and summary["change_median_s"] == 1.0
+    assert summary["parent_s"] == [4.0, 2.0, 3.0]
+    assert summary["report_sha256_16"] == ["aa"] and summary["outputs_equal"]
+    assert "basis_size" not in summary and "parent_s_polynomials" not in summary
+    change[2] = {"seconds": 2.0, "report_sha256_16": "bb"}
+    assert not bench_pairs.summarize_larger(parent, change)["outputs_equal"]
+
+
+@pytest.mark.parametrize("name", sorted(bench_pairs.LARGER_SCRIPTS))
+def test_larger_script_run_hashes_the_rendered_report(name):
+    """One fresh-process run of each script input, at a small degree bound,
+    hashes the report that ``run_script`` renders in this process."""
+    text, _ = bench_pairs.LARGER_SCRIPTS[name]
+    out = bench_pairs.script_run(TOOL.parent.parent, text, 4)
+    report = run_script(parse_script(text), _Options(max_degree=4)).render_text()
+    assert "error" not in report and out["seconds"] > 0
+    assert out["report_sha256_16"] == hashlib.sha256(report.encode()).hexdigest()[:16]

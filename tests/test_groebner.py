@@ -9,6 +9,7 @@ from quotrel.fields import GF, QQ
 from quotrel.groebner import (
     BudgetExceededError,
     MembershipSieve,
+    NormalFormTable,
     eliminate,
     finite_over_block,
     groebner_basis,
@@ -20,7 +21,7 @@ from quotrel.groebner import (
     radical_member,
     s_polynomial,
 )
-from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, budget
+from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, Polynomial, budget
 
 import oracles
 
@@ -212,6 +213,54 @@ def test_memoized_basis_keeps_budget_semantics(monkeypatch, field, names,
     monkeypatch.setattr(groebner, "_buchberger", no_recompute)
     with budget(small + 1):
         assert groebner_basis(P) == full
+
+
+def _table_nf(table, f):
+    """``f``'s normal form read off ``table``, unpacked."""
+    out = table.combination(f.terms.items())
+    return Polynomial(f.ring, {table.pk.unpack(k): c for k, c in out.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_normal_form_table_agrees_with_normal_form(field, order):
+    """Linear combinations of monomials, each tabled from the normal form
+    one variable down, give the remainders of the heap division, term for
+    term, in a degree order and in lex, where a remainder can outgrow its
+    dividend's degree."""
+    R = PolyRing(field, ("x", "y", "z"), order)
+    gb = groebner_basis([R.parse(g) for g in ("x^2 - y*z", "y^3 - x*z + 1", "x*y*z - z^2")])
+    table = NormalFormTable(R, gb)
+    rng = random.Random(7)
+    for _ in range(40):
+        f = R.zero
+        for _ in range(rng.randint(1, 4)):
+            m = tuple(rng.randint(0, 4) for _ in range(3))
+            f = f + R.monomial(m, field.of_int(rng.choice((-2, -1, 1, 3))))
+        ours = _table_nf(table, f)
+        assert ours == normal_form(f, gb), R.render(f)
+        assert ours == oracles.naive_normal_form(f, gb), R.render(f)
+
+
+def test_normal_form_table_of_the_unit_ideal_is_zero(R):
+    table = NormalFormTable(R, groebner_basis([R.parse("x*y - 1"), R.parse("x")]))
+    assert table.combination([((0, 0), 1), ((3, 1), 2)]) == {}
+
+
+def test_normal_form_table_restarts_wider_and_rejects_a_foreign_basis(R):
+    """x^40000 does not fit 16-bit fields: a table over a basis that holds
+    it starts at 32 bits, and one meeting it in a dividend restarts there
+    with the same remainders."""
+    gb = groebner_basis([R.parse("x^40000 - y")])
+    assert NormalFormTable(R, gb).width == 32
+    table = NormalFormTable(R, groebner_basis([R.parse("x^2 - y")]))
+    assert table.width == 16 and table.combination([((3, 0), 1)]) == {
+        table.pk.pack((1, 1)): 1}
+    assert _table_nf(table, R.parse("x^40001 + x")) == normal_form(
+        R.parse("x^40001 + x"), [R.parse("x^2 - y")])
+    assert table.width == 32
+    with pytest.raises(ValueError, match="ring mismatch"):
+        NormalFormTable(R, [PolyRing(QQ, ("x", "y", "z")).parse("x")])
 
 
 def test_wide_exponents_restart_the_whole_run(monkeypatch):

@@ -16,6 +16,7 @@ import property_suites
     (property_suites.effectivity_oracle_suite, 40),
     (property_suites.ideal_intersect_oracle_suite, 40),
     (property_suites.molien_suite, 24),
+    (property_suites.relation_kernel_oracle_suite, 45),
     (property_suites.normal_form_oracle_suite, 200),
     (property_suites.spair_oracle_suite, 200),
     (property_suites.buchberger_oracle_suite, 1000),

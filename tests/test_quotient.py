@@ -2,6 +2,7 @@
 
 import pytest
 
+from quotrel import quotient
 from quotrel.eqrel import relation_from_map
 from quotrel.fields import QQ
 from quotrel.groebner import MembershipSieve
@@ -16,6 +17,7 @@ from quotrel.quotient import (
 )
 from quotrel.ring import AmbientRing, RingMap
 
+import oracles
 from oracles import arith_for, span_dim
 
 
@@ -237,6 +239,87 @@ def test_pair_kernel_columns_are_not_normal_formed_again(monkeypatch):
     assert tr.dims() == [1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16]
     assert len(ordered_columns(X, 10)) == 30
     assert len(calls) == 0
+
+
+def test_relation_table_restarts_wider_with_the_same_kernel(monkeypatch, cusp_rel):
+    """With 4-bit fields (exponents below 8) the cusp's first column t^8
+    does not fit: the table restarts at 8 bits and the kernel is solved
+    again on its labels.  A recheck of t^40000 restarts the table once more."""
+    from quotrel import groebner
+
+    expected = coequalizer_kernel_basis(cusp_rel, 8)
+    widths = []
+    original = groebner.NormalFormTable._start
+
+    def recorded(table, width):
+        widths.append(width)
+        return original(table, width)
+
+    monkeypatch.setattr(groebner, "_WIDTH", 4)
+    monkeypatch.setattr(groebner.NormalFormTable, "_start", recorded)
+    tr = coequalizer_kernel_basis(cusp_rel, 8)
+    assert widths == [4, 8]
+    assert tr.layers == expected.layers
+    assert tr.minimal_generators() == expected.minimal_generators()
+    pr = tr.ring.poly_ring(0)
+    assert tr.defining_membership(tr.ring.embed(0, pr.parse("t^40000 - 2*t^3")))
+    assert not tr.defining_membership(tr.ring.embed(0, pr.parse("t^40000 + t")))
+    assert widths[2:] == [16, 32]
+
+
+@pytest.mark.parametrize("ring", [
+    # nf(x * x) = y: a product of degree 1 from two factors of degree 1
+    AmbientRing.quotient(PolyRing(QQ, ("x", "y")), [PolyRing(QQ, ("x", "y")).parse("x^2 - y")]),
+    # (u, 0) * (0, v) = 0 and (1, 0) * (u, 0) = (u, 0)
+    AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])]),
+])
+def test_products_that_drop_degree_are_formed(monkeypatch, ring):
+    """Minimal generators of a quotient ambient or a product ring, where a
+    product can have lower degree than its factors', match those found by
+    forming every product."""
+    identity = RingMap.identity(ring)
+    ours = coequalizer_kernel_basis((identity, identity), 4).minimal_generators()
+    monkeypatch.setattr(quotient, "product_closure", oracles.naive_product_closure)
+    theirs = coequalizer_kernel_basis((identity, identity), 4).minimal_generators()
+    assert ours == theirs
+    if not ring.is_product:
+        assert [(g.render(), e) for g, e in ours] == [("x", 1)]
+
+
+def test_products_past_the_bound_are_not_formed(cusp_rel):
+    """In one free polynomial ring a product's degree is the sum of its
+    factors': at degree 6 the cusp's generators t^2 and t^3 form only the
+    products of degree at most 6."""
+    formed = []
+    tr = coequalizer_kernel_basis(cusp_rel, 6)
+    t2, t3 = (g for g, _ in tr.minimal_generators())
+
+    class Counted:
+        def __init__(self, el):
+            self.el, self.ring = el, el.ring
+
+        def __mul__(self, other):
+            formed.append((self.degree(), other.degree()))
+            return Counted(self.el * other.el)
+
+        def is_zero(self):
+            return self.el.is_zero()
+
+        def degree(self):
+            return self.el.degree()
+
+    seen = []
+
+    def insert(p):
+        if p.el in seen:
+            return False
+        seen.append(p.el)
+        return True
+
+    kept = quotient.product_closure([Counted(t2), Counted(t3)], [Counted(tr.ring.one)], 6, insert)
+    assert [p.degree() for p in kept] == [0, 2, 3, 4, 5, 6]
+    assert all(a + b <= 6 for a, b in formed)
+    assert len(formed) == 7
 
 
 def test_relation_kernel_runs_under_the_budget(cusp_rel):

@@ -31,12 +31,17 @@ is strictly better in the direction ``BENCHMARK.json`` gives, and
 
 With ``--larger`` it runs no workload and writes the ``larger_inputs``
 section instead: one Groebner basis per input of ``LARGER`` (cyclic and
-katsura systems over FF(32003) and QQ, grevlex), each run in a fresh
-process in either checkout, ``LARGER_PAIRS`` pairs alternating as above.
-Per input it records both sides' seconds (``perf_counter`` around
-``groebner_basis``) and their medians, the S-polynomials built (counted by
-wrapping ``groebner.s_polynomial``), the basis size, and the distinct
-sha256 prefixes of the rendered reduced basis.
+katsura systems over FF(32003) and QQ, grevlex) and one script per input
+of ``LARGER_SCRIPTS`` (the paper's constructions past the workloads'
+degree bound), each run in a fresh process in either checkout,
+``LARGER_PAIRS`` pairs alternating as above.  Per Groebner input it records
+both sides' seconds (``perf_counter`` around ``groebner_basis``) and their
+medians, the S-polynomials built (counted by wrapping
+``groebner.s_polynomial``), the basis size, and the distinct sha256
+prefixes of the rendered reduced basis.  Per script it records both sides'
+seconds (``perf_counter`` around ``parse_script``, ``run_script`` at the
+input's ``--max-degree`` and the rendering of the text report) and their
+medians, and the distinct sha256 prefixes of that report.
 
 Only the standard library is used.  The script writes nothing but
 ``--out``; ``bench/run.py --trace 1`` leaves its spans in ``.bench_trace/``
@@ -70,6 +75,37 @@ LARGER = {
     "katsura6-qq": ("katsura", 6, "QQ"),
     "cyclic6-qq": ("cyclic", 6, "QQ"),
 }
+# name -> (script, max degree) of the --larger script inputs
+LARGER_SCRIPTS = {
+    "s3-orbit-kernel-probe-d14": ("""
+ring X3 = QQ[x, y, z];
+action S3 on X3 = (x, y, z | y, x, z | z, y, x | x, z, y | y, z, x | z, x, y);
+relation ORB on X3 = from-action S3;
+kernel-basis ORB;
+probe ORB;
+""", 14),
+    "cusp-pinch-verify-d40": ("""
+ring P = QQ[u, v];
+pinchinput CUSP in P = ideal (u) sub (v^2, v^3) module (v);
+pinch CUSP;
+verify-pushout CUSP;
+""", 40),
+}
+# One --larger script run, executed by ``python3 -c`` in a checkout with the
+# script text and the degree bound as arguments; it prints one JSON line.
+SCRIPT_RUN = """
+import hashlib, json, sys, time
+sys.path.insert(0, "src")
+from quotrel.cli import _Options, run_script
+from quotrel.script import parse_script
+
+text, degree = sys.argv[1], int(sys.argv[2])
+start = time.perf_counter()
+report = run_script(parse_script(text), _Options(max_degree=degree)).render_text()
+seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds,
+                  "report_sha256_16": hashlib.sha256(report.encode()).hexdigest()[:16]}))
+"""
 # One --larger run, executed by ``python3 -c`` in a checkout with the
 # system, n and field as arguments; it prints one JSON line.
 LARGER_RUN = """
@@ -145,28 +181,45 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return json.loads(lines[-1])
 
 
-def larger_run(checkout: Path, system: str, n: int, field: str) -> dict:
-    """The result of one ``LARGER_RUN`` in a fresh process in ``checkout``."""
-    cmd = [sys.executable, "-c", LARGER_RUN, system, str(n), field]
+def _fresh_run(checkout: Path, what: str, program: str, *args) -> dict:
+    """The JSON line that ``program`` prints, run by ``python3 -c`` with
+    ``args`` in a fresh process in ``checkout``."""
+    cmd = [sys.executable, "-c", program, *map(str, args)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{system}-{n} over {field} in {checkout} exited with "
+        raise RuntimeError(f"{what} in {checkout} exited with "
                            f"{proc.returncode}:\n" + proc.stderr[-2000:])
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def larger_run(checkout: Path, system: str, n: int, field: str) -> dict:
+    """The result of one ``LARGER_RUN`` in a fresh process in ``checkout``."""
+    return _fresh_run(checkout, f"{system}-{n} over {field}", LARGER_RUN, system, n, field)
+
+
+def script_run(checkout: Path, text: str, degree: int) -> dict:
+    """The result of one ``SCRIPT_RUN`` in a fresh process in ``checkout``."""
+    return _fresh_run(checkout, f"a script at degree {degree}", SCRIPT_RUN, text, degree)
+
+
 def summarize_larger(parent: list[dict], change: list[dict]) -> dict:
-    """Both sides' seconds and medians, S-polynomial counts, basis size and
-    basis hashes of one input's ``larger_run`` results."""
+    """Both sides' seconds and medians of one input's results, and the rest
+    of them: for a Groebner input (``larger_run``) the S-polynomial counts,
+    basis size and basis hashes, for a script (``script_run``) the report
+    hashes."""
     runs = {"parent": parent, "change": change}
     out = {}
     for side, rs in runs.items():
         out[f"{side}_median_s"] = round(statistics.median(r["seconds"] for r in rs), 5)
     for side, rs in runs.items():
         out[f"{side}_s"] = [round(r["seconds"], 5) for r in rs]
+    both = parent + change
+    if "report_sha256_16" in parent[0]:
+        out["report_sha256_16"] = sorted({r["report_sha256_16"] for r in both})
+        out["outputs_equal"] = len(out["report_sha256_16"]) == 1
+        return out
     for side, rs in runs.items():
         out[f"{side}_s_polynomials"] = rs[0]["s_polynomials"]
-    both = parent + change
     out["basis_size"] = sorted({r["basis_size"] for r in both})
     out["basis_sha256_16"] = sorted({r["basis_sha256_16"] for r in both})
     out["outputs_equal"] = len(out["basis_sha256_16"]) == 1
@@ -202,7 +255,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="parent revision, e.g. HEAD~1")
     ap.add_argument("--out", required=True, help="JSON file whose workloads section is written")
     ap.add_argument("--larger", action="store_true",
-                    help="time the LARGER inputs and write the larger_inputs section instead")
+                    help="time the LARGER and LARGER_SCRIPTS inputs and write the "
+                         "larger_inputs section instead")
     args = ap.parse_args(argv)
 
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -227,15 +281,18 @@ def main(argv=None) -> int:
         if args.larger:
             cases = doc.setdefault("larger_inputs", {}).setdefault("cases", {})
             doc["larger_inputs"]["how"] = (
-                "tools/bench_pairs.py --larger: groebner_basis of each input in a fresh process, "
-                f"perf_counter around the call; {LARGER_PAIRS} pairs alternating, parent first "
-                "on odd pairs; S-polynomials counted by wrapping groebner.s_polynomial; sha256 "
-                "prefix of the rendered reduced basis")
-            for name, (system, n, field) in LARGER.items():
+                "tools/bench_pairs.py --larger: groebner_basis of each Groebner input, or "
+                "parse_script and run_script of each script input at its degree bound, in a "
+                f"fresh process, perf_counter around the call; {LARGER_PAIRS} pairs "
+                "alternating, parent first on odd pairs; S-polynomials counted by wrapping "
+                "groebner.s_polynomial; sha256 prefix of the rendered reduced basis or report")
+            jobs = {name: (larger_run, inputs) for name, inputs in LARGER.items()}
+            jobs.update((name, (script_run, inputs)) for name, inputs in LARGER_SCRIPTS.items())
+            for name, (run, inputs) in jobs.items():
                 runs = {"parent": [], "change": []}
                 for pair in range(1, LARGER_PAIRS + 1):
                     for side in ["parent", "change"] if pair % 2 else ["change", "parent"]:
-                        runs[side].append(larger_run(where[side], system, n, field))
+                        runs[side].append(run(where[side], *inputs))
                         print(f"{name} pair {pair} {side}: {runs[side][-1]['seconds']:.3f} s",
                               file=sys.stderr)
                 cases[name] = summarize_larger(runs["parent"], runs["change"])
