@@ -26,8 +26,9 @@ from the first divisor.  A :class:`NormalFormTable` serves many normal
 forms modulo one fixed reduced basis: it divides each monomial once, from
 the tabled remainder of the monomial one variable down.
 
-A Buchberger run stays packed from its input to its reduced basis.  It
-keeps one divisor list ``D`` and a first-divisor memo, from a packed
+A Buchberger run stays packed from its input to its reduced basis.  Its
+elements are divisor forms (:func:`_packed_divisor`) in one list ``D``,
+which :func:`_divide` divides by with a first-divisor memo, from a packed
 monomial to an index ``i`` such that no element of ``D[:i]`` divides it (the
 index of its first divisor, or the length ``D`` had when none did), where a
 popped term resumes its scan.  Within a step (below) ``D`` only grows by
@@ -36,12 +37,14 @@ longer list, and remainders are those of the plain scan (passing over the
 divisors a signature rules out), term for term; between steps ``D`` keeps
 a subsequence of its elements, and each memo index becomes the number of
 kept elements below it.  :func:`s_polynomial` forms each S-polynomial from
-the two elements' packed forms and a packed common multiple of their
-leading monomials, one integer addition per term, and a nonzero remainder
-joins ``D`` with its packed form read off the packed remainder.  The
-reduced basis keeps each minimal element's leading term and divides its
-tail by the final ``D`` with the same memo: a remainder modulo a Groebner
-basis is unique.  A run restarted at another width starts a new memo.
+two divisor forms and a packed common multiple of their leading monomials,
+one integer addition per term.  A nonzero remainder joins ``D`` as the
+divisor form of its packed terms, the first of which leads: no monic copy
+is made, and only the leading monomial is unpacked.  The reduced basis,
+the only part read off as polynomials, keeps each minimal element's
+leading term and divides its tail by the final ``D`` with the same memo: a
+remainder modulo a Groebner basis is unique.  A run restarted at another
+width starts a new memo.
 
 The run is signature-based (Faugere's F5, ISSAC 2002; Gao, Volny & Wang,
 Math. Comp. 85, 2016), so that S-polynomials which would reduce to zero
@@ -82,7 +85,10 @@ remainder of zero makes ``T`` a syzygy signature; any other joins the basis
 with signature ``T``.  After each step only the minimal elements are kept,
 which is a Groebner basis of the ideal so far, and the memo's indices are
 renumbered.  A signature, an lcm or a term that does not fit its fields
-restarts the whole run at twice the field width.
+restarts the whole run at twice the field width, and so does a remainder
+term of total degree 2^(width - 1) or more, which ``pack`` rejects.  The
+guard of a first weight row of all ones (grevlex) rules that out; lex and
+block orders sum each remainder term's exponents.
 
 Each :func:`groebner_basis` call reads the budget in force (``with
 quotrel.poly.budget(n):``), a cap on its S-pair reductions (candidates
@@ -131,37 +137,14 @@ from .poly import (
 _WIDTH = 16
 
 
-def normal_form(f: Polynomial | tuple, basis: list[Polynomial], packed=None) -> Polynomial:
-    """Remainder of ``f`` on division by ``basis`` (first divisor wins).
+def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
+    """Remainder of ``f`` on division by ``basis`` (first divisor wins),
+    its terms in decreasing order and its leading monomial set.
 
     Against a Groebner basis this is the canonical normal form; against an
     arbitrary list it is still deterministic but order-dependent.  Every
     element of ``basis`` must lie in ``f``'s ring (``ValueError`` otherwise).
-
-    A caller that keeps ``basis`` packed itself (Buchberger) passes
-    ``packed = (divisors, pk, memo)``: the :func:`_divisor` forms of the
-    nonzero elements at packing ``pk``, and a first-divisor memo, a dict
-    that only this divisor list (and longer lists it grows into by
-    appending) fills, or ``None``.  A fourth entry ``(sigs, start, T)``
-    restricts the division to regular reductions (see :func:`_divide`).
-    ``f`` is then a packed dividend
-    ``(ring, terms)``, as :func:`s_polynomial` returns it given ``pk``, and
-    the division consumes ``terms``.  It runs at ``pk`` only, and a monomial
-    that does not fit raises :class:`PackingOverflow`.  The remainder is a
-    :class:`Polynomial` either way, its terms in decreasing order and its
-    leading monomial set; given ``packed``, its :func:`_divisor` form at
-    ``pk`` is set too, so that Buchberger can keep it as a basis element.
     """
-    if packed is not None:
-        # Buchberger keeps a nonzero remainder as a basis element: its divisor
-        # form comes from the packed terms, under the degree check of pk.pack
-        pk, remainder = packed[1], _divide(*f, *packed)
-        r = _polynomial(f[0], remainder, pk)
-        if remainder:
-            if max(map(sum, r.terms)) >> (pk.width - 1):
-                raise PackingOverflow(f"remainder outgrew {pk.width}-bit fields")
-            _divisor(r, pk, remainder)
-        return r
     ring = f.ring
     _check_rings(ring, basis)
     # start where the dividend fits, so that its overflow never repacks
@@ -188,25 +171,30 @@ def _pack_terms(f: Polynomial, pk: MonomialPacking) -> dict:
     return {pk.pack(m): c for m, c in f.terms.items()}
 
 
-def _divisor(g: Polynomial, pk: MonomialPacking, packed=None) -> tuple:
-    """``(width, lm, tail, top)``: ``g``'s packed leading monomial, its other
-    terms as ``(packed monomial, -c / lc)`` pairs, and ``top``, the bitwise
-    or of the tail's packed monomials, cached on ``g`` for the last width it
-    was packed at.  ``packed``, if given, holds ``g``'s terms packed by
-    ``pk`` (consumed).
+def _divisor(g: Polynomial, pk: MonomialPacking) -> tuple:
+    """``g``'s :func:`_packed_divisor` form at ``pk``, cached on ``g`` for
+    the last width it was packed at."""
+    slot = g._packed
+    if slot is None or slot[0] != pk.width:
+        packed = _pack_terms(g, pk)
+        lm = max(packed)
+        slot = g._packed = _packed_divisor(g.ring.field, pk, lm, packed.pop(lm), packed.items())
+    return slot
+
+
+def _packed_divisor(field, pk: MonomialPacking, lm: int, lc, rest) -> tuple:
+    """``(width, lm, tail, top)`` of the polynomial with packed leading term
+    ``lc * lm`` and other packed terms ``rest``: its other terms as
+    ``(packed monomial, -c / lc)`` pairs, and ``top``, the bitwise or of
+    the tail's packed monomials.
 
     Each field of ``top`` is at least that field of every tail monomial and
     stays below its guard bit, so for a valid ``q``, ``q + top`` fitting
     its fields means every ``q + t`` does: one guard test covers a whole
     multiple of the tail, and only a failed one has to test term by term."""
-    slot = g._packed
-    if slot is None or slot[0] != pk.width:
-        field, packed = g.ring.field, packed or _pack_terms(g, pk)
-        lm = max(packed)
-        s = field.neg(field.inv(packed.pop(lm)))
-        tail = [(t, field.mul(c, s)) for t, c in packed.items()]
-        slot = g._packed = (pk.width, lm, tail, reduce(or_, packed, 0))
-    return slot
+    s = field.neg(field.inv(lc))
+    tail = [(t, field.mul(c, s)) for t, c in rest]
+    return pk.width, lm, tail, reduce(or_, map(itemgetter(0), tail), 0)
 
 
 def _divide(
@@ -282,7 +270,7 @@ def _polynomial(ring: PolyRing, terms: dict, pk: MonomialPacking) -> Polynomial:
     r = Polynomial(ring, {unpack(k): c for k, c in terms.items()})
     if terms:
         # the first term leads
-        r._lm = unpack(next(iter(terms)))
+        r._lm = next(iter(r.terms))
     return r
 
 
@@ -390,37 +378,32 @@ class NormalFormTable:
         return r
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None, L=None):
+def s_polynomial(f, g, pk: MonomialPacking | None = None, L: int | None = None):
     """The S-polynomial ``(L / lt(f)) f - (L / lt(g)) g`` of two nonzero
-    polynomials of one ring, ``L`` the lcm of their leading monomials or,
-    given packed, any common multiple.
+    polynomials of one ring, ``L`` the lcm of their leading monomials.
 
     Without ``pk`` it is a :class:`Polynomial`.  With a packing ``pk`` it is
-    the packed dividend that :func:`normal_form` divides when given
-    ``packed``: a pair ``(ring, terms)``, ``terms`` a dict from the packed
+    Buchberger's packed dividend, which :func:`_divide` consumes: ``f`` and
+    ``g`` are divisor forms ``(width, lm, tail, top)`` at ``pk`` (see
+    :func:`_packed_divisor`), ``L`` is any common multiple of their leading
+    monomials, packed by ``pk``, and the result is a dict from the packed
     monomials of the S-polynomial to coefficients that are not yet in
     canonical form (``-c`` over FF(p) is not reduced mod p, and a cancelled
-    term may stay with coefficient 0).  It is formed from the cached
-    :func:`_divisor` forms: ``L / lm(g)`` times the tail of ``g`` minus
-    ``L / lm(f)`` times the tail of ``f``, one addition per term and one
-    guard test per tail (see :func:`_divisor`); a term that does not fit
-    raises :class:`PackingOverflow`.  ``L`` may come packed by ``pk``, as
-    Buchberger passes the leading monomial of its candidate; otherwise it
-    is the lcm, formed and packed.
+    term may stay with coefficient 0).  It is ``L / lm(g)`` times the tail
+    of ``g`` minus ``L / lm(f)`` times the tail of ``f``, one addition per
+    term and one guard test per tail; a term that does not fit raises
+    :class:`PackingOverflow`.
     """
     if pk is None:
         fm, gm = f.leading_monomial(), g.leading_monomial()
         lcm = monomial_lcm(fm, gm)
         field = f.ring.field
         fc, gc = f.leading_coeff(), g.leading_coeff()
-        # Buchberger's elements are monic: no inverse needed
         a = f.mul_monomial(monomial_div(lcm, fm), fc if fc == 1 else field.inv(fc))
         b = g.mul_monomial(monomial_div(lcm, gm), gc if gc == 1 else field.inv(gc))
         return a - b
-    if L is None:
-        L = pk.pack(monomial_lcm(f.leading_monomial(), g.leading_monomial()))
-    _, fm, ftail, ftop = _divisor(f, pk)
-    _, gm, gtail, gtop = _divisor(g, pk)
+    _, fm, ftail, ftop = f
+    _, gm, gtail, gtop = g
     qf, qg = L - fm, L - gm
     guard = pk.guard
     for q, top, tail in ((qf, ftop, ftail), (qg, gtop, gtail)):
@@ -432,7 +415,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, pk: MonomialPacking | None = None
         m = qf + t
         old = terms.get(m)
         terms[m] = -c if old is None else old - c
-    return f.ring, terms
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -464,31 +447,39 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
     whose signature is below the candidate's.
 
     Raises :class:`PackingOverflow` when a leading monomial, a signature,
-    an lcm or a term of a reduction does not fit ``pk``'s fields.
+    an lcm or a term of a reduction does not fit ``pk``'s fields, or when a
+    remainder has a term of total degree 2^(width - 1) or more.
     """
     ring = gens[0].ring
-    pack, support, units = pk.pack, pk.support, pk.units
-    guard, eguard = pk.guard, pk.eguard
+    field = ring.field
+    pack, unpack, support, units = pk.pack, pk.unpack, pk.support, pk.units
+    guard, eguard, limit = pk.guard, pk.eguard, pk.width - 1
     push, pop = heapq.heappush, heapq.heappop
-    # the elements, in the order they were added: monic polynomial, divisor
-    # form, leading monomial (tuple and packed), its support, signature
-    G, D, lms, P, S, sigs = [], [], [], [], [], []
+    # a first weight row of all ones guards a valid term's degree
+    rows = ring.order.weights(ring.nvars)
+    degree = None if not rows or all(rows[0]) else (lambda k: sum(unpack(k)))
+    # the elements, in the order they were added: divisor form, leading
+    # monomial (tuple and packed), its support, signature
+    D, lms, P, S, sigs = [], [], [], [], []
     memo = {}
     processed = peak = 0
 
-    def add(r: Polynomial, T: int):
+    def add(remainder: dict, T: int):
         nonlocal peak
-        G.append(r.monic())
-        D.append(_divisor(G[-1], pk))
-        lms.append(r.leading_monomial())
-        P.append(D[-1][1])
-        S.append(support(P[-1]))
+        if degree is not None and max(map(degree, remainder)) >> limit:
+            raise PackingOverflow(f"remainder outgrew {pk.width}-bit fields")
+        terms = iter(remainder.items())
+        lm, lc = next(terms)
+        D.append(_packed_divisor(field, pk, lm, lc, terms))
+        lms.append(unpack(lm))
+        P.append(lm)
+        S.append(support(lm))
         sigs.append(T)
-        if len(G) > budget:
+        if len(D) > budget:
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: basis grew past {budget}"
             )
-        peak = max(peak, len(G))
+        peak = max(peak, len(D))
 
     def reducer(L: int, T: int):
         """The index of the first element whose multiple has leading
@@ -507,9 +498,9 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
         return None
 
     for _, f in sorted(((pack(g.leading_monomial()), g) for g in gens), key=itemgetter(0)):
-        # G[:start] is a minimal Groebner basis of the earlier generators
-        start = len(G)
-        r = normal_form((ring, _pack_terms(f, pk)), G, (D, pk, memo))
+        # D[:start] is a minimal Groebner basis of the earlier generators
+        start = len(D)
+        r = _divide(ring, _pack_terms(f, pk), D, pk, memo)
         if not r:
             # f lies in the ideal of the earlier generators
             continue
@@ -542,7 +533,7 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
                     continue
                 # the candidate: the multiple of the latest element whose
                 # signature divides T, with leading monomial L
-                c = len(G) - 1
+                c = len(D) - 1
                 while (T - sigs[c]) & eguard:
                     c -= 1
                 L = T - sigs[c] + P[c]
@@ -557,26 +548,26 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
                     raise BudgetExceededError(
                         f"Groebner computation exceeded budget: {processed} S-pair reductions"
                     )
-                spoly = s_polynomial(G[c], G[b], pk, L)
-                r = normal_form(spoly, G, (D, pk, memo, (sigs, start, T)))
+                spoly = s_polynomial(D[c], D[b], pk, L)
+                r = _divide(ring, spoly, D, pk, memo, (sigs, start, T))
                 if not r:
                     syz.append(T)
                     continue
                 add(r, T)
-                a = len(G) - 1
+                a = len(D) - 1
         # keep the minimal elements: no earlier one divides a new one, and of
         # equal new leading monomials the first is kept
         new = [
-            i for i in range(start, len(G))
+            i for i in range(start, len(D))
             if not any(not (P[i] - P[j]) & eguard and (P[j] != P[i] or j < i)
-                       for j in range(start, len(G)) if j != i)
+                       for j in range(start, len(D)) if j != i)
         ]
         keep = [i for i in range(start) if all((P[i] - P[j]) & eguard for j in new)] + new
-        if len(keep) < len(G):
+        if len(keep) < len(D):
             # a memo index becomes the number of kept elements below it
             kept = set(keep)
-            below = list(accumulate((i in kept for i in range(len(G))), initial=0))
-            for xs in (G, D, lms, P, S, sigs):
+            below = list(accumulate((i in kept for i in range(len(D))), initial=0))
+            for xs in (D, lms, P, S, sigs):
                 xs[:] = [xs[i] for i in keep]
             for k, i in memo.items():
                 memo[k] = below[i]

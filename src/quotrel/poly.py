@@ -700,8 +700,9 @@ class Polynomial:
 
     Nothing mutates ``terms`` after construction, so the hash, the leading
     monomial and ``_packed``, the packed form that ``normal_form`` divides
-    by, are computed once, on first use (``monic`` and
-    :func:`quotrel.groebner.normal_form` hand the last two over).
+    by, are computed once, on first use (a remainder or basis element that
+    :mod:`quotrel.groebner` reads off packed terms has its leading monomial
+    set).
     """
 
     __slots__ = ("ring", "terms", "_hash", "_lm", "_packed")
@@ -810,10 +811,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        out = self.scale(self.ring.field.inv(self.leading_coeff()))
-        # every scalar multiple has the same packed divisor form
-        out._lm, out._packed = self._lm, self._packed
-        return out
+        return self.scale(self.ring.field.inv(self.leading_coeff()))
 
     __pow__ = power
 

@@ -30,6 +30,7 @@ from quotrel.linalg import RowSpace
 from quotrel.pinch import PinchInput, PinchResult, _product_span, verify_pushout
 from quotrel.poly import (
     GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, Polynomial, budget, embed,
+    monomial_lcm,
 )
 from quotrel.quotient import coequalizer_kernel_basis, ordered_columns, present_subalgebra
 from quotrel.ring import AmbientRing, RingMap
@@ -369,7 +370,8 @@ def normal_form_oracle_suite(cases=200, seed=20261019):
 
 
 def spair_oracle_suite(cases=200, seed=20261024):
-    """``s_polynomial(f, g, pk)``, unpacked with zero terms dropped and each
+    """``s_polynomial`` of the ``_divisor`` forms of ``f`` and ``g`` at
+    ``pk`` and their packed lcm, unpacked with zero terms dropped and each
     coefficient in canonical form, equals ``s_polynomial(f, g)`` term for
     term, over QQ and FF(2, 3, 5, 32003) in lex, grevlex and block orders.
     Most leading coefficients are not 1, and half the packings are 32 bits
@@ -385,8 +387,9 @@ def spair_oracle_suite(cases=200, seed=20261024):
         g = _random_poly(rng, ring, max_terms=4, max_degree=4)
         pk = ring.packing(rng.choice((16, 32)))
         theirs = groebner.s_polynomial(f, g)
-        packed_ring, packed = groebner.s_polynomial(f, g, pk)
-        assert packed_ring is ring
+        lcm = pk.pack(monomial_lcm(f.leading_monomial(), g.leading_monomial()))
+        packed = groebner.s_polynomial(
+            groebner._divisor(f, pk), groebner._divisor(g, pk), pk, lcm)
         ours = {}
         for k, c in packed.items():
             c = field.add(field.zero, c)
@@ -489,37 +492,37 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
     """``groebner_basis`` inter-reduces on Buchberger's packed divisor list
     and returns ``oracles.naive_reduce_basis`` of the same monic Groebner
     basis term for term, over QQ and FF(2, 3, 5, 32003) in lex, grevlex and
-    block orders.  Every element of that divisor list is the divisor form
-    of a nonzero remainder of one of Buchberger's packed divisions, and the
-    basis is read off those remainders, made monic, in the list's order.
-    Every remainder Buchberger keeps carries, as set from its packed terms,
-    the ``_divisor`` form recomputed from its terms.  A case over the budget
-    of 300 is drawn again."""
+    block orders.  Every element of that divisor list is the ``_divisor``
+    form, recomputed from its unpacked terms, of a monic nonzero remainder
+    of one of Buchberger's packed divisions, and the basis is read off
+    those remainders in the list's order.  A case over the budget of 300 is
+    drawn again."""
     rng = random.Random(seed)
     fields = FIELDS + (GF(32003),)
     names = ("x", "y", "z", "u", "v")
-    originals = groebner._buchberger, groebner._reduce_basis, groebner.normal_form
-    buchberger, reduce_basis, nf = originals
+    originals = groebner._buchberger, groebner._reduce_basis, groebner._divide
+    buchberger, reduce_basis, divide = originals
     run = {}
 
     def recorded_run(gens, pk, limit):
-        run.update(pk=pk, remainders=[])
+        run.update(pk=pk, remainders=[], inside=True)
         return buchberger(gens, pk, limit)
 
-    def recorded_division(f, basis, packed=None):
-        r = nf(f, basis, packed)
-        if packed is not None and r:
-            run["remainders"].append(r)
+    def recorded_division(ring, terms, *args):
+        r = divide(ring, terms, *args)
+        if run.get("inside") and r:
+            run["remainders"].append((ring, dict(r)))
         return r
 
     def recorded_reduction(ring, D, pk, memo):
-        run["D"] = list(D)
+        run.update(D=list(D), inside=False)
         return reduce_basis(ring, D, pk, memo)
 
-    def recomputed(g):
-        return groebner._divisor(Polynomial(g.ring, dict(g.terms)), run["pk"])
+    def monic(ring, remainder):
+        pk = run["pk"]
+        return Polynomial(ring, {pk.unpack(k): c for k, c in remainder.items()}).monic()
 
-    groebner._buchberger, groebner._reduce_basis, groebner.normal_form = (
+    groebner._buchberger, groebner._reduce_basis, groebner._divide = (
         recorded_run, recorded_reduction, recorded_division)
     try:
         done = 0
@@ -534,18 +537,18 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
             except BudgetExceededError:
                 continue
             where = f"over {field!r} ({order!r}) on {[ring.render(g) for g in gens]}"
-            kept = {id(r._packed): r for r in run["remainders"]}
-            assert all(id(d) in kept for d in run["D"]), f"a divisor is no remainder {where}"
-            G = [kept[id(d)].monic() for d in run["D"]]
-            assert all(r._packed == recomputed(r) for r in run["remainders"]), (
-                f"a remainder's packed form differs {where}")
+            kept = [monic(*r) for r in run["remainders"]]
+            recomputed = [groebner._divisor(g, run["pk"]) for g in kept]
+            assert all(d in recomputed for d in run["D"]), (
+                f"a divisor is no remainder's packed form {where}")
+            G = [kept[recomputed.index(d)] for d in run["D"]]
             theirs = oracles.naive_reduce_basis(G)
             assert [list(g.terms.items()) for g in ours] == [
                 list(g.terms.items()) for g in theirs
             ], f"reduced basis differs {where}"
             done += 1
     finally:
-        groebner._buchberger, groebner._reduce_basis, groebner.normal_form = originals
+        groebner._buchberger, groebner._reduce_basis, groebner._divide = originals
     return cases
 
 

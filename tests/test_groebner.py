@@ -395,6 +395,75 @@ def test_inter_reduction_outgrowing_the_fields_restarts_the_run(monkeypatch):
     assert set(map(R.render, gb)) == oracles.sympy_reduced_groebner(gens, "lex")
 
 
+def test_block_remainder_of_too_high_degree_restarts_the_run(monkeypatch):
+    """In BlockOrder(1) on x, y, z, x^24000*z leaves x^23999*y^9000 on
+    division by x*z - y^9000.  Each block's degree, 23999 and 9000, fits
+    16-bit fields, so no guard bit is set, but the total degree 32999 is
+    past what 16-bit fields admit for a basis element: the remainder's
+    degree check, not a guard, restarts the run at 32 bits.  The rest of
+    the run would fit: the S-polynomial of the two, x^23998*y^18000, lies
+    in (y^9001)."""
+    from quotrel import groebner
+
+    widths, overflows = [], []
+    original = groebner._buchberger
+
+    def recorded(gens, pk, budget):
+        widths.append(pk.width)
+        try:
+            return original(gens, pk, budget)
+        except groebner.PackingOverflow as exc:
+            overflows.append(str(exc))
+            raise
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    R = PolyRing(QQ, ("x", "y", "z"), BlockOrder(1))
+    gens = [R.parse(g) for g in ("y^9001", "x*z - y^9000", "x^24000*z")]
+    gb = groebner_basis(gens)
+    assert widths == [16, 32] and overflows == ["remainder outgrew 16-bit fields"]
+    assert [R.render(g) for g in gb] == ["y^9001", "x*z - y^9000", "x^23999*y^9000"]
+    assert gb == oracles.naive_buchberger(gens, 300)[0]
+    assert set(map(R.render, gb)) == oracles.sympy_reduced_groebner(
+        gens, oracles.sympy_block_order(1))
+
+
+@pytest.mark.parametrize("gens, size", [(KATSURA3, 7), (BINOMIALS, 7)])
+def test_grevlex_run_unpacks_only_added_leading_monomials_and_the_basis(
+        monkeypatch, gens, size):
+    """A grevlex run unpacks one leading monomial per element it adds and
+    every term of the reduced basis, and nothing else: no remainder, kept
+    or dropped later, is unpacked term by term, and the degree check reads
+    the guard of the first weight row."""
+    from quotrel import groebner
+    from quotrel.poly import MonomialPacking
+
+    unpacked, added, reducing = [0], [0], [False]
+    unpack, divide, reduce_basis = (
+        MonomialPacking.unpack, groebner._divide, groebner._reduce_basis)
+
+    def counted_unpack(self, k):
+        unpacked[0] += 1
+        return unpack(self, k)
+
+    def divided(*args):
+        r = divide(*args)
+        added[0] += bool(r) and not reducing[0]
+        return r
+
+    def reduced(*args):
+        reducing[0] = True
+        return reduce_basis(*args)
+
+    monkeypatch.setattr(MonomialPacking, "unpack", counted_unpack)
+    monkeypatch.setattr(groebner, "_divide", divided)
+    monkeypatch.setattr(groebner, "_reduce_basis", reduced)
+    ring = PolyRing(GF(32003), ("u0", "u1", "u2", "u3"))
+    polys = [ring.parse(g) for g in gens]
+    gb = groebner_basis(polys)
+    assert len(gb) == size and added[0] > size
+    assert unpacked[0] == added[0] + sum(len(g.terms) for g in gb)
+
+
 def test_symmetric_sieve_agrees_with_sympy():
     """The sieve of SYMMETRIC, which Buchberger builds within a budget of
     100 (a row of ``test_s_pair_sequence_is_pinned``), is sympy's
@@ -411,10 +480,10 @@ def test_symmetric_sieve_agrees_with_sympy():
 
 
 def test_first_divisor_memo_survives_a_growing_divisor_list():
-    """A memo filled while dividing by the packed D[:n] still gives the
-    first-divisor remainder once D has grown by appending, including for
-    monomials it recorded as having no divisor."""
-    from quotrel.groebner import _divisor
+    """A memo filled while ``_divide`` divides by the packed D[:n] still
+    gives the first-divisor remainder once D has grown by appending,
+    including for monomials it recorded as having no divisor."""
+    from quotrel.groebner import _divide, _divisor
 
     R = PolyRing(GF(32003), ("x", "y", "z"))
     basis = [R.parse(g) for g in (
@@ -434,11 +503,11 @@ def test_first_divisor_memo_survives_a_growing_divisor_list():
         if n:
             D.append(_divisor(basis[n - 1], pk))
         for f in dividends:
-            dividend = (R, {pk.pack(m): c for m, c in f.terms.items()})
-            ours = normal_form(dividend, basis[:n], (D, pk, memo))
+            ours = _divide(R, {pk.pack(m): c for m, c in f.terms.items()}, D, pk, memo)
             theirs = oracles.naive_normal_form(f, basis[:n])
-            assert list(ours.terms.items()) == list(theirs.terms.items())
-            assert ours.is_zero() or ours.leading_monomial() == max(
+            # keys decreasing: the remainder's first term leads
+            assert [(pk.unpack(k), c) for k, c in ours.items()] == list(theirs.terms.items())
+            assert not ours or pk.unpack(next(iter(ours))) == max(
                 theirs.terms, key=R.order.key)
     # both kinds of entry were made: a first divisor, and none so far
     assert any(i < len(D) for i in memo.values())
@@ -447,30 +516,31 @@ def test_first_divisor_memo_survives_a_growing_divisor_list():
 
 def test_each_spair_reduction_divides_the_s_polynomial_it_built(monkeypatch):
     """Buchberger calls ``s_polynomial`` once per S-pair reduction and hands
-    its result, as the same object, to the next ``normal_form`` call: the
-    bench tracer counts reductions to zero by that identity."""
+    its terms dict, as the same object, to the next ``_divide`` call, which
+    is how a reduction to zero is told apart from the division of an input
+    generator or of a reduced basis element's tail."""
     from quotrel import groebner
 
     events = []
-    s_poly, nf = groebner.s_polynomial, groebner.normal_form
+    s_poly, divide = groebner.s_polynomial, groebner._divide
 
     def built(*args):
         out = s_poly(*args)
         events.append(("s", out))
         return out
 
-    def divided(f, *args):
-        events.append(("nf", f))
-        return nf(f, *args)
+    def divided(ring, terms, *args):
+        events.append(("divide", terms))
+        return divide(ring, terms, *args)
 
     monkeypatch.setattr(groebner, "s_polynomial", built)
-    monkeypatch.setattr(groebner, "normal_form", divided)
+    monkeypatch.setattr(groebner, "_divide", divided)
     ring = PolyRing(GF(32003), ("u0", "u1", "u2", "u3"))
     groebner_basis([ring.parse(g) for g in KATSURA3])
     built_at = [k for k, (kind, _) in enumerate(events) if kind == "s"]
     assert len(built_at) == 4
     for k in built_at:
-        assert events[k + 1][0] == "nf" and events[k + 1][1] is events[k][1]
+        assert events[k + 1][0] == "divide" and events[k + 1][1] is events[k][1]
 
 
 def katsura(n, field=GF(32003)):
@@ -487,25 +557,27 @@ def katsura(n, field=GF(32003)):
 
 def _zero_reductions(monkeypatch):
     """``[built, zero]``, kept up to date: S-polynomials built by
-    Buchberger, and those whose division left zero."""
+    Buchberger, and those whose division left zero (the ``_divide`` call
+    handed the S-polynomial's own terms dict)."""
     from quotrel import groebner
 
     counts, last = [0, 0], [None]
-    s_poly, nf = groebner.s_polynomial, groebner.normal_form
+    s_poly, divide = groebner.s_polynomial, groebner._divide
 
     def built(*args):
         last[0] = s_poly(*args)
         counts[0] += 1
         return last[0]
 
-    def divided(f, *args):
-        r = nf(f, *args)
-        if f is last[0]:
-            counts[1] += r.is_zero()
+    def divided(ring, terms, *args):
+        spair = terms is last[0]
+        r = divide(ring, terms, *args)
+        if spair:
+            counts[1] += not r
         return r
 
     monkeypatch.setattr(groebner, "s_polynomial", built)
-    monkeypatch.setattr(groebner, "normal_form", divided)
+    monkeypatch.setattr(groebner, "_divide", divided)
     return counts
 
 
