@@ -40,7 +40,9 @@ kept elements below it.  :func:`s_polynomial` forms each S-polynomial from
 two divisor forms and a packed common multiple of their leading monomials,
 one integer addition per term.  A nonzero remainder joins ``D`` as the
 divisor form of its packed terms, the first of which leads: no monic copy
-is made, and only the leading monomial is unpacked.  The reduced basis,
+is made.  Each generator is packed once, and an lcm is the sum of the
+larger of two elements' packed parts per variable, so a grevlex run
+unpacks only each added element's leading monomial.  The reduced basis,
 the only part read off as polynomials, keeps each minimal element's
 leading term and divides its tail by the final ``D`` with the same memo: a
 remainder modulo a Groebner basis is unique.  A run restarted at another
@@ -88,7 +90,8 @@ renumbered.  A signature, an lcm or a term that does not fit its fields
 restarts the whole run at twice the field width, and so does a remainder
 term of total degree 2^(width - 1) or more, which ``pack`` rejects.  The
 guard of a first weight row of all ones (grevlex) rules that out; lex and
-block orders sum each remainder term's exponents.
+block orders first bound every term by the degree of the bitwise or of the
+remainder's keys, and sum each term's exponents only when that bound fails.
 
 Each :func:`groebner_basis` call reads the budget in force (``with
 quotrel.poly.budget(n):``), a cap on its S-pair reductions (candidates
@@ -108,7 +111,7 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from itertools import accumulate
-from operator import itemgetter, mul, or_
+from operator import itemgetter, or_
 
 from .poly import (
     BlockOrder,
@@ -120,9 +123,7 @@ from .poly import (
     Polynomial,
     current_budget,
     fresh_names,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
     unembed,
 )
 
@@ -378,30 +379,21 @@ class NormalFormTable:
         return r
 
 
-def s_polynomial(f, g, pk: MonomialPacking | None = None, L: int | None = None):
-    """The S-polynomial ``(L / lt(f)) f - (L / lt(g)) g`` of two nonzero
-    polynomials of one ring, ``L`` the lcm of their leading monomials.
+def s_polynomial(f: tuple, g: tuple, pk: MonomialPacking, L: int) -> dict:
+    """The S-polynomial ``(L / lt(f)) f - (L / lt(g)) g`` of two elements
+    of a Buchberger run, as the packed dividend that :func:`_divide`
+    consumes (Buchberger calls it once per S-pair reduction).
 
-    Without ``pk`` it is a :class:`Polynomial`.  With a packing ``pk`` it is
-    Buchberger's packed dividend, which :func:`_divide` consumes: ``f`` and
-    ``g`` are divisor forms ``(width, lm, tail, top)`` at ``pk`` (see
-    :func:`_packed_divisor`), ``L`` is any common multiple of their leading
-    monomials, packed by ``pk``, and the result is a dict from the packed
-    monomials of the S-polynomial to coefficients that are not yet in
-    canonical form (``-c`` over FF(p) is not reduced mod p, and a cancelled
-    term may stay with coefficient 0).  It is ``L / lm(g)`` times the tail
-    of ``g`` minus ``L / lm(f)`` times the tail of ``f``, one addition per
-    term and one guard test per tail; a term that does not fit raises
-    :class:`PackingOverflow`.
+    ``f`` and ``g`` are divisor forms ``(width, lm, tail, top)`` at the
+    packing ``pk`` (see :func:`_packed_divisor`), ``L`` is any common
+    multiple of their leading monomials, packed by ``pk``, and the result is
+    a dict from the packed monomials of the S-polynomial to coefficients
+    that are not yet in canonical form (``-c`` over FF(p) is not reduced mod
+    p, and a cancelled term may stay with coefficient 0).  It is
+    ``L / lm(g)`` times the tail of ``g`` minus ``L / lm(f)`` times the tail
+    of ``f``, one addition per term and one guard test per tail; a term that
+    does not fit raises :class:`PackingOverflow`.
     """
-    if pk is None:
-        fm, gm = f.leading_monomial(), g.leading_monomial()
-        lcm = monomial_lcm(fm, gm)
-        field = f.ring.field
-        fc, gc = f.leading_coeff(), g.leading_coeff()
-        a = f.mul_monomial(monomial_div(lcm, fm), fc if fc == 1 else field.inv(fc))
-        b = g.mul_monomial(monomial_div(lcm, gm), gc if gc == 1 else field.inv(gc))
-        return a - b
     _, fm, ftail, ftop = f
     _, gm, gtail, gtop = g
     qf, qg = L - fm, L - gm
@@ -430,48 +422,45 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
     elements held at once)``.
 
     Signature-based and incremental, position over term (Faugere, ISSAC
-    2002): the generators are taken in increasing order of packed leading
-    monomial, and an element added while generator ``f`` is taken carries
-    the packed monomial ``u`` of its signature ``u f``; earlier elements
-    count as below every signature.  Candidate signatures are popped in
-    increasing order, each once, and dropped when the pair that proposed
-    them is coprime (its Koszul syzygy), when a leading monomial of the
-    earlier basis or a signature already reduced to zero divides them (F5's
-    syzygy criterion), or when the multiple of the latest element whose
-    signature divides them (the rewrite criterion; Roune & Stillman, ISSAC
-    2012; Gao, Volny & Wang, Math. Comp. 85, 2016) has a leading monomial
-    that only reduces singularly, that is by a multiple of the same
-    signature.  The others are S-polynomials of that element and the first
-    regular reducer of that monomial, divided by regular reductions only:
-    an element of the current step reduces a term only through a multiple
-    whose signature is below the candidate's.
+    2002), with the criteria of the module docstring.  Each generator is
+    packed once, and they are taken in increasing order of their largest
+    key, stably, so equal leading monomials keep the caller's order.  An
+    element keeps its leading monomial's packed parts ``units[i] * e_i``;
+    every unit is positive, so two elements' packed lcm is
+    ``sum(map(max, parts_b, parts_a))``.
 
     Raises :class:`PackingOverflow` when a leading monomial, a signature,
     an lcm or a term of a reduction does not fit ``pk``'s fields, or when a
-    remainder has a term of total degree 2^(width - 1) or more.
+    remainder has a term of total degree 2^(width - 1) or more.  In lex and
+    block orders the degree of the bitwise or of a remainder's keys bounds
+    every term's, and only a failed bound sums the terms one by one.
     """
     ring = gens[0].ring
     field = ring.field
-    pack, unpack, support, units = pk.pack, pk.unpack, pk.support, pk.units
+    unpack, support, units = pk.unpack, pk.support, pk.units
     guard, eguard, limit = pk.guard, pk.eguard, pk.width - 1
     push, pop = heapq.heappush, heapq.heappop
     # a first weight row of all ones guards a valid term's degree
     rows = ring.order.weights(ring.nvars)
     degree = None if not rows or all(rows[0]) else (lambda k: sum(unpack(k)))
-    # the elements, in the order they were added: divisor form, leading
-    # monomial (tuple and packed), its support, signature
-    D, lms, P, S, sigs = [], [], [], [], []
+    # the elements, in the order they were added: divisor form, packed
+    # leading monomial, its packed parts per variable, its support, signature
+    D, P, parts, S, sigs = [], [], [], [], []
     memo = {}
     processed = peak = 0
 
     def add(remainder: dict, T: int):
         nonlocal peak
-        if degree is not None and max(map(degree, remainder)) >> limit:
-            raise PackingOverflow(f"remainder outgrew {pk.width}-bit fields")
         terms = iter(remainder.items())
         lm, lc = next(terms)
-        D.append(_packed_divisor(field, pk, lm, lc, terms))
-        lms.append(unpack(lm))
+        d = _packed_divisor(field, pk, lm, lc, terms)
+        # each exponent field of the or of all keys bounds that field of
+        # every term; only a failed bound is tested term by term
+        if degree is not None and degree(d[3] | lm) >> limit and (
+                max(map(degree, remainder)) >> limit):
+            raise PackingOverflow(f"remainder outgrew {pk.width}-bit fields")
+        D.append(d)
+        parts.append([u * e for u, e in zip(units, unpack(lm))])
         P.append(lm)
         S.append(support(lm))
         sigs.append(T)
@@ -497,10 +486,11 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
             memo[L] = len(D)
         return None
 
-    for _, f in sorted(((pack(g.leading_monomial()), g) for g in gens), key=itemgetter(0)):
+    # stable: generators of equal leading monomial keep the caller's order
+    for f in sorted((_pack_terms(g, pk) for g in gens), key=max):
         # D[:start] is a minimal Groebner basis of the earlier generators
         start = len(D)
-        r = _divide(ring, _pack_terms(f, pk), D, pk, memo)
+        r = _divide(ring, f, D, pk, memo)
         if not r:
             # f lies in the ideal of the earlier generators
             continue
@@ -511,10 +501,12 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
         while a is not None:
             # the signatures the new element's pairs propose; a coprime
             # pair's is that of its Koszul syzygy
-            p, m, s, sa = P[a], lms[a], S[a], sigs[a]
+            p, m, s, sa = P[a], parts[a], S[a], sigs[a]
             for b in range(a):
                 if S[b] & s:
-                    L = sum(map(mul, map(max, lms[b], m), units))
+                    # units are positive: the max of packed parts packs the
+                    # max of exponents
+                    L = sum(map(max, parts[b], m))
                     T = L - p + sa
                     if b >= start:
                         Tb = L - P[b] + sigs[b]
@@ -567,7 +559,7 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
             # a memo index becomes the number of kept elements below it
             kept = set(keep)
             below = list(accumulate((i in kept for i in range(len(D))), initial=0))
-            for xs in (D, lms, P, S, sigs):
+            for xs in (D, P, parts, S, sigs):
                 xs[:] = [xs[i] for i in keep]
             for k, i in memo.items():
                 memo[k] = below[i]

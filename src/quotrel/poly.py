@@ -30,6 +30,7 @@ and outside any scope it is ``DEFAULT_BUDGET``.
 from __future__ import annotations
 
 import re
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import comb
@@ -222,6 +223,10 @@ class MonomialPacking:
 
     ``units[i]`` is the packed ``x_i``, so ``sum(map(mul, m, units))`` packs
     ``m`` with no overflow check.
+
+    :meth:`unpack` reads 16-, 32- and 64-bit exponent fields with one
+    little-endian ``struct`` call on the exponent word's bytes; other widths
+    shift field by field.  A wider field would need an exponent past 2^63.
     """
 
     def __init__(self, nvars: int, weights: list[Monomial], width: int):
@@ -242,6 +247,8 @@ class MonomialPacking:
             + (sum(row[i] << ((top - r) * width) for r, row in enumerate(weights)) << self.shift)
             for i in range(nvars)
         ]
+        code = {16: "H", 32: "I", 64: "Q"}.get(width)
+        self._fields = code and struct.Struct(f"<{nvars}{code}").unpack
 
     def pack(self, m: Monomial) -> int:
         # with 0/1 weights no field of m exceeds its degree
@@ -259,6 +266,8 @@ class MonomialPacking:
         return ((k & self._emask | eguard) - self._ones) & eguard
 
     def unpack(self, k: int) -> Monomial:
+        if self._fields:
+            return self._fields((k & self._emask).to_bytes(self.shift // 8, "little"))
         mask = self._mask
         return tuple((k >> s) & mask for s in self._offsets)
 

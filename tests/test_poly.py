@@ -15,6 +15,7 @@ from quotrel.poly import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     GrevlexOrder,
+    MonomialPacking,
     ParseError,
     PolyRing,
     Polynomial,
@@ -358,6 +359,28 @@ def test_basis_is_packed_once_across_normal_forms():
     assert all(g._packed is slot for g, slot in zip(gb, slots))
     # division reads the packed order words, never the order's key
     assert order.calls == calls
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128])
+def test_unpack_equals_the_shift_loop(width):
+    """``unpack`` reads 16-, 32- and 64-bit fields with one ``struct`` call
+    and 128-bit ones with the shift loop: both give the shift loop's
+    exponents, for 0 to 8 variables in grevlex, lex and block orders, up to
+    the largest exponent a field holds."""
+    rng = random.Random(width)
+    top, mask = (1 << (width - 1)) - 1, (1 << width) - 1
+    for nvars in range(9):
+        for order in (GREVLEX, LEX, BlockOrder(max(1, nvars // 2))):
+            pk = MonomialPacking(nvars, order.weights(nvars), width)
+            monomials = [tuple(rng.choice((0, 1, top, rng.randint(0, top)))
+                               for _ in range(nvars)) for _ in range(20)]
+            monomials += [tuple(top * (j == i) for j in range(nvars)) for i in range(nvars)]
+            for m in monomials:
+                # packed without the degree check: a carry out of an order
+                # field never reaches the exponent word, which alone is read
+                k = sum(e * u for e, u in zip(m, pk.units))
+                shifted = tuple((k >> (i * width)) & mask for i in range(nvars))
+                assert pk.unpack(k) == shifted == m
 
 
 def test_monic_and_scale(R):
