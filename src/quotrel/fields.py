@@ -16,8 +16,8 @@ class Field:
 
     Subclasses supply ``of_int``, ``of_fraction``, ``add``, ``sub``, ``mul``,
     ``neg``, ``inv``, ``is_zero`` and the nonnegative power ``_pow``; the
-    interface derives ``div`` and ``pow`` from them.  Both fields write 0
-    and 1 as the ints ``zero`` and ``one``.
+    interface derives ``div``, ``pow`` and ``add_scaled`` from them.  Both
+    fields write 0 and 1 as the ints ``zero`` and ``one``.
     """
 
     characteristic: int
@@ -58,6 +58,20 @@ class Field:
 
     def _pow(self, a, e: int):
         raise NotImplementedError
+
+    def add_scaled(self, out: dict, w: dict, c) -> dict:
+        """``out += c * w`` in place, for sparse vectors: dicts from labels
+        to nonzero elements.  An entry that cancels is dropped; returns
+        ``out``."""
+        add, mul = self.add, self.mul
+        for k, x in w.items():
+            old = out.get(k)
+            y = mul(c, x) if old is None else add(old, mul(c, x))
+            if y:
+                out[k] = y
+            else:
+                out.pop(k, None)
+        return out
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError

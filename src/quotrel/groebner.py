@@ -19,12 +19,19 @@ their canonical form once, when their term is popped (``% p`` over FF(p);
 over QQ a ``Fraction`` with denominator 1 becomes its numerator), as
 Monagan & Pearce do.  Each basis polynomial is packed once per field width
 and keeps that form in a slot, and a division packs its divisor list once.
-When a monomial does not fit its fields (a huge input exponent, or a
-product grown in a lex or block reduction), the division restarts at twice
-the field width, with the same result.  Divisions outside Buchberger scan
-from the first divisor.  A :class:`NormalFormTable` serves many normal
-forms modulo one fixed reduced basis: it divides each monomial once, from
-the tabled remainder of the monomial one variable down.
+Divisions outside Buchberger scan from the first divisor.
+
+One rule, ``_width(degree)``, picks the field width: the least width from
+``_WIDTH`` upward, doubling, whose fields hold that total degree (Monagan &
+Pearce size packed exponents from degree bounds, JSC 46, 2011).
+:func:`normal_form` starts at the dividend's degree, :func:`groebner_basis`
+at ``_WIDTH``, and a monomial that does not fit (a huge input exponent, an
+lcm, or a product grown in a lex or block reduction) runs the whole
+computation again at twice the width, with the same result.  In a graded
+order a division never raises the degree, so a :class:`NormalFormTable`
+(many normal forms modulo one reduced basis, each monomial divided once,
+from the tabled remainder of the monomial one variable down) packs once,
+at the width of its degree bound.
 
 A Buchberger run stays packed from its input to its reduced basis.  Its
 elements are divisor forms (:func:`_packed_divisor`) in one list ``D``,
@@ -43,10 +50,10 @@ divisor form of its packed terms, the first of which leads: no monic copy
 is made.  Each generator is packed once, and an lcm is the sum of the
 larger of two elements' packed parts per variable, so a grevlex run
 unpacks only each added element's leading monomial.  The reduced basis,
-the only part read off as polynomials, keeps each minimal element's
-leading term and divides its tail by the final ``D`` with the same memo: a
-remainder modulo a Groebner basis is unique.  A run restarted at another
-width starts a new memo.
+the only part read off as polynomials, keeps each element's leading term
+and divides its tail by the final ``D`` with the same memo: a remainder
+modulo a Groebner basis is unique.  A run restarted at another width
+starts a new memo.
 
 The run is signature-based (Faugere's F5, ISSAC 2002; Gao, Volny & Wang,
 Math. Comp. 85, 2016), so that S-polynomials which would reduce to zero
@@ -133,9 +140,26 @@ from .poly import (
 # ---------------------------------------------------------------------------
 
 
-# Field width, in bits, at which every division starts packing; a monomial
-# that does not fit restarts that division at twice the width.
+# Field width, in bits, at which every packing starts.
 _WIDTH = 16
+
+
+def _width(degree: int) -> int:
+    """The least width from ``_WIDTH`` up, doubling, holding ``degree``."""
+    width = _WIDTH
+    while degree >= 1 << (width - 1):
+        width *= 2
+    return width
+
+
+def _run_packed(ring: PolyRing, degree: int, run):
+    """``run(pk)`` at width ``_width(degree)``, doubled on each overflow."""
+    width = _width(degree)
+    while True:
+        try:
+            return run(ring.packing(width))
+        except PackingOverflow:
+            width *= 2
 
 
 def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -148,18 +172,13 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """
     ring = f.ring
     _check_rings(ring, basis)
-    # start where the dividend fits, so that its overflow never repacks
-    # the divisors
-    width, degree = _WIDTH, f.total_degree()
-    while degree >= 1 << (width - 1):
-        width *= 2
-    while True:
-        pk = ring.packing(width)
-        try:
-            divisors = [_divisor(g, pk) for g in basis if g.terms]
-            return _polynomial(ring, _divide(ring, _pack_terms(f, pk), divisors, pk), pk)
-        except PackingOverflow:
-            width *= 2
+
+    def run(pk: MonomialPacking) -> Polynomial:
+        divisors = [_divisor(g, pk) for g in basis if g.terms]
+        return _polynomial(ring, _divide(ring, _pack_terms(f, pk), divisors, pk), pk)
+
+    # start where the dividend fits: its overflow never repacks the divisors
+    return _run_packed(ring, f.total_degree(), run)
 
 
 def _check_rings(ring: PolyRing, basis: list[Polynomial]) -> None:
@@ -278,69 +297,51 @@ def _polynomial(ring: PolyRing, terms: dict, pk: MonomialPacking) -> Polynomial:
 class NormalFormTable:
     """Normal forms of monomials modulo one reduced Groebner basis, tabled.
 
-    The table packs at one width and maps a packed monomial to its packed
-    remainder, keys decreasing, coefficients canonical and nonzero.  A
-    monomial that no leading monomial divides is its own normal form; any
-    other ``k`` is ``x_i`` times the tabled normal form of ``k / x_i``,
-    ``x_i`` its variable of highest index, divided by :func:`_divide` with
-    the table's own first-divisor memo.  That is exact: ``f - nf(f)`` lies
-    in the ideal, so ``nf(x_i f) = nf(x_i nf(f))``, and a remainder modulo a
-    Groebner basis does not depend on the division that produced it.  The
-    basis never changes, so the memo stays sound as the table grows, and
-    each monomial is divided once, from the remainder one degree down (the
-    symbolic preprocessing of F4, Faugere, JPAA 139, 1999, for one fixed
-    basis).  A monomial that does not fit its fields restarts the whole
-    table at twice the width, and the call that met it runs again; a caller
-    that keeps packed keys across calls compares :attr:`width` before and
-    after.
+    The table maps a packed monomial to its packed remainder, keys
+    decreasing, coefficients canonical and nonzero.  A monomial that no
+    leading monomial divides is its own normal form; any other ``k`` is
+    ``x_i`` times the tabled normal form of ``k / x_i``, ``x_i`` its
+    variable of highest index, divided by :func:`_divide` with the table's
+    own first-divisor memo.  That is exact: ``f - nf(f)`` lies in the ideal,
+    so ``nf(x_i f) = nf(x_i nf(f))``, and a remainder modulo a Groebner basis
+    does not depend on the division that produced it.  The basis never
+    changes, so the memo stays sound as the table grows, and each monomial
+    is divided once, from the remainder one degree down (the symbolic
+    preprocessing of F4, Faugere, JPAA 139, 1999, for one fixed basis).
+
+    The order must be graded, its first weight row all ones (``ValueError``
+    otherwise), so a division never raises the degree: the table packs once,
+    at ``_width`` of ``degree`` and the basis's degrees, and never
+    overflows.  A call holding a monomial of higher degree than the fields
+    hold restarts the table before it divides anything.
     """
 
-    def __init__(self, ring: PolyRing, basis: list[Polynomial]):
+    def __init__(self, ring: PolyRing, basis: list[Polynomial], degree: int):
         _check_rings(ring, basis)
+        rows = ring.order.weights(ring.nvars)
+        if rows and not all(rows[0]):
+            raise ValueError(f"a normal-form table needs a graded order, not {ring.order!r}")
         self.ring = ring
         self._basis = [g for g in basis if g.terms]
-        self._start(_WIDTH)
+        self._start(max([degree] + [g.total_degree() for g in self._basis]))
 
-    def _start(self, width: int) -> None:
-        while True:
-            pk = self.ring.packing(width)
-            try:
-                self._divisors = [_divisor(g, pk) for g in self._basis]
-                break
-            except PackingOverflow:
-                width *= 2
-        self.pk = pk
-        self._memo: dict = {}
-        self._table: dict = {}
-
-    @property
-    def width(self) -> int:
-        return self.pk.width
+    def _start(self, degree: int) -> None:
+        self.pk = pk = self.ring.packing(_width(degree))
+        self._divisors = [_divisor(g, pk) for g in self._basis]
+        self._memo, self._table = {}, {}
 
     def combination(self, terms) -> dict:
         """``sum c * nf(m)`` over the pairs ``(m, c)`` of ``terms``,
         monomials of the table's ring with nonzero coefficients: a dict from
-        monomials packed at :attr:`width` to nonzero coefficients, summed
-        with the field's operations."""
+        monomials packed by :attr:`pk` to nonzero coefficients."""
         terms = list(terms)
-        while True:
-            try:
-                return self._combination(terms)
-            except PackingOverflow:
-                self._start(2 * self.pk.width)
-
-    def _combination(self, terms: list) -> dict:
-        field = self.ring.field
-        add, mul, pack, nf = field.add, field.mul, self.pk.pack, self._nf
+        top = max((sum(m) for m, _ in terms), default=0)
+        if top >= 1 << (self.pk.width - 1):
+            self._start(top)
+        add_scaled, pack, nf = self.ring.field.add_scaled, self.pk.pack, self._nf
         out = {}
         for m, c in terms:
-            for k, a in nf(pack(m)).items():
-                old = out.get(k)
-                v = mul(c, a) if old is None else add(old, mul(c, a))
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
+            add_scaled(out, nf(pack(m)), c)
         return out
 
     def _nf(self, k: int) -> dict:
@@ -370,11 +371,8 @@ class NormalFormTable:
             u = pk.units[(low.bit_length() - 1) // pk.width]
             chain.append((k, u))
             k -= u
-        guard = pk.guard
         for k, u in reversed(chain):
             dividend = {t + u: c for t, c in r.items()}
-            if any(t & guard for t in dividend):
-                raise PackingOverflow(f"product outgrew {pk.width}-bit fields")
             r = table[k] = _divide(self.ring, dividend, divisors, pk, memo)
         return r
 
@@ -415,11 +413,11 @@ def s_polynomial(f: tuple, g: tuple, pk: MonomialPacking, L: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, int]:
-    """``(D, pk, memo)``, the :func:`_divisor` forms at ``pk`` of a monic
-    Groebner basis of the nonzero ``gens`` and the run's first-divisor memo,
-    and the least budget that computes it: ``max(S-pair reductions, most
-    elements held at once)``.
+def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[int, list]:
+    """``(needed, basis)``: the reduced Groebner basis of the ideal of the
+    nonzero ``gens``, computed on monomials packed by ``pk``, and the least
+    budget that computes it, ``max(S-pair reductions, most elements held at
+    once)``.
 
     Signature-based and incremental, position over term (Faugere, ISSAC
     2002), with the criteria of the module docstring.  Each generator is
@@ -427,13 +425,15 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
     key, stably, so equal leading monomials keep the caller's order.  An
     element keeps its leading monomial's packed parts ``units[i] * e_i``;
     every unit is positive, so two elements' packed lcm is
-    ``sum(map(max, parts_b, parts_a))``.
+    ``sum(map(max, parts_b, parts_a))``.  The basis is read off the final
+    divisor list by :func:`_reduce_basis`.
 
     Raises :class:`PackingOverflow` when a leading monomial, a signature,
-    an lcm or a term of a reduction does not fit ``pk``'s fields, or when a
-    remainder has a term of total degree 2^(width - 1) or more.  In lex and
-    block orders the degree of the bitwise or of a remainder's keys bounds
-    every term's, and only a failed bound sums the terms one by one.
+    an lcm or a term of a reduction or of the inter-reduction does not fit
+    ``pk``'s fields, or when a remainder has a term of total degree
+    2^(width - 1) or more.  In lex and block orders the degree of the
+    bitwise or of a remainder's keys bounds every term's, and only a failed
+    bound sums the terms one by one.
     """
     ring = gens[0].ring
     field = ring.field
@@ -563,32 +563,23 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[tuple, i
                 xs[:] = [xs[i] for i in keep]
             for k, i in memo.items():
                 memo[k] = below[i]
-    return (D, pk, memo), max(processed, peak)
+    return max(processed, peak), _reduce_basis(ring, D, pk, memo)
 
 
 def _reduce_basis(ring: PolyRing, D: list[tuple], pk: MonomialPacking, memo) -> list[Polynomial]:
     """The reduced basis from the :func:`_divisor` forms ``D`` at ``pk`` of
-    a monic Groebner basis and its run's first-divisor memo.
+    a minimal monic Groebner basis and its run's first-divisor memo.
 
-    Each minimal element ``g`` becomes ``lm(g)`` plus the remainder of its
-    tail by all of ``D``, with the memo: a remainder modulo a Groebner basis
-    is unique, ``lm(g)`` divides no term below it, and ``D`` no longer
+    ``D`` is minimal as Buchberger leaves it: each step keeps only its
+    minimal elements, and no earlier leading monomial divides a new one,
+    since earlier elements divide freely.  So each element ``g``, by
+    increasing leading monomial, becomes ``lm(g)`` plus the remainder of
+    its tail by all of ``D``, with the memo: a remainder modulo a Groebner
+    basis is unique, ``lm(g)`` divides no term below it, and ``D`` no longer
     grows, so every memo entry stays true."""
-    P, eguard, neg = [d[1] for d in D], pk.eguard, ring.field.neg
-    # minimalize: drop elements whose leading monomial another one divides
-    # (of equal leading monomials, the first is kept)
-    minimal = [
-        (p, tail)
-        for i, (_, p, tail, _) in enumerate(D)
-        if not any(
-            not (p - q) & eguard and (q != p or j < i)
-            for j, q in enumerate(P)
-            if j != i
-        )
-    ]
-    minimal.sort(key=itemgetter(0))
+    neg = ring.field.neg
     reduced = []
-    for p, tail in minimal:
+    for _, p, tail, _ in sorted(D, key=itemgetter(1)):
         remainder = _divide(ring, {t: neg(c) for t, c in tail}, D, pk, memo)
         reduced.append(_polynomial(ring, {p: 1} | remainder, pk))
     return reduced
@@ -619,16 +610,7 @@ def groebner_basis(gens: list[Polynomial]) -> list[Polynomial]:
     if hit is None or hit[0] > budget:
         # a monomial that outgrows its fields, in Buchberger or in the
         # inter-reduction, restarts the whole run at twice the field width
-        width = _WIDTH
-        while True:
-            pk = ring.packing(width)
-            try:
-                (D, pk, memo), needed = _buchberger(gens, pk, budget)
-                basis = _reduce_basis(ring, D, pk, memo)
-                break
-            except PackingOverflow:
-                width *= 2
-        hit = ring._bases[gens] = (needed, basis)
+        hit = ring._bases[gens] = _run_packed(ring, 0, lambda pk: _buchberger(gens, pk, budget))
     return list(hit[1])
 
 

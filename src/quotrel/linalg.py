@@ -30,17 +30,6 @@ from .fields import Field
 Vector = dict
 
 
-def _add_scaled(field: Field, out: Vector, w: Vector, c) -> Vector:
-    """out += c*w in place, dropping zero entries; returns out."""
-    for k, x in w.items():
-        y = field.add(out.get(k, field.zero), field.mul(c, x))
-        if field.is_zero(y):
-            out.pop(k, None)
-        else:
-            out[k] = y
-    return out
-
-
 class RowSpace:
     """A subspace in reduced row-echelon form: ``row`` maps each pivot, the
     entry of its row with the largest ``key``, to that row."""
@@ -69,7 +58,7 @@ class RowSpace:
         out = dict(v)
         for label, c in v.items():
             if label in row:
-                _add_scaled(field, out, row[label], field.neg(c))
+                field.add_scaled(out, row[label], field.neg(c))
         return out
 
     def contains(self, v: Vector) -> bool:
@@ -83,10 +72,10 @@ class RowSpace:
         if not res:
             return None
         piv = max(res, key=self.key)
-        new = _add_scaled(field, {}, res, field.inv(res[piv]))
+        new = field.add_scaled({}, res, field.inv(res[piv]))
         for p, r in row.items():
             if piv in r:
-                row[p] = _add_scaled(field, dict(r), new, field.neg(r[piv]))
+                row[p] = field.add_scaled(dict(r), new, field.neg(r[piv]))
         row[piv] = new
         return piv
 

@@ -275,12 +275,7 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
         # summed as one coefficient dict
         terms = {}
         for j, coeff in v.items():
-            for m, a in rows[start + j].items():
-                b = field.add(terms.get(m, field.zero), field.mul(coeff, a))
-                if field.is_zero(b):
-                    terms.pop(m, None)
-                else:
-                    terms[m] = b
+            field.add_scaled(terms, rows[start + j], coeff)
         return Polynomial(P, terms)
 
     wit_c = None

@@ -347,17 +347,11 @@ class MonomialImages:
 
     def apply(self, f: "Polynomial") -> "Polynomial":
         """The image of ``f``: the sum of ``c * T(m)`` over its terms."""
-        field = self.target.field
-        add, mul, one = field.add, field.mul, field.one
+        add_scaled, monomial = self.target.field.add_scaled, self.monomial
         terms: dict[Monomial, object] = {}
         for m, c in f.terms.items():
-            for t, v in self.monomial(m).terms.items():
-                if c != one:
-                    v = mul(c, v)
-                old = terms.get(t)
-                terms[t] = v if old is None else add(old, v)
-        is_zero = field.is_zero
-        return Polynomial(self.target, {t: v for t, v in terms.items() if not is_zero(v)})
+            add_scaled(terms, monomial(m).terms, c)
+        return Polynomial(self.target, terms)
 
 
 def embed(f: "Polynomial", target: "PolyRing",
@@ -564,26 +558,20 @@ class PolyRing:
     # -- parsing / rendering -------------------------------------------------
 
     _name_re = re.compile(r"[^\W\d]\w*")  # the script lexer's names without "-"
+    # the first alternative that matches at a position wins
     _token_re = re.compile(
-        rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{_name_re.pattern})|(?P<op>[-+*^()]))"
+        rf"(?P<num>\d+(?:/\d+)?)|(?P<name>{_name_re.pattern})|(?P<op>[-+*^()])"
+        r"|(?P<skip>\s+)|(?P<bad>.)"
     )
 
     def _tokenize(self, text: str) -> list[tuple[str, str]]:
         tokens = []
-        pos = 0
-        while pos < len(text):
-            m = self._token_re.match(text, pos)
-            if not m:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                raise ParseError(f"unexpected character {rest[0]!r} in {text!r}")
-            pos = m.end()
-            for kind in ("num", "name", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    tokens.append((kind, val))
-                    break
+        for m in self._token_re.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r} in {text!r}")
+            if kind != "skip":
+                tokens.append((kind, m.group()))
         tokens.append(("end", ""))
         return tokens
 
@@ -766,14 +754,7 @@ class Polynomial:
             other = self.ring.from_int(other)
         self._check(other)
         field = self.ring.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = field.add(terms.get(m, field.zero), c)
-            if field.is_zero(s):
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, field.add_scaled(dict(self.terms), other.terms, field.one))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -796,16 +777,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        field = self.ring.field
-        terms: dict[Monomial, object] = {}
+        add_scaled, terms = self.ring.field.add_scaled, {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = field.add(terms.get(m, field.zero), field.mul(c1, c2))
-                if field.is_zero(s):
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
+            add_scaled(terms, {monomial_mul(m1, m2): c2 for m2, c2 in other.terms.items()}, c1)
         return Polynomial(self.ring, terms)
 
     def __rmul__(self, other):

@@ -236,14 +236,13 @@ def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
     over the terms ``c * m`` of ``f``, each ``nf`` read off one
     :class:`~quotrel.groebner.NormalFormTable` of ``source.gb()``.  That is
     the normal form of ``f(x) - f(y)``, since a normal form modulo a
-    Groebner basis is unique and linear.  The conditions are labelled by
-    packed monomials; should the table restart at a wider packing while the
-    kernel is solved, the kernel is solved again on the new labels.
+    Groebner basis is unique and linear.  The table is built for degree
+    ``d``, so every column's conditions are labelled by one packing.
     """
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     if isinstance(source, RelationPresentation):
-        table = NormalFormTable(source.doubled, source.gb())
+        table = NormalFormTable(source.doubled, source.gb(), d)
         neg, zeros = source.ambient.field.neg, (0,) * source.nvars
 
         def condition(el: RingElement) -> dict:
@@ -251,13 +250,7 @@ def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
                 pair for m, c in el.parts[0].terms.items()
                 for pair in ((m + zeros, c), (zeros + m, neg(c))))
 
-        while True:
-            # a table restarted at a wider packing relabels its vectors:
-            # solve again on the new labels
-            width = table.width
-            trunc = TruncatedSubalgebra(source.ambient, d, condition)
-            if table.width == width:
-                return trunc
+        return TruncatedSubalgebra(source.ambient, d, condition)
     s1, s2 = source
     if not isinstance(s1, RingMap) or not isinstance(s2, RingMap):
         raise TypeError("expected a RelationPresentation or a pair of RingMaps")

@@ -493,7 +493,8 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
     """``groebner_basis`` inter-reduces on Buchberger's packed divisor list
     and returns ``oracles.naive_reduce_basis`` of the same monic Groebner
     basis term for term, over QQ and FF(2, 3, 5, 32003) in lex, grevlex and
-    block orders.  Every element of that divisor list is the ``_divisor``
+    block orders.  That list is minimal: no leading monomial in it divides
+    another.  Every element of that divisor list is the ``_divisor``
     form, recomputed from its unpacked terms, of a monic nonzero remainder
     of one of Buchberger's packed divisions, and the basis is read off
     those remainders in the list's order.  A case over the budget of 300 is
@@ -542,6 +543,10 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
             recomputed = [groebner._divisor(g, run["pk"]) for g in kept]
             assert all(d in recomputed for d in run["D"]), (
                 f"a divisor is no remainder's packed form {where}")
+            eguard = run["pk"].eguard
+            assert not any(not (a[1] - b[1]) & eguard for i, a in enumerate(run["D"])
+                           for j, b in enumerate(run["D"]) if i != j), (
+                f"a leading monomial divides another {where}")
             G = [kept[recomputed.index(d)] for d in run["D"]]
             theirs = oracles.naive_reduce_basis(G)
             assert [list(g.terms.items()) for g in ours] == [
@@ -760,8 +765,8 @@ def relation_kernel_oracle_suite(cases=45, seed=20261106):
     generator, term for term.  Orbit relations of small signed-permutation
     groups, the cusp and the node, and explicit relations on a quotient
     ambient, over QQ and FF(2, 3, 5, 7), through degree 8 at most.  One more
-    case glues ``x1^40000`` to ``x2^40000``: the table's 16-bit fields
-    cannot hold that leading monomial, so it restarts at 32 bits."""
+    case glues ``x1^40000`` to ``x2^40000``: 16-bit fields cannot hold
+    that leading monomial, so the table packs at 32 bits."""
     rng = random.Random(seed)
     fields = FIELDS + (GF(7),)
     for i in range(cases):
@@ -778,7 +783,7 @@ def relation_kernel_oracle_suite(cases=45, seed=20261106):
             f"minimal generators differ: {where}")
     ambient = AmbientRing.free(QQ, ("x",))
     rel = relation_from_map(ambient, [ambient.poly_ring(0).parse("x^40000")])
-    assert groebner.NormalFormTable(rel.doubled, rel.gb()).width == 32
+    assert groebner.NormalFormTable(rel.doubled, rel.gb(), 8).pk.width == 32
     ours, theirs = coequalizer_kernel_basis(rel, 8), oracles.naive_relation_kernel_basis(rel, 8)
     assert ours.layers == theirs.layers and ours.dims() == [1] * 9
     return cases

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -141,6 +142,31 @@ def test_prime_field_pow(p):
             assert F.pow(a, -e) == pow(F.inv(a), e, p)
             assert F.mul(F.pow(a, -e), F.pow(a, e)) == F.one
     assert F.pow(F.zero, 0) == F.one
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+def test_add_scaled_is_the_naive_sum(field):
+    """``add_scaled(out, w, c)`` adds ``c * w`` into ``out`` and returns it:
+    an entry that cancels is dropped, and the result is the sum read label
+    by label."""
+    rng = random.Random(5)
+    elements = [e for e in map(field.of_int, range(1, 6)) if e] + [field.of_fraction(1, 3)]
+    for _ in range(100):
+        out = {k: rng.choice(elements) for k in rng.sample(range(8), rng.randint(0, 6))}
+        w = {k: rng.choice(elements) for k in rng.sample(range(8), rng.randint(0, 6))}
+        c = rng.choice(elements)
+        expected = {}
+        for k in set(out) | set(w):
+            v = field.add(out.get(k, field.zero), field.mul(c, w.get(k, field.zero)))
+            if not field.is_zero(v):
+                expected[k] = v
+        before = dict(out)
+        assert field.add_scaled(out, w, c) is out
+        assert out == expected, (before, w, c)
+    # an entry that cancels is dropped
+    x = field.of_int(3)
+    assert field.add_scaled({"a": x, "b": field.one}, {"a": field.one}, field.neg(x)) == {
+        "b": field.one}
 
 
 # -- the QQ representation: int when integral, else a reduced Fraction ------

@@ -221,15 +221,19 @@ def _table_nf(table, f):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
-@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BlockOrder(1)])
 def test_normal_form_table_agrees_with_normal_form(field, order):
     """Linear combinations of monomials, each tabled from the normal form
     one variable down, give the remainders of the heap division, term for
-    term, in a degree order and in lex, where a remainder can outgrow its
-    dividend's degree."""
+    term, in grevlex.  Lex and block orders, where a remainder can outgrow
+    its dividend's degree, are refused."""
     R = PolyRing(field, ("x", "y", "z"), order)
     gb = groebner_basis([R.parse(g) for g in ("x^2 - y*z", "y^3 - x*z + 1", "x*y*z - z^2")])
-    table = NormalFormTable(R, gb)
+    if order != GREVLEX:
+        with pytest.raises(ValueError, match="graded order"):
+            NormalFormTable(R, gb, 12)
+        return
+    table = NormalFormTable(R, gb, 12)
     rng = random.Random(7)
     for _ in range(40):
         f = R.zero
@@ -242,24 +246,27 @@ def test_normal_form_table_agrees_with_normal_form(field, order):
 
 
 def test_normal_form_table_of_the_unit_ideal_is_zero(R):
-    table = NormalFormTable(R, groebner_basis([R.parse("x*y - 1"), R.parse("x")]))
+    table = NormalFormTable(R, groebner_basis([R.parse("x*y - 1"), R.parse("x")]), 4)
     assert table.combination([((0, 0), 1), ((3, 1), 2)]) == {}
 
 
 def test_normal_form_table_restarts_wider_and_rejects_a_foreign_basis(R):
     """x^40000 does not fit 16-bit fields: a table over a basis that holds
-    it starts at 32 bits, and one meeting it in a dividend restarts there
-    with the same remainders."""
+    it, or built for that degree, packs at 32 bits.  A 16-bit table meets
+    it in a call: it restarts at 32 bits before dividing anything, with
+    the same remainders."""
     gb = groebner_basis([R.parse("x^40000 - y")])
-    assert NormalFormTable(R, gb).width == 32
-    table = NormalFormTable(R, groebner_basis([R.parse("x^2 - y")]))
-    assert table.width == 16 and table.combination([((3, 0), 1)]) == {
+    assert NormalFormTable(R, gb, 2).pk.width == 32
+    square = groebner_basis([R.parse("x^2 - y")])
+    assert NormalFormTable(R, square, 40000).pk.width == 32
+    table = NormalFormTable(R, square, 3)
+    assert table.pk.width == 16 and table.combination([((3, 0), 1)]) == {
         table.pk.pack((1, 1)): 1}
     assert _table_nf(table, R.parse("x^40001 + x")) == normal_form(
         R.parse("x^40001 + x"), [R.parse("x^2 - y")])
-    assert table.width == 32
+    assert table.pk.width == 32
     with pytest.raises(ValueError, match="ring mismatch"):
-        NormalFormTable(R, [PolyRing(QQ, ("x", "y", "z")).parse("x")])
+        NormalFormTable(R, [PolyRing(QQ, ("x", "y", "z")).parse("x")], 1)
 
 
 def test_wide_exponents_restart_the_whole_run(monkeypatch):

@@ -76,6 +76,16 @@ def test_parse_errors(R):
             R.parse(bad)
 
 
+def test_parse_skips_whitespace_and_names_a_bad_character(R):
+    """Whitespace, newlines included, separates tokens anywhere; a character
+    no token starts with is named, with the text it was found in."""
+    with pytest.raises(ParseError) as err:
+        R.parse("x $ y")
+    assert str(err.value) == "unexpected character '$' in 'x $ y'"
+    assert R.parse(" x +\n y ") == R.parse("x + y")
+    assert R.parse("\t2 * x ^ 3\n") == R.parse("2*x^3")
+
+
 def test_variable_names_are_what_the_reader_reads():
     """A ring takes exactly the names its polynomial reader can read back."""
     S = PolyRing(QQ, ("é", "_y1"))

@@ -242,29 +242,36 @@ def test_pair_kernel_columns_are_not_normal_formed_again(monkeypatch):
 
 
 def test_relation_table_restarts_wider_with_the_same_kernel(monkeypatch, cusp_rel):
-    """With 4-bit fields (exponents below 8) the cusp's first column t^8
-    does not fit: the table restarts at 8 bits and the kernel is solved
-    again on its labels.  A recheck of t^40000 restarts the table once more."""
+    """With 4-bit fields (exponents below 8) the cusp's column t^8 does not
+    fit, but the table is built for degree 8: it starts at 8 bits, never
+    restarts while the kernel is solved, and the kernel is solved once,
+    equal to the one at 16 bits.  A recheck of t^40000 restarts the table
+    at 32 bits."""
     from quotrel import groebner
 
     expected = coequalizer_kernel_basis(cusp_rel, 8)
-    widths = []
-    original = groebner.NormalFormTable._start
+    widths, solves = [], []
+    start, solve = groebner.NormalFormTable._start, quotient.TruncatedSubalgebra.__init__
 
-    def recorded(table, width):
-        widths.append(width)
-        return original(table, width)
+    def recorded(table, degree):
+        start(table, degree)
+        widths.append(table.pk.width)
+
+    def counted(trunc, *args):
+        solves.append(args)
+        solve(trunc, *args)
 
     monkeypatch.setattr(groebner, "_WIDTH", 4)
     monkeypatch.setattr(groebner.NormalFormTable, "_start", recorded)
+    monkeypatch.setattr(quotient.TruncatedSubalgebra, "__init__", counted)
     tr = coequalizer_kernel_basis(cusp_rel, 8)
-    assert widths == [4, 8]
+    assert widths == [8] and len(solves) == 1
     assert tr.layers == expected.layers
     assert tr.minimal_generators() == expected.minimal_generators()
     pr = tr.ring.poly_ring(0)
     assert tr.defining_membership(tr.ring.embed(0, pr.parse("t^40000 - 2*t^3")))
     assert not tr.defining_membership(tr.ring.embed(0, pr.parse("t^40000 + t")))
-    assert widths[2:] == [16, 32]
+    assert widths == [8, 32]
 
 
 @pytest.mark.parametrize("ring", [
