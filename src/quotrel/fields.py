@@ -118,6 +118,8 @@ class RationalField(Field):
         return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def inv(self, a):
+        if a.__class__ is int and (a == 1 or a == -1):
+            return a
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         # an exact Fraction: 1 / a would be a float for an int a

@@ -112,9 +112,7 @@ def reynolds_project(f: Polynomial, action: GroupAction) -> Polynomial:
         raise ValueError(
             f"group order {n} is not invertible in characteristic {field.characteristic}"
         )
-    total = action.ring.poly_ring(0).zero
-    for g in action.maps:
-        total = total + g.apply_poly(f)
+    total = sum((g.apply_poly(f) for g in action.maps), action.ring.poly_ring(0).zero)
     return total.scale(field.inv(field.of_int(n)))
 
 
@@ -140,18 +138,18 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
                     "kernel-basis of the action's orbit relation (from-action) "
                     "finds the invariants of an affine action")
     out: list[list[Polynomial]] = [[pr.one]]
-    generators = [action.maps[i] for i in action.generators()]
+    # the ring is free, so a generator's table holds each image as it is
+    tables = [action.maps[i].table(0) for i in action.generators()]
     by_degree: list[list] = [[] for _ in range(d + 1)]
     for m in pr.monomials_up_to_degree(d):
         by_degree[sum(m)].append(m)
     for e in range(1, d + 1):
         columns = by_degree[e]
         rows = []
-        for g in generators:
+        for table in tables:
             rows += condition_rows(
-                (m, (g.apply_poly(pr.monomial(m)) - pr.monomial(m)).terms)
-                for m in columns
-            )
+                (m, pr.field.add_scaled(dict(table.monomial(m).terms), {m: 1}, pr.field.neg(1)))
+                for m in columns)
         # the printed normalization: each invariant is 1 at its least
         # significant monomial, ordered by that monomial, most significant
         # first

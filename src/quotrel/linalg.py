@@ -107,7 +107,7 @@ def nullspace(rows: list[Vector], columns: list, field: Field) -> list[Vector]:
     # Echelonizing the conditions with the last column most significant
     # leaves the leading labels of the kernel free.
     space = RowSpace(field, {c: i for i, c in enumerate(columns)}.__getitem__)
-    for r in rows:
+    for r in sorted(rows, key=len):  # the same echelon form, built cheaper
         space.insert(r)
     basis = []
     for free in columns:

@@ -34,7 +34,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -131,7 +131,7 @@ class GrevlexOrder(MonomialOrder):
     name = "grevlex"
 
     def key(self, m: Monomial):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(map(neg, reversed(m))))
 
     def weights(self, nvars: int) -> list[Monomial]:
         return _grevlex_rows(nvars)
@@ -153,9 +153,9 @@ class BlockOrder(MonomialOrder):
         f, b = m[: self.front], m[self.front :]
         return (
             sum(f),
-            tuple(-e for e in reversed(f)),
+            tuple(map(neg, reversed(f))),
             sum(b),
-            tuple(-e for e in reversed(b)),
+            tuple(map(neg, reversed(b))),
         )
 
     def weights(self, nvars: int) -> list[Monomial]:
@@ -681,7 +681,7 @@ class PolyRing:
             mono = self.render_monomial(m)
             if mono == "1":
                 body = field.render(mag)
-            elif field.is_zero(field.sub(mag, field.one)):
+            elif mag == 1:
                 body = mono
             else:
                 body = f"{field.render(mag)}*{mono}"

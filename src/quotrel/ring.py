@@ -244,9 +244,9 @@ class RingMap:
     :class:`~quotrel.poly.MonomialImages` table (:meth:`table`), built on
     first use with the component's normal form as its ``reduce``, so
     every monomial's image is computed once per map.  Every result read
-    off a table is normal-formed again (in :class:`RingElement` or
-    explicitly), which reads the basis through ``groebner_basis``: a table
-    hit never skips the budget check.
+    off a table into a quotient is normal-formed again, which reads the
+    basis through ``groebner_basis``: a table hit never skips the budget
+    check.  Into a free ring the normal form is the identity.
     """
 
     def __init__(
@@ -304,7 +304,7 @@ class RingMap:
         """Apply a one-component map directly to a polynomial."""
         if self.source.is_product or self.target.is_product:
             raise ValueError("apply_poly expects one-component rings")
-        return self.apply(self.source.element([f])).parts[0]
+        return self.target.nf(0, self.table(0).apply(self.source.nf(0, f)))
 
     def is_well_defined(self) -> bool:
         """Each defining-ideal generator of the used source component must

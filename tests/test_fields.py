@@ -231,6 +231,16 @@ def test_qq_inv_of_an_int_is_exact():
     assert_qq(QQ.inv(big + 1), Fraction(1, big + 1))
 
 
+def test_qq_inv_keeps_the_units_as_ints():
+    """An int unit is returned as it is; a non-canonical ``Fraction(1, 1)``
+    still comes back as the int 1."""
+    assert_qq(QQ.inv(1), Fraction(1))
+    assert_qq(QQ.inv(-1), Fraction(-1))
+    assert_qq(QQ.inv(Fraction(1, 1)), Fraction(1))
+    assert_qq(QQ.inv(2), Fraction(1, 2))
+    assert_qq(QQ.inv(Fraction(-1, 3)), Fraction(-3))
+
+
 int_terms = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.integers(-big, big).filter(bool), min_size=1, max_size=4)

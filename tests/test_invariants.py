@@ -242,19 +242,24 @@ def test_invariants_on_generators_match_all_elements():
 
 
 def test_d4_invariants_apply_two_maps(monkeypatch):
-    """Through degree 6, the 209 monomials of positive degree in four
-    variables are moved by the two generators only (all seven nontrivial
-    elements: 1463 applications)."""
-    calls = [0]
-    original = RingMap.apply_poly
+    """Through degree 6 the fixed-point conditions are read off the image
+    tables of the two generators only, with no ``apply_poly`` call: each
+    of the two tables holds the 210 monomials of degree <= 6 in four
+    variables.  The other six maps' tables hold only the 5 monomials of
+    degree <= 1 that the compositions of ``validate`` read."""
 
-    def counted(self, f):
-        calls[0] += 1
-        return original(self, f)
+    def refused(self, f):
+        raise AssertionError("invariant_basis called apply_poly")
 
-    monkeypatch.setattr(RingMap, "apply_poly", counted)
-    invariant_basis(square_action(), 6)
-    assert calls[0] == 418
+    act = square_action()
+    monkeypatch.setattr(RingMap, "apply_poly", refused)
+    invariant_basis(act, 6)
+    held = [set(g._tables[0]._table) for g in act.maps]
+    every = set(act.ring.poly_ring(0).monomials_up_to_degree(6))
+    assert len(every) == 210
+    assert [i for i, ms in enumerate(held) if ms == every] == act.generators() == [1, 4]
+    assert all(len(ms) == 5 and max(map(sum, ms)) == 1
+               for i, ms in enumerate(held) if i not in (1, 4))
 
 
 # -- orbit equations ---------------------------------------------------------

@@ -140,6 +140,39 @@ def test_nullspace_is_the_reduced_echelon_kernel(field):
         assert oracles.rref(relabelled, arith) == relabelled
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_nullspace_does_not_depend_on_the_row_order(field):
+    """Sparse conditions on 6-12 labels, given as listed, reversed and in 5
+    seeded shuffles: the basis is the same each time, and it is the RREF
+    oracle's reduced echelon kernel."""
+    rng = random.Random(29)
+    arith = oracles.arith_for(field)
+    for _ in range(25):
+        cols = [f"c{i}" for i in range(rng.randint(6, 12))]
+        rows = []
+        for _ in range(rng.randint(1, len(cols))):
+            r = {c: field.of_int(rng.randint(-3, 3)) for c in rng.sample(cols, rng.randint(1, 3))}
+            rows.append({k: v for k, v in r.items() if not field.is_zero(v)})
+        sols = nullspace(rows, cols, field)
+        orders = [rows[::-1]]
+        for seed in range(5):
+            shuffled = list(rows)
+            random.Random(seed).shuffle(shuffled)
+            orders.append(shuffled)
+        for order in orders:
+            assert nullspace(order, cols, field) == sols
+        assert len(sols) == len(cols) - oracles.span_dim(rows, arith)
+        index = {c: i for i, c in enumerate(cols)}
+        relabelled = [{index[c]: x for c, x in v.items()} for v in sols]
+        assert oracles.rref(relabelled, arith) == relabelled
+        for v in sols:
+            for r in rows:
+                s = field.zero
+                for c, x in r.items():
+                    s = field.add(s, field.mul(x, v.get(c, field.zero)))
+                assert field.is_zero(s)
+
+
 def test_condition_rows_transpose_images():
     images = [("a", {"u": 1, "v": 2}), ("b", {"v": 3}), ("c", {})]
     assert condition_rows(images) == [{"a": 1}, {"a": 2, "b": 3}]

@@ -164,6 +164,26 @@ def test_map_table_hit_keeps_the_budget_check():
         assert phi.apply(el) == full
 
 
+def test_apply_poly_is_apply_on_one_component():
+    """On a quotient ring ``apply_poly`` gives the part of ``apply``, normal
+    forms included, and keeps the budget check of the target's ideal."""
+    pr = PolyRing(QQ, ("x", "y", "z"))
+    Q = AmbientRing.quotient(pr, [pr.parse("x^5 + y^5 + z^3 - 1"),
+                                  pr.parse("x^3 + y^3 + z^2 - 1")])
+    swap = RingMap.on_polys(Q, Q, [pr.parse("y"), pr.parse("x"), pr.parse("z")])
+    f = pr.parse("x^7*y + 2*x*z^4 - y^3")
+    with budget(1), pytest.raises(BudgetExceededError):
+        RingMap.on_polys(Q, Q, [pr.parse("y"), pr.parse("x"), pr.parse("z")]).apply_poly(f)
+    assert swap.is_well_defined()
+    image = swap.apply_poly(f)
+    assert image == swap.apply(Q.element([f])).parts[0]
+    assert image == Q.nf(0, f.substitute(pr, [pr.parse("y"), pr.parse("x"), pr.parse("z")]))
+    with budget(1), pytest.raises(BudgetExceededError):
+        swap.apply_poly(f)
+    with pytest.raises(ValueError, match="one-component"):
+        RingMap.identity(AmbientRing([(pr, []), (pr, [])])).apply_poly(f)
+
+
 def test_map_equality_modulo_quotient(dual):
     pr = dual.poly_ring(0)
     a = RingMap.on_polys(dual, dual, [pr.parse("x"), pr.parse("eps")])

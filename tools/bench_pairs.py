@@ -90,6 +90,12 @@ pinchinput CUSP in P = ideal (u) sub (v^2, v^3) module (v);
 pinch CUSP;
 verify-pushout CUSP;
 """, 40),
+    "d4-invariants-d16": ("""
+ring SQ = QQ[a, b, c, d];
+action D4 on SQ = (a, b, c, d | b, c, d, a | c, d, a, b | d, a, b, c
+                 | d, c, b, a | b, a, d, c | a, d, c, b | c, b, a, d);
+invariant-basis D4;
+""", 16),
 }
 # One --larger script run, executed by ``python3 -c`` in a checkout with the
 # script text and the degree bound as arguments; it prints one JSON line.
