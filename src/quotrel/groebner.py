@@ -521,7 +521,12 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[int, lis
                 T = pop(heap)
                 while heap and heap[0] == T:
                     pop(heap)
-                if any(not (T - z) & eguard for z in syz):
+                covered = False
+                for z in syz:
+                    if not (T - z) & eguard:
+                        covered = True
+                        break
+                if covered:
                     continue
                 # the candidate: the multiple of the latest element whose
                 # signature divides T, with leading monomial L
@@ -549,12 +554,20 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[int, lis
                 a = len(D) - 1
         # keep the minimal elements: no earlier one divides a new one, and of
         # equal new leading monomials the first is kept
-        new = [
-            i for i in range(start, len(D))
-            if not any(not (P[i] - P[j]) & eguard and (P[j] != P[i] or j < i)
-                       for j in range(start, len(D)) if j != i)
-        ]
-        keep = [i for i in range(start) if all((P[i] - P[j]) & eguard for j in new)] + new
+        new, keep = [], []
+        for i in range(start, len(D)):
+            for j in range(start, len(D)):
+                if j != i and not (P[i] - P[j]) & eguard and (P[j] != P[i] or j < i):
+                    break
+            else:
+                new.append(i)
+        for i in range(start):
+            for j in new:
+                if not (P[i] - P[j]) & eguard:
+                    break
+            else:
+                keep.append(i)
+        keep += new
         if len(keep) < len(D):
             # a memo index becomes the number of kept elements below it
             kept = set(keep)

@@ -12,7 +12,9 @@ canonical no matter in which order vectors were inserted.  It holds one row
 per pivot, in the dict ``row``: each row is 1 at its pivot and 0 at every
 other pivot, and a row once stored is never mutated, so callers may wrap it
 without copying.  ``pivots`` and ``rows`` are views sorted by the key, most
-significant first, computed on each read.
+significant first, computed on each read.  ``holders`` maps each label to
+the pivots whose rows hold it away from their own pivot, so an insert
+back-substitutes into those rows only.
 
 Kernels follow the same convention.  :func:`nullspace` takes its columns
 listed most significant first and returns the reduced echelon basis of the
@@ -38,6 +40,7 @@ class RowSpace:
         self.field = field
         self.key = key
         self.row: dict = {}
+        self.holders: dict = {}
 
     @property
     def dim(self) -> int:
@@ -67,16 +70,22 @@ class RowSpace:
     def insert(self, v: Vector):
         """Add ``v`` to the space.  Returns the new pivot label if the
         dimension grew, else ``None``."""
-        field, row = self.field, self.row
+        field, row, holders = self.field, self.row, self.holders
         res = self.reduce(v)
         if not res:
             return None
         piv = max(res, key=self.key)
         new = field.add_scaled({}, res, field.inv(res[piv]))
-        for p, r in row.items():
-            if piv in r:
-                row[p] = field.add_scaled(dict(r), new, field.neg(r[piv]))
+        for p in holders.pop(piv, ()):
+            r = row[p]
+            row[p] = s = field.add_scaled(dict(r), new, field.neg(r[piv]))
+            for label in s.keys() - r.keys():
+                holders.setdefault(label, set()).add(p)
+            for label in r.keys() - s.keys() - {piv}:
+                holders[label].discard(p)
         row[piv] = new
+        for label in new.keys() - {piv}:
+            holders.setdefault(label, set()).add(piv)
         return piv
 
 
@@ -109,14 +118,6 @@ def nullspace(rows: list[Vector], columns: list, field: Field) -> list[Vector]:
     space = RowSpace(field, {c: i for i, c in enumerate(columns)}.__getitem__)
     for r in sorted(rows, key=len):  # the same echelon form, built cheaper
         space.insert(r)
-    basis = []
-    for free in columns:
-        if free in space.row:
-            continue
-        v = {free: field.one}
-        for piv, row in space.row.items():
-            c = row.get(free)
-            if c is not None:
-                v[piv] = field.neg(c)
-        basis.append(v)
-    return basis
+    row, neg = space.row, field.neg
+    return [{free: field.one, **{p: neg(row[p][free]) for p in space.holders.get(free, ())}}
+            for free in columns if free not in row]

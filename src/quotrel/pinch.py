@@ -17,7 +17,7 @@ from itertools import chain
 from .groebner import MembershipSieve
 from .linalg import RowSpace, condition_rows, nullspace
 from .poly import Polynomial
-from .quotient import TruncatedSubalgebra, product_closure
+from .quotient import ProductSpan, TruncatedSubalgebra
 from .ring import AmbientRing, RingElement
 
 __all__ = [
@@ -44,11 +44,8 @@ def _product_span(ring: AmbientRing, gens, d: int):
     ring) whose normal forms stay within degree ``d``, starting from 1, and
     the products that enlarged it."""
     space = _flat_space(ring)
-    kept = product_closure(
-        gens, [ring.one], d,
-        lambda el: space.insert(el.parts[0].terms) is not None,
-    )
-    return space, kept
+    span = ProductSpan(ring, d, lambda el: space.insert(el.parts[0].terms) is not None, gens)
+    return space, [b for b, _ in span.kept]
 
 
 class PinchInput:
@@ -242,7 +239,9 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
     the ideal multiples, one span grown degree by degree.  An ideal multiple
     vanishes on the locus, so it lies in that kernel exactly when it lies in
     the product span: degree-first echelon rows of pivot degree <= e span
-    the span's whole degree-<= e part.
+    the span's whole degree-<= e part.  So the kernel, of dimension rows less
+    rank, is the ideal span if it has its dimension and every multiple lies
+    in the product span; only a level where that fails is solved for a witness.
     """
     model, field = inp.model, inp.ring.field
     P = model.poly_ring
@@ -268,7 +267,7 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
     levels = [[] for _ in range(d + 1)]
     for _, _, _, p in multiples:
         levels[p.total_degree()].append(p)
-    ideal_space = _flat_space(inp.flat)
+    ideal_space, residue_space = _flat_space(inp.flat), _flat_space(inp.residue)
 
     def combination(v: dict, start: int) -> Polynomial:
         # the kernel element of the solution v on the rows from start on,
@@ -278,13 +277,19 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
             field.add_scaled(terms, rows[start + j], coeff)
         return Polynomial(P, terms)
 
-    wit_c = None
+    wit_c, start = None, len(rows)
     for e, level in enumerate(levels):
         for p in level:
             ideal_space.insert(p.terms)
         # the rows of pivot degree <= e are a suffix of the space's rows
-        start = next((i for i, piv in enumerate(pivots) if sum(piv) <= e),
-                     len(pivots))
+        while start and sum(pivots[start - 1]) <= e:
+            start -= 1
+            residue_space.insert(residues[start])
+        # the ideal span lies in the kernel when its multiples lie in the
+        # product span, and then equal dimensions make them equal
+        if (len(rows) - start - residue_space.dim == ideal_space.dim
+                and all(space.contains(p.terms) for p in level)):
+            continue
         # the witness search reads each combination as 1 at its last row,
         # ordered by that row
         sols = nullspace(condition_rows(enumerate(residues[start:])),

@@ -21,7 +21,7 @@ and the effectivity test) comes down to two primitives: the kernel of a
 linear map on monomials, :func:`~quotrel.linalg.nullspace` of the
 :func:`~quotrel.linalg.condition_rows` of the map, which is already the
 canonical reduced echelon basis; and the span of the products of generators
-up to a degree, :func:`product_closure`.  A :class:`TruncatedSubalgebra` is
+up to a degree, a :class:`ProductSpan`.  A :class:`TruncatedSubalgebra` is
 stated by one such map on whole elements, ``condition(el)``: the same map
 gives the kernel, applied to each column monomial, and the membership
 recheck, applied to the element.  An intersection of subalgebras states its
@@ -86,37 +86,70 @@ def vector_to_element(ring: AmbientRing, v: dict) -> RingElement:
         ring, [Polynomial(ring.poly_ring(c), terms) for c, terms in enumerate(parts)])
 
 
-def product_closure(gens, seeds, limit: int, insert) -> list:
-    """Breadth-first span of the products of ``gens`` up to degree ``limit``.
+class ProductSpan:
+    """The span of the products of a growing list of generators, grown as
+    its degree bound rises to ``d`` and never rebuilt.
 
-    Elements need ``*``, ``is_zero()``, ``degree()`` and ``ring``.
     ``insert`` adds an element to the caller's span and says whether the
-    span grew.  The seeds that grow it are kept; every kept element, in
-    order, is multiplied by each generator in turn, and a nonzero product
-    of degree at most ``limit`` that grows the span is kept as well.
-    Returns the kept elements.
-
-    When the elements' ring is one free polynomial ring the degree of a
-    product is the sum of its factors' degrees, so a product whose degrees
-    add up past ``limit`` is not formed at all.  In a quotient or a product
-    ring a product can drop degree (``x * x = y`` modulo ``x^2 - y``), and
-    every product is formed.
+    span grew.  The elements that grow it are kept, from 1 on, and each kept
+    element times each generator is formed once, breadth first.  A nonzero
+    product waits in ``waiting`` until ``bound`` reaches its degree; past
+    ``d`` it is dropped.  In one free polynomial ring a product's degree is
+    the sum of its factors', and a product whose degrees add up past ``d``
+    is not formed at all; in a quotient or a product ring a product can drop
+    degree (``x * x = y`` modulo ``x^2 - y``), and every product is formed.
     """
-    kept = [s for s in seeds if insert(s)]
-    free = bool(kept) and kept[0].ring.ncomponents == 1 and not kept[0].ring.q_gens(0)
-    degrees = [g.degree() for g in gens]
-    i = 0
-    while i < len(kept):
-        s = kept[i]
-        i += 1
-        room = limit - s.degree()
-        for g, e in zip(gens, degrees):
-            if free and e > room:
-                continue
-            p = s * g
-            if not p.is_zero() and p.degree() <= limit and insert(p):
-                kept.append(p)
-    return kept
+
+    def __init__(self, ring: AmbientRing, d: int, insert, gens=(), bound=None):
+        self.d, self.insert, self.bound = d, insert, d if bound is None else bound
+        self.free = ring.ncomponents == 1 and not ring.q_gens(0)
+        self.gens = [(g, g.degree()) for g in gens]
+        # (element, degree) pairs; _todo holds those not yet multiplied
+        self.kept, self._todo, self.waiting = [], [], {}
+        self._offer(ring.one, 0)
+        self._close()
+
+    def _offer(self, p, e: int):
+        if self.insert(p):
+            self.kept.append((p, e))
+            self._todo.append((p, e))
+
+    def _form(self, k, kd: int, g, gd: int):
+        if self.free and kd + gd > self.d:
+            return
+        p = k * g
+        e = kd + gd if self.free else p.degree()
+        if p.is_zero() or e > self.d:
+            return
+        if e <= self.bound:
+            self._offer(p, e)
+        else:
+            self.waiting.setdefault(e, []).append(p)
+
+    def _close(self):
+        # the loop also visits the products kept on its way
+        for k, kd in self._todo:
+            for g, gd in self.gens:
+                self._form(k, kd, g, gd)
+        self._todo.clear()
+
+    def raise_to(self, e: int):
+        """Insert the waiting products of degree at most ``e``."""
+        while self.bound < e:
+            self.bound += 1
+            for p in self.waiting.pop(self.bound, ()):
+                self._offer(p, self.bound)
+            self._close()
+
+    def add(self, g):
+        """Add the generator ``g``, an element of the span: its product with 1
+        is itself, kept as it is, and it is multiplied by every kept element."""
+        gd = g.degree()
+        self.gens.append((g, gd))
+        self.kept.append((g, gd))
+        for k, kd in self.kept[1:]:
+            self._form(k, kd, g, gd)
+        self._close()
 
 
 class TruncatedSubalgebra:
@@ -178,31 +211,26 @@ class TruncatedSubalgebra:
     def minimal_generators(self) -> list[tuple[RingElement, int]]:
         """Degree-by-degree minimal algebra generators of the truncation.
 
-        At each degree the span of all products of the generators found so
-        far is closed off, and every canonical basis element not in that span
-        contributes one new generator (its reduced, monic residue).
+        One :class:`ProductSpan` of the generators so far grows a degree at a
+        time; each canonical basis element outside it contributes one new
+        generator (its reduced, monic residue), whose products join at once.
         """
         if self._generators is not None:
             return self._generators
-        field = self.ring.field
+        alg = RowSpace(self.ring.field, self.key)
+        span = ProductSpan(self.ring, self.d,
+                           lambda p: alg.insert(element_to_vector(p)) is not None, bound=0)
         gens: list[tuple[RingElement, int]] = []
         for e in range(1, self.d + 1):
-            # the span of the products, up to degree e, of the generators so
-            # far; formed when first needed and again after each new one
-            alg = None
+            if self.layers[e]:
+                span.raise_to(e)
             for f in self.layers[e]:
-                if alg is None:
-                    alg = RowSpace(field, self.key)
-                    product_closure(
-                        [g for g, _ in gens], [self.ring.one], e,
-                        lambda p: alg.insert(element_to_vector(p)) is not None,
-                    )
                 piv = alg.insert(element_to_vector(f))
                 if piv is None:
                     continue
                 gen = vector_to_element(self.ring, alg.row[piv])
                 gens.append((gen, e))
-                alg = None
+                span.add(gen)
         self._generators = gens
         return gens
 

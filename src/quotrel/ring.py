@@ -79,7 +79,10 @@ class AmbientRing:
         return groebner_basis(self.components[c][1])
 
     def nf(self, c: int, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.gb(c)) if self.components[c][1] else f
+        pr, q_gens = self.components[c]
+        if f.ring is not pr and f.ring != pr:
+            raise ValueError(f"polynomial of {f.ring!r} given for a component in {pr!r}")
+        return normal_form(f, self.gb(c)) if q_gens else f
 
     def __eq__(self, other):
         return (

@@ -46,7 +46,9 @@ modulo ``J``.  ``naive_relation_kernel_basis`` is the relation kernel that
 divided ``f(x) - f(y)`` from scratch for every column, before its
 condition was read off one normal-form table, and
 ``naive_product_closure`` the span-of-products loop that formed every
-product, also those past the degree bound.
+product, also those past the degree bound, and ``naive_minimal_generators``
+the generator search that rebuilt that span from 1 at every degree and
+after every new generator.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from quotrel.poly import (
     monomial_lcm,
     monomial_mul,
 )
-from quotrel.quotient import TruncatedSubalgebra
+from quotrel.quotient import TruncatedSubalgebra, element_to_vector, vector_to_element
 from quotrel.ring import RingMap
 from quotrel.script import ScriptError
 
@@ -758,8 +760,10 @@ def naive_relation_kernel_basis(rel, d):
 
 
 def naive_product_closure(gens, seeds, limit, insert):
-    """``quotient.product_closure`` forming every product ``s * g`` and
-    keeping the nonzero ones of degree at most ``limit``."""
+    """Breadth-first span of the products of ``gens`` up to degree
+    ``limit``: every kept element, from the seeds that grow the span on,
+    times every generator, keeping the nonzero products of degree at most
+    ``limit`` that grow it."""
     kept = [s for s in seeds if insert(s)]
     i = 0
     while i < len(kept):
@@ -770,3 +774,26 @@ def naive_product_closure(gens, seeds, limit, insert):
             if not p.is_zero() and p.degree() <= limit and insert(p):
                 kept.append(p)
     return kept
+
+
+def naive_minimal_generators(trunc):
+    """``TruncatedSubalgebra.minimal_generators`` rebuilding the span of the
+    products of the generators so far from 1, by ``naive_product_closure``,
+    at every degree that has basis elements and again after each new
+    generator."""
+    gens = []
+    for e in range(1, trunc.d + 1):
+        alg = None
+        for f in trunc.layers[e]:
+            if alg is None:
+                alg = RowSpace(trunc.ring.field, trunc.key)
+                naive_product_closure(
+                    [g for g, _ in gens], [trunc.ring.one], e,
+                    lambda p: alg.insert(element_to_vector(p)) is not None)
+            piv = alg.insert(element_to_vector(f))
+            if piv is None:
+                continue
+            gen = vector_to_element(trunc.ring, alg.row[piv])
+            gens.append((gen, e))
+            alg = None
+    return gens

@@ -2,12 +2,14 @@
 
 import pytest
 
+from quotrel import pinch
 from quotrel.fields import QQ
 from quotrel.groebner import MembershipSieve
-from quotrel.linalg import RowSpace
+from quotrel.linalg import RowSpace, nullspace
 from quotrel.pinch import (
     PinchInput,
     PinchResult,
+    _product_span,
     pinch_generators,
     subalgebra_intersection_trunc,
     verify_pushout,
@@ -89,10 +91,10 @@ def test_cusp_the_axis_inside_the_plane():
     assert verify_pushout(inp, out, 5).passed
 
 
-def test_cusp_without_v_squared_fails_the_kernel_check():
+def test_cusp_without_v_squared_fails_the_kernel_check(monkeypatch):
     """Dropping v^2 from the cusp's generators loses u*v^2 from the glued
     algebra, and check (c) names it: an ideal multiple outside the kernel of
-    the gluing."""
+    the gluing.  Only the level of that witness solves its kernel."""
     P = AmbientRing.free(QQ, ("u", "v"))
     pr = P.poly_ring(0)
     u, v = P.embed(0, pr.parse("u")), P.embed(0, pr.parse("v"))
@@ -100,6 +102,13 @@ def test_cusp_without_v_squared_fails_the_kernel_check():
     out = pinch_generators(inp, 5)
     bad = PinchResult(out.generators[1:], out.certificates[1:], out.pres_ring,
                       out.pres_ideal, 5)
+    solves = []
+
+    def recorded(rows, columns, field):
+        solves.append(len(columns))
+        return nullspace(rows, columns, field)
+
+    monkeypatch.setattr(pinch, "nullspace", recorded)
     assert verify_pushout(inp, bad, 5).render().splitlines() == [
         "push-out checks through degree 5:",
         "  ideal multiples land in the glued algebra: FAIL  (witness: u*v^2)",
@@ -108,12 +117,37 @@ def test_cusp_without_v_squared_fails_the_kernel_check():
         "  (witness: u*v^2)",
         "verdict: NOT a push-out",
     ]
+    # one solve, at degree 3, the witness's: over the product rows of pivot
+    # degree at most 3
+    space, _ = _product_span(inp.flat, [inp.flat.element([inp.model.to_poly(g)])
+                                        for g in bad.generators], 5)
+    assert solves == [sum(1 for piv in space.pivots if sum(piv) <= 3)]
+
+
+def test_passing_cusp_pushout_solves_no_kernel(monkeypatch):
+    """Check (c) compares each level's kernel with the ideal span by rank:
+    the cusp pinch at degree 40 passes without one ``nullspace`` solve."""
+    P = AmbientRing.free(QQ, ("u", "v"))
+    pr = P.poly_ring(0)
+    u, v = P.embed(0, pr.parse("u")), P.embed(0, pr.parse("v"))
+    inp = PinchInput(P, [u], [v ** 2, v ** 3], [v])
+    out = pinch_generators(inp, 40)
+    solves = []
+
+    def recorded(*args):
+        solves.append(args)
+        return nullspace(*args)
+
+    monkeypatch.setattr(pinch, "nullspace", recorded)
+    assert verify_pushout(inp, out, 40).passed
+    assert solves == []
 
 
 def test_cusp_pushout_check_inserts_each_ideal_multiple_once(monkeypatch):
     """Check (c) grows one ideal span degree by degree: on the cusp at
     degree 14 ``verify_pushout`` makes at most 600 ``RowSpace.insert``
-    calls (573 counted; 1588 when every degree rebuilt its row spaces)."""
+    calls (586 counted, the residue rows' rank space included; 1588 when
+    every degree rebuilt its row spaces)."""
     P = AmbientRing.free(QQ, ("u", "v"))
     pr = P.poly_ring(0)
     u, v = P.embed(0, pr.parse("u")), P.embed(0, pr.parse("v"))

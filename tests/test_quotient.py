@@ -3,9 +3,10 @@
 import pytest
 
 from quotrel import quotient
-from quotrel.eqrel import relation_from_map
+from quotrel.eqrel import relation_from_group_action, relation_from_map
 from quotrel.fields import QQ
 from quotrel.groebner import MembershipSieve
+from quotrel.invariants import GroupAction
 from quotrel.poly import BudgetExceededError, PolyRing, budget
 from quotrel.quotient import (
     coequalizer_kernel_basis,
@@ -15,7 +16,7 @@ from quotrel.quotient import (
     present_subalgebra,
     vector_to_element,
 )
-from quotrel.ring import AmbientRing, RingMap
+from quotrel.ring import AmbientRing, RingElement, RingMap
 
 import oracles
 from oracles import arith_for, span_dim
@@ -280,53 +281,69 @@ def test_relation_table_restarts_wider_with_the_same_kernel(monkeypatch, cusp_re
     # (u, 0) * (0, v) = 0 and (1, 0) * (u, 0) = (u, 0)
     AmbientRing([(PolyRing(QQ, ("u",)), []), (PolyRing(QQ, ("v",)), [])]),
 ])
-def test_products_that_drop_degree_are_formed(monkeypatch, ring):
+def test_products_that_drop_degree_are_formed(ring):
     """Minimal generators of a quotient ambient or a product ring, where a
     product can have lower degree than its factors', match those found by
-    forming every product."""
+    rebuilding the span of every product from 1 at each step."""
     identity = RingMap.identity(ring)
-    ours = coequalizer_kernel_basis((identity, identity), 4).minimal_generators()
-    monkeypatch.setattr(quotient, "product_closure", oracles.naive_product_closure)
-    theirs = coequalizer_kernel_basis((identity, identity), 4).minimal_generators()
-    assert ours == theirs
+    tr = coequalizer_kernel_basis((identity, identity), 4)
+    ours = tr.minimal_generators()
+    assert ours == oracles.naive_minimal_generators(tr)
     if not ring.is_product:
         assert [(g.render(), e) for g, e in ours] == [("x", 1)]
 
 
-def test_products_past_the_bound_are_not_formed(cusp_rel):
+def test_products_past_the_bound_are_not_formed(monkeypatch, cusp_rel):
     """In one free polynomial ring a product's degree is the sum of its
-    factors': at degree 6 the cusp's generators t^2 and t^3 form only the
-    products of degree at most 6."""
-    formed = []
+    factors': at degree 6 the span of the cusp's generators t^2 and t^3
+    forms only the products of degree at most 6."""
     tr = coequalizer_kernel_basis(cusp_rel, 6)
     t2, t3 = (g for g, _ in tr.minimal_generators())
+    formed = []
+    mul = RingElement.__mul__
 
-    class Counted:
-        def __init__(self, el):
-            self.el, self.ring = el, el.ring
+    def counted(a, b):
+        formed.append((a.degree(), b.degree()))
+        return mul(a, b)
 
-        def __mul__(self, other):
-            formed.append((self.degree(), other.degree()))
-            return Counted(self.el * other.el)
-
-        def is_zero(self):
-            return self.el.is_zero()
-
-        def degree(self):
-            return self.el.degree()
-
+    monkeypatch.setattr(RingElement, "__mul__", counted)
     seen = []
 
     def insert(p):
-        if p.el in seen:
+        if p in seen:
             return False
-        seen.append(p.el)
+        seen.append(p)
         return True
 
-    kept = quotient.product_closure([Counted(t2), Counted(t3)], [Counted(tr.ring.one)], 6, insert)
-    assert [p.degree() for p in kept] == [0, 2, 3, 4, 5, 6]
+    span = quotient.ProductSpan(tr.ring, 6, insert, [t2, t3])
+    assert [e for _, e in span.kept] == [0, 2, 3, 4, 5, 6]
     assert all(a + b <= 6 for a, b in formed)
     assert len(formed) == 7
+
+
+def test_grown_span_forms_each_product_once(monkeypatch):
+    """``minimal_generators`` grows one span of products: for the S3 orbit
+    relation at degree 14 it multiplies each pair of a kept element and a
+    generator at most once, in either order, and finds the generators the
+    rebuilt spans find."""
+    A = AmbientRing.free(QQ, ("x", "y", "z"))
+    pr = A.poly_ring(0)
+    maps = [RingMap.on_polys(A, A, [pr.parse(v) for v in images]) for images in (
+        "xyz", "yxz", "zyx", "xzy", "yzx", "zxy")]
+    tr = coequalizer_kernel_basis(relation_from_group_action(GroupAction(A, maps)), 14)
+    pairs = []
+    mul = RingElement.__mul__
+
+    def counted(a, b):
+        pairs.append(frozenset((id(a), id(b))))
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    gens = tr.minimal_generators()
+    monkeypatch.undo()
+    assert pairs and len(set(pairs)) == len(pairs)
+    assert gens == oracles.naive_minimal_generators(tr)
+    assert [e for _, e in gens] == [1, 2, 3]
 
 
 def test_relation_kernel_runs_under_the_budget(cusp_rel):

@@ -184,6 +184,22 @@ def test_apply_poly_is_apply_on_one_component():
         RingMap.identity(AmbientRing([(pr, []), (pr, [])])).apply_poly(f)
 
 
+def test_a_polynomial_of_another_ring_is_refused():
+    """A polynomial of QQ[u, v] is not substituted by position into a map
+    from QQ[x, y, z], nor taken as a part of an element of QQ[x, y, z]; an
+    equal ring built apart is accepted."""
+    A = AmbientRing.free(QQ, ("x", "y", "z"))
+    pr = A.poly_ring(0)
+    cyclic = RingMap.on_polys(A, A, [pr.parse("y"), pr.parse("z"), pr.parse("x")])
+    f = PolyRing(QQ, ("u", "v")).parse("u^2*v")
+    for call in (lambda: cyclic.apply_poly(f), lambda: cyclic.apply(A.element([f]))):
+        with pytest.raises(ValueError, match="given for a component"):
+            call()
+    g = PolyRing(QQ, ("x", "y", "z")).parse("x^2*y")
+    assert cyclic.apply_poly(g).terms == pr.parse("y^2*z").terms
+    assert cyclic.apply(A.element([g])).render() == "y^2*z"
+
+
 def test_map_equality_modulo_quotient(dual):
     pr = dual.poly_ring(0)
     a = RingMap.on_polys(dual, dual, [pr.parse("x"), pr.parse("eps")])

@@ -84,12 +84,25 @@ relation ORB on X3 = from-action S3;
 kernel-basis ORB;
 probe ORB;
 """, 14),
+    "s3-orbit-kernel-probe-d20": ("""
+ring X3 = QQ[x, y, z];
+action S3 on X3 = (x, y, z | y, x, z | z, y, x | x, z, y | y, z, x | z, x, y);
+relation ORB on X3 = from-action S3;
+kernel-basis ORB;
+probe ORB;
+""", 20),
     "cusp-pinch-verify-d40": ("""
 ring P = QQ[u, v];
 pinchinput CUSP in P = ideal (u) sub (v^2, v^3) module (v);
 pinch CUSP;
 verify-pushout CUSP;
 """, 40),
+    "cusp-pinch-verify-d80": ("""
+ring P = QQ[u, v];
+pinchinput CUSP in P = ideal (u) sub (v^2, v^3) module (v);
+pinch CUSP;
+verify-pushout CUSP;
+""", 80),
     "d4-invariants-d16": ("""
 ring SQ = QQ[a, b, c, d];
 action D4 on SQ = (a, b, c, d | b, c, d, a | c, d, a, b | d, a, b, c
