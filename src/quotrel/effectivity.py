@@ -21,6 +21,10 @@ The defect kills ``J``.  For ``h`` in ``J`` the terms ``h(x,y)`` and
 normal form modulo ``J`` have the same defect, and ``W`` is the kernel of
 the defect on the span of the degree-``d`` standard monomials of ``J``.
 
+Every test reads degree ``d`` only (``V``'s normal forms, ``J``'s standard
+monomials, the defects), so the homogeneous ``J`` and ``J(x,y) + J(y,z)``
+take bases truncated at ``d``: a higher element divides no degree-``d`` term.
+
 The relation is *effective* exactly when the class of ``f`` in ``W/V``
 vanishes; a nonzero class exhibits descent data that descends to no actual
 quotient.  The candidate itself is never added to ``V`` — otherwise the test
@@ -78,14 +82,14 @@ class CocycleData:
             raise ValueError(f"ring is not finite over the map subring ({bad} unbounded)")
 
     def j_basis(self):
-        return self.relation.gb()
+        return groebner_basis(self.j_gens, self.degree)
 
     def sum_basis(self):
-        """Basis of J(x,y) + J(y,z) in the tripled ring."""
+        """Basis of J(x,y) + J(y,z) in the tripled ring, to degree d."""
         to_tripled = self.relation.to_tripled
         gens = [to_tripled(g, 0, 1) for g in self.j_gens]
         gens += [to_tripled(g, 1, 2) for g in self.j_gens]
-        return groebner_basis(gens)
+        return groebner_basis(gens, self.degree)
 
     def defect(self, h: Polynomial) -> Polynomial:
         """h(x,y) + h(y,z) - h(x,z) in the tripled ring."""

@@ -106,6 +106,7 @@ class RelationPresentation:
         # second block in front: finiteness over the first projection
         self.swapped = PolyRing(pr.field, self.copies[1] + self.copies[0],
                                 BlockOrder(self.nvars))
+        self.fibre = PolyRing(pr.field, self.copies[1], GREVLEX)
         self.gens = [g if g.ring == self.doubled else self.doubled.convert(g) for g in gens]
         self.full_gens = list(self.gens)
         for copy in (0, 1):
@@ -127,14 +128,31 @@ class RelationPresentation:
         the tripled ring: ``to_tripled(f, 0, 2)`` is ``f(x, z)``."""
         return embed(f, self.tripled, copy_positions(self.nvars, *copies))
 
+    def graded_degree(self) -> int | None:
+        """The largest degree of ``full_gens`` if all are homogeneous."""
+        if all(g.is_homogeneous() for g in self.full_gens):
+            return max((g.total_degree() for g in self.full_gens), default=0)
+        return None
+
     def unbounded(self) -> list[Polynomial]:
         """The second-block variables with no monic equation over the first
         block, read off a block-order basis with the second block in front:
         empty exactly when the relation's coordinate ring is a finite module
-        over the first projection."""
-        W = self.swapped
-        gb = groebner_basis([W.convert(g) for g in self.full_gens])
-        return [W.var(i) for i in finite_over_block(self.nvars, gb)[1]]
+        over the first projection.
+
+        A homogeneous I is read in its fibre over the origin (graded
+        Nakayama; Eisenbud, *Commutative Algebra*, ch. 4), in grevlex on the
+        second block: y_i^N leads an element of I in the block order iff it
+        leads one of the fibre, since a homogeneous element's terms with a
+        first-block variable have lower second-block degree than its image
+        in the fibre, which lifts back with the same leading monomial."""
+        n = self.nvars
+        if self.graded_degree() is None:
+            gens = [self.swapped.convert(g) for g in self.full_gens]
+        else:
+            gens = [Polynomial(self.fibre, {m[n:]: c for m, c in g.terms.items()
+                                            if not any(m[:n])}) for g in self.full_gens]
+        return [self.swapped.var(i) for i in finite_over_block(n, groebner_basis(gens))[1]]
 
     def contains_diagonal_ideal(self) -> bool:
         """Sanity check: both copies of the defining ideal lie in I."""
@@ -236,14 +254,14 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
         raise ValueError("mode must be 'scheme' or 'set'")
     report = AxiomReport(mode)
 
-    def member(f, gens):
+    def member(f, gens, degree):
         if mode == "scheme":
-            return ideal_member(f, groebner_basis(gens))
+            return ideal_member(f, groebner_basis(gens, degree))
         return radical_member(f, gens)
 
-    def check(axis, candidates, gens):
+    def check(axis, candidates, gens, degree=None):
         # the first candidate outside the ideal of ``gens`` is the witness
-        witness = next((f for f in candidates if not member(f, gens)), None)
+        witness = next((f for f in candidates if not member(f, gens, degree)), None)
         report.verdicts[axis] = witness is None
         report.witnesses[axis] = witness
 
@@ -255,11 +273,12 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
     # one containment forces equality.
     check("symmetry", map(rel.swap, rel.gens), rel.full_gens)
 
-    # transitivity: I(1,3) inside I(1,2) + I(2,3) in the tripled ring
+    # transitivity: I(1,3) inside I(1,2) + I(2,3) in the tripled ring; for
+    # homogeneous I a basis truncated at I's degree decides it
     I12 = [rel.to_tripled(g, 0, 1) for g in rel.full_gens]
     I23 = [rel.to_tripled(g, 1, 2) for g in rel.full_gens]
     I13 = (rel.to_tripled(g, 0, 2) for g in rel.full_gens)
-    check("transitivity", I13, I12 + I23)
+    check("transitivity", I13, I12 + I23, rel.graded_degree())
 
     # finiteness: O(R) is a finite module over the first block
     unbounded = rel.unbounded()

@@ -413,11 +413,13 @@ def s_polynomial(f: tuple, g: tuple, pk: MonomialPacking, L: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[int, list]:
+def _buchberger(gens: tuple, pk: MonomialPacking, budget: int,
+                degree: int | None = None) -> tuple[int, list]:
     """``(needed, basis)``: the reduced Groebner basis of the ideal of the
     nonzero ``gens``, computed on monomials packed by ``pk``, and the least
     budget that computes it, ``max(S-pair reductions, most elements held at
-    once)``.
+    once)``; with ``degree``, its elements up to that degree, as
+    :func:`groebner_basis` says.
 
     Signature-based and incremental, position over term (Faugere, ISSAC
     2002), with the criteria of the module docstring.  Each generator is
@@ -442,7 +444,12 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[int, lis
     push, pop = heapq.heappush, heapq.heappop
     # a first weight row of all ones guards a valid term's degree
     rows = ring.order.weights(ring.nvars)
-    degree = None if not rows or all(rows[0]) else (lambda k: sum(unpack(k)))
+    sum_degree = None if not rows or all(rows[0]) else (lambda k: sum(unpack(k)))
+    # a graded order's degree is the order word's top field: a packed lcm of
+    # degree above ``degree`` is at least ``cap``; no valid one reaches it
+    # without a degree
+    cap = (1 << pk.guard.bit_length() if degree is None
+           else (degree + 1) << (pk.shift + pk.width * max(len(rows) - 1, 0)))
     # the elements, in the order they were added: divisor form, packed
     # leading monomial, its packed parts per variable, its support, signature
     D, P, parts, S, sigs = [], [], [], [], []
@@ -456,8 +463,8 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[int, lis
         d = _packed_divisor(field, pk, lm, lc, terms)
         # each exponent field of the or of all keys bounds that field of
         # every term; only a failed bound is tested term by term
-        if degree is not None and degree(d[3] | lm) >> limit and (
-                max(map(degree, remainder)) >> limit):
+        if sum_degree is not None and sum_degree(d[3] | lm) >> limit and (
+                max(map(sum_degree, remainder)) >> limit):
             raise PackingOverflow(f"remainder outgrew {pk.width}-bit fields")
         D.append(d)
         parts.append([u * e for u, e in zip(units, unpack(lm))])
@@ -507,6 +514,8 @@ def _buchberger(gens: tuple, pk: MonomialPacking, budget: int) -> tuple[int, lis
                     # units are positive: the max of packed parts packs the
                     # max of exponents
                     L = sum(map(max, parts[b], m))
+                    if L >= cap:
+                        continue
                     T = L - p + sa
                     if b >= start:
                         Tb = L - P[b] + sigs[b]
@@ -598,32 +607,46 @@ def _reduce_basis(ring: PolyRing, D: list[tuple], pk: MonomialPacking, memo) -> 
     return reduced
 
 
-def groebner_basis(gens: list[Polynomial]) -> list[Polynomial]:
+def groebner_basis(gens: list[Polynomial], degree: int | None = None) -> list[Polynomial]:
     """The reduced Groebner basis of the ideal generated by ``gens``.
 
     The result is canonical for the ring's monomial order and is sorted by
     increasing leading monomial.  Returns ``[]`` for the zero ideal.
 
+    With ``degree`` (homogeneous generators and a graded order, else
+    ``ValueError``) it is the reduced basis's elements of degree at most
+    ``degree`` (Becker & Weispfenning, *Groebner Bases*, 1993, ch. 10):
+    generators and pair lcms of larger degree are dropped.  Each element of
+    degree ``e`` is ``m - nf(m)``, and in degree ``e`` the normal form
+    depends only on the ideal's degree-``e`` part; a dropped candidate or
+    syzygy, coming after all of lower degree, rules out none of them.
+
     The basis is memoized on the ring of ``gens[0]`` for that ring's
-    lifetime, keyed by the nonzero generators in the caller's order
-    (Buchberger takes them by increasing leading monomial, equal ones in
-    that order, which fixes the S-polynomials it builds).  It is returned,
-    as a new list, only when the budget in force covers what it needed: the
-    S-pair reductions (each S-polynomial built and divided; a candidate a
-    signature criterion drops costs nothing) and the most basis elements
-    held at once; otherwise Buchberger runs again and fails as on a fresh
-    ring.
+    lifetime, keyed by ``degree`` and the nonzero generators in the
+    caller's order (Buchberger takes them by increasing leading monomial,
+    equal ones in that order, which fixes the S-polynomials it builds).  It
+    is returned, as a new list, only when the budget in force covers what it
+    needed: the S-pair reductions (each S-polynomial built and divided; a
+    candidate a signature criterion drops costs nothing) and the most basis
+    elements held at once; otherwise Buchberger runs again and fails as on a
+    fresh ring.
     """
     gens = tuple(g for g in gens if not g.is_zero())
+    if gens and degree is not None:
+        rows = gens[0].ring.order.weights(gens[0].ring.nvars)
+        if rows and not all(rows[0]) or not all(g.is_homogeneous() for g in gens):
+            raise ValueError("a truncated basis needs homogeneous generators and a graded order")
+        gens = tuple(g for g in gens if g.total_degree() <= degree)
     if not gens:
         return []
     ring = gens[0].ring
     budget = current_budget()
-    hit = ring._bases.get(gens)
+    hit = ring._bases.get((gens, degree))
     if hit is None or hit[0] > budget:
         # a monomial that outgrows its fields, in Buchberger or in the
         # inter-reduction, restarts the whole run at twice the field width
-        hit = ring._bases[gens] = _run_packed(ring, 0, lambda pk: _buchberger(gens, pk, budget))
+        hit = ring._bases[gens, degree] = _run_packed(
+            ring, 0, lambda pk: _buchberger(gens, pk, budget, degree))
     return list(hit[1])
 
 
@@ -716,16 +739,8 @@ def finite_over_block(
     monomial.  Returns the verdict plus the indices of front variables that
     fail.
     """
-    missing = []
-    for i in range(front):
-        found = False
-        for g in gb:
-            lm = g.leading_monomial()
-            if lm[i] > 0 and all(e == 0 for k, e in enumerate(lm) if k != i):
-                found = True
-                break
-        if not found:
-            missing.append(i)
+    lms = [g.leading_monomial() for g in gb]
+    missing = [i for i in range(front) if not any(lm[i] == sum(lm) > 0 for lm in lms)]
     return (not missing, missing)
 
 

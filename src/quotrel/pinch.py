@@ -248,9 +248,13 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
 
     gen_sieve = inp.sieve(out.generators)
     gen_polys = gen_sieve.gens
+    space, _ = _product_span(
+        inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
     multiples = _ideal_multiples(inp, d)
+    # a multiple in the product span lies in the algebra: only others need the sieve
     wit_a = next((inp.ring.embed(c, inp.ring.poly_ring(c).monomial(m)) * h
-                  for c, m, h, p in multiples if not gen_sieve.contains(p)), None)
+                  for c, m, h, p in multiples
+                  if not space.contains(p.terms) and not gen_sieve.contains(p)), None)
 
     sieve_s = inp.sieve(inp.s_lifts, locus=True)
     sieve_g = inp.sieve(out.generators, locus=True)
@@ -260,8 +264,6 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
         (sieve_s, out.generators, gen_polys), (sieve_g, inp.s_lifts, sieve_s.gens))
         for el, p in zip(els, polys) if not sieve.contains(p)), None)
 
-    space, _ = _product_span(
-        inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
     pivots, rows = space.pivots, space.rows
     residues = [inp.residue.nf(0, Polynomial(P, row)).terms for row in rows]
     levels = [[] for _ in range(d + 1)]

@@ -42,7 +42,8 @@ check that rebuilt its kernel and ideal row spaces at every degree.
 lexer became one table of regular expressions.  ``naive_effectivity_test``
 is the effectivity test that solved the cocycle condition over every
 monomial of the candidate's degree and normal-formed each kernel vector
-modulo ``J``.  ``naive_relation_kernel_basis`` is the relation kernel that
+modulo ``J``, with full bases where the package truncates them at that
+degree.  ``naive_relation_kernel_basis`` is the relation kernel that
 divided ``f(x) - f(y)`` from scratch for every column, before its
 condition was read off one normal-form table, and
 ``naive_product_closure`` the span-of-products loop that formed every
@@ -60,7 +61,7 @@ import sympy
 from sympy.polys.orderings import ProductOrder, grevlex
 
 from quotrel import groebner
-from quotrel.effectivity import EffectivityReport, check_cocycle
+from quotrel.effectivity import EffectivityReport
 from quotrel.eqrel import copy_difference
 from quotrel.linalg import RowSpace, condition_rows, nullspace, significance
 from quotrel.pinch import PushoutReport, _flat_space, _ideal_multiples, _product_span
@@ -710,14 +711,19 @@ def naive_tokenize(text: str) -> list[tuple]:
 def naive_effectivity_test(data):
     """``effectivity_test`` with the kernel of the linearized cocycle
     condition taken over every monomial of degree ``d``, each kernel vector
-    then normal-formed modulo ``J`` before it joins ``W``."""
-    if not check_cocycle(data):
-        raise ValueError("the candidate does not satisfy the cocycle condition")
+    then normal-formed modulo ``J`` before it joins ``W``, and with full
+    reduced bases of ``J`` and of ``J(x,y) + J(y,z)``, not the truncated
+    ones of ``CocycleData``."""
+    data.validate()
     D = data.doubled
     field = D.field
     d = data.degree
-    j_gb = data.j_basis()
-    sum_gb = data.sum_basis()
+    to_tripled = data.relation.to_tripled
+    j_gb = groebner.groebner_basis(data.j_gens)
+    sum_gb = groebner.groebner_basis([to_tripled(g, *copies) for copies in ((0, 1), (1, 2))
+                                      for g in data.j_gens])
+    if not groebner.normal_form(data.defect(data.cocycle), sum_gb).is_zero():
+        raise ValueError("the candidate does not satisfy the cocycle condition")
     columns = D.monomials_of_degree(d)
     key = significance(columns)
 

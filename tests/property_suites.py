@@ -136,6 +136,59 @@ def _random_finite_map(rng, nvars):
     return ambient, fs
 
 
+def _block_unbounded(rel):
+    """The unbounded variables of ``rel`` read off the block-order basis on
+    ``rel.swapped``, the path ``unbounded`` takes for inhomogeneous ideals."""
+    W = rel.swapped
+    gb = groebner_basis([W.convert(g) for g in rel.full_gens])
+    return [W.var(i) for i in groebner.finite_over_block(rel.nvars, gb)[1]]
+
+
+def truncated_basis_suite(cases=150, seed=20261107):
+    """A basis truncated at D is the full reduced basis's elements of degree
+    at most D: homogeneous ideals in 2-4 variables over QQ and FF(7), D from
+    1 to 5, and generators of degree 1 to 6, so some lie above D.  Either
+    basis may be computed first."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "u")
+    for _ in range(cases):
+        field = rng.choice((QQ, GF(7)))
+        ring = PolyRing(field, names[:rng.randint(2, 4)], GREVLEX)
+        gens = [_random_poly(rng, ring, homogeneous=rng.randint(1, 6))
+                for _ in range(rng.randint(1, 4))]
+        D = rng.randint(1, 5)
+        first = groebner_basis(gens, D) if rng.random() < 0.5 else None
+        full = groebner_basis(gens)
+        ours = groebner_basis(gens, D)
+        assert first in (None, ours)
+        assert ours == [g for g in full if g.total_degree() <= D], (
+            f"basis of {[ring.render(g) for g in gens]} truncated at {D} over {field!r}")
+    return cases
+
+
+def fibre_finiteness_suite(cases=60, seed=20261108):
+    """Relations of random homogeneous maps on 1-3 variables, some not
+    finite (``(x*y)`` on the plane, or a map missing a power of a
+    variable): the fibre over the origin names the block-order basis's
+    unbounded variables."""
+    rng = random.Random(seed)
+    unbounded = 0
+    for _ in range(cases):
+        ambient = AmbientRing.free(rng.choice(FIELDS), NAMES[:rng.randint(1, 3)])
+        pr = ambient.poly_ring(0)
+        fs = [_random_poly(rng, pr, max_terms=2, homogeneous=rng.randint(1, 3))
+              for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            fs += [pr.var(i) ** rng.randint(1, 3) for i in range(pr.nvars)]
+        rel = relation_from_map(ambient, fs)
+        ours = rel.unbounded()
+        assert ours == _block_unbounded(rel), (
+            f"fibre and block order disagree for {[pr.render(f) for f in fs]}")
+        unbounded += bool(ours)
+    assert 0 < unbounded < cases
+    return cases
+
+
 def relation_from_map_suite(cases=50, seed=20260815):
     """Relations built from a finite map satisfy all four axioms in scheme
     mode: they really are scheme-theoretic equivalence relations."""
@@ -469,7 +522,7 @@ def buchberger_oracle_suite(cases=1000, seed=20261020):
         if isinstance(full, str):
             assert limit < 300 or ours == full, f"budget outcome differs {where}"
             continue
-        needed = ring._bases[tuple(g for g in gens if g)][0]
+        needed = ring._bases[tuple(g for g in gens if g), None][0]
         with budget(limit):
             again = _outcome(lambda: groebner_basis(list(gens)))
         assert again == ours, f"memoized outcome differs {where}: {again} != {ours}"
@@ -506,9 +559,9 @@ def reduce_basis_oracle_suite(cases=500, seed=20261027):
     buchberger, reduce_basis, divide = originals
     run = {}
 
-    def recorded_run(gens, pk, limit):
+    def recorded_run(gens, pk, limit, *rest):
         run.update(pk=pk, remainders=[], inside=True)
-        return buchberger(gens, pk, limit)
+        return buchberger(gens, pk, limit, *rest)
 
     def recorded_division(ring, terms, *args):
         r = divide(ring, terms, *args)
@@ -702,6 +755,7 @@ def molien_suite(cases=24, seed=20261018):
         action = GroupAction(ambient, maps)
         what = f"group {group} over {field!r}"
         rel = relation_from_group_action(action)
+        assert rel.unbounded() == _block_unbounded(rel) == [], what
         report = verify_relation(rel, "scheme")
         if not report.verdicts["transitivity"]:
             # the composed correspondence may pick up embedded points where

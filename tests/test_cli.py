@@ -656,15 +656,18 @@ def test_kernel_commands_share_one_truncation(tmp_path, capsys, monkeypatch):
 
 def test_set_mode_computes_only_the_finiteness_basis(tmp_path, capsys,
                                                      monkeypatch):
+    """The only basis is finiteness's: RS is homogeneous, so that is the
+    grevlex basis of its fibre over the origin, on the second block."""
     from quotrel import eqrel
-    from quotrel.poly import BlockOrder
+    from quotrel.poly import GREVLEX
 
     calls = counting(monkeypatch, eqrel, "groebner_basis")
     code, out, _ = run(tmp_path, capsys, KERNEL_SOURCE + "verify-relation RS;\n",
                        "--mode", "set")
     assert code == 0
     assert "mode=set" in out
-    assert [gens[0].ring.order for gens, *_ in calls] == [BlockOrder(2)]
+    assert [(gens[0].ring.order, gens[0].ring.names) for gens, *_ in calls] == [
+        (GREVLEX, ("x2", "y2"))]
 
 
 def test_verify_pushout_reuses_the_pinch(tmp_path, capsys, monkeypatch):

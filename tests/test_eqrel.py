@@ -11,7 +11,7 @@ from quotrel.eqrel import (
 )
 from quotrel.fields import QQ
 from quotrel.invariants import GroupAction
-from quotrel.poly import PolyRing
+from quotrel.poly import GREVLEX, BlockOrder, PolyRing
 from quotrel.ring import AmbientRing, RingMap
 
 
@@ -170,3 +170,56 @@ def test_report_render_shows_failures():
         "finiteness",
     ]
     assert "FAIL" in lines[4] and "witness: y2" in lines[4]
+
+
+
+def _recorded_bases(monkeypatch):
+    """The order, variable names and any degree argument of every basis
+    ``eqrel`` computes from here on."""
+    from quotrel import eqrel
+
+    calls, original = [], eqrel.groebner_basis
+
+    def recorded(gens, *rest):
+        calls.append((gens[0].ring.order, gens[0].ring.names, *rest))
+        return original(gens, *rest)
+
+    monkeypatch.setattr(eqrel, "groebner_basis", recorded)
+    return calls
+
+
+def test_homogeneous_finiteness_reads_the_fibre_over_the_origin(monkeypatch):
+    """(x1*y1 - x2*y2) is homogeneous, so its finiteness is read off the
+    grevlex basis of its fibre over x1 = y1 = 0, (x2*y2) in x2, y2: neither
+    variable has a pure power as a leading monomial, as in the block
+    order."""
+    A = plane()
+    rel = relation_from_map(A, [A.poly_ring(0).parse("x*y")])
+    calls = _recorded_bases(monkeypatch)
+    assert [w.ring.render(w) for w in rel.unbounded()] == ["x2", "y2"]
+    assert calls == [(GREVLEX, ("x2", "y2"))]
+
+
+def test_inhomogeneous_relations_read_finiteness_in_the_block_order(monkeypatch):
+    """The fibre decides finiteness only for homogeneous ideals: the line
+    x = 0 of the plane glued to itself by y -> y + 1, and the relation of
+    x on the cusp QQ[x, y]/(x^2 - y^3), take the block-order basis."""
+    D = PolyRing(QQ, ("x1", "y1", "x2", "y2"))
+    glue = RelationPresentation(plane(), [D.parse(g) for g in ("x1", "x2", "y2 - y1 - 1")])
+    pr = PolyRing(QQ, ("x", "y"))
+    cusp = relation_from_map(AmbientRing.quotient(pr, [pr.parse("x^2 - y^3")]),
+                             [pr.parse("x")])
+    calls = _recorded_bases(monkeypatch)
+    assert glue.unbounded() == cusp.unbounded() == []
+    assert calls == [(BlockOrder(2), ("x2", "y2", "x1", "y1"))] * 2
+
+
+def test_homogeneous_transitivity_reads_a_truncated_basis(monkeypatch):
+    """The fat diagonal's I12 + I23 is tested in degree 2, the degree of
+    its generator, by a basis truncated there; reflexivity, symmetry and
+    the fibre take full bases."""
+    rel = RelationPresentation(line(), [PolyRing(QQ, ("x1", "x2")).parse("(x1 - x2)^2")])
+    calls = _recorded_bases(monkeypatch)
+    assert not verify_relation(rel).verdicts["transitivity"]
+    assert calls == [(GREVLEX, ("x1", "x2"), None), (GREVLEX, ("x1", "x2"), None),
+                     (GREVLEX, ("x1", "x2", "x3"), 2), (GREVLEX, ("x2",))]

@@ -21,6 +21,7 @@ from quotrel.groebner import (
     radical_member,
 )
 from quotrel.poly import GREVLEX, LEX, BlockOrder, PolyRing, Polynomial, budget
+from quotrel.ring import AmbientRing
 
 import oracles
 
@@ -277,9 +278,9 @@ def test_wide_exponents_restart_the_whole_run(monkeypatch):
     widths = []
     original = groebner._buchberger
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         widths.append(pk.width)
-        return original(gens, pk, budget)
+        return original(gens, pk, budget, *rest)
 
     monkeypatch.setattr(groebner, "_buchberger", recorded)
     R = PolyRing(QQ, ("x", "y"))
@@ -299,9 +300,9 @@ def test_spair_term_outgrowing_the_fields_restarts_the_run(monkeypatch):
     widths, built = [], []
     original, s_poly = groebner._buchberger, groebner.s_polynomial
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         widths.append(pk.width)
-        return original(gens, pk, budget)
+        return original(gens, pk, budget, *rest)
 
     def spair(f, g, pk, L):
         built.append(pk.width)
@@ -327,9 +328,9 @@ def test_coprime_pairs_form_no_product(monkeypatch):
     widths = []
     original = groebner._buchberger
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         widths.append(pk.width)
-        return original(gens, pk, budget)
+        return original(gens, pk, budget, *rest)
 
     def built(*args):
         raise AssertionError("an S-polynomial was built")
@@ -353,9 +354,9 @@ def test_signature_outgrowing_the_fields_restarts_the_run(monkeypatch):
     widths = []
     original = groebner._buchberger
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         widths.append(pk.width)
-        return original(gens, pk, budget)
+        return original(gens, pk, budget, *rest)
 
     monkeypatch.setattr(groebner, "_WIDTH", 8)
     monkeypatch.setattr(groebner, "_buchberger", recorded)
@@ -379,9 +380,9 @@ def test_inter_reduction_outgrowing_the_fields_restarts_the_run(monkeypatch):
     widths, overflows = [], []
     run, reduce_basis = groebner._buchberger, groebner._reduce_basis
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         widths.append(pk.width)
-        return run(gens, pk, budget)
+        return run(gens, pk, budget, *rest)
 
     def reduced(*args):
         try:
@@ -414,10 +415,10 @@ def test_block_remainder_of_too_high_degree_restarts_the_run(monkeypatch):
     widths, overflows = [], []
     original = groebner._buchberger
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         widths.append(pk.width)
         try:
-            return original(gens, pk, budget)
+            return original(gens, pk, budget, *rest)
         except groebner.PackingOverflow as exc:
             overflows.append(str(exc))
             raise
@@ -443,9 +444,9 @@ def test_block_remainder_past_its_or_bound_checks_each_term(monkeypatch):
     widths = []
     original = groebner._buchberger
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         widths.append(pk.width)
-        return original(gens, pk, budget)
+        return original(gens, pk, budget, *rest)
 
     monkeypatch.setattr(groebner, "_buchberger", recorded)
     R = PolyRing(QQ, ("x", "y", "z"), BlockOrder(1))
@@ -653,6 +654,36 @@ def test_memoized_basis_is_returned_as_a_new_list(R):
     assert groebner_basis(gens) == expected
 
 
+def test_truncation_needs_homogeneous_generators_and_a_graded_order():
+    for order in (GREVLEX, LEX, BlockOrder(1)):
+        R = PolyRing(QQ, ("x", "y"), order)
+        gens = [R.parse("x^2 - y")] if order == GREVLEX else [R.parse("x^2 - y^2")]
+        with pytest.raises(ValueError, match="homogeneous generators and a graded order"):
+            groebner_basis(gens, 2)
+    R = PolyRing(QQ, ("x", "y"))
+    assert groebner_basis([R.parse("x^3 - y^3"), R.zero], 2) == []
+
+
+def test_involution_sum_truncated_at_its_degree_builds_no_s_polynomial(monkeypatch):
+    """The involution's I12 + I23 (``verify-relation R`` in the bench's
+    involution case) is 8 quadrics in 6 variables: the full basis builds 27
+    S-polynomials, 14 of them reduced to zero, but transitivity reads only
+    degree 2, where the basis is the generators' reduced echelon form and
+    every pair's lcm has degree 3 or more."""
+    from quotrel.eqrel import RelationPresentation
+
+    doubled = PolyRing(QQ, ("x1", "y1", "x2", "y2"))
+    rel = RelationPresentation(AmbientRing.free(QQ, ("x", "y")), [doubled.parse(g) for g in (
+        "x1^2 - x2^2", "y1^2 - y2^2", "x1*y1 - x2*y2", "x1*y2 - x2*y1")])
+    gens = ([rel.to_tripled(g, 0, 1) for g in rel.full_gens]
+            + [rel.to_tripled(g, 1, 2) for g in rel.full_gens])
+    counts = _zero_reductions(monkeypatch)
+    truncated = groebner_basis(gens, 2)
+    assert counts == [0, 0] and len(truncated) == 8
+    assert truncated == [g for g in groebner_basis(gens) if g.total_degree() <= 2]
+    assert counts == [27, 14]
+
+
 def test_ideal_member_and_linear_oracle(R):
     gens = [R.parse("x^2 - y"), R.parse("y^3")]
     gb = groebner_basis(gens)
@@ -713,9 +744,9 @@ def _recorded_orders(monkeypatch):
     orders = []
     original = groebner._buchberger
 
-    def recorded(gens, pk, budget):
+    def recorded(gens, pk, budget, *rest):
         orders.append(gens[0].ring.order)
-        return original(gens, pk, budget)
+        return original(gens, pk, budget, *rest)
 
     monkeypatch.setattr(groebner, "_buchberger", recorded)
     return orders

@@ -143,6 +143,29 @@ def test_passing_cusp_pushout_solves_no_kernel(monkeypatch):
     assert solves == []
 
 
+def test_passing_cusp_pushout_sieves_no_multiple_inside_the_span(monkeypatch):
+    """Check (a) asks the sieve only about ideal multiples outside check
+    (c)'s product span: on the cusp pinch at degree 40 the generators'
+    sieve answers no query for a multiple inside it."""
+    P = AmbientRing.free(QQ, ("u", "v"))
+    pr = P.poly_ring(0)
+    u, v = P.embed(0, pr.parse("u")), P.embed(0, pr.parse("v"))
+    inp = PinchInput(P, [u], [v ** 2, v ** 3], [v])
+    out = pinch_generators(inp, 40)
+    gen_sieve = inp.sieve(out.generators)
+    queried, contains = [], MembershipSieve.contains
+
+    def recorded(self, f):
+        if self is gen_sieve:
+            queried.append(f)
+        return contains(self, f)
+
+    monkeypatch.setattr(MembershipSieve, "contains", recorded)
+    assert verify_pushout(inp, out, 40).passed
+    space, _ = _product_span(inp.flat, [inp.flat.element([g]) for g in gen_sieve.gens], 40)
+    assert not [p for p in queried if space.contains(p.terms)]
+
+
 def test_cusp_pushout_check_inserts_each_ideal_multiple_once(monkeypatch):
     """Check (c) grows one ideal span degree by degree: on the cusp at
     degree 14 ``verify_pushout`` makes at most 600 ``RowSpace.insert``

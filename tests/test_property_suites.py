@@ -9,6 +9,8 @@ import property_suites
 @pytest.mark.parametrize("suite, cases", [
     (property_suites.gb_oracle_suite, 200),
     (property_suites.gb_block_oracle_suite, 200),
+    (property_suites.truncated_basis_suite, 150),
+    (property_suites.fibre_finiteness_suite, 60),
     (property_suites.relation_from_map_suite, 50),
     (property_suites.kernel_closure_suite, 50),
     (property_suites.effectivity_v_in_w_suite, 20),

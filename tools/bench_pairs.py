@@ -103,6 +103,19 @@ pinchinput CUSP in P = ideal (u) sub (v^2, v^3) module (v);
 pinch CUSP;
 verify-pushout CUSP;
 """, 80),
+    "c3-orbit-verify-d6": ("""
+ring X3 = QQ[x, y, z];
+action C3 on X3 = (x, y, z | y, z, x | z, x, y);
+relation ORB on X3 = from-action C3;
+verify-relation ORB;
+""", 6),
+    "d4-orbit-verify-d6": ("""
+ring SQ = QQ[a, b, c, d];
+action D4 on SQ = (a, b, c, d | b, c, d, a | c, d, a, b | d, a, b, c
+                 | d, c, b, a | b, a, d, c | a, d, c, b | c, b, a, d);
+relation ORB on SQ = from-action D4;
+verify-relation ORB;
+""", 6),
     "d4-invariants-d16": ("""
 ring SQ = QQ[a, b, c, d];
 action D4 on SQ = (a, b, c, d | b, c, d, a | c, d, a, b | d, a, b, c
