@@ -29,7 +29,6 @@ from .groebner import (
     groebner_basis,
     ideal_intersect,
     ideal_member,
-    normal_form,
     radical_member,
 )
 from .invariants import GroupAction
@@ -83,7 +82,8 @@ class RelationPresentation:
 
     ``gens`` is the user-supplied generator list, kept verbatim (witness
     reporting refers to it); the presented ideal always also contains both
-    copies of the ambient defining ideal, collected in ``full_gens``.
+    copies of the ambient defining ideal, collected in ``full_gens``.  An
+    orbit relation keeps its :class:`GroupAction` as ``action``.
     """
 
     def __init__(
@@ -91,6 +91,7 @@ class RelationPresentation:
         ambient: AmbientRing,
         gens: list[Polynomial],
         source: str = "explicit",
+        action: GroupAction | None = None,
     ):
         if ambient.is_product:
             raise ValueError(
@@ -114,7 +115,7 @@ class RelationPresentation:
                 self.full_gens.append(
                     embed(q, self.doubled, copy_positions(self.nvars, copy))
                 )
-        self.source = source
+        self.source, self.action = source, action
 
     def gb(self) -> list[Polynomial]:
         return groebner_basis(self.full_gens)
@@ -154,13 +155,6 @@ class RelationPresentation:
                                             if not any(m[:n])}) for g in self.full_gens]
         return [self.swapped.var(i) for i in finite_over_block(n, groebner_basis(gens))[1]]
 
-    def contains_diagonal_ideal(self) -> bool:
-        """Sanity check: both copies of the defining ideal lie in I."""
-        gb = self.gb()
-        return all(
-            normal_form(g, gb).is_zero() for g in self.full_gens[len(self.gens):]
-        )
-
     def render(self) -> str:
         return "(" + ", ".join(self.doubled.render(g) for g in self.gens) + ")"
 
@@ -183,30 +177,20 @@ def relation_from_map(ambient: AmbientRing, fs: list[Polynomial]) -> RelationPre
 
 
 def relation_from_group_action(action) -> RelationPresentation:
-    """The relation "same orbit": the intersection over all group elements of
-    the graph ideals ``(y-block - g(x-block)) + Q``."""
+    """The relation "same orbit" on the action's free ring: the intersection
+    over all group elements of the graph ideals ``(y-block - g(x-block))``."""
     if not isinstance(action, GroupAction):
         raise TypeError("expected a GroupAction")
     action.validate()
-    ambient = action.ring
-    rel = RelationPresentation(ambient, [], source="action")
-    pr = ambient.poly_ring(0)
-    n = rel.nvars
-    D = rel.doubled
-    q_copies = [embed(q, D, copy_positions(n, c)) for c in (0, 1) for q in ambient.q_gens(0)]
-    graphs = []
-    for g in action.maps:
-        gens = [
-            embed(pr.var(i), D, copy_positions(n, 1))
-            - embed(g.assignments[0][1][i], D, copy_positions(n, 0))
-            for i in range(n)
-        ]
-        graphs.append(gens + q_copies)
+    rel = RelationPresentation(action.ring, [], "action", action)
+    n, D = rel.nvars, rel.doubled
+    graphs = [[D.var(n + i) - embed(im, D, copy_positions(n, 0))
+               for i, im in enumerate(g.assignments[0][1])] for g in action.maps]
     current = graphs[0]
     for nxt in graphs[1:]:
         current = ideal_intersect(current, nxt)
     rel.gens = groebner_basis(current)
-    rel.full_gens = rel.gens + q_copies
+    rel.full_gens = list(rel.gens)
     return rel
 
 

@@ -9,8 +9,12 @@ that exhibit any element as integral over the invariant ring.
 and :meth:`GroupAction.generators` reads a generating set off it.  The
 fixed-point system needs only those generators: invariance under a
 generating set is invariance under the group (Derksen & Kemper,
-*Computational Invariant Theory*, sec. 3.1).  The Reynolds projection and
-the orbit equations run over every element.
+*Computational Invariant Theory*, sec. 3.1).  Its condition,
+:meth:`GroupAction.fixed_point_condition`, also solves the kernel of the
+action's orbit relation in :mod:`quotrel.quotient`, affine actions
+included, and the graded bases read their rows off the same generator
+tables.  The Reynolds projection and the orbit equations run over every
+element.
 """
 
 from __future__ import annotations
@@ -96,6 +100,21 @@ class GroupAction:
                         frontier.append(y)
         return kept
 
+    def generator_tables(self) -> list:
+        """The image tables of the maps of :meth:`generators`; the ring is
+        free, so a table holds each image as it is."""
+        return [self.maps[i].table(0) for i in self.generators()]
+
+    def fixed_point_condition(self):
+        """The linear map ``f -> {(j, m): c}``, ``c`` the coefficient of
+        ``m`` in ``g(f) - f`` for the ``j``-th map ``g`` of
+        :meth:`generators`: it vanishes exactly on the invariants."""
+        tables, field = self.generator_tables(), self.ring.field
+        add_scaled, minus_one = field.add_scaled, field.neg(field.one)
+        # ``apply`` builds a fresh dict, so it is updated in place
+        return lambda f: {(j, m): c for j, table in enumerate(tables) for m, c in
+                          add_scaled(table.apply(f).terms, f.terms, minus_one).items()}
+
     def apply(self, i: int, f: Polynomial) -> Polynomial:
         return self.maps[i].apply_poly(f)
 
@@ -120,10 +139,9 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
     """Canonical basis of the degree-``e`` invariants for every ``e <= d``.
 
     Solves the fixed-point system ``g(f) = f``, so it works in every
-    characteristic (no averaging involved).  A polynomial fixed by a
-    generating set is fixed by the whole group, so the system has one block
-    per map of :meth:`GroupAction.generators` only; its kernel, and so the
-    canonical basis, is the same.  The system is solved one degree at a
+    characteristic (no averaging involved): the kernel of
+    :meth:`GroupAction.fixed_point_condition`, built from the same tables
+    without forming a polynomial per column.  It is solved one degree at a
     time, so every map must be linear: an affine map mixes degrees, and
     raises ``ValueError``.
     """
@@ -138,8 +156,7 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
                     "kernel-basis of the action's orbit relation (from-action) "
                     "finds the invariants of an affine action")
     out: list[list[Polynomial]] = [[pr.one]]
-    # the ring is free, so a generator's table holds each image as it is
-    tables = [action.maps[i].table(0) for i in action.generators()]
+    tables = action.generator_tables()
     by_degree: list[list] = [[] for _ in range(d + 1)]
     for m in pr.monomials_up_to_degree(d):
         by_degree[sum(m)].append(m)

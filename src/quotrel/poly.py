@@ -34,7 +34,7 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import comb
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .fields import Field
@@ -187,15 +187,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True if the monomial with exponents ``a`` divides the one with ``b``."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of a/b (caller must know b divides a)."""
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
 
 
 class PackingOverflow(ArithmeticError):

@@ -27,17 +27,19 @@ gives the kernel, applied to each column monomial, and the membership
 recheck, applied to the element.  An intersection of subalgebras states its
 condition through sieve residues.
 
-A relation's condition is the normal form of ``f(x) - f(y)`` modulo the
-relation ideal.  The normal form modulo a Groebner basis is unique and
-linear, so it is the sum over the terms ``c * m`` of ``f`` of ``c *
-(nf(m(x)) - nf(m(y)))``, read off one
+An orbit relation of a finite group G needs no division: its ideal is the
+intersection of the graphs ``(y - g(x))``, and ``k[x, y]/(y - g(x))`` is
+``k[x]`` by ``y -> g(x)``, so ``f(x) - f(y)`` lies in it exactly when
+``g(f) = f`` for every ``g`` of a generating set, the
+:meth:`~quotrel.invariants.GroupAction.fixed_point_condition`.  Any other
+relation's condition is the normal form of ``f(x) - f(y)``, the sum over
+the terms ``c * m`` of ``f`` of ``c * (nf(m(x)) - nf(m(y)))``, read off one
 :class:`~quotrel.groebner.NormalFormTable` of the relation's reduced basis:
 each monomial of the doubled ring is divided once, from the normal form of
-the monomial one variable down, and every column after it reuses the
-result.  The table's vectors are labelled by packed monomials, and the
-kernel, the canonical reduced echelon basis, does not depend on how the
-conditions are labelled, so the output is the one the per-column divisions
-gave.
+the monomial one variable down.  The kernel, the canonical reduced echelon
+basis, does not depend on how the conditions are labelled, so both give the
+basis the per-column divisions gave; an affine G needs no grading, since
+the kernel is solved over every column at once.
 
 A pair of maps s1, s2 : X -> Z is gluing data, and the functions of the
 quotient are their equalizer, the f with s1(f) = s2(f), also when X is a
@@ -260,15 +262,20 @@ def coequalizer_kernel_basis(source, d: int) -> TruncatedSubalgebra:
     kernel is their equalizer: the ``f`` with ``s1(f) = s2(f)`` on every
     target component, over a disconnected source as well.
 
-    A relation's condition on ``f`` is ``sum c * (nf(m(x)) - nf(m(y)))``
-    over the terms ``c * m`` of ``f``, each ``nf`` read off one
-    :class:`~quotrel.groebner.NormalFormTable` of ``source.gb()``.  That is
-    the normal form of ``f(x) - f(y)``, since a normal form modulo a
-    Groebner basis is unique and linear.  The table is built for degree
-    ``d``, so every column's conditions are labelled by one packing.
+    An orbit relation's condition is its action's
+    :meth:`~quotrel.invariants.GroupAction.fixed_point_condition`, whose
+    kernel is the relation ideal's (see the module docstring).  Any other
+    relation's condition on ``f`` is ``sum c * (nf(m(x)) - nf(m(y)))`` over
+    the terms ``c * m`` of ``f``, the normal form of ``f(x) - f(y)``, each
+    ``nf`` read off one :class:`~quotrel.groebner.NormalFormTable` of
+    ``source.gb()`` built for degree ``d``, so that every column's
+    conditions are labelled by one packing.
     """
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
+    if isinstance(source, RelationPresentation) and source.action is not None:
+        fixed = source.action.fixed_point_condition()
+        return TruncatedSubalgebra(source.ambient, d, lambda el: fixed(el.parts[0]))
     if isinstance(source, RelationPresentation):
         table = NormalFormTable(source.doubled, source.gb(), d)
         neg, zeros = source.ambient.field.neg, (0,) * source.nvars

@@ -28,8 +28,10 @@ and the order's ``key``, with ``naive_s_polynomial``, the S-polynomial
 of two ``Polynomial``s the package formed before it formed them on packed
 divisor forms only, and ``naive_reduce_basis`` the inter-reduction it
 ran before it divided on Buchberger's packed list: one ``normal_form`` per
-element, by the other minimal elements.  ``eliminate_presentation`` is the way the package
-presented a subalgebra before presentations were read off its
+element, by the other minimal elements.  ``monomial_div`` and
+``monomial_lcm`` on exponent tuples serve these loops and their tests; the
+package no longer calls them.  ``eliminate_presentation`` is the way the
+package presented a subalgebra before presentations were read off its
 ``MembershipSieve``: a hand-built tagged ring and ``groebner.eliminate``.  ``naive_substitute`` is the substitution loop
 ``Polynomial.substitute`` ran before it became a memoized
 ``MonomialImages`` table, and ``naive_invariant_basis`` the fixed-point
@@ -72,9 +74,7 @@ from quotrel.poly import (
     PolyRing,
     Polynomial,
     fresh_names,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
     monomial_mul,
 )
 from quotrel.quotient import TruncatedSubalgebra, element_to_vector, vector_to_element
@@ -319,6 +319,15 @@ def linear_member(f, gens, cap: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # reference division
+
+
+def monomial_div(a: Monomial, b: Monomial) -> Monomial:
+    """Exponent vector of a/b (the caller knows that b divides a)."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
 
 
 def naive_normal_form(f, basis):

@@ -30,7 +30,6 @@ from quotrel.linalg import RowSpace
 from quotrel.pinch import PinchInput, PinchResult, _product_span, verify_pushout
 from quotrel.poly import (
     GREVLEX, LEX, BlockOrder, BudgetExceededError, PolyRing, Polynomial, budget, embed,
-    monomial_lcm,
 )
 from quotrel.quotient import coequalizer_kernel_basis, ordered_columns, present_subalgebra
 from quotrel.ring import AmbientRing, RingMap
@@ -441,7 +440,7 @@ def spair_oracle_suite(cases=200, seed=20261024):
         g = _random_poly(rng, ring, max_terms=4, max_degree=4)
         pk = ring.packing(rng.choice((16, 32)))
         theirs = oracles.naive_s_polynomial(f, g)
-        lcm = pk.pack(monomial_lcm(f.leading_monomial(), g.leading_monomial()))
+        lcm = pk.pack(oracles.monomial_lcm(f.leading_monomial(), g.leading_monomial()))
         packed = groebner.s_polynomial(
             groebner._divisor(f, pk), groebner._divisor(g, pk), pk, lcm)
         ours = {}
@@ -780,8 +779,19 @@ def molien_suite(cases=24, seed=20261018):
 
 def _relation_case(rng, kind, field):
     """A relation of the given kind over ``field``: the orbit relation of a
-    small signed-permutation group, the cusp or the node as the relation of
-    a map from the line, or explicit generators on a quotient ambient."""
+    small signed-permutation group or, over a prime field, of the affine
+    translations ``x -> x + a``, the cusp or the node as the relation of a
+    map from the line, or explicit generators on a quotient ambient."""
+    if kind == "action" and field.characteristic and rng.random() < 0.5:
+        # the p translations of the first variable; the others stay fixed
+        n = rng.randint(1, 2)
+        ambient = AmbientRing.free(field, NAMES[:n])
+        pr = ambient.poly_ring(0)
+        maps = [RingMap.on_polys(ambient, ambient,
+                                 [pr.var(0) + pr.from_int(a)] + pr.gens()[1:])
+                for a in range(field.characteristic)]
+        return (f"translations of {NAMES[0]} on {', '.join(NAMES[:n])}",
+                relation_from_group_action(GroupAction(ambient, maps)))
     if kind == "action":
         while True:
             n = rng.randint(1, 3)
@@ -813,17 +823,19 @@ def _relation_case(rng, kind, field):
 
 
 def relation_kernel_oracle_suite(cases=45, seed=20261106):
-    """The truncated kernel of a relation, whose condition is read off one
-    normal-form table, equals ``oracles.naive_relation_kernel_basis``, which
-    divides each condition from scratch, layer by layer, term for term; its
+    """The truncated kernel of a relation equals
+    ``oracles.naive_relation_kernel_basis``, which divides each condition
+    ``f(x) - f(y)`` from scratch by the relation ideal's basis, layer by
+    layer, term for term: an orbit relation's kernel is solved on its
+    group's fixed-point condition, any other on one normal-form table.  Its
     minimal generators, from one grown span of products, equal
     ``oracles.naive_minimal_generators`` of the oracle's kernel, which
     rebuilds that span at every step.  Orbit relations of small
-    signed-permutation groups, the cusp and the node, and explicit
-    relations on a quotient ambient, over QQ and FF(2, 3, 5, 7), through
-    degree 8 at most.  One more case glues ``x1^40000`` to ``x2^40000``:
-    16-bit fields cannot hold that leading monomial, so the table packs at
-    32 bits."""
+    signed-permutation groups and of affine translations over prime fields,
+    the cusp and the node, and explicit relations on a quotient ambient,
+    over QQ and FF(2, 3, 5, 7), through degree 8 at most.  One more case
+    glues ``x1^40000`` to ``x2^40000``: 16-bit fields cannot hold that
+    leading monomial, so the table packs at 32 bits."""
     rng = random.Random(seed)
     fields = FIELDS + (GF(7),)
     for i in range(cases):

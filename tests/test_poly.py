@@ -22,14 +22,12 @@ from quotrel.poly import (
     budget,
     current_budget,
     embed,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
     order_from_name,
     unembed,
 )
 
-from oracles import grevlex_key, naive_normal_form
+from oracles import grevlex_key, monomial_div, monomial_lcm, naive_normal_form
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from quotrel import quotient
 from quotrel.eqrel import relation_from_group_action, relation_from_map
-from quotrel.fields import QQ
+from quotrel.fields import GF, QQ
 from quotrel.groebner import MembershipSieve
 from quotrel.invariants import GroupAction
 from quotrel.poly import BudgetExceededError, PolyRing, budget
@@ -321,16 +321,57 @@ def test_products_past_the_bound_are_not_formed(monkeypatch, cusp_rel):
     assert len(formed) == 7
 
 
+def s3_orbits(field=QQ):
+    """The orbit relation of S3 permuting x, y, z."""
+    A = AmbientRing.free(field, ("x", "y", "z"))
+    pr = A.poly_ring(0)
+    maps = [RingMap.on_polys(A, A, [pr.parse(v) for v in images]) for images in (
+        "xyz", "yxz", "zyx", "xzy", "yzx", "zxy")]
+    return relation_from_group_action(GroupAction(A, maps))
+
+
+def test_orbit_relation_kernel_needs_no_normal_form_table(monkeypatch):
+    """The S3 orbit relation's kernel and probe are solved on the group's
+    fixed-point condition: with ``NormalFormTable`` raising they still run
+    through degree 8, and equal the kernel and probe that divide each
+    ``f(x) - f(y)`` by the relation ideal's basis."""
+    from quotrel import groebner
+
+    def refuse(*args):
+        raise AssertionError("an orbit relation built a normal-form table")
+
+    rel = s3_orbits()
+    monkeypatch.setattr(groebner, "NormalFormTable", refuse)
+    monkeypatch.setattr(quotient, "NormalFormTable", refuse)
+    for d in range(9):
+        ours, theirs = coequalizer_kernel_basis(rel, d), oracles.naive_relation_kernel_basis(rel, d)
+        assert ours.layers == theirs.layers, d
+        if d >= 2:
+            assert (noetherian_probe(rel, d).render()
+                    == quotient.GrowthReport(theirs).render()), d
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_orbit_kernel_equals_the_kernel_of_the_symmetric_functions(field):
+    """Two routes to the symmetric polynomials through degree 8: the S3
+    orbit relation, on its fixed-point condition, and the relation of the
+    map (x + y + z, x*y + x*z + y*z, x*y*z), on a normal-form table."""
+    orbits = s3_orbits(field)
+    pr = orbits.ambient.poly_ring(0)
+    fibres = relation_from_map(orbits.ambient, [pr.parse(f) for f in (
+        "x + y + z", "x*y + x*z + y*z", "x*y*z")])
+    ours, theirs = coequalizer_kernel_basis(orbits, 8), coequalizer_kernel_basis(fibres, 8)
+    assert fibres.action is None and ours.layers == theirs.layers
+    assert ours.minimal_generators() == theirs.minimal_generators()
+    assert [e for _, e in ours.minimal_generators()] == [1, 2, 3]
+
+
 def test_grown_span_forms_each_product_once(monkeypatch):
     """``minimal_generators`` grows one span of products: for the S3 orbit
     relation at degree 14 it multiplies each pair of a kept element and a
     generator at most once, in either order, and finds the generators the
     rebuilt spans find."""
-    A = AmbientRing.free(QQ, ("x", "y", "z"))
-    pr = A.poly_ring(0)
-    maps = [RingMap.on_polys(A, A, [pr.parse(v) for v in images]) for images in (
-        "xyz", "yxz", "zyx", "xzy", "yzx", "zxy")]
-    tr = coequalizer_kernel_basis(relation_from_group_action(GroupAction(A, maps)), 14)
+    tr = coequalizer_kernel_basis(s3_orbits(), 14)
     pairs = []
     mul = RingElement.__mul__
 

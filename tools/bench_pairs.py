@@ -91,6 +91,14 @@ relation ORB on X3 = from-action S3;
 kernel-basis ORB;
 probe ORB;
 """, 20),
+    # the symmetric polynomials again, from the relation of a map: this
+    # kernel is read off a normal-form table, which no workload runs
+    "s3-fibre-kernel-probe-d14": ("""
+ring X3 = QQ[x, y, z];
+relation SYM on X3 = from-map (x + y + z, x*y + x*z + y*z, x*y*z);
+kernel-basis SYM;
+probe SYM;
+""", 14),
     "cusp-pinch-verify-d40": ("""
 ring P = QQ[u, v];
 pinchinput CUSP in P = ideal (u) sub (v^2, v^3) module (v);
