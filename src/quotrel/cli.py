@@ -293,9 +293,7 @@ class _Executor:
                 raise CliError(f"action {f['action']} is declared on {other}, not on {f['ring']}")
             rel = relation_from_group_action(action)
         else:
-            probe = RelationPresentation(ring, [])
-            gens = [probe.doubled.parse(t) for t in f["exprs"]]
-            rel = RelationPresentation(ring, gens)
+            rel = RelationPresentation(ring, f["exprs"])
         self.bind(f["name"], "relation", rel,
                   f"relation on {f['ring']} ({f['how']})")
 
@@ -517,15 +515,15 @@ class _Executor:
         name = st.fields["cocycle"]
         data = self.lookup(name, "cocycle")
         tables = {}
-        fields = [data.ambient.field]
-        if data.ambient.field.characteristic == 0:
+        fields = [data.relation.ambient.field]
+        if fields[0].characteristic == 0:
             fields += [GF(p) for p in self.opt.primes]
         inputs = [self.describe(name),
                   "primes " + ",".join(str(p) for p in self.opt.primes)]
         verdicts = []
         for fld in fields:
             try:
-                d = data if fld == data.ambient.field else change_field(data, fld)
+                d = data if fld == fields[0] else change_field(data, fld)
             except ZeroDivisionError as e:
                 # keep the tables already computed, without a verdict
                 self.block(st, inputs, tables)

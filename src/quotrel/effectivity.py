@@ -33,43 +33,35 @@ would trivialize.
 
 from __future__ import annotations
 
-from .eqrel import copy_difference, relation_from_map
+from .eqrel import RelationPresentation, copy_difference
 from .fields import Field
 from .groebner import groebner_basis, ideal_member, normal_form, standard_monomials
 from .linalg import RowSpace, condition_rows, nullspace, significance
-from .poly import GREVLEX, PolyRing, Polynomial
+from .poly import PolyRing, Polynomial
 from .ring import AmbientRing
 
 
 class CocycleData:
     """A difference ideal ``J`` plus a homogeneous cocycle candidate.
 
-    ``J`` is the relation of the map polynomials
-    (:func:`~quotrel.eqrel.relation_from_map`), held as ``relation``: its
-    doubled and tripled rings are this data's.
+    ``J`` is the relation of the map polynomials, held as ``relation``: its
+    ``maps``, generators, doubled and tripled rings and defect are this
+    data's.
     """
 
     def __init__(self, ambient: AmbientRing, map_polys: list[Polynomial],
-                 cocycle: Polynomial):
+                 cocycle: Polynomial | str | None):
         if ambient.is_product or ambient.q_gens(0):
             raise ValueError("effectivity inputs live in a free polynomial ring")
-        self.ambient = ambient
-        pr = ambient.poly_ring(0)
-        self.map_polys = [p if p.ring == pr else pr.convert(p) for p in map_polys]
-        self.relation = relation_from_map(ambient, self.map_polys)
-        self.doubled = self.relation.doubled
-        if cocycle is None:
-            cocycle = self.doubled.zero
-        elif isinstance(cocycle, str):
-            cocycle = self.doubled.parse(cocycle)
-        elif cocycle.ring != self.doubled:
-            cocycle = self.doubled.convert(cocycle)
-        self.cocycle = cocycle
+        self.relation = RelationPresentation(ambient, maps=map_polys)
+        D = self.relation.doubled
+        if isinstance(cocycle, str):
+            cocycle = D.parse(cocycle)
+        self.cocycle = D.zero if cocycle is None else D.convert(cocycle)
         self.degree = max(self.cocycle.total_degree(), 0)
-        self.j_gens = self.relation.gens
 
     def validate(self) -> None:
-        for p in self.map_polys:
+        for p in self.relation.maps:
             if p.is_zero() or not p.is_homogeneous():
                 raise ValueError("map polynomials must be nonzero and homogeneous")
         if not self.cocycle.is_homogeneous():
@@ -81,26 +73,15 @@ class CocycleData:
             bad = ", ".join(map(repr, unbounded))
             raise ValueError(f"ring is not finite over the map subring ({bad} unbounded)")
 
-    def j_basis(self):
-        return groebner_basis(self.j_gens, self.degree)
-
     def sum_basis(self):
         """Basis of J(x,y) + J(y,z) in the tripled ring, to degree d."""
-        to_tripled = self.relation.to_tripled
-        gens = [to_tripled(g, 0, 1) for g in self.j_gens]
-        gens += [to_tripled(g, 1, 2) for g in self.j_gens]
-        return groebner_basis(gens, self.degree)
-
-    def defect(self, h: Polynomial) -> Polynomial:
-        """h(x,y) + h(y,z) - h(x,z) in the tripled ring."""
-        to_tripled = self.relation.to_tripled
-        return to_tripled(h, 0, 1) + to_tripled(h, 1, 2) - to_tripled(h, 0, 2)
+        return groebner_basis(self.relation.composed_gens(), self.degree)
 
 
 def check_cocycle(data: CocycleData) -> bool:
     """Whether the candidate's defect lies in J(x,y) + J(y,z)."""
     data.validate()
-    return ideal_member(data.defect(data.cocycle), data.sum_basis())
+    return ideal_member(data.relation.defect(data.cocycle), data.sum_basis())
 
 
 class EffectivityReport:
@@ -153,10 +134,11 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
     """
     if not check_cocycle(data):
         raise ValueError("the candidate does not satisfy the cocycle condition")
-    D = data.doubled
+    rel = data.relation
+    D = rel.doubled
     field = D.field
     d = data.degree
-    j_gb = data.j_basis()
+    j_gb = groebner_basis(rel.gens, d)
     sum_gb = data.sum_basis()
 
     columns = D.monomials_of_degree(d)
@@ -167,14 +149,14 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
 
     # V: differences of first-block monomials of degree d
     V = RowSpace(field, key)
-    pr = data.ambient.poly_ring(0)
+    pr = rel.ambient.poly_ring(0)
     for m in pr.monomials_of_degree(d):
         V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
 
     # W: solve the linearized cocycle condition on J's standard monomials
     standard = standard_monomials(columns, j_gb)
     rows = condition_rows(
-        (m, normal_form(data.defect(D.monomial(m)), sum_gb).terms) for m in standard
+        (m, normal_form(rel.defect(D.monomial(m)), sum_gb).terms) for m in standard
     )
     W = RowSpace(field, key)
     for sol in nullspace(rows, standard, field):
@@ -201,9 +183,6 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
 def change_field(data: CocycleData, field: Field) -> CocycleData:
     """The same input data over another coefficient field (for the
     universality reruns across prime fields)."""
-    pr = data.ambient.poly_ring(0)
-    new_pr = PolyRing(field, pr.names, pr.order)
-    ambient = AmbientRing.quotient(new_pr, [])
-    new_doubled = PolyRing(field, data.doubled.names, GREVLEX)
-    return CocycleData(ambient, [new_pr.convert(p) for p in data.map_polys],
-                       new_doubled.convert(data.cocycle))
+    pr = data.relation.ambient.poly_ring(0)
+    ambient = AmbientRing.quotient(PolyRing(field, pr.names, pr.order), [])
+    return CocycleData(ambient, data.relation.maps, data.cocycle)

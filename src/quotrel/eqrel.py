@@ -1,10 +1,13 @@
 """Finite equivalence relations on an affine scheme, presented by ideals.
 
 A relation on ``X = Spec A[x]/Q`` is an ideal ``I`` in a doubled polynomial
-ring: one block of variables for each of the two projections.  The module
-builds such presentations (from explicit generators, from a list of
-polynomials defining a finite map, or from a finite group action) and checks
-the four equivalence-relation axioms — reflexivity, symmetry, transitivity,
+ring: one block of variables for each of the two projections.  A
+:class:`RelationPresentation` is built once and keeps what it is built from:
+explicit gluing generators (``gens``), the polynomials of a finite map
+``f : X -> Y`` (``maps``; the relation is ``X x_Y X``), or a finite group
+action (``action``; the orbit relation).  ``full_gens`` adds both copies of
+the ambient ideal ``Q`` to ``gens``.  The module checks the four
+equivalence-relation axioms — reflexivity, symmetry, transitivity,
 finiteness — in either of two modes:
 
 * ``scheme``: ideal-theoretic containments (the strict reading);
@@ -78,21 +81,19 @@ def copy_difference(f: Polynomial, doubled: PolyRing) -> Polynomial:
 
 
 class RelationPresentation:
-    """An equivalence-relation candidate: an ideal in the doubled ring.
-
-    ``gens`` is the user-supplied generator list, kept verbatim (witness
-    reporting refers to it); the presented ideal always also contains both
-    copies of the ambient defining ideal, collected in ``full_gens``.  An
-    orbit relation keeps its :class:`GroupAction` as ``action``.
+    """An equivalence-relation candidate: an ideal in the doubled ring, built
+    from one of ``gens`` (doubled-ring polynomials or text, kept verbatim for
+    witness reports), ``maps`` (generated by the ``f(x) - f(y)``) or
+    ``action`` (the reduced intersection of the graph ideals
+    ``(y - g(x))``); with none, the indiscrete relation (0).
     """
 
-    def __init__(
-        self,
-        ambient: AmbientRing,
-        gens: list[Polynomial],
-        source: str = "explicit",
-        action: GroupAction | None = None,
-    ):
+    def __init__(self, ambient: AmbientRing, gens=(), maps: list[Polynomial] | None = None,
+                 action: GroupAction | None = None):
+        if action is not None and not isinstance(action, GroupAction):
+            raise TypeError("expected a GroupAction")
+        if bool(gens) + (maps is not None) + (action is not None) > 1:
+            raise ValueError("a relation is built from one of gens, maps or action")
         if ambient.is_product:
             raise ValueError(
                 "relation presentations require a connected ambient scheme; "
@@ -100,22 +101,31 @@ class RelationPresentation:
             )
         self.ambient = ambient
         pr = ambient.poly_ring(0)
-        self.nvars = pr.nvars
+        self.nvars = n = pr.nvars
         self.copies = copy_names(pr.names, 3)
-        self.doubled = PolyRing(pr.field, self.copies[0] + self.copies[1], GREVLEX)
+        self.doubled = D = PolyRing(pr.field, self.copies[0] + self.copies[1], GREVLEX)
         self.tripled = PolyRing(pr.field, sum(self.copies, []), GREVLEX)
         # second block in front: finiteness over the first projection
-        self.swapped = PolyRing(pr.field, self.copies[1] + self.copies[0],
-                                BlockOrder(self.nvars))
+        self.swapped = PolyRing(pr.field, self.copies[1] + self.copies[0], BlockOrder(n))
         self.fibre = PolyRing(pr.field, self.copies[1], GREVLEX)
-        self.gens = [g if g.ring == self.doubled else self.doubled.convert(g) for g in gens]
-        self.full_gens = list(self.gens)
-        for copy in (0, 1):
-            for q in ambient.q_gens(0):
-                self.full_gens.append(
-                    embed(q, self.doubled, copy_positions(self.nvars, copy))
-                )
-        self.source, self.action = source, action
+        self.maps, self.action = maps, action
+        if maps is not None:
+            self.maps = [f if f.ring == pr else pr.convert(f) for f in maps]
+            gens = [copy_difference(f, D) for f in self.maps]
+        elif action is not None:
+            if action.ring != ambient:
+                raise ValueError("the action is on another ring")
+            action.validate()
+            graphs = [[D.var(n + i) - embed(im, D, copy_positions(n, 0))
+                       for i, im in enumerate(g.assignments[0][1])] for g in action.maps]
+            current = graphs[0]
+            for nxt in graphs[1:]:
+                current = ideal_intersect(current, nxt)
+            gens = groebner_basis(current)
+        self.gens = [D.parse(g) if isinstance(g, str) else g if g.ring == D
+                     else D.convert(g) for g in gens]
+        self.full_gens = self.gens + [embed(q, D, copy_positions(n, copy))
+                                      for copy in (0, 1) for q in ambient.q_gens(0)]
 
     def gb(self) -> list[Polynomial]:
         return groebner_basis(self.full_gens)
@@ -128,6 +138,16 @@ class RelationPresentation:
         """A doubled-ring polynomial ``f(x, y)`` on the given two copies of
         the tripled ring: ``to_tripled(f, 0, 2)`` is ``f(x, z)``."""
         return embed(f, self.tripled, copy_positions(self.nvars, *copies))
+
+    def composed_gens(self) -> list[Polynomial]:
+        """Generators of I(x,y) + I(y,z) in the tripled ring, the ambient
+        copies included."""
+        return [self.to_tripled(g, *copies) for copies in ((0, 1), (1, 2))
+                for g in self.full_gens]
+
+    def defect(self, h: Polynomial) -> Polynomial:
+        """h(x,y) + h(y,z) - h(x,z) in the tripled ring."""
+        return self.to_tripled(h, 0, 1) + self.to_tripled(h, 1, 2) - self.to_tripled(h, 0, 2)
 
     def graded_degree(self) -> int | None:
         """The largest degree of ``full_gens`` if all are homogeneous."""
@@ -160,38 +180,14 @@ class RelationPresentation:
 
 
 def relation_from_map(ambient: AmbientRing, fs: list[Polynomial]) -> RelationPresentation:
-    """The relation identifying points with equal values under ``fs``:
-    generated by ``f(x-block) - f(y-block)`` for each given polynomial.
-
-    An empty list yields the indiscrete relation (0).
-    """
-    pr = ambient.poly_ring(0)
-    rel = RelationPresentation(ambient, [], source="map")
-    gens = []
-    for f in fs:
-        g = f if f.ring == pr else pr.convert(f)
-        gens.append(copy_difference(g, rel.doubled))
-    rel.gens = gens
-    rel.full_gens = gens + rel.full_gens
-    return rel
+    """The relation identifying points with equal values under ``fs``; an
+    empty list yields the indiscrete relation (0)."""
+    return RelationPresentation(ambient, maps=fs)
 
 
-def relation_from_group_action(action) -> RelationPresentation:
-    """The relation "same orbit" on the action's free ring: the intersection
-    over all group elements of the graph ideals ``(y-block - g(x-block))``."""
-    if not isinstance(action, GroupAction):
-        raise TypeError("expected a GroupAction")
-    action.validate()
-    rel = RelationPresentation(action.ring, [], "action", action)
-    n, D = rel.nvars, rel.doubled
-    graphs = [[D.var(n + i) - embed(im, D, copy_positions(n, 0))
-               for i, im in enumerate(g.assignments[0][1])] for g in action.maps]
-    current = graphs[0]
-    for nxt in graphs[1:]:
-        current = ideal_intersect(current, nxt)
-    rel.gens = groebner_basis(current)
-    rel.full_gens = list(rel.gens)
-    return rel
+def relation_from_group_action(action: GroupAction) -> RelationPresentation:
+    """The relation "same orbit" on the action's free ring."""
+    return RelationPresentation(getattr(action, "ring", None), action=action)
 
 
 class AxiomReport:
@@ -259,10 +255,8 @@ def verify_relation(rel: RelationPresentation, mode: str = "scheme") -> AxiomRep
 
     # transitivity: I(1,3) inside I(1,2) + I(2,3) in the tripled ring; for
     # homogeneous I a basis truncated at I's degree decides it
-    I12 = [rel.to_tripled(g, 0, 1) for g in rel.full_gens]
-    I23 = [rel.to_tripled(g, 1, 2) for g in rel.full_gens]
     I13 = (rel.to_tripled(g, 0, 2) for g in rel.full_gens)
-    check("transitivity", I13, I12 + I23, rel.graded_degree())
+    check("transitivity", I13, rel.composed_gens(), rel.graded_degree())
 
     # finiteness: O(R) is a finite module over the first block
     unbounded = rel.unbounded()

@@ -115,9 +115,6 @@ class GroupAction:
         return lambda f: {(j, m): c for j, table in enumerate(tables) for m, c in
                           add_scaled(table.apply(f).terms, f.terms, minus_one).items()}
 
-    def apply(self, i: int, f: Polynomial) -> Polynomial:
-        return self.maps[i].apply_poly(f)
-
 
 def reynolds_project(f: Polynomial, action: GroupAction) -> Polynomial:
     """Average of the orbit of ``f``: the projection onto invariants.

@@ -251,10 +251,12 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
     space, _ = _product_span(
         inp.flat, [inp.flat.element([gp]) for gp in gen_polys], d)
     multiples = _ideal_multiples(inp, d)
+    # whether each multiple lies in the product span, asked once for (a) and (c)
+    spanned = [space.contains(p.terms) for _, _, _, p in multiples]
     # a multiple in the product span lies in the algebra: only others need the sieve
     wit_a = next((inp.ring.embed(c, inp.ring.poly_ring(c).monomial(m)) * h
-                  for c, m, h, p in multiples
-                  if not space.contains(p.terms) and not gen_sieve.contains(p)), None)
+                  for (c, m, h, p), inside in zip(multiples, spanned)
+                  if not inside and not gen_sieve.contains(p)), None)
 
     sieve_s = inp.sieve(inp.s_lifts, locus=True)
     sieve_g = inp.sieve(out.generators, locus=True)
@@ -267,8 +269,8 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
     pivots, rows = space.pivots, space.rows
     residues = [inp.residue.nf(0, Polynomial(P, row)).terms for row in rows]
     levels = [[] for _ in range(d + 1)]
-    for _, _, _, p in multiples:
-        levels[p.total_degree()].append(p)
+    for (_, _, _, p), inside in zip(multiples, spanned):
+        levels[p.total_degree()].append((p, inside))
     ideal_space, residue_space = _flat_space(inp.flat), _flat_space(inp.residue)
 
     def combination(v: dict, start: int) -> Polynomial:
@@ -281,7 +283,7 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
 
     wit_c, start = None, len(rows)
     for e, level in enumerate(levels):
-        for p in level:
+        for p, _ in level:
             ideal_space.insert(p.terms)
         # the rows of pivot degree <= e are a suffix of the space's rows
         while start and sum(pivots[start - 1]) <= e:
@@ -290,7 +292,7 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
         # the ideal span lies in the kernel when its multiples lie in the
         # product span, and then equal dimensions make them equal
         if (len(rows) - start - residue_space.dim == ideal_space.dim
-                and all(space.contains(p.terms) for p in level)):
+                and all(inside for _, inside in level)):
             continue
         # the witness search reads each combination as 1 at its last row,
         # ordered by that row
@@ -298,7 +300,7 @@ def verify_pushout(inp: PinchInput, out: PinchResult, d: int) -> PushoutReport:
                          list(range(len(rows) - start))[::-1], field)[::-1]
         kernel = (combination(v, start) for v in sols)
         wit = next(chain((p for p in kernel if not ideal_space.contains(p.terms)),
-                         (p for p in level if not space.contains(p.terms))), None)
+                         (p for p, inside in level if not inside)), None)
         if wit is not None:
             wit_c = model.to_element(wit)
             break

@@ -724,14 +724,14 @@ def naive_effectivity_test(data):
     reduced bases of ``J`` and of ``J(x,y) + J(y,z)``, not the truncated
     ones of ``CocycleData``."""
     data.validate()
-    D = data.doubled
+    rel = data.relation
+    D = rel.doubled
     field = D.field
     d = data.degree
-    to_tripled = data.relation.to_tripled
-    j_gb = groebner.groebner_basis(data.j_gens)
-    sum_gb = groebner.groebner_basis([to_tripled(g, *copies) for copies in ((0, 1), (1, 2))
-                                      for g in data.j_gens])
-    if not groebner.normal_form(data.defect(data.cocycle), sum_gb).is_zero():
+    j_gb = groebner.groebner_basis(rel.gens)
+    sum_gb = groebner.groebner_basis([rel.to_tripled(g, *copies) for copies in ((0, 1), (1, 2))
+                                      for g in rel.gens])
+    if not groebner.normal_form(rel.defect(data.cocycle), sum_gb).is_zero():
         raise ValueError("the candidate does not satisfy the cocycle condition")
     columns = D.monomials_of_degree(d)
     key = significance(columns)
@@ -740,11 +740,11 @@ def naive_effectivity_test(data):
         return dict(groebner.normal_form(p, j_gb).terms)
 
     V = RowSpace(field, key)
-    pr = data.ambient.poly_ring(0)
+    pr = rel.ambient.poly_ring(0)
     for m in pr.monomials_of_degree(d):
         V.insert(nf_vec(copy_difference(pr.monomial(m), D)))
     rows = condition_rows(
-        (m, groebner.normal_form(data.defect(D.monomial(m)), sum_gb).terms)
+        (m, groebner.normal_form(rel.defect(D.monomial(m)), sum_gb).terms)
         for m in columns
     )
     W = RowSpace(field, key)

@@ -17,6 +17,7 @@ from quotrel.effectivity import CocycleData, check_cocycle, effectivity_test
 from quotrel.eqrel import (
     RelationPresentation,
     copy_difference,
+    copy_names,
     relation_from_group_action,
     relation_from_map,
     verify_relation,
@@ -257,9 +258,9 @@ def effectivity_v_in_w_suite(cases=20, seed=20260815):
             map_polys.append(_random_poly(rng, pr, homogeneous=2))
         d = rng.randint(2, 3)
         g = _random_poly(rng, pr, homogeneous=d)
-        data = CocycleData(ambient, map_polys, None)
         # g(x) - g(y): the two variables go to positions 0, 1, then 2, 3
-        coboundary = embed(g, data.doubled, [0, 1]) - embed(g, data.doubled, [2, 3])
+        D = PolyRing(field, ("x1", "x2", "y1", "y2"))
+        coboundary = embed(g, D, [0, 1]) - embed(g, D, [2, 3])
         data = CocycleData(ambient, map_polys, coboundary)
 
         assert check_cocycle(data), (
@@ -270,8 +271,8 @@ def effectivity_v_in_w_suite(cases=20, seed=20260815):
         sum_gb = data.sum_basis()
         for m in pr.monomials_of_degree(d):
             mono = pr.monomial(m)
-            dif = embed(mono, data.doubled, [0, 1]) - embed(mono, data.doubled, [2, 3])
-            assert ideal_member(data.defect(dif), sum_gb), (
+            dif = embed(mono, D, [0, 1]) - embed(mono, D, [2, 3])
+            assert ideal_member(data.relation.defect(dif), sum_gb), (
                 f"coboundary generator for {pr.render(mono)} escaped W"
             )
         report = effectivity_test(data)
@@ -342,7 +343,7 @@ def effectivity_oracle_suite(cases=40, seed=20261103):
         g = _random_poly(rng, pr, homogeneous=d)
         try:
             with budget(200):
-                f = copy_difference(g, CocycleData(ambient, maps, None).doubled)
+                f = copy_difference(g, PolyRing(field, sum(copy_names(pr.names, 2), [])))
                 probe = CocycleData(ambient, maps, f)
                 for w in oracles.naive_effectivity_test(probe).complement_basis:
                     f = f + w.scale(field.of_int(rng.randint(-2, 2)))
@@ -353,7 +354,7 @@ def effectivity_oracle_suite(cases=40, seed=20261103):
             continue
         assert ours == theirs, (
             f"{ours}\nagainst the oracle's\n{theirs}\nfor maps "
-            f"{[pr.render(p) for p in maps]} and {probe.doubled.render(f)}")
+            f"{[pr.render(p) for p in maps]} and {probe.relation.doubled.render(f)}")
         noneffective += ours.endswith("noneffective")
         case += 1
     assert noneffective, "no noneffective case was drawn"
@@ -815,10 +816,10 @@ def _relation_case(rng, kind, field):
         return name, relation_from_map(ambient, [pr.parse(f) for f in fs])
     pr = PolyRing(field, ("x", "y"))
     ambient = AmbientRing.quotient(pr, [_random_poly(rng, pr, max_degree=2)])
-    rel = RelationPresentation(ambient, [])
-    gens = [copy_difference(_random_poly(rng, pr, max_degree=3), rel.doubled)
+    D = PolyRing(field, ("x1", "y1", "x2", "y2"))
+    gens = [copy_difference(_random_poly(rng, pr, max_degree=3), D)
             for _ in range(rng.randint(1, 2))]
-    gens += [_random_poly(rng, rel.doubled, max_degree=3) for _ in range(rng.randint(0, 1))]
+    gens += [_random_poly(rng, D, max_degree=3) for _ in range(rng.randint(0, 1))]
     return f"explicit on {ambient!r}", RelationPresentation(ambient, gens)
 
 

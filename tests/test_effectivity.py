@@ -34,7 +34,7 @@ def line_data(cocycle):
 
 
 def test_constructor_conventions(counterexample):
-    assert counterexample.doubled.names == ("x1", "x2", "y1", "y2")
+    assert counterexample.relation.doubled.names == ("x1", "x2", "y1", "y2")
     assert counterexample.degree == 5
     zero = line_data(None)
     assert zero.cocycle.is_zero() and zero.degree == 0
@@ -64,16 +64,17 @@ def test_validate_finiteness():
 
 
 def test_coboundaries_have_zero_defect(counterexample):
-    D = counterexample.doubled
+    rel = counterexample.relation
+    D = rel.doubled
     dif = D.parse("x1^3*x2^2 - y1^3*y2^2")
-    assert counterexample.defect(dif).is_zero()
-    assert not counterexample.defect(D.parse("x1*y1^4")).is_zero()
+    assert rel.defect(dif).is_zero()
+    assert not rel.defect(D.parse("x1*y1^4")).is_zero()
 
 
 def test_check_cocycle(counterexample):
     assert check_cocycle(counterexample)
     bad = CocycleData(
-        counterexample.ambient, counterexample.map_polys, "x1*y1^4"
+        counterexample.relation.ambient, counterexample.relation.maps, "x1*y1^4"
     )
     assert not check_cocycle(bad)
     with pytest.raises(ValueError, match="cocycle condition"):
@@ -101,7 +102,7 @@ def test_cocycle_condition_is_solved_on_standard_monomials(counterexample, monke
 
     monkeypatch.setattr(quotrel.effectivity, "nullspace", recording)
     rep = effectivity_test(counterexample)
-    assert len(counterexample.doubled.monomials_of_degree(5)) == 56
+    assert len(counterexample.relation.doubled.monomials_of_degree(5)) == 56
     assert widths == [13]
     assert rep.dim_w == 5
 
@@ -123,7 +124,7 @@ def test_report_render(counterexample):
 def test_counterexample_is_universal(counterexample):
     for p in (2, 3, 5):
         moved = change_field(counterexample, GF(p))
-        assert moved.doubled.field is GF(p)
+        assert moved.relation.doubled.field is GF(p)
         rep = effectivity_test(moved)
         assert rep.verdict == "noneffective"
         assert rep.dim_quotient == 1
@@ -131,7 +132,7 @@ def test_counterexample_is_universal(counterexample):
 
 def test_coboundary_candidate_is_effective(counterexample):
     eff = CocycleData(
-        counterexample.ambient, counterexample.map_polys, "x1^5 - y1^5"
+        counterexample.relation.ambient, counterexample.relation.maps, "x1^5 - y1^5"
     )
     rep = effectivity_test(eff)
     assert rep.verdict == "effective"

@@ -51,7 +51,7 @@ def test_relation_from_squaring_map():
     rel = relation_from_map(A, [A.poly_ring(0).parse("x^2")])
     assert rel.doubled.names == ("x1", "x2")
     assert [rel.doubled.render(g) for g in rel.gens] == ["x1^2 - x2^2"]
-    assert rel.source == "map"
+    assert rel.maps == [A.poly_ring(0).parse("x^2")] and rel.action is None
     rep = verify_relation(rel, "scheme")
     assert rep.all_pass
     assert "pass" in rep.render() and "FAIL" not in rep.render()
@@ -90,7 +90,7 @@ def test_explicit_diagonal_is_an_equivalence():
     A = plane()
     D = PolyRing(QQ, ("x1", "y1", "x2", "y2"))
     rel = RelationPresentation(A, [D.parse("x1 - x2"), D.parse("y1 - y2")])
-    assert rel.source == "explicit"
+    assert rel.maps is None and rel.action is None
     assert verify_relation(rel, "scheme").all_pass
 
 
@@ -132,8 +132,9 @@ def test_sign_action_orbit_relation():
     pr = A.poly_ring(0)
     ident = RingMap.identity(A)
     neg = RingMap.on_polys(A, A, [pr.parse("-x"), pr.parse("-y")])
-    rel = relation_from_group_action(GroupAction(A, [ident, neg]))
-    assert rel.source == "action"
+    act = GroupAction(A, [ident, neg])
+    rel = relation_from_group_action(act)
+    assert rel.action is act and rel.maps is None
     scheme = verify_relation(rel, "scheme")
     assert scheme.verdicts["reflexivity"]
     assert scheme.verdicts["symmetry"]
@@ -158,6 +159,37 @@ def test_negation_on_the_line_is_scheme_transitive():
 def test_group_action_type_checked():
     with pytest.raises(TypeError):
         relation_from_group_action("swap")
+
+
+def test_explicit_generators_parse_in_the_doubled_ring():
+    A = plane()
+    D = PolyRing(QQ, ("x1", "y1", "x2", "y2"))
+    texts = ["x1 - x2", "y1^2 - y2^2"]
+    assert (RelationPresentation(A, texts).gens
+            == RelationPresentation(A, [D.parse(t) for t in texts]).gens)
+
+
+def test_a_relation_takes_one_of_gens_maps_or_action():
+    A = line()
+    pr = A.poly_ring(0)
+    act = GroupAction(A, [RingMap.identity(A), RingMap.on_polys(A, A, [pr.parse("-x")])])
+    for inputs in ({"gens": ["x1 - x2"], "maps": [pr.parse("x")]},
+                   {"gens": ["x1 - x2"], "action": act},
+                   {"maps": [pr.parse("x")], "action": act}):
+        with pytest.raises(ValueError, match="one of gens, maps or action"):
+            RelationPresentation(A, **inputs)
+
+
+def test_composed_generators_include_the_ambient_copies():
+    """On the cusp QQ[x, y]/(x^2 - y^3), I(x,y) + I(y,z) of the relation
+    of x holds x^2 - y^3 on every copy it touches."""
+    pr = PolyRing(QQ, ("x", "y"))
+    rel = relation_from_map(AmbientRing.quotient(pr, [pr.parse("x^2 - y^3")]), [pr.parse("x")])
+    T = PolyRing(QQ, ("x1", "y1", "x2", "y2", "x3", "y3"))
+    I12 = ["x1 - x2", "x1^2 - y1^3", "x2^2 - y2^3"]
+    I23 = ["x2 - x3", "x2^2 - y2^3", "x3^2 - y3^3"]
+    assert rel.tripled == T
+    assert rel.composed_gens() == [T.parse(g) for g in I12 + I23]
 
 
 def test_report_render_shows_failures():

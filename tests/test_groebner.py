@@ -672,11 +672,9 @@ def test_involution_sum_truncated_at_its_degree_builds_no_s_polynomial(monkeypat
     every pair's lcm has degree 3 or more."""
     from quotrel.eqrel import RelationPresentation
 
-    doubled = PolyRing(QQ, ("x1", "y1", "x2", "y2"))
-    rel = RelationPresentation(AmbientRing.free(QQ, ("x", "y")), [doubled.parse(g) for g in (
-        "x1^2 - x2^2", "y1^2 - y2^2", "x1*y1 - x2*y2", "x1*y2 - x2*y1")])
-    gens = ([rel.to_tripled(g, 0, 1) for g in rel.full_gens]
-            + [rel.to_tripled(g, 1, 2) for g in rel.full_gens])
+    rel = RelationPresentation(AmbientRing.free(QQ, ("x", "y")), [
+        "x1^2 - x2^2", "y1^2 - y2^2", "x1*y1 - x2*y2", "x1*y2 - x2*y1"])
+    gens = rel.composed_gens()
     counts = _zero_reductions(monkeypatch)
     truncated = groebner_basis(gens, 2)
     assert counts == [0, 0] and len(truncated) == 8
