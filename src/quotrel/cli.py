@@ -275,7 +275,6 @@ class _Executor:
             maps.append(RingMap.on_polys(ring, ring,
                                          [pr.parse(t) for t in images]))
         action = GroupAction(ring, maps)
-        action.validate()
         self.bind(f["name"], "action", action,
                   f"group action on {f['ring']} of order {action.order}")
 
@@ -302,7 +301,6 @@ class _Executor:
         ring = self.ring(f["ring"])
         pr = ring.poly_ring(0)
         data = CocycleData(ring, [pr.parse(t) for t in f["maps"]], f["poly"])
-        data.validate()
         self.bind(f["name"], "cocycle", data,
                   f"cocycle data on {f['ring']}, degree {data.degree}")
 
@@ -523,12 +521,13 @@ class _Executor:
         verdicts = []
         for fld in fields:
             try:
-                d = data if fld == fields[0] else change_field(data, fld)
-            except ZeroDivisionError as e:
+                rep = effectivity_test(data if fld == fields[0] else change_field(data, fld))
+            except (ZeroDivisionError, ValueError) as e:
+                if fld == fields[0]:
+                    raise
                 # keep the tables already computed, without a verdict
                 self.block(st, inputs, tables)
                 raise CliError(f"cannot rerun over {fld!r}: {e}") from e
-            rep = effectivity_test(d)
             tables[f"over {fld!r}"] = rep.render().splitlines()
             verdicts.append(rep.verdict)
         verdict = verdicts[0] if len(set(verdicts)) == 1 else "mixed"

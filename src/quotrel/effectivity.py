@@ -46,7 +46,12 @@ class CocycleData:
 
     ``J`` is the relation of the map polynomials, held as ``relation``: its
     ``maps``, generators, doubled and tripled rings and defect are this
-    data's.
+    data's.  The constructor raises ``ValueError`` unless the map
+    polynomials are nonzero and homogeneous, the candidate is homogeneous,
+    and the coordinate ring is module-finite over the map subring (every
+    second-block variable has a monic equation).  So every instance, each
+    :func:`change_field` rerun included, has passed these checks before a
+    test reads it.
     """
 
     def __init__(self, ambient: AmbientRing, map_polys: list[Polynomial],
@@ -59,15 +64,11 @@ class CocycleData:
             cocycle = D.parse(cocycle)
         self.cocycle = D.zero if cocycle is None else D.convert(cocycle)
         self.degree = max(self.cocycle.total_degree(), 0)
-
-    def validate(self) -> None:
         for p in self.relation.maps:
             if p.is_zero() or not p.is_homogeneous():
                 raise ValueError("map polynomials must be nonzero and homogeneous")
         if not self.cocycle.is_homogeneous():
             raise ValueError("the cocycle candidate must be homogeneous")
-        # the coordinate ring must be module-finite over the map subring:
-        # every second-block variable needs a monic equation
         unbounded = self.relation.unbounded()
         if unbounded:
             bad = ", ".join(map(repr, unbounded))
@@ -80,7 +81,6 @@ class CocycleData:
 
 def check_cocycle(data: CocycleData) -> bool:
     """Whether the candidate's defect lies in J(x,y) + J(y,z)."""
-    data.validate()
     return ideal_member(data.relation.defect(data.cocycle), data.sum_basis())
 
 
@@ -182,7 +182,7 @@ def effectivity_test(data: CocycleData) -> EffectivityReport:
 
 def change_field(data: CocycleData, field: Field) -> CocycleData:
     """The same input data over another coefficient field (for the
-    universality reruns across prime fields)."""
+    universality reruns across prime fields), checked there as when built."""
     pr = data.relation.ambient.poly_ring(0)
     ambient = AmbientRing.quotient(PolyRing(field, pr.names, pr.order), [])
     return CocycleData(ambient, data.relation.maps, data.cocycle)

@@ -115,7 +115,6 @@ class RelationPresentation:
         elif action is not None:
             if action.ring != ambient:
                 raise ValueError("the action is on another ring")
-            action.validate()
             graphs = [[D.var(n + i) - embed(im, D, copy_positions(n, 0))
                        for i, im in enumerate(g.assignments[0][1])] for g in action.maps]
             current = graphs[0]

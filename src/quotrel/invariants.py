@@ -5,11 +5,12 @@ invertible, graded bases of invariants in any characteristic via the
 fixed-point linear system, and the elementary-symmetric-function generators
 that exhibit any element as integral over the invariant ring.
 
-:meth:`GroupAction.validate` records the group's multiplication table,
-and :meth:`GroupAction.generators` reads a generating set off it.  The
-fixed-point system needs only those generators: invariance under a
-generating set is invariance under the group (Derksen & Kemper,
-*Computational Invariant Theory*, sec. 3.1).  Its condition,
+:class:`GroupAction` checks the group axioms when it is built, on the
+closure of the generating set ``generators`` that it picks: the standard
+enumeration of a group from generators (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005).  The fixed-point system needs only
+those generators: invariance under a generating set is invariance under the
+group (Derksen & Kemper, *Computational Invariant Theory*, sec. 3.1).  Its condition,
 :meth:`GroupAction.fixed_point_condition`, also solves the kernel of the
 action's orbit relation in :mod:`quotrel.quotient`, affine actions
 included, and the graded bases read their rows off the same generator
@@ -30,7 +31,17 @@ def _key(m: RingMap) -> tuple:
 
 class GroupAction:
     """A finite group of affine-linear substitutions on a free polynomial
-    ring, given as an explicit list of maps (the identity included)."""
+    ring, given as an explicit list of maps (the identity included).
+
+    The constructor checks the group axioms while it picks ``generators``,
+    the indices of the maps that, walking the list in order, the maps kept
+    before them do not generate.  It closes under the kept maps, forming
+    each product ``x * k`` of a reached map ``x`` and a kept ``k`` once, and
+    raises ``ValueError`` when a product leaves the list or a kept map has
+    no left inverse among those products.  That suffices: every map is a
+    word in the kept ones, so the list is closed under composition, and in
+    a finite closed set a one-sided inverse is an inverse.
+    """
 
     def __init__(self, ring: AmbientRing, maps: list[RingMap]):
         if ring.is_product or ring.q_gens(0):
@@ -47,68 +58,49 @@ class GroupAction:
                     )
         self.ring = ring
         self.maps = list(maps)
-        self._validated = False
-
-    @property
-    def order(self) -> int:
-        return len(self.maps)
-
-    def validate(self) -> None:
-        """Check the group axioms: distinct elements, identity present,
-        closure under composition, inverses present.  Records the
-        multiplication table: ``products[i][j]`` is the index of
-        ``maps[i].compose(maps[j])``."""
-        if self._validated:
-            return
         # the ring is free, so two maps are equal iff their images are
         index: dict[tuple, int] = {}
         for i, g in enumerate(self.maps):
             if index.setdefault(_key(g), i) != i:
                 raise ValueError("duplicate group element in action")
-        ident = index.get(_key(RingMap.identity(self.ring)))
+        ident = index.get(_key(RingMap.identity(ring)))
         if ident is None:
             raise ValueError("action does not contain the identity")
-        self.products = []
-        for g in self.maps:
-            row = [index.get(_key(g.compose(h))) for h in self.maps]
-            if None in row:
-                raise ValueError("action is not closed under composition")
-            if ident not in row:
-                raise ValueError("a group element has no inverse in the list")
-            self.products.append(row)
-        self.identity = ident
-        self._validated = True
-
-    def generators(self) -> list[int]:
-        """Indices of a generating set: walking the maps in list order, each
-        map that the maps kept before it do not generate."""
-        self.validate()
-        kept: list[int] = []
-        generated = {self.identity}
+        self.generators: list[int] = []
+        generated, inverted = {ident}, set()
         for i in range(self.order):
             if i in generated:
                 continue
-            kept.append(i)
-            # the subgroup generated so far: close under the kept maps
-            frontier = list(generated)
-            while frontier:
-                x = frontier.pop()
-                for k in kept:
-                    y = self.products[x][k]
-                    if y not in generated:
-                        generated.add(y)
-                        frontier.append(y)
-        return kept
+            self.generators.append(i)
+            # a pair (x, k) forms x * k: each map reached so far with the
+            # new kept map, then each newly reached map with every kept one
+            pairs = [(x, i) for x in generated]
+            while pairs:
+                x, k = pairs.pop()
+                y = index.get(_key(self.maps[x].compose(self.maps[k])))
+                if y is None:
+                    raise ValueError("action is not closed under composition")
+                if y == ident:
+                    inverted.add(k)
+                if y not in generated:
+                    generated.add(y)
+                    pairs += [(y, kept) for kept in self.generators]
+        if len(inverted) < len(self.generators):
+            raise ValueError("a group element has no inverse in the list")
+
+    @property
+    def order(self) -> int:
+        return len(self.maps)
 
     def generator_tables(self) -> list:
-        """The image tables of the maps of :meth:`generators`; the ring is
+        """The image tables of the maps of ``generators``; the ring is
         free, so a table holds each image as it is."""
-        return [self.maps[i].table(0) for i in self.generators()]
+        return [self.maps[i].table(0) for i in self.generators]
 
     def fixed_point_condition(self):
         """The linear map ``f -> {(j, m): c}``, ``c`` the coefficient of
         ``m`` in ``g(f) - f`` for the ``j``-th map ``g`` of
-        :meth:`generators`: it vanishes exactly on the invariants."""
+        ``generators``: it vanishes exactly on the invariants."""
         tables, field = self.generator_tables(), self.ring.field
         add_scaled, minus_one = field.add_scaled, field.neg(field.one)
         # ``apply`` builds a fresh dict, so it is updated in place
@@ -121,7 +113,6 @@ def reynolds_project(f: Polynomial, action: GroupAction) -> Polynomial:
 
     Needs the group order to be invertible in the field.
     """
-    action.validate()
     field = action.ring.field
     n = action.order
     if field.characteristic and n % field.characteristic == 0:
@@ -142,7 +133,6 @@ def invariant_basis(action: GroupAction, d: int) -> list[list[Polynomial]]:
     time, so every map must be linear: an affine map mixes degrees, and
     raises ``ValueError``.
     """
-    action.validate()
     pr = action.ring.poly_ring(0)
     for g in action.maps:
         for name, im in zip(pr.names, g.assignments[0][1]):
@@ -183,7 +173,6 @@ def orbit_symmetric_generators(
     a monic degree-``|G|`` polynomial in ``T`` with invariant coefficients
     ``(-1)^j sigma_j`` that vanishes at ``T = r`` (checked by substitution).
     """
-    action.validate()
     pr = action.ring.poly_ring(0)
     (t_name,) = fresh_names(["T"], set(pr.names))
     W = PolyRing(pr.field, (t_name,) + tuple(pr.names), GREVLEX)

@@ -51,7 +51,10 @@ condition was read off one normal-form table, and
 ``naive_product_closure`` the span-of-products loop that formed every
 product, also those past the degree bound, and ``naive_minimal_generators``
 the generator search that rebuilt that span from 1 at every degree and
-after every new generator.
+after every new generator.  ``naive_group_check`` is the group check that
+filled the full multiplication table of a list of maps, every product of
+two of them, and walked it for a generating set, before the generators'
+closure alone was checked.
 """
 
 from __future__ import annotations
@@ -563,10 +566,51 @@ def naive_substitute(f, target, images):
     return result
 
 
+def naive_group_check(ring, maps):
+    """``(failing, generators)`` for a list of linear maps of the free ring
+    ``ring``, from the table of every composition ``g * h``: ``failing``
+    lists the message of each group axiom that fails, and ``generators``
+    is, when none does, the indices that walking the list in order the maps
+    before them do not generate (else ``None``)."""
+    def key(g):
+        return tuple(g.assignments[0][1])
+
+    index = {}
+    for i, g in enumerate(maps):
+        index.setdefault(key(g), i)
+    ident = index.get(key(RingMap.identity(ring)))
+    table = [[index.get(key(g.compose(h))) for h in maps] for g in maps]
+    failing = []
+    if len(index) < len(maps):
+        failing.append("duplicate group element in action")
+    if ident is None:
+        failing.append("action does not contain the identity")
+    if any(None in row for row in table):
+        failing.append("action is not closed under composition")
+    if ident is None or any(ident not in row for row in table):
+        failing.append("a group element has no inverse in the list")
+    if failing:
+        return failing, None
+    kept, generated = [], {ident}
+    for i in range(len(maps)):
+        if i in generated:
+            continue
+        kept.append(i)
+        # the subgroup generated so far: close under the kept maps
+        frontier = list(generated)
+        while frontier:
+            x = frontier.pop()
+            for k in kept:
+                y = table[x][k]
+                if y not in generated:
+                    generated.add(y)
+                    frontier.append(y)
+    return failing, kept
+
+
 def naive_invariant_basis(action, d):
     """``invariant_basis`` from the fixed-point system ``g(f) = f`` of every
     nontrivial element of the group, not of a generating set."""
-    action.validate()
     pr = action.ring.poly_ring(0)
     out = [[pr.one]]
     nontrivial = [g for g in action.maps if g != RingMap.identity(action.ring)]
@@ -723,7 +767,6 @@ def naive_effectivity_test(data):
     then normal-formed modulo ``J`` before it joins ``W``, and with full
     reduced bases of ``J`` and of ``J(x,y) + J(y,z)``, not the truncated
     ones of ``CocycleData``."""
-    data.validate()
     rel = data.relation
     D = rel.doubled
     field = D.field

@@ -778,6 +778,58 @@ def molien_suite(cases=24, seed=20261018):
     return cases
 
 
+def group_action_oracle_suite(cases=80, seed=20261109):
+    """``GroupAction`` agrees with ``oracles.naive_group_check``, which
+    fills the full multiplication table, on lists drawn from small
+    signed-permutation groups and, over prime fields, from the translations
+    ``x -> x + a``, on one to three variables: a random subset of the group
+    or all of it, in random order, with or without the identity, sometimes
+    with a repeated element or a non-invertible map such as ``x -> 0``.
+    The constructor accepts exactly the oracle's groups, with the oracle's
+    generators, and otherwise raises the message of an axiom that the
+    oracle's table shows failing.  Both outcomes must occur."""
+    rng = random.Random(seed)
+    groups = 0
+    for _ in range(cases):
+        field = rng.choice(FIELDS)
+        n = rng.randint(1, 3)
+        ambient = AmbientRing.free(field, NAMES[:n])
+        pr = ambient.poly_ring(0)
+        if field.characteristic and rng.random() < 0.3:
+            images = [[pr.var(0) + pr.from_int(a)] + pr.gens()[1:]
+                      for a in range(field.characteristic)]
+        else:
+            group = None
+            while group is None:
+                group = _signed_permutation_group(
+                    rng, n, signed=field.characteristic != 2 and rng.random() < 0.5,
+                    max_order=8)
+            images = [[pr.var(j).scale(field.of_int(s)) for j, s in g] for g in group]
+        rng.shuffle(images)
+        if rng.random() < 0.5:
+            images = images[:rng.randint(1, len(images))]
+        if rng.random() < 0.2:
+            images.insert(rng.randint(0, len(images)), rng.choice(images))
+        if rng.random() < 0.2:
+            crushed = rng.sample(range(n), rng.randint(1, n))
+            images.insert(rng.randint(0, len(images)),
+                          [pr.zero if j in crushed else pr.var(j) for j in range(n)])
+        maps = [RingMap.on_polys(ambient, ambient, im) for im in images]
+        failing, generators = oracles.naive_group_check(ambient, maps)
+        what = f"{[[pr.render(p) for p in im] for im in images]} over {field!r}"
+        try:
+            action = GroupAction(ambient, maps)
+        except ValueError as e:
+            assert str(e) in failing, f"{what}: raised {e!r}, the table fails {failing}"
+            continue
+        assert not failing, f"{what}: accepted, but the table fails {failing}"
+        assert action.generators == generators, (
+            f"{what}: generators {action.generators} != {generators}")
+        groups += 1
+    assert 0 < groups < cases, f"{groups} of {cases} lists were groups"
+    return cases
+
+
 def _relation_case(rng, kind, field):
     """A relation of the given kind over ``field``: the orbit relation of a
     small signed-permutation group or, over a prime field, of the affine

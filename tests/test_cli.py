@@ -584,25 +584,35 @@ def test_zero_denominator_is_an_error_that_keeps_finished_blocks(
     assert out.endswith(err)
 
 
-def test_failed_effectivity_rerun_keeps_finished_tables(tmp_path, capsys):
+@pytest.mark.parametrize("cocycle, primes, degree, done, last, message", [
+    # 1/2 has no image in FF(2)
+    ("maps (x1^2, x1*x2 - x2^2, x2^3) poly 1/2*(x1*y2 - x2*y1)*y2^3", "2,3,5",
+     5, ["over QQ"], "noneffective", "cannot rerun over FF(2): "),
+    # over FF(2) both maps are (x1 + x2)^2, so y2 is unbounded
+    ("maps (x1^2 + x2^2, x1^2 - x2^2) poly x1*x2 - y1*y2", "3,2",
+     2, ["over QQ", "over FF(3)"], "effective",
+     "cannot rerun over FF(2): ring is not finite over the map subring (y2 unbounded)\n"),
+], ids=["zero-division", "not-finite"])
+def test_failed_effectivity_rerun_keeps_finished_tables(tmp_path, capsys, cocycle, primes,
+                                                        degree, done, last, message):
     script = (GROEBNER_FIRST.format(field="QQ")
-              + "cocycle F on A = maps (x1^2, x1*x2 - x2^2, x2^3)"
-                " poly 1/2*(x1*y2 - x2*y1)*y2^3;\n"
+              + f"cocycle F on A = {cocycle};\n"
                 "effectivity F;\n")
-    code, out, err = run(tmp_path, capsys, script)
+    code, out, err = run(tmp_path, capsys, script, "--primes", primes)
     assert code == 2
-    assert err.startswith("error: line 5: cannot rerun over FF(2): ")
-    # the QQ table finished before the FF(2) rerun failed; no verdict
+    assert err.startswith("error: line 5: " + message)
+    # the tables finished before the FF(2) rerun failed; no verdict
     block = out.split("$ effectivity F\n", 1)[1]
     assert block.startswith(
-        "inputs: F (cocycle data on A, degree 5), primes 2,3,5\n"
+        f"inputs: F (cocycle data on A, degree {degree}), primes {primes}\n"
         "over QQ:\n"
-        "effectivity test in degree 5 over QQ\n")
-    assert "  verdict: noneffective\n\n" + err in block
-    assert "\nover FF(2):" not in block
+        f"effectivity test in degree {degree} over QQ\n")
+    assert block.endswith(f"  verdict: {last}\n\n" + err)
+    assert [line[:-1] for line in block.splitlines() if line.startswith("over ")] == done
     assert "\nverdict:" not in block
-    doc = json.loads(run(tmp_path, capsys, script, "--format", "json")[1])
-    assert list(doc["results"][-1]["tables"]) == ["over QQ"]
+    doc = json.loads(run(tmp_path, capsys, script, "--primes", primes, "--format", "json")[1])
+    # the JSON report sorts its keys
+    assert sorted(doc["results"][-1]["tables"]) == sorted(done)
     assert doc["results"][-1]["verdict"] is None
 
 

@@ -51,16 +51,16 @@ def test_validate_homogeneity():
     B = AmbientRing.free(QQ, ("x",))
     pb = B.poly_ring(0)
     with pytest.raises(ValueError, match="homogeneous"):
-        CocycleData(B, [pb.parse("x^2 + x")], None).validate()
+        CocycleData(B, [pb.parse("x^2 + x")], None)
     with pytest.raises(ValueError, match="homogeneous"):
-        CocycleData(B, [pb.parse("x^2")], "x1^2 + x2").validate()
+        CocycleData(B, [pb.parse("x^2")], "x1^2 + x2")
 
 
 def test_validate_finiteness():
     A = AmbientRing.free(QQ, ("x1", "x2"))
     pr = A.poly_ring(0)
     with pytest.raises(ValueError, match="not finite over the map subring"):
-        CocycleData(A, [pr.parse("x1^2")], None).validate()
+        CocycleData(A, [pr.parse("x1^2")], None)
 
 
 def test_coboundaries_have_zero_defect(counterexample):

@@ -1,5 +1,6 @@
 """Finite linear group actions: averaging, graded invariants, orbit equations."""
 
+import itertools
 import re
 
 import pytest
@@ -72,17 +73,17 @@ def test_validate_group_axioms():
     neg = RingMap.on_polys(A, A, [pr.parse("-x"), pr.parse("-y")])
     rot = RingMap.on_polys(A, A, [pr.parse("-y"), pr.parse("x")])
 
-    GroupAction(A, [ident, neg]).validate()
+    assert GroupAction(A, [ident, neg]).generators == [1]
 
     with pytest.raises(ValueError, match="duplicate"):
-        GroupAction(A, [ident, neg, neg]).validate()
+        GroupAction(A, [ident, neg, neg])
     with pytest.raises(ValueError, match="identity"):
-        GroupAction(A, [neg]).validate()
+        GroupAction(A, [neg])
     with pytest.raises(ValueError, match="closed"):
-        GroupAction(A, [ident, rot]).validate()  # missing rot^2, rot^3
+        GroupAction(A, [ident, rot])  # missing rot^2, rot^3
     crush = RingMap.on_polys(A, A, [pr.zero, pr.zero])
     with pytest.raises(ValueError, match="inverse"):
-        GroupAction(A, [ident, crush]).validate()
+        GroupAction(A, [ident, crush])
 
 
 @pytest.mark.parametrize("images, message", [
@@ -96,7 +97,7 @@ def test_validate_messages(images, message):
     pr = A.poly_ring(0)
     maps = [RingMap.on_polys(A, A, [pr.parse(t) for t in im]) for im in images]
     with pytest.raises(ValueError) as err:
-        GroupAction(A, maps).validate()
+        GroupAction(A, maps)
     assert str(err.value) == message
 
 
@@ -119,13 +120,35 @@ def test_generators():
     c4 = [RingMap.identity(A)]
     for _ in range(3):
         c4.append(rot.compose(c4[-1]))
-    assert GroupAction(A, c4).generators() == [1]
+    assert GroupAction(A, c4).generators == [1]
     signs = [RingMap.on_polys(A, A, [pr.parse(u), pr.parse(v)])
              for u, v in (("x", "y"), ("-x", "y"), ("x", "-y"), ("-x", "-y"))]
-    assert GroupAction(A, signs).generators() == [1, 2]
+    assert GroupAction(A, signs).generators == [1, 2]
     # a rotation, then the first reflection the rotations miss
-    assert square_action().generators() == [1, 4]
-    assert square_action(reflection_first=True).generators() == [1, 2]
+    assert square_action().generators == [1, 4]
+    assert square_action(reflection_first=True).generators == [1, 2]
+
+
+def test_s4_is_checked_on_its_generators_closure(monkeypatch):
+    """S4 on four variables, its 24 permutations in lexicographic order, is
+    checked with at most |G| * |gens| = 72 compositions, where the full
+    multiplication table takes 576, and is generated by the transpositions
+    (c d), (b c) and (a b)."""
+    calls = []
+    compose = RingMap.compose
+
+    def counted(self, inner):
+        calls.append(1)
+        return compose(self, inner)
+
+    A = AmbientRing.free(QQ, ("a", "b", "c", "d"))
+    pr = A.poly_ring(0)
+    maps = [RingMap.on_polys(A, A, [pr.parse(v) for v in p])
+            for p in itertools.permutations("abcd")]
+    monkeypatch.setattr(RingMap, "compose", counted)
+    action = GroupAction(A, maps)
+    assert action.generators == [1, 2, 6]
+    assert len(calls) <= 72
 
 
 def test_order_and_apply():
@@ -246,7 +269,7 @@ def test_d4_invariants_apply_two_maps(monkeypatch):
     tables of the two generators only, with no ``apply_poly`` call: each
     of the two tables holds the 210 monomials of degree <= 6 in four
     variables.  The other six maps' tables hold only the 5 monomials of
-    degree <= 1 that the compositions of ``validate`` read."""
+    degree <= 1 that the constructor's compositions read."""
 
     def refused(self, f):
         raise AssertionError("invariant_basis called apply_poly")
@@ -257,7 +280,7 @@ def test_d4_invariants_apply_two_maps(monkeypatch):
     held = [set(g._tables[0]._table) for g in act.maps]
     every = set(act.ring.poly_ring(0).monomials_up_to_degree(6))
     assert len(every) == 210
-    assert [i for i, ms in enumerate(held) if ms == every] == act.generators() == [1, 4]
+    assert [i for i, ms in enumerate(held) if ms == every] == act.generators == [1, 4]
     assert all(len(ms) == 5 and max(map(sum, ms)) == 1
                for i, ms in enumerate(held) if i not in (1, 4))
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import platform
@@ -130,6 +131,12 @@ action D4 on SQ = (a, b, c, d | b, c, d, a | c, d, a, b | d, a, b, c
                  | d, c, b, a | b, a, d, c | a, d, c, b | c, b, a, d);
 invariant-basis D4;
 """, 16),
+    # S5 as its 120 permutations of a..e, checked on its generators' closure
+    "s5-invariants-d3": ("""
+ring P5 = QQ[a, b, c, d, e];
+action S5 on P5 = (""" + " | ".join(map(", ".join, itertools.permutations("abcde"))) + """);
+invariant-basis S5;
+""", 3),
 }
 # One --larger script run, executed by ``python3 -c`` in a checkout with the
 # script text and the degree bound as arguments; it prints one JSON line.
